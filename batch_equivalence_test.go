@@ -2,8 +2,8 @@ package netcons_test
 
 // The batch engine makes a two-sided promise (see ARCHITECTURE.md):
 // runs it steps exactly — non-batchable protocols, and any run with an
-// event sink, observer or fault injector — are bit-identical to
-// EngineSparse; runs it batches are equal in law, verified here by a
+// event sink, a fault injector or a restricted topology — are
+// bit-identical to EngineSparse; runs it batches are equal in law, verified here by a
 // Kolmogorov–Smirnov test on convergence times and a two-sample
 // chi-square test on a fixed-horizon graph statistic. CI greps for
 // these tests by name; keep them in sync with
@@ -230,20 +230,12 @@ func (s *recordSink) Event(ev *core.Event) {
 		ev.EdgeChanged, ev.Edge, ev.Skipped, ev.Label, ev.Stable, ev.Converged, ev.EffectiveSteps))
 }
 
-type recordObserver struct {
-	steps []string
-}
-
-func (o *recordObserver) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *core.Config) {
-	o.steps = append(o.steps, fmt.Sprintf("%d:%d,%d:%v", step, u, v, edgeChanged))
-}
-
 // TestBatchExactFallbackBitIdentical pins the fallback half of the
-// contract on a batchable protocol: attaching an event sink, an
-// observer, or a fault injector reroutes the whole batch run to exact
-// stepping, so the run — results, final configuration, and the full
-// event/observer stream — is bit-identical to EngineSparse with the
-// same options. (TestEventSinkDoesNotPerturbRuns in internal/core
+// contract on a batchable protocol: attaching an event sink, a fault
+// injector, or a restricted topology reroutes the whole batch run to
+// exact stepping, so the run — results, final configuration, and the
+// full event stream — is bit-identical to EngineSparse with the same
+// options. (TestEventSinkDoesNotPerturbRuns in internal/core
 // points here for the engine=batch case it cannot assert.)
 func TestBatchExactFallbackBitIdentical(t *testing.T) {
 	t.Parallel()
@@ -271,10 +263,17 @@ func TestBatchExactFallbackBitIdentical(t *testing.T) {
 			opts.Events = sink
 			return func() []string { return sink.events }
 		}},
-		{"observer", func(opts *core.Options) func() []string {
-			obs := &recordObserver{}
-			opts.Observer = obs
-			return func() []string { return obs.steps }
+		{"topology", func(opts *core.Options) func() []string {
+			spec, err := core.ParseTopologySpec("gnp@0.5")
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := spec.Realize(n, opts.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Topology = topo
+			return func() []string { return nil }
 		}},
 		{"injector", func(opts *core.Options) func() []string {
 			pr, err := plan.Prepare(c.Proto)
@@ -298,9 +297,10 @@ func TestBatchExactFallbackBitIdentical(t *testing.T) {
 				opts := core.Options{
 					Seed: 17, Engine: engine, Detector: c.Detector, MaxSteps: 1 << 22,
 				}
-				if v.name == "injector" {
-					// Faults break the target detector's reachability
-					// assumption; quiescence is the honest stop rule.
+				if v.name == "injector" || v.name == "topology" {
+					// Faults and a restricted interaction graph break the
+					// target detector's reachability assumption;
+					// quiescence is the honest stop rule.
 					opts.Detector = core.QuiescenceDetector()
 				}
 				stream := v.attach(&opts)

@@ -172,12 +172,6 @@ type Point struct {
 	// goroutines. Nil means the uniform scheduler.
 	NewScheduler func() core.Scheduler
 
-	// Observer, when non-nil, receives every effective step of every
-	// run of this point. Observers are shared across runs, so campaigns
-	// containing observed points must execute with Workers=1 unless the
-	// observer is safe for concurrent use.
-	Observer core.Observer
-
 	// Stop, when non-nil, is polled alongside the engine's own
 	// cancellation and timeout checks; returning true aborts the run
 	// (Stopped=true). It is called concurrently from every run of this
@@ -213,8 +207,8 @@ type Point struct {
 	// (the Section 6 machinery): trials execute through core.RunDyn
 	// under the uniform scheduler, inheriting the campaign's
 	// cancellation and per-run timeouts via the dynamic Stop hook.
-	// DynStable is required; Proto, Engine, NewScheduler, Faults,
-	// Initial and Observer must be unset.
+	// DynStable is required; Proto, Engine, NewScheduler, Faults and
+	// Initial must be unset.
 	DynProto *core.DynProtocol
 	// DynStable is the dynamic point's stop predicate.
 	DynStable func(cfg *core.DynConfig) bool
@@ -814,7 +808,7 @@ func prepare(points []Point) error {
 				return fmt.Errorf("campaign: point %d (%s): dynamic points require DynStable", i, pt.Protocol)
 			}
 			if pt.Engine != core.EngineAuto || pt.NewScheduler != nil || pt.Faults != nil ||
-				pt.Initial != nil || pt.Observer != nil || pt.Topology != nil {
+				pt.Initial != nil || pt.Topology != nil {
 				return fmt.Errorf("campaign: point %d (%s): dynamic points run the dynamic engine under the uniform scheduler and support no engine, scheduler, fault, topology or static-initial options", i, pt.Protocol)
 			}
 		case pt.Proto == nil:
@@ -935,10 +929,9 @@ func runDynTrial(pt *Point, rec RunRecord, stop func() bool) RunRecord {
 // Mean replaces the old core.Mean: it runs the protocol `trials` times
 // with seeds seed, seed+1, … on the worker pool and returns the mean
 // convergence time over converged runs plus the number of runs that
-// failed to converge within budget. A caller-supplied scheduler or
-// observer in opts forces sequential execution (they would otherwise be
-// shared across goroutines); opts.Seed is ignored in favor of the seed
-// argument.
+// failed to converge within budget. A caller-supplied scheduler in
+// opts forces sequential execution (it would otherwise be shared across
+// goroutines); opts.Seed is ignored in favor of the seed argument.
 func Mean(p *core.Protocol, n, trials int, seed uint64, opts core.Options) (mean float64, failures int, err error) {
 	pt := Point{
 		Protocol:      p.Name(),
@@ -950,7 +943,6 @@ func Mean(p *core.Protocol, n, trials int, seed uint64, opts core.Options) (mean
 		MaxSteps:      opts.MaxSteps,
 		CheckInterval: opts.CheckInterval,
 		Engine:        opts.Engine,
-		Observer:      opts.Observer,
 		Stop:          opts.Stop,
 	}
 	if opts.Initial != nil {
@@ -961,9 +953,6 @@ func Mean(p *core.Protocol, n, trials int, seed uint64, opts core.Options) (mean
 	if opts.Scheduler != nil {
 		sched := opts.Scheduler
 		pt.NewScheduler = func() core.Scheduler { return sched }
-		workers = 1
-	}
-	if opts.Observer != nil {
 		workers = 1
 	}
 	out, err := Execute(context.Background(), []Point{pt}, Options{Workers: workers})

@@ -183,7 +183,6 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		Detector:      pt.Detector,
 		MaxSteps:      pt.MaxSteps,
 		CheckInterval: pt.CheckInterval,
-		Observer:      pt.Observer,
 		Stop:          stop,
 		Workspace:     ws,
 	}

@@ -46,10 +46,12 @@ type Spec struct {
 	// MaxSteps caps each run's interactions; 0 means the engine's
 	// per-n default budget.
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Engine selects the core execution path: "auto" (default; under
-	// the uniform scheduler the fast enabled-pair-index engine up to
-	// n=4096 and the sparse state-class engine above it, the baseline
-	// loop otherwise), "baseline", "fast", or "sparse".
+	// Engine selects the core execution path: "auto" (default),
+	// "baseline", "fast", "sparse", or "batch". Under the uniform
+	// scheduler auto runs the fast engine for n ≤ 4096 and, above that,
+	// the batch engine — or the sparse engine when an event sink or
+	// fault injector would force batch to exact-step anyway; other
+	// schedulers run the baseline loop.
 	Engine string `json:"engine,omitempty"`
 	// Detector selects the stability predicate: "target" (default; the
 	// registry's per-protocol detector), "quiescence", or

@@ -110,18 +110,17 @@ func (pl *bucketPlan) drawCellExcluding(rng *RNG, skip int) int32 {
 }
 
 // runBatch is the batch engine. In its pure form it runs batchLoop
-// over a batchIndex: geometric skips between landings as the sparse
-// engine, but consecutive landings inside a census-frozen stretch are
-// allocated to class sub-buckets by one multivariate draw instead of
-// per-landing index walks, deterministic-swap landings run a
-// specialized kernel, and the index maintenance itself is leaner (see
-// batchIndex).
+// over the census index: geometric skips between landings as the
+// sparse engine, but consecutive landings inside a census-frozen
+// stretch are allocated to class sub-buckets by one multivariate draw
+// instead of per-landing index walks, and deterministic-swap landings
+// run a specialized kernel.
 //
 // Two conditions switch the whole run to exact per-landing stepping —
-// literally runIndexed over a ClassIndex, bit-identical to
-// EngineSparse: an attached EventSink, Observer, or fault Injector
-// (those consumers observe individual landings, which the pure path
-// does not reproduce draw-for-draw), and a protocol with no
+// literally the sparse engine's runIndexed over the same index,
+// bit-identical to EngineSparse: an attached EventSink or fault
+// Injector (those consumers observe individual landings, which the
+// pure path does not reproduce draw-for-draw), and a protocol with no
 // census-preserving outcome (Protocol.Batchable — such runs could
 // never hold a plan, so the exact path costs nothing and keeps every
 // census-changing transition bit-identical to the sparse engine).
@@ -132,25 +131,13 @@ func (pl *bucketPlan) drawCellExcluding(rng *RNG, skip int) int32 {
 // counts, which a permitted-pair restriction reshapes per class — the
 // exact path stays bit-identical to EngineSparse under any topology.
 func runBatch(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG) (Result, error) {
-	exact := opts.Events != nil || opts.Observer != nil || opts.Injector != nil || opts.Topology != nil || !p.Batchable()
-	if exact {
-		var ix *ClassIndex
-		if ws := opts.Workspace; ws != nil {
-			ix = ws.classIndex(cfg)
-		} else {
-			ix = NewClassIndex(cfg)
-		}
-		res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, ix, EngineBatch)
-		res.Metrics.IndexBuilds = 1
+	if opts.Events != nil || opts.Injector != nil || opts.Topology != nil || !p.Batchable() {
+		res, err := runSparse(p, cfg, det, opts, maxSteps, interval, rng)
+		res.Engine = EngineBatch
 		res.Metrics.ExactFallbackLandings = res.Metrics.Landings
 		return res, err
 	}
-	var ix *batchIndex
-	if ws := opts.Workspace; ws != nil {
-		ix = ws.batchIndex(cfg)
-	} else {
-		ix = newBatchIndex(cfg)
-	}
+	ix := opts.Workspace.batchIndex(cfg)
 	res := batchLoop(p, cfg, det, opts, maxSteps, interval, rng, ix)
 	res.Metrics.IndexBuilds = 1
 	res.Metrics.SampleRejections, res.Metrics.SampleFallbacks = ix.rejections, ix.fallbacks
@@ -158,7 +145,7 @@ func runBatch(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, in
 }
 
 // batchLoop mirrors indexedLoop's skip/landing/detector structure (no
-// events, observer, or injector can be attached here — runBatch routed
+// event sink or injector can be attached here — runBatch routed
 // those to the exact path), with three changes to the landing itself:
 //
 //   - a landing inside a valid plan consumes a planned sub-bucket
@@ -518,14 +505,14 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 			if !ix.applySwapFast(u, v, beforeU, beforeV) {
 				ix.applySwap(u, v, beforeU, beforeV)
 			}
-			recordEffective(&res, p, cfg, nil, nil, nil, step, u, v, beforeU, beforeV, false)
+			recordEffective(&res, p, cfg, nil, nil, step, u, v, beforeU, beforeV, false)
 			effective = true
 		} else {
 			beforeU, beforeV := cfg.nodes[u], cfg.nodes[v]
 			effective, edgeChanged = cfg.Apply(u, v, rng)
 			if effective {
 				ix.Update(u, v, beforeU, beforeV, edgeChanged)
-				recordEffective(&res, p, cfg, nil, nil, nil, step, u, v, beforeU, beforeV, edgeChanged)
+				recordEffective(&res, p, cfg, nil, nil, step, u, v, beforeU, beforeV, edgeChanged)
 			}
 		}
 		if effective {

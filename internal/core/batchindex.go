@@ -1,22 +1,53 @@
 package core
 
-// batchIndex is the batch engine's census index. It maintains the same
-// decomposition as ClassIndex — per-state node lists, per-class
-// active-edge counts, and the cached enabled / edge-enabled weight of
-// every (state-class, edge-bit) sub-bucket — but restructures the
-// bookkeeping around what the batch engine actually reads:
+import (
+	"fmt"
+	"slices"
+)
+
+// maxSparseNodes bounds the populations the census index accepts. The
+// structure itself is O(n + m + |Q|²), so the cap is practical rather
+// than representational: beyond ~2²⁰ nodes the geometric skip
+// probabilities m/P fall below 2⁻³⁹ and step budgets stop being
+// meaningful long before memory does.
+const maxSparseNodes = 1 << 20
+
+// batchIndex is the state-class census index behind the sparse and
+// batch engines. Instead of materializing the enabled pairs (Θ(n²) in
+// the worst case, the dense PairIndex's cost), it counts them by
+// *state class*: a pair's enabledness depends only on the triple
+// (state(u), state(v), edge(u,v)), so the enabled-pair count
+// decomposes over unordered state classes {q₁, q₂}:
+//
+//	enabled = Σ_{q₁≤q₂} [ E(q₁,q₂,0)·(P(q₁,q₂) − A(q₁,q₂))
+//	                    + E(q₁,q₂,1)·A(q₁,q₂) ]
+//
+// where E is the protocol's effectiveness table, P(q₁,q₂) the number of
+// pairs with those endpoint states (n_{q₁}·n_{q₂}, or C(n_q,2) on the
+// diagonal — population counts Config already maintains), and A(q₁,q₂)
+// the number of active edges between them. The same decomposition with
+// the edge-effectiveness table yields the edge-enabled count.
+//
+// Costs: O(n + m + |Q|²) to build, O(deg(u) + deg(v) + |Q|) per
+// effective step to maintain, O(|Q|²) + O(1) expected to sample a
+// uniformly random enabled pair — a class is drawn proportionally to
+// its weight, then within the class an active edge is an O(1) list
+// draw and a non-edge is drawn by rejection from the per-state node
+// lists (an exact counted walk takes over only when active edges
+// saturate a class). Nothing scales with n².
+//
+// The bookkeeping is shaped by what the engines read:
 //
 //   - a census *generation* counter (gen) that bumps exactly when some
-//     cached sub-bucket weight changes value, so the engine can detect
-//     "the landing law is unchanged" in O(1) and keep a bucket plan
-//     alive across landings (see batch.go);
+//     cached sub-bucket weight changes value, so the batch engine can
+//     detect "the landing law is unchanged" in O(1) and keep a bucket
+//     plan alive across landings (see batch.go);
 //   - edge *lists* only for the classes the sampler can ever draw an
 //     edge from (mask bit effEdge — for Simple-Global-Line that is the
 //     handful of walker/leader classes, a few edges each, while the
-//     huge inert {q₂,q₂} bulk keeps only a counter). The edge-slot
-//     hash map of ClassIndex is replaced by a per-node adjacency
-//     mirror holding (class, slot) for listed-class edges only, so the
-//     mirror stays tiny and cache-resident;
+//     huge inert {q₂,q₂} bulk keeps only a counter). A per-node mirror
+//     holds (class, slot) for listed-class edges only, so edge removal
+//     needs no hash map and the mirror stays cache-resident;
 //   - the protocol's four effectiveness bits per class are cached in
 //     effMask, and touch[s] lists the classes containing state s whose
 //     mask is nonzero — the only classes whose weights can move when
@@ -33,28 +64,61 @@ package core
 //     runs a specialized kernel (no rule lookup, no store access, no
 //     coins) through applySwap.
 //
-// Like ClassIndex it is bound to its Config, must be notified after
-// every effective interaction, and is not safe for concurrent use.
-// Unlike ClassIndex it serves only the batch engine's pure path, which
-// never carries an event sink, observer or fault injector — runs that
-// need those go through the exact ClassIndex path (see runBatch).
+// Under a restricted topology (cfg.Topology() non-nil) the population
+// products no longer count schedulable pairs, so P(q₁,q₂) is replaced
+// by a census of the *permitted* pairs: every permitted pair of a class
+// some rule reads sits in a per-class list (pairCnt/pairList, with
+// pairSlot locating each pair by its position in the topology's
+// adjacency rows), moved between classes in O(deg_topo · log deg_topo)
+// when an endpoint changes state. Non-edge sampling then draws from the class's
+// permitted-pair list by rejection against the active edges (active ⊆
+// permitted — an invariant Run enforces on the initial configuration
+// and interactions preserve). Only the exact route (runIndexed) ever
+// sees a topology; the pure batch path excludes it, and every topology
+// branch sits behind a nil check outside the swap kernel.
+//
+// The index is bound to the Config it was built from and must be
+// notified after every effective interaction (Update) and every
+// out-of-band write (nodeChanged / edgeChanged, through a Mutator);
+// mutating the Config behind its back invalidates it. It is not safe
+// for concurrent use.
 type batchIndex struct {
 	cfg   *Config
 	proto *Protocol
 	q     int
 
 	// sp is cfg.store when it is the sparse adjacency store (always at
-	// batch-engine populations) — the swap kernel iterates its rows in
-	// place instead of copying neighbors out.
+	// populations above the dense-store threshold) — the swap kernel and
+	// the incident-edge walks iterate its rows in place instead of
+	// copying neighbors out.
 	sp *sparseStore
 
+	// byState lists the nodes in each state; slot is each node's index
+	// in its list, so state moves are O(1) swap-removes.
 	byState [][]int32
 	slot    []int32
 
+	// Active edges by canonical class id (q₁·|Q|+q₂, q₁≤q₂): edgeCount
+	// is A(q₁,q₂) (maintained where effMask ≠ 0), edgeList holds the
+	// edges of listed classes packed u<<32|v (u < v).
 	edgeCount []int64
 	edgeList  [][]uint64
 	mirror    [][]mirrorEntry
 
+	// Permitted-pair census, populated only under a restricted topology
+	// (topo non-nil) and only for classes with effMask ≠ 0: pairCnt is
+	// the class's permitted-pair count, pairList its pairs packed
+	// u<<32|v (u < v). pairSlot[topoOff[u]+k] is the list slot of the
+	// pair {u, topo.adj[u][k]} for u < topo.adj[u][k].
+	topo     *Topology
+	pairCnt  []int64
+	pairList [][]uint64
+	pairSlot []int32
+	topoOff  []int32
+
+	// w and we cache each class's enabled / edge-enabled pair count per
+	// edge bit (index 2·id + edgeBit); enabled and edgeEnabled are their
+	// running totals.
 	w, we       []int64
 	enabled     int64
 	edgeEnabled int64
@@ -84,6 +148,10 @@ type batchIndex struct {
 	// workspace reuse.
 	wpath walkPath
 
+	// Sampling-effort telemetry, zeroed per reset (i.e. per run):
+	// rejections counts candidate non-edge draws discarded for hitting
+	// an active edge; fallbacks counts the exact counted walks taken
+	// when active edges saturated a class.
 	rejections int64
 	fallbacks  int64
 }
@@ -112,13 +180,16 @@ func newBatchIndex(cfg *Config) *batchIndex {
 	return bi
 }
 
-// reset rebinds the index to cfg and rebuilds it in place, reusing
-// every backing array that fits — the workspace path's
-// allocation-free fresh build, mirroring ClassIndex.reset.
+// reset rebinds the index to cfg and rebuilds it in place in
+// O(n + m + |Q|²), reusing every backing array that fits — the
+// workspace path's allocation-free fresh build. newBatchIndex
+// delegates here, so there is exactly one copy of the order-sensitive
+// construction and a reset index samples bit-identically to a fresh
+// one by construction.
 func (bi *batchIndex) reset(cfg *Config) {
 	n := cfg.n
 	if n > maxSparseNodes {
-		panic("core: batchIndex supports populations up to maxSparseNodes")
+		panic(fmt.Sprintf("core: the census index supports populations up to %d, got %d", maxSparseNodes, n))
 	}
 	q := cfg.proto.Size()
 	bi.cfg = cfg
@@ -180,6 +251,10 @@ func (bi *batchIndex) reset(cfg *Config) {
 		bi.slot[u] = int32(len(bi.byState[s]))
 		bi.byState[s] = append(bi.byState[s], int32(u))
 	}
+	bi.topo = cfg.topo
+	if bi.topo != nil {
+		bi.resetPairs(q)
+	}
 	cfg.store.forEach(func(u, v int) {
 		bi.addEdge(u, v, bi.classID(cfg.nodes[u], cfg.nodes[v]))
 	})
@@ -191,6 +266,47 @@ func (bi *batchIndex) reset(cfg *Config) {
 	// The build's reweighs bump gen; a fresh index starts a fresh
 	// census history.
 	bi.gen = 0
+}
+
+// resetPairs rebuilds the permitted-pair census for bi.topo, visiting
+// the pairs in ascending (u, v) order — the topology's canonical pair
+// order.
+func (bi *batchIndex) resetPairs(q int) {
+	t := bi.topo
+	n := bi.cfg.n
+	if len(bi.pairCnt) != q*q {
+		bi.pairCnt = make([]int64, q*q)
+		bi.pairList = make([][]uint64, q*q)
+	} else {
+		for i := range bi.pairList {
+			bi.pairCnt[i] = 0
+			bi.pairList[i] = bi.pairList[i][:0]
+		}
+	}
+	if cap(bi.topoOff) < n+1 {
+		bi.topoOff = make([]int32, n+1)
+	} else {
+		bi.topoOff = bi.topoOff[:n+1]
+	}
+	off := int32(0)
+	for u := 0; u < n; u++ {
+		bi.topoOff[u] = off
+		off += int32(len(t.adj[u]))
+	}
+	bi.topoOff[n] = off
+	if cap(bi.pairSlot) < int(off) {
+		bi.pairSlot = make([]int32, off)
+	} else {
+		bi.pairSlot = bi.pairSlot[:off]
+	}
+	nodes := bi.cfg.nodes
+	for u := 0; u < n; u++ {
+		for k, x := range t.adj[u] {
+			if int(x) > u {
+				bi.insertPair(u, int(x), int(bi.topoOff[u])+k, bi.classID(nodes[u], nodes[x]))
+			}
+		}
+	}
 }
 
 // rebuildMasks caches the protocol's effectiveness bits, the listed
@@ -325,6 +441,71 @@ func (bi *batchIndex) moveNode(u int, from, to State) {
 	bi.byState[to] = append(bi.byState[to], int32(u))
 }
 
+// pairPos returns the adjacency position pairSlot uses for the
+// permitted pair {u, v}, u < v: a binary search of u's sorted
+// topology row, O(log deg_topo).
+func (bi *batchIndex) pairPos(u, v int) int {
+	k, _ := slices.BinarySearch(bi.topo.adj[u], int32(v))
+	return int(bi.topoOff[u]) + k
+}
+
+// insertPair, removePair and movePair maintain the permitted-pair
+// census for the pair {u, v} (u < v) at adjacency position pos — the
+// list counterpart of addEdge/dropEdge, kept only for classes some
+// rule reads.
+
+func (bi *batchIndex) insertPair(u, v, pos, id int) {
+	if bi.effMask[id] == 0 {
+		return
+	}
+	bi.pairCnt[id]++
+	bi.pairSlot[pos] = int32(len(bi.pairList[id]))
+	bi.pairList[id] = append(bi.pairList[id], uint64(u)<<32|uint64(v))
+}
+
+func (bi *batchIndex) removePair(pos, id int) {
+	if bi.effMask[id] == 0 {
+		return
+	}
+	bi.pairCnt[id]--
+	slot := bi.pairSlot[pos]
+	list := bi.pairList[id]
+	last := list[len(list)-1]
+	list[slot] = last
+	bi.pairSlot[bi.pairPos(int(last>>32), int(last&0xffffffff))] = slot
+	bi.pairList[id] = list[:len(list)-1]
+}
+
+func (bi *batchIndex) movePair(u, v, pos, fromID, toID int) {
+	if fromID == toID {
+		return
+	}
+	bi.removePair(pos, fromID)
+	bi.insertPair(u, v, pos, toID)
+	bi.markDirty(fromID)
+	bi.markDirty(toID)
+}
+
+// movePairsOf re-classes the permitted pairs incident to node u after
+// its state changed from `from` to `to`; the pair {u, skip} (the
+// interaction partner, whose own state may also have changed) is
+// handled separately by the caller. O(deg_topo(u) · log deg_topo).
+func (bi *batchIndex) movePairsOf(u int, from, to State, skip int) {
+	nodes := bi.cfg.nodes
+	for k, x32 := range bi.topo.adj[u] {
+		x := int(x32)
+		if x == skip {
+			continue
+		}
+		sx := nodes[x]
+		if u < x {
+			bi.movePair(u, x, int(bi.topoOff[u])+k, bi.classID(from, sx), bi.classID(to, sx))
+		} else {
+			bi.movePair(x, u, bi.pairPos(x, u), bi.classID(from, sx), bi.classID(to, sx))
+		}
+	}
+}
+
 // reweigh recomputes one class's cached weights from the current
 // counts and edge buckets, folding deltas into the totals and bumping
 // gen iff some cached value actually changed. Idempotent.
@@ -332,10 +513,16 @@ func (bi *batchIndex) reweigh(a, b int) {
 	id := a*bi.q + b
 	mask := bi.effMask[id]
 	var pairs int64
-	if a == b {
+	switch {
+	case bi.topo != nil:
+		// Restricted topology: the population product over-counts pairs
+		// the scheduler can never draw, so the permitted-pair census is
+		// the class's pair count instead.
+		pairs = bi.pairCnt[id]
+	case a == b:
 		k := int64(bi.cfg.counts[a])
 		pairs = k * (k - 1) / 2
-	} else {
+	default:
 		pairs = int64(bi.cfg.counts[a]) * int64(bi.cfg.counts[b])
 	}
 	act := bi.edgeCount[id]
@@ -389,13 +576,17 @@ func (bi *batchIndex) flushDirty() {
 	bi.dirty = bi.dirty[:0]
 }
 
-// Update refreshes the index after an interaction was applied to
-// {u, v} — the batchIndex counterpart of ClassIndex.Update: the same
-// node and edge moves, but reweighing only the classes whose weights
-// can actually have moved, once, from final counts. A pure state swap
-// (afterU = beforeV, afterV = beforeU, no edge change) leaves every
-// population count unchanged, so only the classes of reclassified
-// incident edges are touched.
+// Update refreshes the index after an interaction was applied to the
+// pair {u, v}. beforeU and beforeV are the node states before the
+// interaction and edgeChanged reports whether the edge flipped —
+// exactly what Config.Apply exposes. Nodes, incident edges and (under
+// a topology) incident permitted pairs move between classes, and only
+// the classes whose weights can actually have moved are reweighed,
+// once, from final counts. A pure state swap (afterU = beforeV,
+// afterV = beforeU, no edge change) leaves every population count
+// unchanged, so only the classes of reclassified edges and pairs are
+// touched. Cost: O(deg(u) + deg(v) + |Q|) when a node state changed,
+// O(1) for edge-only transitions.
 func (bi *batchIndex) Update(u, v int, beforeU, beforeV State, edgeChanged bool) {
 	cfg := bi.cfg
 	afterU, afterV := cfg.nodes[u], cfg.nodes[v]
@@ -409,10 +600,22 @@ func (bi *batchIndex) Update(u, v int, beforeU, beforeV State, edgeChanged bool)
 	if afterU != beforeU {
 		bi.moveNode(u, beforeU, afterU)
 		bi.reclassifyIncident(u, v, beforeU, afterU)
+		if bi.topo != nil {
+			bi.movePairsOf(u, beforeU, afterU, v)
+		}
 	}
 	if afterV != beforeV {
 		bi.moveNode(v, beforeV, afterV)
 		bi.reclassifyIncident(v, u, beforeV, afterV)
+		if bi.topo != nil {
+			bi.movePairsOf(v, beforeV, afterV, u)
+		}
+	}
+	// The scheduled pair {u, v} is itself permitted; re-class it once
+	// with both endpoints' before/after states.
+	if bi.topo != nil && (afterU != beforeU || afterV != beforeV) {
+		a, b := min(u, v), max(u, v)
+		bi.movePair(a, b, bi.pairPos(a, b), bi.classID(beforeU, beforeV), bi.classID(afterU, afterV))
 	}
 	switch {
 	case edgeBefore && edgeNow:
@@ -445,6 +648,39 @@ func (bi *batchIndex) Update(u, v int, beforeU, beforeV State, edgeChanged bool)
 		}
 	}
 	bi.flushDirty()
+}
+
+// nodeChanged refreshes the index after an out-of-band write to node
+// u's state (scenario faults applied through a Mutator): the
+// single-node case of Update, O(deg(u) + |Q|). before is the state u
+// held when the index was last consistent.
+func (bi *batchIndex) nodeChanged(u int, before State) {
+	after := bi.cfg.nodes[u]
+	if after == before {
+		return
+	}
+	bi.stamp++
+	bi.moveNode(u, before, after)
+	bi.reclassifyIncident(u, -1, before, after)
+	if bi.topo != nil {
+		bi.movePairsOf(u, before, after, -1)
+	}
+	bi.markState(before)
+	bi.markState(after)
+	bi.flushDirty()
+}
+
+// edgeChanged refreshes the index after an out-of-band toggle of edge
+// {u, v}: the edge joins or leaves its class and that single class is
+// reweighed — O(1) plus the listed-class mirror scan.
+func (bi *batchIndex) edgeChanged(u, v int) {
+	id := bi.classID(bi.cfg.nodes[u], bi.cfg.nodes[v])
+	if bi.cfg.store.get(u, v) {
+		bi.addEdge(u, v, id)
+	} else {
+		bi.dropEdge(u, v, id)
+	}
+	bi.reweigh(id/bi.q, id%bi.q)
 }
 
 // applySwap is the index side of batchLoop's swap kernel: the caller
@@ -601,9 +837,10 @@ func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
 	}
 }
 
-// Sample returns a uniformly random enabled pair in random
-// orientation — the same two-stage class draw as ClassIndex.Sample,
-// over the same weights.
+// Sample returns a uniformly random enabled pair in random orientation
+// (matching the orientation law of RNG.Pair): a class sub-bucket drawn
+// proportionally to its weight, then a member of it. It must not be
+// called when no pair is enabled.
 func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
 	r := rng.Int64N(bi.enabled)
 	for a := 0; a < bi.q; a++ {
@@ -625,10 +862,121 @@ func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
 	panic("core: batchIndex class weights inconsistent with total")
 }
 
+// sampleNonEdge draws a uniformly random non-edge pair within the
+// class {a, b}: rejection from the per-state node lists (or, under a
+// topology, from the class's permitted-pair list), expected O(1) while
+// non-edges dominate the class, falling back to an exact counted walk
+// when active edges saturate it — the walk is O(P(a,b)) =
+// O(A/(1−acceptance)) and A is bounded by the edge count, so the
+// amortized cost stays O(m)-bounded.
 func (bi *batchIndex) sampleNonEdge(a, b int, rng *RNG) (int, int) {
-	return sampleNonEdgeClass(bi.cfg, bi.byState[a], bi.byState[b], a == b,
-		bi.edgeCount[a*bi.q+b], rng, &bi.rejections, &bi.fallbacks)
+	if bi.topo != nil {
+		return bi.sampleNonEdgeTopo(a*bi.q+b, rng)
+	}
+	store := bi.cfg.store
+	la, lb := bi.byState[a], bi.byState[b]
+	diag := a == b
+	const tries = 64
+	for t := 0; t < tries; t++ {
+		var u, v int
+		if diag {
+			i := rng.IntN(len(la))
+			j := rng.IntN(len(la) - 1)
+			if j >= i {
+				j++
+			}
+			u, v = int(la[i]), int(la[j])
+		} else {
+			u = int(la[rng.IntN(len(la))])
+			v = int(lb[rng.IntN(len(lb))])
+		}
+		if !store.get(u, v) {
+			return orient(u, v, rng)
+		}
+		bi.rejections++
+	}
+	// Exact fallback: pick the t-th non-edge of the class.
+	bi.fallbacks++
+	var pairs int64
+	if diag {
+		k := int64(len(la))
+		pairs = k * (k - 1) / 2
+	} else {
+		pairs = int64(len(la)) * int64(len(lb))
+	}
+	t := rng.Int64N(pairs - bi.edgeCount[a*bi.q+b])
+	for i := 0; i < len(la); i++ {
+		j0 := 0
+		if diag {
+			j0 = i + 1
+		}
+		for j := j0; j < len(lb); j++ {
+			u, v := int(la[i]), int(lb[j])
+			if store.get(u, v) {
+				continue
+			}
+			if t == 0 {
+				return orient(u, v, rng)
+			}
+			t--
+		}
+	}
+	panic("core: class non-edge count inconsistent with class weights")
 }
+
+// sampleNonEdgeTopo is sampleNonEdge under a restricted topology:
+// rejection from class id's permitted-pair list, falling back to an
+// exact counted walk over the list when active edges saturate it.
+// Active ⊆ permitted guarantees the rejection test is exact: every
+// active edge of the class sits in this list.
+func (bi *batchIndex) sampleNonEdgeTopo(id int, rng *RNG) (int, int) {
+	store := bi.cfg.store
+	list := bi.pairList[id]
+	const tries = 64
+	for t := 0; t < tries; t++ {
+		key := list[rng.IntN(len(list))]
+		u, v := int(key>>32), int(key&0xffffffff)
+		if !store.get(u, v) {
+			return orient(u, v, rng)
+		}
+		bi.rejections++
+	}
+	bi.fallbacks++
+	t := rng.Int64N(bi.pairCnt[id] - bi.edgeCount[id])
+	for _, key := range list {
+		u, v := int(key>>32), int(key&0xffffffff)
+		if store.get(u, v) {
+			continue
+		}
+		if t == 0 {
+			return orient(u, v, rng)
+		}
+		t--
+	}
+	panic("core: permitted non-edge count inconsistent with class weights")
+}
+
+// orient returns the pair in uniformly random orientation.
+func orient(u, v int, rng *RNG) (int, int) {
+	if rng.Coin() {
+		return v, u
+	}
+	return u, v
+}
+
+// pairSampler adapter (see fast.go): the exact route's view of the
+// index.
+
+func (bi *batchIndex) enabledPairs() int64     { return bi.enabled }
+func (bi *batchIndex) edgeEnabledPairs() int64 { return bi.edgeEnabled }
+
+func (bi *batchIndex) samplePair(rng *RNG) (int, int) { return bi.Sample(rng) }
+
+func (bi *batchIndex) applied(u, v int, beforeU, beforeV State, edgeChanged bool) {
+	bi.Update(u, v, beforeU, beforeV, edgeChanged)
+}
+
+func (bi *batchIndex) sampleStats() (int64, int64) { return bi.rejections, bi.fallbacks }
 
 // ---------------------------------------------------------------------
 // Swap-run collapse support (see batchLoop's collapse block in

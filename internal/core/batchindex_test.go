@@ -18,21 +18,25 @@ func batchProtocols(t *testing.T) map[string]*Protocol {
 	return m
 }
 
-// verifyBatchIndex cross-checks every cached quantity of the batch
-// census index against brute-force scans: the enabled totals, the
+// verifyBatchIndex cross-checks every cached quantity of the census
+// index against brute-force scans: the enabled totals, the
 // per-sub-bucket weights, the per-class active-edge counts it
 // maintains (effMask ≠ 0 only — the others are deliberately
-// unmaintained), and the edge list plus mirror structure of every
-// listed class.
+// unmaintained), the edge list plus mirror structure of every listed
+// class, and — under a restricted topology — the permitted-pair census
+// with its slot map. Brute force counts only permitted pairs, so it is
+// also the O(n²) reference for the topology-restricted weights.
 func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 	t.Helper()
 	n := cfg.N()
 	p := cfg.Protocol()
 	q := p.Size()
+	topo := cfg.topo
 	var enabled, edgeEnabled int64
 	w := make([]int64, 2*q*q)
 	we := make([]int64, 2*q*q)
 	edgeCount := make([]int64, q*q)
+	pairCnt := make([]int64, q*q)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			a, b := cfg.Node(u), cfg.Node(v)
@@ -41,6 +45,13 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 			}
 			id := int(a)*q + int(b)
 			e := cfg.Edge(u, v)
+			if topo != nil && !topo.Contains(u, v) {
+				if e {
+					t.Fatalf("active edge {%d,%d} outside the topology", u, v)
+				}
+				continue
+			}
+			pairCnt[id]++
 			if e {
 				edgeCount[id]++
 			}
@@ -60,6 +71,10 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 	if bi.edgeEnabled != edgeEnabled {
 		t.Fatalf("edgeEnabled = %d, brute force %d", bi.edgeEnabled, edgeEnabled)
 	}
+	if (bi.enabled == 0) != cfg.Quiescent() || (bi.edgeEnabled == 0) != cfg.EdgeQuiescent() {
+		t.Fatalf("quiescence gates (%v, %v) disagree with the scans (%v, %v)",
+			bi.enabled == 0, bi.edgeEnabled == 0, cfg.Quiescent(), cfg.EdgeQuiescent())
+	}
 	for id := 0; id < q*q; id++ {
 		if id/q > id%q {
 			continue // classes live at a ≤ b
@@ -74,6 +89,9 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 		}
 		if bi.effMask[id] != 0 && bi.edgeCount[id] != edgeCount[id] {
 			t.Fatalf("class %d edge count = %d, brute force %d", id, bi.edgeCount[id], edgeCount[id])
+		}
+		if topo != nil {
+			verifyPairCensus(t, bi, cfg, id, pairCnt[id])
 		}
 		if !bi.listed[id] {
 			if len(bi.edgeList[id]) != 0 {
@@ -108,6 +126,35 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 			if !found {
 				t.Fatalf("edge {%d,%d} has no mirror entry", u, v)
 			}
+		}
+	}
+}
+
+// verifyPairCensus checks class id's permitted-pair census: the count
+// against brute force (want), and every listed pair permitted, in the
+// class, and located by its slot entry. Classes no rule reads keep no
+// census.
+func verifyPairCensus(t *testing.T, bi *batchIndex, cfg *Config, id int, want int64) {
+	t.Helper()
+	if bi.effMask[id] == 0 {
+		if bi.pairCnt[id] != 0 || len(bi.pairList[id]) != 0 {
+			t.Fatalf("inert class %d carries a pair census (%d, %d entries)", id, bi.pairCnt[id], len(bi.pairList[id]))
+		}
+		return
+	}
+	if bi.pairCnt[id] != want || int64(len(bi.pairList[id])) != want {
+		t.Fatalf("class %d permitted pairs = %d (%d listed), brute force %d", id, bi.pairCnt[id], len(bi.pairList[id]), want)
+	}
+	for slot, key := range bi.pairList[id] {
+		u, v := int(key>>32), int(key&0xffffffff)
+		if u >= v || !cfg.topo.Contains(u, v) {
+			t.Fatalf("class %d slot %d lists (%d,%d), not a permitted pair in key order", id, slot, u, v)
+		}
+		if got := bi.classID(cfg.Node(u), cfg.Node(v)); got != id {
+			t.Fatalf("pair {%d,%d} listed in class %d but classifies as %d", u, v, id, got)
+		}
+		if got := bi.pairSlot[bi.pairPos(u, v)]; int(got) != slot {
+			t.Fatalf("pair {%d,%d} at slot %d, slot map says %d", u, v, slot, got)
 		}
 	}
 }
@@ -205,54 +252,6 @@ func TestBatchIndexApplySwap(t *testing.T) {
 	}
 	if swaps == 0 || generic == 0 {
 		t.Fatalf("run exercised %d swaps and %d generic steps; want both > 0", swaps, generic)
-	}
-}
-
-// TestBatchIndexSampleMatchesClassIndex pins the draw-stream
-// compatibility claim: over identical configurations and identical RNG
-// states, batchIndex.Sample returns exactly the pairs
-// ClassIndex.Sample returns — same class walk, same member draws, same
-// orientation coins — step after step through an evolving run.
-func TestBatchIndexSampleMatchesClassIndex(t *testing.T) {
-	t.Parallel()
-	for name, p := range batchProtocols(t) {
-		p := p
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			const n = 14
-			cfgA := NewConfig(p, n)
-			cfgA.store = &sparseStore{n: n, adj: make([][]int32, n)}
-			cfgB := NewConfig(p, n)
-			cfgB.store = &sparseStore{n: n, adj: make([][]int32, n)}
-			ci := NewClassIndex(cfgA)
-			bi := newBatchIndex(cfgB)
-			rngA, rngB := NewRNG(17), NewRNG(17)
-			applyA, applyB := NewRNG(99), NewRNG(99)
-			for step := 0; step < 1500; step++ {
-				if ci.Enabled() == 0 {
-					break
-				}
-				u1, v1 := ci.Sample(rngA)
-				u2, v2 := bi.Sample(rngB)
-				if u1 != u2 || v1 != v2 {
-					t.Fatalf("step %d: ClassIndex drew (%d,%d), batchIndex drew (%d,%d)", step, u1, v1, u2, v2)
-				}
-				beforeU, beforeV := cfgA.Node(u1), cfgA.Node(v1)
-				effective, edgeChanged := cfgA.Apply(u1, v1, applyA)
-				eff2, ec2 := cfgB.Apply(u2, v2, applyB)
-				if effective != eff2 || edgeChanged != ec2 {
-					t.Fatalf("step %d: twin applications diverged", step)
-				}
-				if effective {
-					ci.Update(u1, v1, beforeU, beforeV, edgeChanged)
-					bi.Update(u2, v2, beforeU, beforeV, edgeChanged)
-				}
-				if ci.Enabled() != bi.enabled || ci.EdgeEnabled() != bi.edgeEnabled {
-					t.Fatalf("step %d: enabled diverged: class (%d,%d) vs batch (%d,%d)",
-						step, ci.Enabled(), ci.EdgeEnabled(), bi.enabled, bi.edgeEnabled)
-				}
-			}
-		})
 	}
 }
 

@@ -93,11 +93,13 @@ type Options struct {
 	Scheduler Scheduler
 	// Engine selects the execution path. The default EngineAuto uses,
 	// under the uniform scheduler, the fast enabled-pair-index engine
-	// for populations up to 4096 (the index costs Θ(n²) memory) and
-	// the sparse state-class engine — O(n + m) memory — above that, up
-	// to 2²⁰ nodes; the baseline loop otherwise. EngineBaseline,
-	// EngineFast and EngineSparse force a path (forcing an indexed
-	// path under a non-uniform scheduler is an error).
+	// for populations up to 4096 (the index costs Θ(n²) memory); above
+	// that, up to 2²⁰ nodes, the batch engine, or the sparse engine when
+	// an event sink or fault injector is attached (batch would
+	// exact-step, bit-identical to sparse, anyway). Non-uniform
+	// schedulers, and populations above 2²⁰, run the baseline loop.
+	// The other values force a path (forcing an indexed path under a
+	// non-uniform scheduler is an error).
 	Engine Engine
 	// Detector defaults to QuiescenceDetector.
 	Detector Detector
@@ -123,8 +125,6 @@ type Options struct {
 	// (e.g. Graph-Replication's input graph). It is cloned, not
 	// mutated.
 	Initial *Config
-	// Observer, when non-nil, receives every effective step.
-	Observer Observer
 	// Events, when non-nil, receives the run's structured event stream
 	// (see EventSink): run start/end, effective steps with before/after
 	// states, geometric-skip batches, fault firings and writes, and
@@ -154,15 +154,6 @@ type Options struct {
 	// Result.Final is borrowed: it is valid only until the workspace's
 	// next run, and callers who retain it must Clone it.
 	Workspace *Workspace
-}
-
-// Observer receives effective steps for tracing and figure generation.
-type Observer interface {
-	// ObserveStep is called after each effective step with the 1-based
-	// step index, the interacting pair, whether the step changed an
-	// edge, and the post-step configuration (which must not be
-	// retained or mutated).
-	ObserveStep(step int64, u, v int, edgeChanged bool, cfg *Config)
 }
 
 // Result reports a run's outcome and metrics.
@@ -331,11 +322,11 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 			engine = EngineFast
 		case n <= maxSparseNodes:
 			// Above the fast threshold the batch engine is strictly
-			// faster when it can run its pure path; with a sink,
-			// observer or injector attached it would exact-step anyway,
-			// so auto keeps those runs on the sparse engine they are
+			// faster when it can run its pure path; with a sink or
+			// injector attached it would exact-step anyway, so auto
+			// keeps those runs on the sparse engine they are
 			// bit-identical to.
-			if opts.Events == nil && opts.Observer == nil && opts.Injector == nil {
+			if opts.Events == nil && opts.Injector == nil {
 				engine = EngineBatch
 			} else {
 				engine = EngineSparse
@@ -422,10 +413,10 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 }
 
 // recordEffective folds one effective step into the run metrics and
-// notifies the observer and event sink. runBaseline and runIndexed
-// share it so neither the output-change rule nor the step-event payload
-// can drift between the engines.
-func recordEffective(res *Result, p *Protocol, cfg *Config, obs Observer, events EventSink, ev *Event, step int64, u, v int, beforeU, beforeV State, edgeChanged bool) {
+// emits it to the event sink. runBaseline and runIndexed share it so
+// neither the output-change rule nor the step-event payload can drift
+// between the engines.
+func recordEffective(res *Result, p *Protocol, cfg *Config, events EventSink, ev *Event, step int64, u, v int, beforeU, beforeV State, edgeChanged bool) {
 	res.EffectiveSteps++
 	// The output graph changes when an edge between two output nodes
 	// changes, or when a node enters or leaves Qout.
@@ -439,9 +430,6 @@ func recordEffective(res *Result, p *Protocol, cfg *Config, obs Observer, events
 	}
 	if outputChanged {
 		res.ConvergenceTime = step
-	}
-	if obs != nil {
-		obs.ObserveStep(step, u, v, edgeChanged, cfg)
 	}
 	if events != nil {
 		edge := false
@@ -524,7 +512,7 @@ func baselineLoop(p *Protocol, cfg *Config, det Detector, opts Options, sched Sc
 		beforeU, beforeV := cfg.Node(u), cfg.Node(v)
 		effective, edgeChanged := cfg.Apply(u, v, rng)
 		if effective {
-			recordEffective(&res, p, cfg, opts.Observer, opts.Events, ev, step, u, v, beforeU, beforeV, edgeChanged)
+			recordEffective(&res, p, cfg, opts.Events, ev, step, u, v, beforeU, beforeV, edgeChanged)
 		}
 
 		check := false

@@ -151,25 +151,33 @@ func TestDefaultDetectorIsQuiescence(t *testing.T) {
 	}
 }
 
-type countingObserver struct {
+// stepCounter is an EventSink that counts step events and the edge
+// flips among them — the minimal step observer.
+type stepCounter struct {
 	steps int
 	edges int
 }
 
-func (o *countingObserver) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *Config) {
+func (o *stepCounter) Event(ev *Event) {
+	if ev.Kind != EventStep {
+		return
+	}
 	o.steps++
-	if edgeChanged {
+	if ev.EdgeChanged {
 		o.edges++
 	}
 }
 
+// TestObserverReceivesEffectiveSteps pins the step-event contract from
+// the observer's side: one step event per effective step, flagged
+// exactly when the step changed an edge.
 func TestObserverReceivesEffectiveSteps(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("mm", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
-	obs := &countingObserver{}
-	res, err := Run(p, 12, Options{Seed: 2, Observer: obs})
+	obs := &stepCounter{}
+	res, err := Run(p, 12, Options{Seed: 2, Events: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,42 +166,6 @@ func TestEventStreamAccounting(t *testing.T) {
 	}
 }
 
-// observerTrace records the core.Observer callback sequence.
-type observerTrace struct {
-	steps []core.Event
-}
-
-func (o *observerTrace) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *core.Config) {
-	o.steps = append(o.steps, core.Event{Kind: core.EventStep, Step: step, U: u, V: v, EdgeChanged: edgeChanged})
-}
-
-// TestObserverEventParity attaches an Observer and an EventSink to the
-// same run and checks the step events mirror the observer callbacks
-// exactly — same order, positions, pairs and edge flags — on every
-// engine.
-func TestObserverEventParity(t *testing.T) {
-	t.Parallel()
-	c := protocols.CycleCover()
-	for _, eng := range engines {
-		obs := &observerTrace{}
-		sink := &collectSink{}
-		if _, err := core.Run(c.Proto, 30, core.Options{Seed: 9, Engine: eng, Detector: c.Detector, Observer: obs, Events: sink}); err != nil {
-			t.Fatal(err)
-		}
-		steps := sink.ofKind(core.EventStep)
-		if len(steps) != len(obs.steps) {
-			t.Fatalf("%s: %d step events vs %d observer calls", eng, len(steps), len(obs.steps))
-		}
-		for i, e := range steps {
-			o := obs.steps[i]
-			if e.Step != o.Step || e.U != o.U || e.V != o.V || e.EdgeChanged != o.EdgeChanged {
-				t.Fatalf("%s: step event %d = (step %d, %d–%d, edge %v), observer saw (step %d, %d–%d, edge %v)",
-					eng, i, e.Step, e.U, e.V, e.EdgeChanged, o.Step, o.U, o.V, o.EdgeChanged)
-			}
-		}
-	}
-}
-
 // TestFaultEventsMatchMetrics runs a scenario fault plan with a sink
 // attached and checks the fault events agree with the fault counters:
 // one EventFaultFired per firing, one EventFaultNode/EventFaultEdge per

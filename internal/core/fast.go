@@ -10,14 +10,16 @@ type Engine int
 
 // Engine values. EngineAuto picks an index-backed path whenever the
 // schedule is the uniform random scheduler (the only schedule whose
-// law the skip-sampling argument covers) — the dense enabled-pair
-// index up to maxAutoIndexNodes, the sparse state-class engine above
-// it — and the baseline loop otherwise; the explicit values force one
-// path, which is how the equivalence suite and the speedup benchmarks
-// pin their subjects down.
+// law the skip-sampling argument covers) and the baseline loop
+// otherwise; the explicit values force one path, which is how the
+// equivalence suite and the speedup benchmarks pin their subjects
+// down.
 const (
-	// EngineAuto lets Run choose: fast (small n) or sparse (large n)
-	// under the uniform scheduler, baseline otherwise.
+	// EngineAuto lets Run choose. Under the uniform scheduler: fast for
+	// n ≤ 4096 (maxAutoIndexNodes); above that, batch — or sparse when
+	// an event sink or fault injector is attached, since batch would
+	// then exact-step, bit-identically to sparse, anyway. Baseline for
+	// non-uniform schedulers and for n > 2²⁰.
 	EngineAuto Engine = iota
 	// EngineBaseline forces the step-by-step loop that simulates every
 	// scheduler draw individually.
@@ -30,11 +32,11 @@ const (
 	// configured scheduler is not uniform.
 	EngineSparse
 	// EngineBatch forces the batch engine: the sparse engine's census
-	// decomposition plus multivariate bucket plans over census-frozen
-	// stretches and a leaner index (see batch.go). Run errors if the
-	// configured scheduler is not uniform. With an EventSink, Observer
-	// or Injector attached it steps exactly, bit-identical to
-	// EngineSparse.
+	// index plus multivariate bucket plans over census-frozen stretches
+	// and a deterministic-swap kernel (see batch.go). Run errors if the
+	// configured scheduler is not uniform. With an EventSink, an
+	// Injector or a restricted Topology attached it steps exactly,
+	// bit-identical to EngineSparse.
 	EngineBatch
 )
 
@@ -112,10 +114,10 @@ func nextCheck(step, interval int64) int64 {
 
 // pairSampler abstracts the incremental enabled-pair structure behind
 // the indexed engines: the dense PairIndex (fast) and the state-class
-// ClassIndex (sparse). Both answer the enabled counts the quiescence
-// gates need, draw uniformly random enabled pairs, and absorb applied
-// interactions — so runIndexed is the single implementation of the
-// geometric step-skipping law for both.
+// census index (sparse, and batch's exact route). Both answer the
+// enabled counts the quiescence gates need, draw uniformly random
+// enabled pairs, and absorb applied interactions — so runIndexed is the
+// single implementation of the geometric step-skipping law for both.
 type pairSampler interface {
 	enabledPairs() int64
 	edgeEnabledPairs() int64
@@ -173,20 +175,14 @@ func runFast(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, int
 	return res, err
 }
 
-// runSparse is the state-class engine: runIndexed over a ClassIndex
-// (O(n + m + |Q|²) memory, O(deg + |Q|) update per effective step,
-// O(1) expected sampling). It simulates the same law as runFast and
-// the baseline; only the data structure scaling differs.
+// runSparse is the state-class engine: runIndexed over the census
+// index (O(n + m + |Q|²) memory, O(deg + |Q|) update per effective
+// step, O(1) expected sampling). It simulates the same law as runFast
+// and the baseline; only the data structure scaling differs.
 func runSparse(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG) (Result, error) {
-	var ix *ClassIndex
-	if ws := opts.Workspace; ws != nil {
-		ix = ws.classIndex(cfg)
-	} else {
-		ix = NewClassIndex(cfg)
-	}
-	res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, ix, EngineSparse)
-	// The class index rebuilds in place either way — a reset is a fresh
-	// O(n + m + |Q|²) build, never a snapshot restore.
+	res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, opts.Workspace.batchIndex(cfg), EngineSparse)
+	// The census index rebuilds in place either way — a reset is a
+	// fresh O(n + m + |Q|²) build, never a snapshot restore.
 	res.Metrics.IndexBuilds = 1
 	return res, err
 }
@@ -203,8 +199,8 @@ func runSparse(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 //     the enabled set — sampled from the index;
 //   - skipped steps are exactly the draws on disabled pairs, which by
 //     definition change nothing, so every metric (ConvergenceTime,
-//     EffectiveSteps, EdgeChanges) and every observer callback sees the
-//     same distribution over (step, pair, outcome) sequences;
+//     EffectiveSteps, EdgeChanges) and every step event sees the same
+//     distribution over (step, pair, outcome) sequences;
 //   - between two landings the configuration is frozen, so an
 //     interval-triggered detector whose predicate holds fires at the
 //     next multiple of the check interval — computed, not simulated —
@@ -406,7 +402,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		effective, edgeChanged := cfg.Apply(u, v, rng)
 		if effective {
 			ix.applied(u, v, beforeU, beforeV, edgeChanged)
-			recordEffective(&res, p, cfg, opts.Observer, events, ev, step, u, v, beforeU, beforeV, edgeChanged)
+			recordEffective(&res, p, cfg, events, ev, step, u, v, beforeU, beforeV, edgeChanged)
 		}
 
 		check := false

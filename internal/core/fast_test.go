@@ -158,13 +158,16 @@ func TestFastStopAborts(t *testing.T) {
 	}
 }
 
+// TestFastObserverParity is TestObserverReceivesEffectiveSteps on the
+// fast engine, whose geometric skips must not drop or invent step
+// events.
 func TestFastObserverParity(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("mm", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
-	obs := &countingObserver{}
-	res, err := Run(p, 12, Options{Seed: 2, Engine: EngineFast, Observer: obs})
+	obs := &stepCounter{}
+	res, err := Run(p, 12, Options{Seed: 2, Engine: EngineFast, Events: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

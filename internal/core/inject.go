@@ -17,8 +17,8 @@ package core
 //
 // Injected mutations are environment events, not protocol steps: they
 // advance no step counter, contribute to none of the Result metrics
-// (EffectiveSteps, EdgeChanges, ConvergenceTime), and are not
-// delivered to observers.
+// (EffectiveSteps, EdgeChanges, ConvergenceTime), and emit no step
+// events (an attached sink sees them as fault events instead).
 type Injector interface {
 	// NextEvent returns the step of the first event strictly after
 	// `after`, or 0 when no events remain.
@@ -31,10 +31,12 @@ type Injector interface {
 
 // Mutator applies out-of-band configuration mutations on behalf of an
 // Injector, keeping whatever incremental index the running engine
-// maintains (the fast engine's PairIndex, the sparse engine's
-// ClassIndex) synchronized. Updates are incremental, never rebuilds: a
+// maintains synchronized: the fast engine's PairIndex, or the
+// state-class census index that the sparse engine and the batch
+// engine's exact route share (a batch run with an injector always
+// takes the exact route). Updates are incremental, never rebuilds: a
 // node write costs O(n) on the fast path and O(deg + |Q|) on the
-// sparse path, an edge write O(1) on both; the baseline path carries
+// census path, an edge write O(1) on both; the baseline path carries
 // no index and pays nothing.
 type Mutator struct {
 	cfg *Config

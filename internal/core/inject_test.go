@@ -17,61 +17,64 @@ func injProtocol() *Protocol {
 }
 
 // TestMutatorKeepsIndicesConsistent fuzzes out-of-band node and edge
-// writes through a Mutator against both incremental indices and checks
-// them, after every mutation, against indices rebuilt from scratch —
-// the invariant fault injection relies on.
+// writes through a Mutator against both incremental indices — the
+// dense PairIndex and the state-class census, on both edge stores —
+// and checks them after every mutation, the PairIndex against a
+// rebuild from scratch and the census against brute force: the
+// invariant fault injection relies on.
 func TestMutatorKeepsIndicesConsistent(t *testing.T) {
 	t.Parallel()
 	const n = 14
 	p := injProtocol()
-	cfg := NewConfig(p, n)
-	ix := NewPairIndex(cfg)
-	ci := NewClassIndex(cfg)
-	pairMut := &Mutator{cfg: cfg, ix: ix}
-	rng := NewRNG(42)
-
-	check := func(step int) {
-		t.Helper()
-		fresh := NewPairIndex(cfg)
-		if ix.Enabled() != fresh.Enabled() || ix.EdgeEnabled() != fresh.EdgeEnabled() {
-			t.Fatalf("op %d: PairIndex counters (%d, %d) diverge from rebuild (%d, %d)",
-				step, ix.Enabled(), ix.EdgeEnabled(), fresh.Enabled(), fresh.EdgeEnabled())
+	for _, sparse := range []bool{false, true} {
+		cfg := NewConfig(p, n)
+		if sparse {
+			cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
 		}
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if ix.Contains(u, v) != fresh.Contains(u, v) {
-					t.Fatalf("op %d: PairIndex membership of {%d,%d} diverges", step, u, v)
+		ix := NewPairIndex(cfg)
+		bi := newBatchIndex(cfg)
+		pairMut := &Mutator{cfg: cfg, ix: ix}
+		rng := NewRNG(42)
+
+		check := func(step int) {
+			t.Helper()
+			fresh := NewPairIndex(cfg)
+			if ix.Enabled() != fresh.Enabled() || ix.EdgeEnabled() != fresh.EdgeEnabled() {
+				t.Fatalf("sparse=%v op %d: PairIndex counters (%d, %d) diverge from rebuild (%d, %d)",
+					sparse, step, ix.Enabled(), ix.EdgeEnabled(), fresh.Enabled(), fresh.EdgeEnabled())
+			}
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if ix.Contains(u, v) != fresh.Contains(u, v) {
+						t.Fatalf("sparse=%v op %d: PairIndex membership of {%d,%d} diverges", sparse, step, u, v)
+					}
 				}
 			}
+			verifyBatchIndex(t, bi, cfg)
 		}
-		if ci.Enabled() != int64(fresh.Enabled()) || ci.EdgeEnabled() != int64(fresh.EdgeEnabled()) {
-			t.Fatalf("op %d: ClassIndex counters (%d, %d) diverge from rebuild (%d, %d)",
-				step, ci.Enabled(), ci.EdgeEnabled(), fresh.Enabled(), fresh.EdgeEnabled())
-		}
-	}
 
-	for op := 0; op < 400; op++ {
-		// Both mutators share cfg; route each write through both so the
-		// two indices see every mutation exactly once.
-		if rng.Coin() {
-			u := rng.IntN(n)
-			s := State(rng.IntN(p.Size()))
-			before := cfg.Node(u)
-			pairMut.SetNode(u, s)
-			if before != s {
-				// The pair mutator already applied the config write; tell
-				// the class index directly, as its mutator would have.
-				ci.NodeChanged(u, before)
+		for op := 0; op < 400; op++ {
+			// The mutator applies each write to cfg and the PairIndex;
+			// the census hears about it directly, exactly as its own
+			// mutator would tell it.
+			if rng.Coin() {
+				u := rng.IntN(n)
+				s := State(rng.IntN(p.Size()))
+				before := cfg.Node(u)
+				pairMut.SetNode(u, s)
+				if before != s {
+					bi.nodeChanged(u, before)
+				}
+			} else {
+				u, v := rng.Pair(n)
+				active := rng.Coin()
+				if cfg.Edge(u, v) != active {
+					pairMut.SetEdge(u, v, active)
+					bi.edgeChanged(u, v)
+				}
 			}
-		} else {
-			u, v := rng.Pair(n)
-			active := rng.Coin()
-			if cfg.Edge(u, v) != active {
-				pairMut.SetEdge(u, v, active)
-				ci.EdgeChanged(u, v)
-			}
+			check(op)
 		}
-		check(op)
 	}
 }
 

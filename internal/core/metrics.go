@@ -29,8 +29,8 @@ type Metrics struct {
 	DetectorChecks int64 `json:"detector_checks,omitempty"`
 
 	// IndexBuilds counts full engine-index constructions this run paid
-	// (the O(n²) PairIndex scan or the O(n + m + |Q|²) ClassIndex
-	// build); SnapshotRestores counts the times the workspace's
+	// (the O(n²) PairIndex scan or the O(n + m + |Q|²) state-class
+	// census build); SnapshotRestores counts the times the workspace's
 	// start-state snapshot replaced that scan with memcpys. Baseline
 	// runs carry no index and report zero for both.
 	IndexBuilds      int64 `json:"index_builds,omitempty"`
@@ -46,8 +46,9 @@ type Metrics struct {
 	// BucketDraws counts the landings the batch engine drew from a
 	// bucket plan (one multivariate allocation covering a census-frozen
 	// stretch); ExactFallbackLandings counts the landings it stepped
-	// exactly instead — every landing of the run when a sink, observer
-	// or injector forced the exact path. Zero on the other engines.
+	// exactly instead — every landing of the run when a sink, an
+	// injector, a topology or an unbatchable protocol forced the exact
+	// path. Zero on the other engines.
 	BucketDraws           int64 `json:"bucket_draws,omitempty"`
 	ExactFallbackLandings int64 `json:"exact_fallback_landings,omitempty"`
 

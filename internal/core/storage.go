@@ -14,7 +14,7 @@ import (
 // cost O(log deg) / O(deg). The threshold deliberately coincides with
 // maxAutoIndexNodes: below it the dense regime (bitset + PairIndex +
 // fast engine) is self-consistent, above it the sparse regime
-// (adjacency + ClassIndex + sparse engine) is.
+// (adjacency + state-class census + sparse and batch engines) is.
 const maxDenseEdgeNodes = maxAutoIndexNodes
 
 // edgeStore is the pluggable storage strategy behind Config's edge

@@ -2,10 +2,10 @@ package core
 
 // Workspace owns the reusable scratch state of repeated runs: the
 // configuration (node-state slice plus either edge store), the dense
-// PairIndex, the sparse ClassIndex, and the RNG. A campaign worker
-// keeps one workspace for its whole job stream and passes it through
-// Options.Workspace; every trial after the first then runs without
-// per-trial allocation — the backing arrays are reset in place instead
+// PairIndex, the state-class census index, and the RNG. A campaign
+// worker keeps one workspace for its whole job stream and passes it
+// through Options.Workspace; every trial after the first then runs
+// without per-trial allocation — the backing arrays are reset in place instead
 // of reallocated, which is what lets campaign throughput stop scaling
 // with setup cost (at n = 4096 a fresh trial otherwise churns ~100 MB
 // of index plus a 1 MB edge bitset through the allocator).
@@ -26,7 +26,6 @@ package core
 type Workspace struct {
 	cfg   *Config
 	pair  *PairIndex
-	class *ClassIndex
 	batch *batchIndex
 	rng   *RNG
 
@@ -126,23 +125,15 @@ func (ws *Workspace) pairIndex(cfg *Config, defaultStart bool) (*PairIndex, bool
 	return ws.pair, false
 }
 
-// classIndex returns the workspace's sparse state-class index rebound
-// to cfg. The rebuild is O(n + m + |Q|²) either way, so no snapshot is
-// kept — resetting is already cheap relative to any run.
-func (ws *Workspace) classIndex(cfg *Config) *ClassIndex {
-	if ws.class == nil {
-		ws.class = NewClassIndex(cfg)
-	} else {
-		ws.resets++
-		ws.class.reset(cfg)
-	}
-	return ws.class
-}
-
-// batchIndex returns the workspace's batch-engine census index rebound
-// to cfg — the batch counterpart of classIndex, same O(n + m + |Q|²)
-// in-place rebuild, no snapshot.
+// batchIndex returns the state-class census index the sparse and batch
+// engines run on, rebound to cfg: the workspace's, rebuilt in place,
+// or a fresh one when ws is nil. The rebuild is O(n + m + |Q|²) either
+// way, so no snapshot is kept — resetting is already cheap relative to
+// any run.
 func (ws *Workspace) batchIndex(cfg *Config) *batchIndex {
+	if ws == nil {
+		return newBatchIndex(cfg)
+	}
 	if ws.batch == nil {
 		ws.batch = newBatchIndex(cfg)
 	} else {

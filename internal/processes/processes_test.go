@@ -157,7 +157,7 @@ func TestEpidemicSpreadsMonotonically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Run(proc.Proto, 30, core.Options{Seed: 3, Detector: proc.Detector, Initial: initial, Observer: obs}); err != nil {
+	if _, err := core.Run(proc.Proto, 30, core.Options{Seed: 3, Detector: proc.Detector, Initial: initial, Events: obs}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,8 +209,13 @@ func TestInitialWithOneAValidation(t *testing.T) {
 	}
 }
 
+// observerFunc is a core.EventSink that calls the function on every
+// step event with the step, the pair, whether the edge flipped, and the
+// live post-step configuration.
 type observerFunc func(step int64, u, v int, edgeChanged bool, cfg *core.Config)
 
-func (f observerFunc) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *core.Config) {
-	f(step, u, v, edgeChanged, cfg)
+func (f observerFunc) Event(ev *core.Event) {
+	if ev.Kind == core.EventStep {
+		f(ev.Step, ev.U, ev.V, ev.EdgeChanged, ev.Cfg)
+	}
 }

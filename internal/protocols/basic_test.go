@@ -43,7 +43,7 @@ func TestCycleCoverDegreeInvariant(t *testing.T) {
 		}
 	})
 	for seed := uint64(1); seed <= 5; seed++ {
-		if _, err := core.Run(c.Proto, 20, core.Options{Seed: seed, Detector: c.Detector, Observer: obs}); err != nil {
+		if _, err := core.Run(c.Proto, 20, core.Options{Seed: seed, Detector: c.Detector, Events: obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func TestCycleCoverNeverDeactivates(t *testing.T) {
 			t.Fatalf("step %d: Cycle-Cover deactivated an edge", step)
 		}
 	})
-	if _, err := core.Run(c.Proto, 16, core.Options{Seed: 4, Detector: c.Detector, Observer: obs}); err != nil {
+	if _, err := core.Run(c.Proto, 16, core.Options{Seed: 4, Detector: c.Detector, Events: obs}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,7 +135,7 @@ func TestGlobalStarCentersNeverIncrease(t *testing.T) {
 		}
 		last = cur
 	})
-	if _, err := core.Run(c.Proto, 25, core.Options{Seed: 2, Detector: c.Detector, Observer: obs}); err != nil {
+	if _, err := core.Run(c.Proto, 25, core.Options{Seed: 2, Detector: c.Detector, Events: obs}); err != nil {
 		t.Fatal(err)
 	}
 }

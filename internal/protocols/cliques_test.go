@@ -92,7 +92,7 @@ func TestCCliquesCounterTracksDegree(t *testing.T) {
 		}
 	})
 	for seed := uint64(1); seed <= 3; seed++ {
-		if _, err := core.Run(cons.Proto, 9, core.Options{Seed: seed, Detector: cons.Detector, Observer: obs}); err != nil {
+		if _, err := core.Run(cons.Proto, 9, core.Options{Seed: seed, Detector: cons.Detector, Events: obs}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -118,7 +118,7 @@ func TestKRCDegreeStateInvariant(t *testing.T) {
 		}
 	})
 	for seed := uint64(1); seed <= 3; seed++ {
-		if _, err := core.Run(c.Proto, 10, core.Options{Seed: seed, Detector: c.Detector, Observer: obs}); err != nil {
+		if _, err := core.Run(c.Proto, 10, core.Options{Seed: seed, Detector: c.Detector, Events: obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestKRCMaxDegreeNeverExceedsK1(t *testing.T) {
 			}
 		}
 	})
-	if _, err := core.Run(c.Proto, 12, core.Options{Seed: 6, Detector: c.Detector, Observer: obs}); err != nil {
+	if _, err := core.Run(c.Proto, 12, core.Options{Seed: 6, Detector: c.Detector, Events: obs}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -86,10 +86,11 @@ type lineInvariantObserver struct {
 	name string
 }
 
-func (o *lineInvariantObserver) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *core.Config) {
-	if !edgeChanged {
+func (o *lineInvariantObserver) Event(ev *core.Event) {
+	if ev.Kind != core.EventStep || !ev.EdgeChanged {
 		return
 	}
+	step, cfg := ev.Step, ev.Cfg
 	g := ActiveGraph(cfg)
 	for _, comp := range g.Components() {
 		if len(comp) == 1 {
@@ -107,7 +108,7 @@ func TestSimpleGlobalLineInvariant(t *testing.T) {
 	c := SimpleGlobalLine()
 	for seed := uint64(1); seed <= 5; seed++ {
 		obs := &lineInvariantObserver{t: t, name: "simple"}
-		if _, err := core.Run(c.Proto, 12, core.Options{Seed: seed, Detector: c.Detector, Observer: obs}); err != nil {
+		if _, err := core.Run(c.Proto, 12, core.Options{Seed: seed, Detector: c.Detector, Events: obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,16 +142,21 @@ func TestFastGlobalLineLeaderInvariant(t *testing.T) {
 		}
 	})
 	for seed := uint64(1); seed <= 5; seed++ {
-		if _, err := core.Run(c.Proto, 12, core.Options{Seed: seed, Detector: c.Detector, Observer: obs}); err != nil {
+		if _, err := core.Run(c.Proto, 12, core.Options{Seed: seed, Detector: c.Detector, Events: obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// observerFunc is a core.EventSink that calls the function on every
+// step event with the step, the pair, whether the edge flipped, and the
+// live post-step configuration.
 type observerFunc func(step int64, u, v int, edgeChanged bool, cfg *core.Config)
 
-func (f observerFunc) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *core.Config) {
-	f(step, u, v, edgeChanged, cfg)
+func (f observerFunc) Event(ev *core.Event) {
+	if ev.Kind == core.EventStep {
+		f(ev.Step, ev.U, ev.V, ev.EdgeChanged, ev.Cfg)
+	}
 }
 
 // TestLineConvergenceDominatesLowerBound: Theorem 2 gives Ω(n²); the

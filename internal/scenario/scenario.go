@@ -208,8 +208,8 @@ const CrashStateName = "dead"
 //
 // This is what makes crash faults compose with every engine through
 // ordinary incremental index updates: a crash is "incident edges off,
-// node state := sink", and both PairIndex and ClassIndex already know
-// how to absorb state writes — pairs touching the sink simply never
+// node state := sink", and both PairIndex and the state-class census
+// index already know how to absorb state writes — pairs touching the sink simply never
 // enable again.
 func Crashable(p *core.Protocol) (*core.Protocol, core.State, error) {
 	states := append(p.States(), CrashStateName)

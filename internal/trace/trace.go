@@ -24,7 +24,7 @@ func (s Snapshot) DOT(name string) string {
 	return s.Graph.DOT(fmt.Sprintf("%s_step%d", name, s.Step), s.Labels)
 }
 
-// Recorder is a core.Observer that keeps snapshots at the requested
+// Recorder is a core.EventSink that keeps snapshots at the requested
 // fractions of edge events — e.g. {0, 0.5, 1} reproduces the
 // initial / intermediate / stable triptych of Fig. 1. Because the
 // total number of edge events is not known in advance, the recorder
@@ -38,10 +38,7 @@ type Recorder struct {
 	limit     int
 }
 
-var (
-	_ core.Observer  = (*Recorder)(nil)
-	_ core.EventSink = (*Recorder)(nil)
-)
+var _ core.EventSink = (*Recorder)(nil)
 
 // NewRecorder returns a Recorder keeping at most limit snapshots
 // (minimum 8).
@@ -52,26 +49,25 @@ func NewRecorder(limit int) *Recorder {
 	return &Recorder{every: 1, limit: limit}
 }
 
-// Event implements core.EventSink, so a Recorder can be attached via
-// Options.Events instead of Options.Observer. Snapshots are keyed on
-// graph changes: effective steps that flipped an edge and out-of-band
-// fault edge writes feed the thinning reservoir, and the run-end event
-// records the terminal configuration — so callers no longer need to
-// call Final themselves. Skip batches and detector verdicts carry no
+// Event implements core.EventSink; attach a Recorder through
+// Options.Events. Snapshots are keyed on graph changes: effective steps
+// that flipped an edge and out-of-band fault edge writes feed the
+// thinning reservoir, and the run-end event records the terminal
+// configuration. Skip batches and detector verdicts carry no
 // configuration change and are ignored.
 func (r *Recorder) Event(ev *core.Event) {
 	switch ev.Kind {
 	case core.EventStep:
-		r.ObserveStep(ev.Step, ev.U, ev.V, ev.EdgeChanged, ev.Cfg)
+		r.observe(ev.Step, ev.EdgeChanged, ev.Cfg)
 	case core.EventFaultEdge:
-		r.ObserveStep(ev.Step, ev.U, ev.V, true, ev.Cfg)
+		r.observe(ev.Step, true, ev.Cfg)
 	case core.EventRunEnd:
 		r.Final(ev.Step, ev.Cfg)
 	}
 }
 
-// ObserveStep implements core.Observer.
-func (r *Recorder) ObserveStep(step int64, u, v int, edgeChanged bool, cfg *core.Config) {
+// observe feeds one configuration change into the thinning reservoir.
+func (r *Recorder) observe(step int64, edgeChanged bool, cfg *core.Config) {
 	if !edgeChanged {
 		return
 	}
@@ -106,8 +102,8 @@ func snapshotOf(step int64, cfg *core.Config) Snapshot {
 	}
 }
 
-// Final records the terminal configuration explicitly (the engine only
-// reports effective steps, so a run's last state is appended here).
+// Final records the terminal configuration; the run-end event calls it,
+// so a Recorder attached as a sink never needs an explicit call.
 func (r *Recorder) Final(step int64, cfg *core.Config) {
 	r.snapshots = append(r.snapshots, snapshotOf(step, cfg))
 }

@@ -12,11 +12,9 @@ func TestRecorderCapturesRun(t *testing.T) {
 	t.Parallel()
 	c := protocols.GlobalStar()
 	rec := NewRecorder(64)
-	res, err := core.Run(c.Proto, 20, core.Options{Seed: 1, Detector: c.Detector, Observer: rec})
-	if err != nil {
+	if _, err := core.Run(c.Proto, 20, core.Options{Seed: 1, Detector: c.Detector, Events: rec}); err != nil {
 		t.Fatal(err)
 	}
-	rec.Final(res.Steps, res.Final)
 	if rec.Len() < 3 {
 		t.Fatalf("only %d snapshots", rec.Len())
 	}
@@ -35,11 +33,9 @@ func TestRecorderCapturesRun(t *testing.T) {
 	}
 }
 
-// TestRecorderOnEventStream attaches the Recorder as a core.EventSink
-// instead of an Observer: the run-end event must record the terminal
-// configuration without an explicit Final call, and snapshot selection
-// must behave exactly as in the observer path — including on the fast
-// engine, whose stream interleaves skip batches with the step events.
+// TestRecorderOnEventStream pins the Recorder on the fast engine, whose
+// stream interleaves skip batches with the step events: the run-end
+// event must record the terminal configuration at the run's last step.
 func TestRecorderOnEventStream(t *testing.T) {
 	t.Parallel()
 	c := protocols.GlobalStar()
@@ -82,7 +78,7 @@ func TestRecorderThinningBoundsMemory(t *testing.T) {
 	t.Parallel()
 	c := protocols.CycleCover()
 	rec := NewRecorder(8)
-	if _, err := core.Run(c.Proto, 60, core.Options{Seed: 2, Detector: c.Detector, Observer: rec}); err != nil {
+	if _, err := core.Run(c.Proto, 60, core.Options{Seed: 2, Detector: c.Detector, Events: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() > 8 {
@@ -100,11 +96,9 @@ func TestRecorderSelectClamps(t *testing.T) {
 		t.Fatal("empty recorder returned snapshots")
 	}
 	c := protocols.GlobalStar()
-	res, err := core.Run(c.Proto, 8, core.Options{Seed: 3, Detector: c.Detector, Observer: rec})
-	if err != nil {
+	if _, err := core.Run(c.Proto, 8, core.Options{Seed: 3, Detector: c.Detector, Events: rec}); err != nil {
 		t.Fatal(err)
 	}
-	rec.Final(res.Steps, res.Final)
 	shots := rec.Select([]float64{-1, 2})
 	if len(shots) != 2 || shots[0].Step > shots[1].Step {
 		t.Fatalf("clamped selection wrong: %+v", shots)
@@ -115,11 +109,9 @@ func TestSnapshotDOT(t *testing.T) {
 	t.Parallel()
 	c := protocols.GlobalStar()
 	rec := NewRecorder(8)
-	res, err := core.Run(c.Proto, 6, core.Options{Seed: 4, Detector: c.Detector, Observer: rec})
-	if err != nil {
+	if _, err := core.Run(c.Proto, 6, core.Options{Seed: 4, Detector: c.Detector, Events: rec}); err != nil {
 		t.Fatal(err)
 	}
-	rec.Final(res.Steps, res.Final)
 	dot := rec.Select([]float64{1})[0].DOT("star")
 	if !strings.Contains(dot, "graph") || !strings.Contains(dot, "--") {
 		t.Fatalf("DOT output malformed:\n%s", dot)
