@@ -651,6 +651,11 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 	curShard := 0         // shard containing the next expected gid
 	var open *ShardResult // in-flight accumulation of shards[curShard]
 	var openAcc stats.Online
+	// openCut marks an open shard holding a run the campaign's own
+	// cancellation may have stopped: such a shard is folded into the
+	// partial aggregates but never checkpointed, so a resume re-runs it
+	// instead of replaying a cut that an uninterrupted run never makes.
+	var openCut bool
 	next := 0
 	pending := make(map[int]RunRecord, workers)
 
@@ -670,6 +675,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			Runs: make([]RunRecord, 0, s.Trials),
 		}
 		openAcc = stats.Online{}
+		openCut = false
 	}
 	foldRec := func(rec RunRecord) {
 		agg := &open.Agg
@@ -693,6 +699,10 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			agg.Failures++
 			if rec.Stopped {
 				agg.Stopped++
+				// After cancellation a cut by the campaign's context and a
+				// per-run timeout look alike; either keeps the shard out
+				// of the checkpoint.
+				openCut = openCut || runCtx.Err() != nil
 			} else if points[rec.Point].IncludeUnconverged {
 				// Budget exhaustion is a deterministic cut point, so
 				// the value measured there is data (survivability
@@ -706,7 +716,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 	closeShard := func(complete bool) {
 		open.Agg.setAcc(openAcc)
 		mergeAgg(open.Point, open.Agg)
-		if complete && ck != nil {
+		if complete && !openCut && ck != nil {
 			ck.add(*open)
 			if err := ck.maybeFlush(); err != nil && flushErr == nil {
 				flushErr = err

@@ -104,6 +104,74 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeRerunsCancelledShard: a run stopped by the campaign's own
+// cancellation must never reach the checkpoint, even when it is the
+// last record its shard needed. One worker makes the cut exact: trial
+// 3 cancels the campaign while it starts, so it is stopped at its
+// first step and completes shard 1 (trials 2–3) with a Stopped record.
+// The checkpoint must hold shard 0 and leave shard 1 out, and the
+// resume must re-run it to the uninterrupted outcome.
+func TestResumeRerunsCancelledShard(t *testing.T) {
+	t.Parallel()
+	cc := protocols.CycleCover()
+	const n = 14
+	points := func(onStart func(trial int)) []Point {
+		return []Point{{Protocol: "cycle-cover", N: n, Trials: 6, BaseSeed: 1, Proto: cc.Proto, Detector: cc.Detector,
+			Initial: func(trial int) (*core.Config, error) {
+				onStart(trial)
+				return core.NewConfig(cc.Proto, n), nil
+			}}}
+	}
+	base := Options{Workers: 1, KeepRuns: true, ShardTrials: 2}
+	ref, err := Execute(context.Background(), points(func(int) {}), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	interrupted := base
+	interrupted.Checkpoint = ckpt
+	interrupted.CheckpointEvery = time.Nanosecond
+	cut, err := Execute(ctx, points(func(trial int) {
+		if trial == 3 {
+			cancel()
+		}
+	}), interrupted)
+	if err != context.Canceled {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if len(cut.Runs) != 4 || !cut.Runs[3].Stopped {
+		t.Fatalf("interrupted run folded %+v, want trials 0–2 and a stopped trial 3", cut.Runs)
+	}
+	_, done, err := ReadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []int
+	for _, sr := range done {
+		held = append(held, sr.Index)
+	}
+	if !reflect.DeepEqual(held, []int{0}) {
+		t.Fatalf("checkpoint holds shards %v, want [0]: shard 1 carries a cancelled run", held)
+	}
+
+	resumed := base
+	resumed.Checkpoint = ckpt
+	resumed.Resume = true
+	got, err := Execute(context.Background(), points(func(int) {}), resumed)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !reflect.DeepEqual(got.Aggregates, ref.Aggregates) {
+		t.Fatalf("resumed aggregates diverge:\n%+v\nvs uninterrupted:\n%+v", got.Aggregates, ref.Aggregates)
+	}
+	if !reflect.DeepEqual(stripDurations(got.Runs), stripDurations(ref.Runs)) {
+		t.Fatal("resumed raw runs diverge from uninterrupted run")
+	}
+}
+
 // TestResumeSkipsCompletedShards pins the "restart skips finished
 // work" half of the contract: the resumed process must execute exactly
 // the trials missing from the checkpoint.

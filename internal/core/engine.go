@@ -46,6 +46,14 @@ const (
 // only for configurations whose output graph provably never changes
 // again under the protocol (the paper proves such predicates for every
 // protocol it presents).
+//
+// A TriggerEffective predicate runs after every effective step, so on
+// the indexed engines it can cost more than the step itself. Reject
+// first on the Config's O(1) counters (Count, ActiveEdges, Degree) and
+// build nothing until they pass; keep the verdict exact, since a
+// predicate that answers differently on any configuration changes the
+// run. Stable may be called from concurrent runs sharing one Detector,
+// so per-call scratch belongs to the call, not the closure.
 type Detector struct {
 	Stable  func(cfg *Config) bool
 	Trigger Trigger

@@ -143,11 +143,48 @@ func (ix *PairIndex) edgeEnabledPairs() int64 { return int64(ix.edgeEnabled) }
 
 func (ix *PairIndex) samplePair(rng *RNG) (int, int) { return ix.Sample(rng) }
 
+// applied rescans only the rows of the endpoints whose state changed:
+// a pair {x, y} whose endpoints both kept their state and whose edge
+// did not flip keeps its enabledness, so Update's refresh of it is a
+// no-op. The refreshes that can mutate the index run in exactly
+// Update's order, so swap-removes — and with them every later Sample
+// draw — are unchanged.
 func (ix *PairIndex) applied(u, v int, beforeU, beforeV State, _ bool) {
-	if ix.cfg.nodes[u] == beforeU && ix.cfg.nodes[v] == beforeV {
-		ix.UpdateEdge(u, v) // edge-only transition: O(1)
-	} else {
+	uChanged, vChanged := ix.cfg.nodes[u] != beforeU, ix.cfg.nodes[v] != beforeV
+	switch {
+	case uChanged && vChanged:
 		ix.Update(u, v)
+	case uChanged:
+		ix.UpdateNode(u) // row u includes {u, v}, at Update's position
+	case vChanged:
+		ix.updateSecondRow(u, v)
+	default:
+		ix.UpdateEdge(u, v) // edge-only transition: O(1)
+	}
+}
+
+// updateSecondRow is Update(u, v) when only v's state changed: u's row
+// reduces to its one pair {u, v}, which Update refreshes first under a
+// topology and, on the complete graph, at position x = v of the shared
+// scan.
+func (ix *PairIndex) updateSecondRow(u, v int) {
+	if t := ix.cfg.topo; t != nil {
+		ix.refresh(u, v)
+		for _, x := range t.adj[v] {
+			if int(x) != u {
+				ix.refresh(v, int(x))
+			}
+		}
+		return
+	}
+	for x := 0; x < ix.cfg.n; x++ {
+		switch x {
+		case u:
+		case v:
+			ix.refresh(u, v)
+		default:
+			ix.refresh(v, x)
+		}
 	}
 }
 

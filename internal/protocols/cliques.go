@@ -131,54 +131,104 @@ func CCliques(c int) (Constructor, error) {
 		return Constructor{}, fmt.Errorf("protocols: compile c-Cliques: %w", err)
 	}
 
+	// An absorbed leader still holding its old connections means
+	// pending deactivations.
+	absorbed := make([]core.State, 0, c-2)
+	for j := 1; j <= c-2; j++ {
+		absorbed = append(absorbed, fi(j))
+	}
 	det := core.Detector{
 		Trigger: core.TriggerEffective,
-		Stable: func(cfg *core.Config) bool {
-			n := cfg.N()
-			// An absorbed leader still holding its old connections
-			// means pending deactivations.
-			for j := 1; j <= c-2; j++ {
-				if cfg.Count(fi(j)) != 0 {
-					return false
-				}
-			}
-			g := ActiveGraph(cfg)
-			cliques := 0
-			leftover := -1
-			for _, comp := range g.Components() {
-				switch {
-				case len(comp) == c:
-					sub, _ := g.InducedSubgraph(comp)
-					if sub.M() != c*(c-1)/2 {
-						return false
-					}
-					cliques++
-				case len(comp) == n%c && leftover < 0:
-					// The single incomplete component: an isolated
-					// node or a star around its leader.
-					if len(comp) > 1 {
-						sub, _ := g.InducedSubgraph(comp)
-						if !sub.IsSpanningStar() {
-							return false
-						}
-					}
-					leftover = len(comp)
-				default:
-					return false
-				}
-			}
-			if cliques != n/c {
-				return false
-			}
-			if n%c == 0 {
-				return leftover < 0
-			}
-			return leftover == n%c
-		},
+		Stable:  func(cfg *core.Config) bool { return cliquesStable(cfg, c, absorbed) },
 	}
 	return Constructor{
 		Proto:    p,
 		Detector: det,
 		Target:   fmt.Sprintf("partition into ⌊n/%d⌋ cliques of order %d", c, c),
 	}, nil
+}
+
+// cliquesStable is the c-Cliques stability predicate: no node is in an
+// absorbed-leader state, and the active graph is ⌊n/c⌋ disjoint copies
+// of K_c plus, when r = n mod c is non-zero, one leftover component on
+// the remaining r nodes — an isolated node or a star around its leader.
+//
+// It runs after every effective step, so it rejects on O(1) and O(n)
+// counters before it looks at the edges, and allocates only when a
+// configuration passes them:
+//
+//  1. every absorbed state's count is zero;
+//  2. ActiveEdges = ⌊n/c⌋·c(c−1)/2 + max(r−1, 0), the edges of the
+//     cliques and of a spanning tree on the leftover;
+//  3. exactly r nodes have degree ≠ c−1, and for r ≥ 3 some node has
+//     degree r−1 (a star's center);
+//  4. every connected component has c or r nodes.
+//
+// These are exact. A component of r < c nodes has maximum degree at
+// most r−1 < c−1, and sizes in {c, r} summing to n force exactly one
+// component of r nodes when r > 0, so gate 3 leaves every node of the
+// size-c components at degree c−1: each is K_c. The leftover then holds
+// the r−1 edges gate 2 leaves over, so being connected it is a tree,
+// and a tree on r nodes with a node of degree r−1 is a star. The
+// degree-(r−1) node of gate 3 lies in the leftover, since clique nodes
+// have degree c−1 ≠ r−1. Conversely every stable configuration passes
+// all four gates.
+func cliquesStable(cfg *core.Config, c int, absorbed []core.State) bool {
+	for _, s := range absorbed {
+		if cfg.Count(s) != 0 {
+			return false
+		}
+	}
+	n := cfg.N()
+	r := n % c
+	if cfg.ActiveEdges() != n/c*c*(c-1)/2+max(r-1, 0) {
+		return false
+	}
+	off, center := 0, r < 3
+	for u := 0; u < n; u++ {
+		switch cfg.Degree(u) {
+		case c - 1:
+		case r - 1:
+			off++
+			center = true
+		default:
+			off++
+		}
+	}
+	if off != r || !center {
+		return false
+	}
+	// Union-find over the active edges; a root holds −(component size).
+	parent := make([]int32, n)
+	for u := range parent {
+		parent[u] = -1
+	}
+	cfg.ForEachActiveEdge(func(u, v int) {
+		a, b := findRoot(parent, int32(u)), findRoot(parent, int32(v))
+		if a == b {
+			return
+		}
+		if parent[a] > parent[b] {
+			a, b = b, a
+		}
+		parent[a] += parent[b]
+		parent[b] = a
+	})
+	for _, p := range parent {
+		if p < 0 && int(-p) != c && int(-p) != r {
+			return false
+		}
+	}
+	return true
+}
+
+// findRoot returns u's union-find root, halving the path on the way.
+func findRoot(parent []int32, u int32) int32 {
+	for parent[u] >= 0 {
+		if gp := parent[parent[u]]; gp >= 0 {
+			parent[u] = gp
+		}
+		u = parent[u]
+	}
+	return u
 }

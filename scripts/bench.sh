@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates the tracked benchmark artifacts — BENCH_batch.json,
-# BENCH_campaign.json, BENCH_topology.json, BENCH_observer.json — with
-# the pinned -benchtime each suite is calibrated for. CI runs this
-# script per suite and uploads the files; run it locally (optionally
-# with a subset of suite names) to reproduce the numbers quoted in
-# ARCHITECTURE.md and EXPERIMENTS.md. The -benchtime pins are part of
+# BENCH_campaign.json, BENCH_topology.json, BENCH_observer.json,
+# BENCH_detector.json — with the pinned -benchtime each suite is
+# calibrated for. CI runs this script per suite and uploads the files;
+# run it locally (optionally with a subset of suite names) to reproduce
+# the numbers quoted in ARCHITECTURE.md and EXPERIMENTS.md. The -benchtime pins are part of
 # the artifact contract: trend comparisons across commits assume every
 # row was measured with the same iteration count.
 set -euo pipefail
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 suites="$*"
 if [ -z "$suites" ]; then
-  suites="batch campaign topology observer"
+  suites="batch campaign topology observer detector"
 fi
 
 for suite in $suites; do
@@ -29,8 +29,13 @@ for suite in $suites; do
     observer)
       go test -run '^$' -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 3x -benchmem -json . | tee BENCH_observer.json
       ;;
+    detector)
+      # Repeated samples: the per-call rows run from a few ns to tens of
+      # microseconds, so five counts give each row a median and a spread.
+      go test -run '^$' -bench BenchmarkDetectorStable -benchtime 20000x -count 5 -benchmem -json ./internal/protocols | tee BENCH_detector.json
+      ;;
     *)
-      echo "unknown suite: $suite (want batch, campaign, topology, observer)" >&2
+      echo "unknown suite: $suite (want batch, campaign, topology, observer, detector)" >&2
       exit 2
       ;;
   esac
