@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 
@@ -99,7 +100,7 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	}
 	const replN = 9
 
-	return []fingerprintCase{
+	return append([]fingerprintCase{
 		{name: "sgl/complete/n=10", proto: sgl.Proto, det: sgl.Detector, n: 10, seed: 1},
 		{name: "sgl/complete/n=40/budget", proto: sgl.Proto, det: sgl.Detector, n: 40, seed: 2, maxSteps: 400_000},
 		{name: "sgl/complete/n=5000/budget", proto: sgl.Proto, det: sgl.Detector, n: 5000, seed: 3, maxSteps: 60_000},
@@ -122,7 +123,59 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 		{name: "edge-cover/rgg@0.5/n=20", proto: cover.Proto, det: quiet, n: 20, seed: 19, topology: "rgg@0.5"},
 		{name: "graph-replication/initial/n=9", proto: repl.Proto, det: protocols.ReplicationDetector(g1), n: replN, seed: 17,
 			initial: func() (*core.Config, error) { return protocols.ReplicationInitial(repl.Proto, g1, replN) }},
+	}, paperSweepCases(t)...)
+}
+
+// paperSweepCases covers the small-n grid of the paper's tables: the
+// Section 5 c-Cliques and c-RC constructors, Global-Ring, and the
+// Section 3.3 One-Way-Epidemic, whose rules change only one node in
+// either orientation — two-sided, one-sided and edge-only transitions
+// on the dense edge store, on the complete graph and under a
+// restricted topology, at an even and an odd population.
+func paperSweepCases(t *testing.T) []fingerprintCase {
+	t.Helper()
+	type subject struct {
+		name    string
+		proto   *core.Protocol
+		det     core.Detector
+		n       int
+		initial func(n int) (*core.Config, error)
 	}
+	var subjects []subject
+	for _, name := range []string{"3-cliques", "4-cliques", "2rc", "3rc", "global-ring", "simple-global-line", "cycle-cover"} {
+		cons, err := protocols.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{name: name, proto: cons.Proto, det: cons.Detector, n: 12})
+	}
+	epi := processes.OneWayEpidemic()
+	subjects = append(subjects, subject{name: "one-way-epidemic", proto: epi.Proto, det: epi.Detector, n: 16,
+		initial: func(n int) (*core.Config, error) { return processes.InitialWithOneA(epi.Proto, n) }})
+
+	var cases []fingerprintCase
+	seed := uint64(100)
+	for _, topology := range []string{"", "gnp@0.5"} {
+		label := "complete"
+		if topology != "" {
+			label = topology
+		}
+		for _, s := range subjects {
+			for _, n := range []int{s.n, s.n + 1} {
+				seed++
+				c := fingerprintCase{
+					name: fmt.Sprintf("%s/%s/n=%d", s.name, label, n), proto: s.proto, det: s.det,
+					n: n, seed: seed, maxSteps: 300_000, topology: topology,
+				}
+				if s.initial != nil {
+					build, n := s.initial, n
+					c.initial = func() (*core.Config, error) { return build(n) }
+				}
+				cases = append(cases, c)
+			}
+		}
+	}
+	return cases
 }
 
 // fingerprintRun executes one case on engine. The batch engine gets an
