@@ -4,8 +4,8 @@ package netcons_test
 // state-class engine on Simple-Global-Line — same workload rows, both
 // engines, so the tracked artifact exposes the ratio directly:
 //
-//   - n=4096 rows share the 10⁹-step budget of the sparse rows in
-//     BenchmarkFastVsBaseline; n=65536 and n=2²⁰ rows burn the full
+//   - n=4096 rows share the 10⁹-step budget of the sparse row in
+//     BenchmarkSparseVsBaseline; n=65536 and n=2²⁰ rows burn the full
 //     default 2⁴⁰-step ceiling (Simple-Global-Line cannot converge at
 //     these sizes within any practical budget — these are throughput
 //     rows, steps/op confirming both engines simulate the same number

@@ -12,8 +12,8 @@ package netcons_test
 //   - BenchmarkUniversal/*    — the Section 6 generic constructors;
 //   - BenchmarkEngine/*       — raw simulator throughput
 //     (interactions/sec);
-//   - BenchmarkFastVsBaseline — fast-engine vs baseline-loop wall
-//     clock on Simple-Global-Line up to n=1024 (engine_bench_test.go).
+//   - BenchmarkSparseVsBaseline — sparse-engine vs baseline-loop wall
+//     clock on Simple-Global-Line (engine_bench_test.go).
 //
 // Convergence times are reported via b.ReportMetric as "steps/op"
 // (model interactions, the unit the paper analyzes); wall-clock ns/op

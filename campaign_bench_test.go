@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/protocols"
 )
 
@@ -95,7 +94,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 				BaseSeed: 1,
 				Proto:    cc.Proto,
 				Detector: cc.Detector,
-				Engine:   core.EngineFast,
 				// A short fixed budget keeps the trials in the
 				// setup-dominated steady state; budget exhaustion is a
 				// deterministic cut, so the measured values stay

@@ -62,7 +62,7 @@ func run() error {
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		sched    = flag.String("schedulers", "uniform", "comma-separated scheduler names")
 		metric   = flag.String("metric", "", "measured quantity (default: convergence-time for protocols, steps for processes)")
-		engine   = flag.String("engine", "auto", "execution path: auto, baseline, fast, sparse, or batch")
+		engine   = flag.String("engine", "auto", "execution path: auto, baseline, sparse, or batch")
 		detector = flag.String("detector", "", "stability predicate: target (default), quiescence, or edge-quiescence; fault and restricted-topology runs default to quiescence")
 		faults   = flag.String("faults", "", `fault plan for every item, e.g. "crash@500x2,edge@0.001" (spec files carry their own "faults" field)`)
 		topology = flag.String("topology", "", `interaction topology for every item, e.g. "gnp@0.05", "rgg@0.1", "cm@4" (spec files carry their own "topology" field)`)

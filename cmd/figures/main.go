@@ -40,7 +40,7 @@ func run() error {
 		n      = flag.Int("n", 16, "population size for snapshots")
 		seed   = flag.Uint64("seed", 1, "RNG seed")
 		out    = flag.String("out", "figures", "output directory")
-		engine = flag.String("engine", "auto", "execution path for the snapshot runs: auto, baseline, fast, sparse, or batch")
+		engine = flag.String("engine", "auto", "execution path for the snapshot runs: auto, baseline, sparse, or batch")
 		topo   = flag.String("topology", "gnp", "topology model for the sparsity figure: gnp or rgg")
 	)
 	flag.Parse()

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	netsim -protocol global-star -n 50 -trials 5 -seed 1 [-workers 4] [-engine fast] [-dot]
+//	netsim -protocol global-star -n 50 -trials 5 -seed 1 [-workers 4] [-engine sparse] [-dot]
 //	netsim -protocol simple-global-line -n 32 -faults "crash@500x2,edge@0.001"
 //	netsim -protocol simple-global-line -n 32 -trace run.ndjson
 //	netsim -protocol cycle-cover -n 32 -scheduler weighted
@@ -45,7 +45,7 @@ func run() error {
 		trials   = flag.Int("trials", 3, "independent runs")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		workers  = flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
-		engine   = flag.String("engine", "auto", "execution path: auto, baseline, fast, sparse, or batch")
+		engine   = flag.String("engine", "auto", "execution path: auto, baseline, sparse, or batch")
 		sched    = flag.String("scheduler", "uniform", "scheduler: uniform, round-robin, permutation, weighted, or biased")
 		faults   = flag.String("faults", "", `fault plan, e.g. "crash@500x2,edge@0.001,reset@1000"`)
 		topology = flag.String("topology", "", `interaction topology: complete (default), "gnp@0.05", "rgg@0.1", or "cm@4"`)

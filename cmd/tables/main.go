@@ -39,7 +39,7 @@ func run() error {
 		trials = flag.Int("trials", 5, "trials per (process, n) cell")
 		seed   = flag.Uint64("seed", 1, "base RNG seed")
 		quick  = flag.Bool("quick", false, "smaller sweeps for a fast pass")
-		engine = flag.String("engine", "auto", "execution path: auto, baseline, fast, sparse, or batch")
+		engine = flag.String("engine", "auto", "execution path: auto, baseline, sparse, or batch")
 		topo   = flag.String("topology", "gnp", "topology model for the sparsity table: gnp or rgg")
 	)
 	flag.Parse()

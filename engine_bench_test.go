@@ -1,42 +1,32 @@
 package netcons_test
 
-// BenchmarkFastVsBaseline measures the indexed engines (enabled-pair
-// index + geometric step-skipping, and the sparse state-class sampler)
-// against the baseline step-by-step loop on Simple-Global-Line — the
-// paper's Ω(n⁴) worst case, whose long random-walk tail is almost
-// entirely ineffective steps and therefore the indexed paths' best and
-// most representative customer:
+// BenchmarkSparseVsBaseline measures the sparse engine (state-class
+// census + geometric step-skipping) against the baseline step-by-step
+// loop on Simple-Global-Line — the paper's Ω(n⁴) worst case, whose
+// long random-walk tail is almost entirely ineffective steps and
+// therefore the indexed path's best and most representative customer:
 //
-//   - engine=baseline vs engine=fast rows run to convergence at
+//   - engine=baseline vs engine=sparse rows run to convergence at
 //     n ∈ {64, 128, 256}; compare ns/op between the rows (steps/op
 //     confirms the two simulate the same law);
-//   - n ∈ {512, 1024} rows run the fast engine only — the baseline
-//     would need minutes per run at these sizes, which is the point;
 //   - engine=sparse rows run at n ∈ {4096, 16384, 65536}. Beyond
 //     n ≈ 2048 Simple-Global-Line cannot converge within the 2⁴⁰
 //     default step ceiling on any engine, so these rows are fixed-
-//     budget throughput rows (the n=4096 row shares the speedup row's
-//     10⁹-step budget; the larger rows burn the full default ceiling).
-//     At n=65536 the dense PairIndex alone would need ≈8.6 GB — the
-//     sparse row's peak-heap-bytes metric shows a few tens of MB;
+//     budget throughput rows (the n=4096 row shares BenchmarkBatchVsSparse's
+//     10⁹-step budget; the larger rows burn the full default ceiling);
 //   - every row reports peak-heap-bytes (runtime.MemStats.HeapAlloc
 //     after the run, before collection) so the perf artifact tracks
 //     memory alongside wall-clock; run with -benchmem for the
 //     allocator's own view;
-//   - the n=256 speedup row runs baseline and fast back to back and
-//     reports the wall-clock ratio as "speedup" (≥10× is the bar that
-//     optimisation was built to clear); the n=4096 sparse-speedup row
-//     does the same for fast vs sparse on a shared 10⁹-step budget,
-//     additionally reporting both engines' allocation totals — the
-//     sparse engine's bar is ≥1× fast's wall-clock at ≥10× less
-//     allocated memory.
+//   - the n=256 speedup row runs baseline and sparse back to back and
+//     reports the wall-clock ratio as "speedup".
 //
 // Run it with:
 //
-//	go test -run '^$' -bench BenchmarkFastVsBaseline -benchtime 1x -benchmem
+//	./scripts/bench.sh engine
 //
-// CI runs exactly that and uploads the test2json stream as the perf
-// trajectory artifact.
+// which runs five samples per row and writes the test2json stream to
+// BENCH_engine.json.
 
 import (
 	"fmt"
@@ -50,8 +40,7 @@ import (
 
 // sparseBudget is the shared step cap of the n=4096 fixed-budget rows:
 // enough to carry the run well past the dense pairing phase into the
-// skip-dominated tail, while keeping the fast side of the comparison
-// row to seconds.
+// skip-dominated tail, while keeping each row to seconds.
 const sparseBudget = int64(1_000_000_000)
 
 func runLineBudget(b *testing.B, n int, engine core.Engine, seed uint64, maxSteps int64) core.Result {
@@ -84,17 +73,15 @@ func heapAllocNow() float64 {
 	return float64(m.HeapAlloc)
 }
 
-func BenchmarkFastVsBaseline(b *testing.B) {
+func BenchmarkSparseVsBaseline(b *testing.B) {
 	for _, tc := range []struct {
 		n        int
 		maxSteps int64 // 0: run to convergence (asserted); else fixed budget
 		engines  []core.Engine
 	}{
-		{64, 0, []core.Engine{core.EngineBaseline, core.EngineFast}},
-		{128, 0, []core.Engine{core.EngineBaseline, core.EngineFast}},
-		{256, 0, []core.Engine{core.EngineBaseline, core.EngineFast}},
-		{512, 0, []core.Engine{core.EngineFast}},
-		{1024, 0, []core.Engine{core.EngineFast}},
+		{64, 0, []core.Engine{core.EngineBaseline, core.EngineSparse}},
+		{128, 0, []core.Engine{core.EngineBaseline, core.EngineSparse}},
+		{256, 0, []core.Engine{core.EngineBaseline, core.EngineSparse}},
 		{4096, sparseBudget, []core.Engine{core.EngineSparse}},
 		{16384, core.DefaultMaxSteps(16384), []core.Engine{core.EngineSparse}},
 		{65536, core.DefaultMaxSteps(65536), []core.Engine{core.EngineSparse}},
@@ -132,53 +119,18 @@ func BenchmarkFastVsBaseline(b *testing.B) {
 	}
 
 	b.Run("Simple-Global-Line/n=256/speedup", func(b *testing.B) {
-		var baseline, fast time.Duration
+		var baseline, sparse time.Duration
 		for i := 0; i < b.N; i++ {
 			seed := uint64(i) + 1
 			start := time.Now()
 			runLine(b, 256, core.EngineBaseline, seed)
 			baseline += time.Since(start)
 			start = time.Now()
-			runLine(b, 256, core.EngineFast, seed)
-			fast += time.Since(start)
-		}
-		if fast > 0 {
-			b.ReportMetric(float64(baseline)/float64(fast), "speedup")
-		}
-	})
-
-	// The acceptance row of the sparse engine: identical workload
-	// (same n, seed and step budget) on both indexed paths; "speedup"
-	// is fast's wall-clock over sparse's (bar: ≥ 1), and the two
-	// alloc-bytes metrics expose the ≥ 10× memory gap that is the
-	// sparse engine's reason to exist.
-	b.Run("Simple-Global-Line/n=4096/sparse-speedup", func(b *testing.B) {
-		var fast, sparse time.Duration
-		var fastAlloc, sparseAlloc float64
-		var m0, m1 runtime.MemStats
-		for i := 0; i < b.N; i++ {
-			seed := uint64(i) + 1
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			runLineBudget(b, 4096, core.EngineFast, seed, sparseBudget)
-			fast += time.Since(start)
-			runtime.ReadMemStats(&m1)
-			fastAlloc += float64(m1.TotalAlloc - m0.TotalAlloc)
-
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			start = time.Now()
-			runLineBudget(b, 4096, core.EngineSparse, seed, sparseBudget)
+			runLine(b, 256, core.EngineSparse, seed)
 			sparse += time.Since(start)
-			runtime.ReadMemStats(&m1)
-			sparseAlloc += float64(m1.TotalAlloc - m0.TotalAlloc)
 		}
 		if sparse > 0 {
-			b.ReportMetric(float64(fast)/float64(sparse), "speedup")
+			b.ReportMetric(float64(baseline)/float64(sparse), "speedup")
 		}
-		n := float64(b.N)
-		b.ReportMetric(fastAlloc/n, "fast-alloc-bytes/op")
-		b.ReportMetric(sparseAlloc/n, "sparse-alloc-bytes/op")
 	})
 }

@@ -2,8 +2,8 @@ package netcons_test
 
 // TestEngineEquivalence is the distributional-equivalence suite for
 // the indexed engines: every registered protocol and every Table 1
-// process runs under the uniform scheduler on ALL FOUR engines
-// (baseline, fast, sparse, batch) across many seeds, and the suites
+// process runs under the uniform scheduler on ALL THREE engines
+// (baseline, sparse, batch) across many seeds, and the suites
 // must agree on
 //
 //   - convergence semantics: every trial converges on every engine
@@ -17,8 +17,8 @@ package netcons_test
 // what this asserts. Seeds are fixed, so the test itself is fully
 // deterministic — a failure means a real law change, not noise.
 //
-// CI greps this test's -v output for the engine=fast, engine=sparse
-// and engine=batch subtests, so a silently skipped engine fails the
+// CI greps this test's -v output for the engine=sparse and
+// engine=batch subtests, so a silently skipped engine fails the
 // job; keep the subtest naming scheme in sync with
 // .github/workflows/ci.yml.
 
@@ -37,7 +37,7 @@ import (
 
 // indexedEngines are the execution paths measured against the
 // baseline by the equivalence suites.
-var indexedEngines = []core.Engine{core.EngineFast, core.EngineSparse, core.EngineBatch}
+var indexedEngines = []core.Engine{core.EngineSparse, core.EngineBatch}
 
 // equivalencePoints returns the grid the suite sweeps: every registry
 // protocol at a small-but-nontrivial population, and every registered
@@ -370,7 +370,7 @@ func TestWorkspaceCampaignEquivalence(t *testing.T) {
 		}
 		return out.Runs
 	}
-	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineFast, core.EngineSparse, core.EngineBatch} {
+	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
 		engine := engine
 		t.Run(fmt.Sprintf("engine=%s", engine), func(t *testing.T) {
 			t.Parallel()

@@ -146,8 +146,8 @@ type Point struct {
 	CheckInterval int64
 
 	// Engine selects the core execution path for this point's runs;
-	// the zero value core.EngineAuto picks the fast enabled-pair-index
-	// engine under the uniform scheduler and the baseline loop
+	// the zero value core.EngineAuto picks an indexed engine (batch or
+	// sparse) under the uniform scheduler and the baseline loop
 	// otherwise.
 	Engine core.Engine
 

@@ -302,12 +302,14 @@ func TestSpecCompileRejects(t *testing.T) {
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{8}}}, Schedulers: []string{"nope"}},
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{8}}}, Metric: "nope"},
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{8}}}, Engine: "nope"},
-		// The indexed engines require the uniform scheduler.
+		// The indexed engines require the uniform scheduler ("fast" is
+		// the retired dense-index engine's alias for sparse).
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{8}}}, Engine: "fast", Schedulers: []string{"round-robin"}},
+		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{8}}}, Engine: "batch", Schedulers: []string{"round-robin"}},
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{8}}}, Engine: "sparse", Schedulers: []string{"permutation"}},
 		// Forced engines must fit their population caps at compile time,
 		// not as all-failure aggregates at run time.
-		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{1 << 16}}}, Engine: "fast"},
+		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{1<<20 + 1}}}, Engine: "batch"},
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{1<<20 + 1}}}, Engine: "sparse"},
 	}
 	for i, spec := range bad {
@@ -441,9 +443,9 @@ func TestSpecCompileSchedulers(t *testing.T) {
 			t.Fatalf("non-uniform scheduler ran on %q", rec.Engine)
 		}
 	}
-	spec.Engine = "fast"
+	spec.Engine = "sparse"
 	if _, err := spec.Compile(); err == nil {
-		t.Fatal("fast engine with a weighted scheduler accepted")
+		t.Fatal("sparse engine with a weighted scheduler accepted")
 	}
 }
 
@@ -488,7 +490,7 @@ func TestFaultPointEndToEnd(t *testing.T) {
 		{Kind: scenario.KindCrash, Step: 30},
 		{Kind: scenario.KindEdge, Step: 90},
 	}}
-	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineFast, core.EngineSparse} {
+	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
 		out, err := Execute(context.Background(), []Point{{
 			Protocol: "cycle-cover", N: 16, Trials: 4, BaseSeed: 1,
 			Proto: cc.Proto, Detector: core.QuiescenceDetector(),
@@ -617,7 +619,7 @@ func TestDynPointValidation(t *testing.T) {
 	bad := []Point{
 		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn}, // no DynStable
 		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable, Proto: cc.Proto},
-		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable, Engine: core.EngineFast},
+		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable, Engine: core.EngineSparse},
 		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable,
 			NewScheduler: func() core.Scheduler { return &core.RoundRobinScheduler{} }},
 		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable,

@@ -37,7 +37,7 @@ func resumePoints(eng core.Engine, metric Metric) []Point {
 // for every engine.
 func TestResumeBitIdentical(t *testing.T) {
 	t.Parallel()
-	for _, eng := range []core.Engine{core.EngineBaseline, core.EngineFast, core.EngineSparse, core.EngineBatch} {
+	for _, eng := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
 		eng := eng
 		t.Run(eng.String(), func(t *testing.T) {
 			t.Parallel()

@@ -47,10 +47,10 @@ type Spec struct {
 	// per-n default budget.
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	// Engine selects the core execution path: "auto" (default),
-	// "baseline", "fast", "sparse", or "batch". Under the uniform
-	// scheduler auto runs the fast engine for n ≤ 4096 and, above that,
-	// the batch engine — or the sparse engine when an event sink or
-	// fault injector would force batch to exact-step anyway; other
+	// "baseline", "sparse", or "batch" ("fast", a retired engine's
+	// name, still parses as "sparse"). Under the uniform scheduler auto
+	// runs the batch engine — or the sparse engine when an event sink
+	// or fault injector would force batch to exact-step anyway; other
 	// schedulers run the baseline loop.
 	Engine string `json:"engine,omitempty"`
 	// Detector selects the stability predicate: "target" (default; the
@@ -245,7 +245,7 @@ func (s Spec) Compile() ([]Point, error) {
 				if err != nil {
 					return nil, err
 				}
-				if (engine == core.EngineFast || engine == core.EngineSparse || engine == core.EngineBatch) && factory != nil {
+				if (engine == core.EngineSparse || engine == core.EngineBatch) && factory != nil {
 					return nil, fmt.Errorf("campaign: item %d (%q): the %s engine requires the uniform scheduler, not %q", i, item.Name, engine, schedName)
 				}
 				if err := engine.ValidateN(n); err != nil {

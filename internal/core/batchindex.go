@@ -14,7 +14,7 @@ const maxSparseNodes = 1 << 20
 
 // batchIndex is the state-class census index behind the sparse and
 // batch engines. Instead of materializing the enabled pairs (Θ(n²) in
-// the worst case, the dense PairIndex's cost), it counts them by
+// the worst case), it counts them by
 // *state class*: a pair's enabledness depends only on the triple
 // (state(u), state(v), edge(u,v)), so the enabled-pair count
 // decomposes over unordered state classes {q₁, q₂}:
@@ -123,7 +123,11 @@ type batchIndex struct {
 	enabled     int64
 	edgeEnabled int64
 
-	effMask  []uint8
+	effMask []uint8
+	// live lists, ascending, the class ids with effMask ≠ 0 — the only
+	// classes whose weights can be nonzero, so the only ones Sample
+	// needs to walk.
+	live     []int32
 	listed   []bool
 	swapCell []bool
 	swapOut  []bool
@@ -317,6 +321,7 @@ func (bi *batchIndex) rebuildMasks() {
 	for a := 0; a < q; a++ {
 		bi.touch[a] = bi.touch[a][:0]
 	}
+	bi.live = bi.live[:0]
 	for a := 0; a < q; a++ {
 		for b := a; b < q; b++ {
 			id := a*q + b
@@ -344,6 +349,7 @@ func (bi *batchIndex) rebuildMasks() {
 			// where it does not.
 			bi.swapOut[id] = p.IsOutput(State(a)) != p.IsOutput(State(b))
 			if m != 0 {
+				bi.live = append(bi.live, int32(id))
 				bi.touch[a] = append(bi.touch[a], int32(id))
 				if b != a {
 					bi.touch[b] = append(bi.touch[b], int32(id))
@@ -789,7 +795,9 @@ func (bi *batchIndex) listEdgeAt(a, b, id int, slot int32) {
 // reclassifyIncident moves every active edge incident to u except
 // {u, v} from class {before, sx} to class {after, sx} — the
 // state-change fixup shared by Update and applySwap. On the sparse
-// store it walks the adjacency row in place.
+// store it walks the adjacency row in place. Either way an edge whose
+// old and new classes no rule reads is skipped: dropEdge, addEdge and
+// markDirty would all leave it untouched.
 func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
 	cfg := bi.cfg
 	if bi.sp != nil {
@@ -833,30 +841,34 @@ func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
 			continue
 		}
 		sx := cfg.nodes[x]
-		bi.moveEdge(u, x, bi.classID(before, sx), bi.classID(after, sx))
+		from, to := bi.classID(before, sx), bi.classID(after, sx)
+		if bi.effMask[from]|bi.effMask[to] == 0 {
+			continue
+		}
+		bi.moveEdge(u, x, from, to)
 	}
 }
 
 // Sample returns a uniformly random enabled pair in random orientation
 // (matching the orientation law of RNG.Pair): a class sub-bucket drawn
-// proportionally to its weight, then a member of it. It must not be
-// called when no pair is enabled.
+// proportionally to its weight, then a member of it. The walk visits
+// the live classes in ascending id order; the classes it skips have
+// zero weight, so the draw is the one a walk over all |Q|² classes
+// makes. It must not be called when no pair is enabled.
 func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
 	r := rng.Int64N(bi.enabled)
-	for a := 0; a < bi.q; a++ {
-		for b := a; b < bi.q; b++ {
-			id := a*bi.q + b
-			if w := bi.w[2*id]; r < w {
-				return bi.sampleNonEdge(a, b, rng)
-			} else {
-				r -= w
-			}
-			if w := bi.w[2*id+1]; r < w {
-				key := bi.edgeList[id][rng.IntN(len(bi.edgeList[id]))]
-				return orient(int(key>>32), int(key&0xffffffff), rng)
-			} else {
-				r -= w
-			}
+	for _, id32 := range bi.live {
+		id := int(id32)
+		if w := bi.w[2*id]; r < w {
+			return bi.sampleNonEdge(id/bi.q, id%bi.q, rng)
+		} else {
+			r -= w
+		}
+		if w := bi.w[2*id+1]; r < w {
+			key := bi.edgeList[id][rng.IntN(len(bi.edgeList[id]))]
+			return orient(int(key>>32), int(key&0xffffffff), rng)
+		} else {
+			r -= w
 		}
 	}
 	panic("core: batchIndex class weights inconsistent with total")
@@ -963,20 +975,6 @@ func orient(u, v int, rng *RNG) (int, int) {
 	}
 	return u, v
 }
-
-// pairSampler adapter (see fast.go): the exact route's view of the
-// index.
-
-func (bi *batchIndex) enabledPairs() int64     { return bi.enabled }
-func (bi *batchIndex) edgeEnabledPairs() int64 { return bi.edgeEnabled }
-
-func (bi *batchIndex) samplePair(rng *RNG) (int, int) { return bi.Sample(rng) }
-
-func (bi *batchIndex) applied(u, v int, beforeU, beforeV State, edgeChanged bool) {
-	bi.Update(u, v, beforeU, beforeV, edgeChanged)
-}
-
-func (bi *batchIndex) sampleStats() (int64, int64) { return bi.rejections, bi.fallbacks }
 
 // ---------------------------------------------------------------------
 // Swap-run collapse support (see batchLoop's collapse block in

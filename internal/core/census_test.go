@@ -13,6 +13,32 @@ import (
 // exact-walk fallback of a saturated class. The TestClassIndex* names
 // refer to that state-class census.
 
+// indexProtocols is a battery of small protocols exercising every
+// transition flavor the index must track: node-only changes, edge
+// activation/deactivation, probabilistic (PREL) branches, and
+// symmetry-breaking coins.
+func indexProtocols(t *testing.T) map[string]*Protocol {
+	t.Helper()
+	return map[string]*Protocol{
+		"epidemic": MustProtocol("epi", []string{"b", "a"}, 1, nil, []Rule{
+			{A: 1, B: 0, Edge: false, OutA: 1, OutB: 1},
+		}),
+		"matching": MustProtocol("match", []string{"q0", "m"}, 0, nil, []Rule{
+			{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
+		}),
+		"toggle": MustProtocol("toggle", []string{"a", "b"}, 0, nil, []Rule{
+			{A: 0, B: 0, Edge: false, OutA: 0, OutB: 1, OutEdge: true},
+			{A: 0, B: 1, Edge: true, OutA: 1, OutB: 1, OutEdge: false},
+			{A: 1, B: 1, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
+		}),
+		"prel": MustProtocol("prel", []string{"a", "b", "c"}, 0, nil, []Rule{
+			{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true,
+				Alt: true, AltA: 2, AltB: 0, AltEdge: false},
+			{A: 1, B: 2, Edge: false, OutA: 2, OutB: 2},
+		}),
+	}
+}
+
 // TestClassIndexTracksApply drives each protocol with random
 // interactions through Config.Apply + Update and verifies the index
 // against brute force after every effective step — on both
@@ -74,41 +100,6 @@ func TestClassIndexBuildFromArbitraryConfig(t *testing.T) {
 					}
 				}
 				verifyBatchIndex(t, newBatchIndex(cfg), cfg)
-			}
-		})
-	}
-}
-
-// TestClassIndexAgreesWithPairIndex pins the two enabled-pair
-// structures against each other while a run of random interactions
-// evolves the configuration: the class decomposition must equal the
-// materialized pair count at every effective step.
-func TestClassIndexAgreesWithPairIndex(t *testing.T) {
-	t.Parallel()
-	for name, p := range indexProtocols(t) {
-		p := p
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			const n = 14
-			rng := NewRNG(23)
-			cfg := NewConfig(p, n)
-			ix := NewPairIndex(cfg)
-			bi := newBatchIndex(cfg)
-			for step := 0; step < 3000; step++ {
-				u, v := rng.Pair(n)
-				beforeU, beforeV := cfg.Node(u), cfg.Node(v)
-				effective, edgeChanged := cfg.Apply(u, v, rng)
-				if !effective {
-					continue
-				}
-				ix.applied(u, v, beforeU, beforeV, edgeChanged)
-				bi.Update(u, v, beforeU, beforeV, edgeChanged)
-				if bi.enabled != int64(ix.Enabled()) {
-					t.Fatalf("step %d: class decomposition %d, pair index %d", step, bi.enabled, ix.Enabled())
-				}
-				if bi.edgeEnabled != int64(ix.EdgeEnabled()) {
-					t.Fatalf("step %d: edge classes %d, pair index %d", step, bi.edgeEnabled, ix.EdgeEnabled())
-				}
 			}
 		})
 	}
@@ -311,20 +302,22 @@ func TestSparseEngineValidation(t *testing.T) {
 	if _, err := Run(p, maxSparseNodes+1, Options{Engine: EngineSparse, MaxSteps: 1}); err == nil {
 		t.Fatal("sparse engine accepted a population above its cap")
 	}
-	// Auto picks batch right above the fast-path boundary…
-	res, err := Run(p, maxAutoIndexNodes+1, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != EngineBatch {
-		t.Fatalf("auto above maxAutoIndexNodes ran on %v, want batch", res.Engine)
-	}
-	if !res.Converged {
-		t.Fatalf("epidemic did not converge: %+v", res)
+	// Auto picks batch on both edge stores…
+	for _, n := range []int{16, maxDenseEdgeNodes + 1} {
+		res, err := Run(p, n, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Engine != EngineBatch {
+			t.Fatalf("auto at n=%d ran on %v, want batch", n, res.Engine)
+		}
+		if !res.Converged {
+			t.Fatalf("epidemic did not converge at n=%d: %+v", n, res)
+		}
 	}
 	// …but keeps exact-stepping runs on the sparse engine they are
 	// bit-identical to: an attached event sink forces it.
-	res, err = Run(p, maxAutoIndexNodes+1, Options{Seed: 1, Events: &stepCounter{}})
+	res, err := Run(p, maxDenseEdgeNodes+1, Options{Seed: 1, Events: &stepCounter{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,9 @@ const (
 )
 
 // Gate declares that a detector's Stable predicate is equivalent to a
-// counter condition the fast engine maintains incrementally, letting
-// the fast path answer it in O(1) instead of running the O(n²) scan.
-// The baseline engine ignores gates and always calls Stable.
+// counter condition the census index maintains incrementally, letting
+// the indexed engines answer it in O(1) instead of running the O(n²)
+// scan. The baseline engine ignores gates and always calls Stable.
 type Gate int
 
 // Gate values.
@@ -35,10 +35,10 @@ const (
 	// detectors.
 	GateNone Gate = iota
 	// GateQuiescence marks Stable ⇔ Config.Quiescent — answered by
-	// "no enabled pairs" on the fast path.
+	// "no enabled pairs" on the indexed paths.
 	GateQuiescence
 	// GateEdgeQuiescence marks Stable ⇔ Config.EdgeQuiescent — answered
-	// by "no edge-effective enabled pairs" on the fast path.
+	// by "no edge-effective enabled pairs" on the indexed paths.
 	GateEdgeQuiescence
 )
 
@@ -57,8 +57,8 @@ const (
 type Detector struct {
 	Stable  func(cfg *Config) bool
 	Trigger Trigger
-	// Gate, when non-zero, lets the fast engine replace Stable with an
-	// equivalent O(1) counter check. Set it only when the equivalence is
+	// Gate, when non-zero, lets the indexed engines replace Stable with
+	// an equivalent O(1) counter check. Set it only when the equivalence is
 	// exact; the prebuilt quiescence detectors do.
 	Gate Gate
 }
@@ -67,8 +67,8 @@ type Detector struct {
 // applies to any pair. Sufficient for protocols whose stable
 // configurations are completely silent (Global-Star, Cycle-Cover, all
 // Section 3.3 processes). The baseline engine evaluates it with the
-// O(n²) scan every check interval; the fast engine answers it from the
-// enabled-pair count in O(1).
+// O(n²) scan every check interval; the indexed engines answer it from
+// the enabled-pair count in O(1).
 func QuiescenceDetector() Detector {
 	return Detector{
 		Stable:  func(cfg *Config) bool { return cfg.Quiescent() },
@@ -81,7 +81,7 @@ func QuiescenceDetector() Detector {
 // transition changes an edge. This is not sufficient for stability in
 // general (later node-state changes may re-enable edge changes), so use
 // it only for protocols where edge quiescence is known to be absorbing.
-// Like QuiescenceDetector it is an O(1) gate on the fast path.
+// Like QuiescenceDetector it is an O(1) gate on the indexed paths.
 func EdgeQuiescenceDetector() Detector {
 	return Detector{
 		Stable:  func(cfg *Config) bool { return cfg.EdgeQuiescent() },
@@ -100,12 +100,11 @@ type Options struct {
 	// Scheduler defaults to the uniform random scheduler.
 	Scheduler Scheduler
 	// Engine selects the execution path. The default EngineAuto uses,
-	// under the uniform scheduler, the fast enabled-pair-index engine
-	// for populations up to 4096 (the index costs Θ(n²) memory); above
-	// that, up to 2²⁰ nodes, the batch engine, or the sparse engine when
-	// an event sink or fault injector is attached (batch would
-	// exact-step, bit-identical to sparse, anyway). Non-uniform
-	// schedulers, and populations above 2²⁰, run the baseline loop.
+	// under the uniform scheduler and up to 2²⁰ nodes, the batch
+	// engine, or the sparse engine when an event sink or fault injector
+	// is attached (batch would exact-step, bit-identical to sparse,
+	// anyway). Non-uniform schedulers, and populations above 2²⁰, run
+	// the baseline loop.
 	// The other values force a path (forcing an indexed path under a
 	// non-uniform scheduler is an error).
 	Engine Engine
@@ -142,7 +141,7 @@ type Options struct {
 	Events EventSink
 	// Stop, when non-nil, is polled once immediately and then
 	// periodically (every CheckInterval steps on the baseline engine,
-	// every landing on the fast engine); when it returns true the run
+	// every landing on the indexed engines); when it returns true the run
 	// aborts early with Converged=false and Stopped=true. It is how
 	// callers plug in context cancellation and per-run deadlines.
 	Stop func() bool
@@ -240,8 +239,8 @@ func DefaultMaxSteps(n int) int64 {
 // keeps Stop polling — and with it campaign timeouts and context
 // cancellation — responsive on large baseline runs, where an uncapped
 // n² default (2⁴⁰ steps between polls at n = 2²⁰) would mean the run
-// effectively never observes a stop request. Run, the fast engine and
-// RunDyn all share this helper, so the default cannot drift between
+// effectively never observes a stop request. Run, the indexed engines
+// and RunDyn all share this helper, so the default cannot drift between
 // paths.
 func DefaultCheckInterval(n int) int64 {
 	const ceiling = int64(1) << 22
@@ -326,14 +325,10 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 		switch {
 		case !uniformSchedule(sched):
 			engine = EngineBaseline
-		case n <= maxAutoIndexNodes:
-			engine = EngineFast
 		case n <= maxSparseNodes:
-			// Above the fast threshold the batch engine is strictly
-			// faster when it can run its pure path; with a sink or
-			// injector attached it would exact-step anyway, so auto
-			// keeps those runs on the sparse engine they are
-			// bit-identical to.
+			// With a sink or injector attached the batch engine would
+			// exact-step anyway, so auto keeps those runs on the sparse
+			// engine they are bit-identical to.
 			if opts.Events == nil && opts.Injector == nil {
 				engine = EngineBatch
 			} else {
@@ -343,7 +338,7 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 			engine = EngineBaseline
 		}
 	case EngineBaseline:
-	case EngineFast, EngineSparse, EngineBatch:
+	case EngineSparse, EngineBatch:
 		if !uniformSchedule(sched) {
 			return Result{}, fmt.Errorf("core: the %s engine requires the uniform scheduler, not %q", engine, sched.Name())
 		}
@@ -393,8 +388,6 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 		emitDetect(opts.Events, ev, 0, res.Converged, cfg)
 	} else {
 		switch engine {
-		case EngineFast:
-			res, err = runFast(p, cfg, det, opts, maxSteps, interval, rng)
 		case EngineSparse:
 			res, err = runSparse(p, cfg, det, opts, maxSteps, interval, rng)
 		case EngineBatch:
@@ -453,7 +446,7 @@ func recordEffective(res *Result, p *Protocol, cfg *Config, events EventSink, ev
 }
 
 // runBaseline simulates every scheduler draw individually. It is the
-// reference implementation the fast engine is measured against, and
+// reference implementation the indexed engines are measured against, and
 // the only path that supports non-uniform schedulers. It wraps
 // baselineLoop to fold the mutator's fault tallies and the
 // Landings = Steps identity (every baseline draw is simulated) into

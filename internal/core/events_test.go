@@ -34,7 +34,7 @@ func (c *collectSink) ofKind(k core.EventKind) []core.Event {
 	return out
 }
 
-var engines = []core.Engine{core.EngineBaseline, core.EngineFast, core.EngineSparse, core.EngineBatch}
+var engines = []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch}
 
 // TestEventSinkDoesNotPerturbRuns is the zero-cost-when-on law: a run
 // with a sink attached is bit-identical to the same run without one, on

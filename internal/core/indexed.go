@@ -15,18 +15,15 @@ type Engine int
 // equivalence suite and the speedup benchmarks pin their subjects
 // down.
 const (
-	// EngineAuto lets Run choose. Under the uniform scheduler: fast for
-	// n ≤ 4096 (maxAutoIndexNodes); above that, batch — or sparse when
-	// an event sink or fault injector is attached, since batch would
-	// then exact-step, bit-identically to sparse, anyway. Baseline for
-	// non-uniform schedulers and for n > 2²⁰.
+	// EngineAuto lets Run choose. Under the uniform scheduler, for
+	// n ≤ 2²⁰: batch, or sparse when an event sink or fault injector is
+	// attached, since batch would then exact-step, bit-identically to
+	// sparse, anyway. Baseline for non-uniform schedulers and for
+	// n > 2²⁰.
 	EngineAuto Engine = iota
 	// EngineBaseline forces the step-by-step loop that simulates every
 	// scheduler draw individually.
 	EngineBaseline
-	// EngineFast forces the enabled-pair-index engine; Run errors if the
-	// configured scheduler is not uniform.
-	EngineFast
 	// EngineSparse forces the state-class engine, whose memory and
 	// per-step cost scale with n + m instead of n²; Run errors if the
 	// configured scheduler is not uniform.
@@ -47,8 +44,6 @@ func (e Engine) String() string {
 		return "auto"
 	case EngineBaseline:
 		return "baseline"
-	case EngineFast:
-		return "fast"
 	case EngineSparse:
 		return "sparse"
 	case EngineBatch:
@@ -58,22 +53,22 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine resolves a flag/spec name ("auto", "baseline", "fast",
-// "sparse", "batch"; "" means auto) to an Engine.
+// ParseEngine resolves a flag/spec name ("auto", "baseline", "sparse",
+// "batch"; "" means auto) to an Engine. "fast", the name of a retired
+// dense-index engine, still parses as sparse, so older specs, flags,
+// checkpoints and traces keep working.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "auto":
 		return EngineAuto, nil
 	case "baseline":
 		return EngineBaseline, nil
-	case "fast":
-		return EngineFast, nil
-	case "sparse":
+	case "sparse", "fast":
 		return EngineSparse, nil
 	case "batch":
 		return EngineBatch, nil
 	default:
-		return EngineAuto, fmt.Errorf("core: unknown engine %q (known: auto, baseline, fast, sparse, batch)", s)
+		return EngineAuto, fmt.Errorf("core: unknown engine %q (known: auto, baseline, sparse, batch)", s)
 	}
 }
 
@@ -83,10 +78,6 @@ func ParseEngine(s string) (Engine, error) {
 // collecting per-run failures.
 func (e Engine) ValidateN(n int) error {
 	switch e {
-	case EngineFast:
-		if n >= maxIndexNodes {
-			return fmt.Errorf("core: the fast engine supports populations below %d, got %d", maxIndexNodes, n)
-		}
 	case EngineSparse, EngineBatch:
 		if n > maxSparseNodes {
 			return fmt.Errorf("core: the %s engine supports populations up to %d, got %d", e, maxSparseNodes, n)
@@ -112,120 +103,18 @@ func nextCheck(step, interval int64) int64 {
 	return (step/interval + 1) * interval
 }
 
-// pairSampler abstracts the incremental enabled-pair structure behind
-// the indexed engines: the dense PairIndex (fast) and the state-class
-// census index (sparse, and batch's exact route). Both answer the
-// enabled counts the quiescence gates need, draw uniformly random
-// enabled pairs, and absorb applied interactions — so runIndexed is the
-// single implementation of the geometric step-skipping law for both.
-type pairSampler interface {
-	enabledPairs() int64
-	edgeEnabledPairs() int64
-	samplePair(rng *RNG) (u, v int)
-	// applied is called after an effective Config.Apply on {u, v} with
-	// the pre-step node states and whether the edge flipped.
-	applied(u, v int, beforeU, beforeV State, edgeChanged bool)
-	// nodeChanged and edgeChanged absorb out-of-band mutations
-	// (scenario faults) performed through a Mutator; before is the node
-	// state the index last saw.
-	nodeChanged(u int, before State)
-	edgeChanged(u, v int)
-	// sampleStats reports the index's sampling effort so far: rejected
-	// candidate draws and exact-walk fallbacks. The dense index samples
-	// directly and always reports zero.
-	sampleStats() (rejections, fallbacks int64)
-}
-
-// pairSampler adapter for PairIndex.
-
-func (ix *PairIndex) enabledPairs() int64     { return int64(len(ix.list)) }
-func (ix *PairIndex) edgeEnabledPairs() int64 { return int64(ix.edgeEnabled) }
-
-func (ix *PairIndex) samplePair(rng *RNG) (int, int) { return ix.Sample(rng) }
-
-// applied rescans only the rows of the endpoints whose state changed:
-// a pair {x, y} whose endpoints both kept their state and whose edge
-// did not flip keeps its enabledness, so Update's refresh of it is a
-// no-op. The refreshes that can mutate the index run in exactly
-// Update's order, so swap-removes — and with them every later Sample
-// draw — are unchanged.
-func (ix *PairIndex) applied(u, v int, beforeU, beforeV State, _ bool) {
-	uChanged, vChanged := ix.cfg.nodes[u] != beforeU, ix.cfg.nodes[v] != beforeV
-	switch {
-	case uChanged && vChanged:
-		ix.Update(u, v)
-	case uChanged:
-		ix.UpdateNode(u) // row u includes {u, v}, at Update's position
-	case vChanged:
-		ix.updateSecondRow(u, v)
-	default:
-		ix.UpdateEdge(u, v) // edge-only transition: O(1)
-	}
-}
-
-// updateSecondRow is Update(u, v) when only v's state changed: u's row
-// reduces to its one pair {u, v}, which Update refreshes first under a
-// topology and, on the complete graph, at position x = v of the shared
-// scan.
-func (ix *PairIndex) updateSecondRow(u, v int) {
-	if t := ix.cfg.topo; t != nil {
-		ix.refresh(u, v)
-		for _, x := range t.adj[v] {
-			if int(x) != u {
-				ix.refresh(v, int(x))
-			}
-		}
-		return
-	}
-	for x := 0; x < ix.cfg.n; x++ {
-		switch x {
-		case u:
-		case v:
-			ix.refresh(u, v)
-		default:
-			ix.refresh(v, x)
-		}
-	}
-}
-
-func (ix *PairIndex) sampleStats() (int64, int64) { return 0, 0 }
-
-// runFast is the enabled-pair-index engine: runIndexed over a dense
-// PairIndex (Θ(n²) memory, O(n) update per effective step). With a
-// workspace the index is reset in place — and for default-start runs
-// restored from the workspace's start-state snapshot — instead of
-// freshly built.
-func runFast(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG) (Result, error) {
-	var ix *PairIndex
-	restored := false
-	if ws := opts.Workspace; ws != nil {
-		ix, restored = ws.pairIndex(cfg, opts.Initial == nil)
-	} else {
-		ix = NewPairIndex(cfg)
-	}
-	res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, ix, EngineFast)
-	if restored {
-		res.Metrics.SnapshotRestores = 1
-	} else {
-		res.Metrics.IndexBuilds = 1
-	}
-	return res, err
-}
-
 // runSparse is the state-class engine: runIndexed over the census
 // index (O(n + m + |Q|²) memory, O(deg + |Q|) update per effective
-// step, O(1) expected sampling). It simulates the same law as runFast
-// and the baseline; only the data structure scaling differs.
+// step, O(1) expected sampling). It simulates the same law as the
+// baseline; only the cost of a step differs.
 func runSparse(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG) (Result, error) {
 	res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, opts.Workspace.batchIndex(cfg), EngineSparse)
-	// The census index rebuilds in place either way — a reset is a
-	// fresh O(n + m + |Q|²) build, never a snapshot restore.
 	res.Metrics.IndexBuilds = 1
 	return res, err
 }
 
-// runIndexed is the shared engine behind EngineFast and EngineSparse.
-// It reproduces the law of the baseline loop under the uniform
+// runIndexed is the exact indexed loop behind EngineSparse and the
+// batch engine's exact route. It reproduces the law of the baseline loop under the uniform
 // scheduler without simulating the ineffective steps:
 //
 //   - each scheduler draw hits an enabled pair with probability
@@ -252,7 +141,7 @@ func runSparse(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 // initial configuration. runIndexed wraps indexedLoop to fold the
 // mutator's fault tallies and the index's sampling effort into the
 // metrics once, at the single exit.
-func runIndexed(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix pairSampler, engine Engine) (Result, error) {
+func runIndexed(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix *batchIndex, engine Engine) (Result, error) {
 	var ev *Event
 	if opts.Events != nil {
 		ev = new(Event)
@@ -265,7 +154,7 @@ func runIndexed(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, 
 	if mut != nil {
 		mut.fold(&res.Metrics)
 	}
-	res.Metrics.SampleRejections, res.Metrics.SampleFallbacks = ix.sampleStats()
+	res.Metrics.SampleRejections, res.Metrics.SampleFallbacks = ix.rejections, ix.fallbacks
 	return res, nil
 }
 
@@ -284,7 +173,7 @@ func skipRange(res *Result, events EventSink, ev *Event, from, to int64) {
 	emitSkip(events, ev, from+1, count)
 }
 
-func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix pairSampler, engine Engine, mut *Mutator, ev *Event) Result {
+func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix *batchIndex, engine Engine, mut *Mutator, ev *Event) Result {
 	n := cfg.n
 	res := Result{Final: cfg, Engine: engine}
 	// total is the scheduler's per-draw pair universe: n(n−1)/2 on the
@@ -310,9 +199,9 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		var st bool
 		switch det.Gate {
 		case GateQuiescence:
-			st = ix.enabledPairs() == 0
+			st = ix.enabled == 0
 		case GateEdgeQuiescence:
-			st = ix.edgeEnabledPairs() == 0
+			st = ix.edgeEnabled == 0
 		default:
 			st = det.Stable(cfg)
 		}
@@ -372,7 +261,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		// budget" (also the enabled == 0 case: nothing can ever change
 		// again).
 		land := maxSteps + 1
-		if m := ix.enabledPairs(); m > 0 {
+		if m := ix.enabled; m > 0 {
 			var skip int64
 			if fm := float64(m); fm >= total {
 				skip = 0 // every draw lands; Geometric(p ≥ 1) draws nothing
@@ -431,14 +320,14 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		skipRange(&res, events, ev, step, land-1)
 		step = land
 		res.Metrics.Landings++
-		u, v := ix.samplePair(rng)
+		u, v := ix.Sample(rng)
 		beforeU, beforeV := cfg.nodes[u], cfg.nodes[v]
 		// An enabled pair can still take an ineffective probabilistic
 		// branch; that matches the baseline, which also counts such
 		// steps as ineffective.
 		effective, edgeChanged := cfg.Apply(u, v, rng)
 		if effective {
-			ix.applied(u, v, beforeU, beforeV, edgeChanged)
+			ix.Update(u, v, beforeU, beforeV, edgeChanged)
 			recordEffective(&res, p, cfg, events, ev, step, u, v, beforeU, beforeV, edgeChanged)
 		}
 

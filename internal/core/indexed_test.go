@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -21,8 +20,8 @@ func TestEngineSelection(t *testing.T) {
 		}
 		return res
 	}
-	if got := run(Options{Seed: 1}).Engine; got != EngineFast {
-		t.Fatalf("auto under uniform scheduler ran %v, want fast", got)
+	if got := run(Options{Seed: 1}).Engine; got != EngineBatch {
+		t.Fatalf("auto under uniform scheduler ran %v, want batch", got)
 	}
 	if got := run(Options{Seed: 1, Scheduler: &RoundRobinScheduler{}}).Engine; got != EngineBaseline {
 		t.Fatalf("auto under round-robin ran %v, want baseline", got)
@@ -30,23 +29,14 @@ func TestEngineSelection(t *testing.T) {
 	if got := run(Options{Seed: 1, Engine: EngineBaseline}).Engine; got != EngineBaseline {
 		t.Fatalf("forced baseline ran %v", got)
 	}
-	if got := run(Options{Seed: 1, Engine: EngineFast}).Engine; got != EngineFast {
-		t.Fatalf("forced fast ran %v", got)
-	}
-}
-
-func TestEngineFastRejectsNonUniformScheduler(t *testing.T) {
-	t.Parallel()
-	p, det := epidemicProtocol()
-	_, err := Run(p, 8, Options{Detector: det, Engine: EngineFast, Scheduler: &RoundRobinScheduler{}})
-	if err == nil || !strings.Contains(err.Error(), "uniform scheduler") {
-		t.Fatalf("fast engine accepted round-robin: %v", err)
+	if got := run(Options{Seed: 1, Engine: EngineSparse}).Engine; got != EngineSparse {
+		t.Fatalf("forced sparse ran %v", got)
 	}
 }
 
 func TestParseEngine(t *testing.T) {
 	t.Parallel()
-	for s, want := range map[string]Engine{"": EngineAuto, "auto": EngineAuto, "baseline": EngineBaseline, "fast": EngineFast} {
+	for s, want := range map[string]Engine{"": EngineAuto, "auto": EngineAuto, "baseline": EngineBaseline, "batch": EngineBatch} {
 		got, err := ParseEngine(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseEngine(%q) = %v, %v", s, got, err)
@@ -55,18 +45,22 @@ func TestParseEngine(t *testing.T) {
 			t.Fatalf("String round-trip %q → %q", s, got)
 		}
 	}
+	// The retired dense-index engine's name stays a parse alias.
+	if got, err := ParseEngine("fast"); err != nil || got != EngineSparse {
+		t.Fatalf("ParseEngine(fast) = %v, %v, want the sparse alias", got, err)
+	}
 	if _, err := ParseEngine("warp"); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 }
 
-// TestFastInvariantMetrics checks metrics that are invariant across
+// TestIndexedInvariantMetrics checks metrics that are invariant across
 // engines (not merely equal in distribution): the epidemic needs
 // exactly n−1 effective steps and no edge changes on any path.
-func TestFastInvariantMetrics(t *testing.T) {
+func TestIndexedInvariantMetrics(t *testing.T) {
 	t.Parallel()
 	p, det := epidemicProtocol()
-	for _, eng := range []Engine{EngineBaseline, EngineFast} {
+	for _, eng := range []Engine{EngineBaseline, EngineSparse} {
 		res, err := Run(p, 20, Options{Seed: 5, Engine: eng, Detector: det, Initial: seededInitial(p, 20)})
 		if err != nil {
 			t.Fatal(err)
@@ -80,17 +74,17 @@ func TestFastInvariantMetrics(t *testing.T) {
 	}
 }
 
-// TestFastIntervalDetectionRounding verifies the computed interval
+// TestIndexedIntervalDetectionRounding verifies the computed interval
 // detection: maximal matching quiesces long before the huge check
-// interval, and the fast path must report detection at the first check
+// interval, and the indexed path must report detection at the first check
 // point — exactly where the baseline's periodic scan would fire.
-func TestFastIntervalDetectionRounding(t *testing.T) {
+func TestIndexedIntervalDetectionRounding(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("mm", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
 	const interval = 50_000
-	res, err := Run(p, 10, Options{Seed: 3, Engine: EngineFast, CheckInterval: interval})
+	res, err := Run(p, 10, Options{Seed: 3, Engine: EngineSparse, CheckInterval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +102,18 @@ func TestFastIntervalDetectionRounding(t *testing.T) {
 	}
 }
 
-// TestFastQuiescentTailExhaustsBudget: once no pair is enabled and the
-// detector can never fire (effective-triggered, predicate false), the
-// fast path must report budget exhaustion like the baseline does —
+// TestIndexedQuiescentTailExhaustsBudget: once no pair is enabled and
+// the detector can never fire (effective-triggered, predicate false),
+// the indexed path must report budget exhaustion like the baseline does —
 // without spinning through the remaining steps.
-func TestFastQuiescentTailExhaustsBudget(t *testing.T) {
+func TestIndexedQuiescentTailExhaustsBudget(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("mm", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
 	det := Detector{Trigger: TriggerEffective, Stable: func(*Config) bool { return false }}
 	const budget = 1 << 40 // would take hours to simulate step by step
-	res, err := Run(p, 10, Options{Seed: 3, Engine: EngineFast, Detector: det, MaxSteps: budget})
+	res, err := Run(p, 10, Options{Seed: 3, Engine: EngineSparse, Detector: det, MaxSteps: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +122,7 @@ func TestFastQuiescentTailExhaustsBudget(t *testing.T) {
 	}
 }
 
-func TestFastMaxStepsAborts(t *testing.T) {
+func TestIndexedMaxStepsAborts(t *testing.T) {
 	t.Parallel()
 	// The spin protocol never quiesces and never satisfies the detector.
 	p := MustProtocol("spin", []string{"a", "b"}, 0, nil, []Rule{
@@ -136,7 +130,7 @@ func TestFastMaxStepsAborts(t *testing.T) {
 		{A: 1, B: 1, Edge: false, OutA: 0, OutB: 0},
 	})
 	det := Detector{Trigger: TriggerEffective, Stable: func(*Config) bool { return false }}
-	res, err := Run(p, 6, Options{Seed: 1, Engine: EngineFast, Detector: det, MaxSteps: 500})
+	res, err := Run(p, 6, Options{Seed: 1, Engine: EngineSparse, Detector: det, MaxSteps: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +139,10 @@ func TestFastMaxStepsAborts(t *testing.T) {
 	}
 }
 
-func TestFastStopAborts(t *testing.T) {
+func TestIndexedStopAborts(t *testing.T) {
 	t.Parallel()
 	p, det := epidemicProtocol()
-	res, err := Run(p, 32, Options{Seed: 1, Engine: EngineFast, Detector: det,
+	res, err := Run(p, 32, Options{Seed: 1, Engine: EngineSparse, Detector: det,
 		Initial: seededInitial(p, 32), Stop: func() bool { return true }})
 	if err != nil {
 		t.Fatal(err)
@@ -158,16 +152,16 @@ func TestFastStopAborts(t *testing.T) {
 	}
 }
 
-// TestFastObserverParity is TestObserverReceivesEffectiveSteps on the
-// fast engine, whose geometric skips must not drop or invent step
+// TestIndexedObserverParity is TestObserverReceivesEffectiveSteps on
+// the sparse engine, whose geometric skips must not drop or invent step
 // events.
-func TestFastObserverParity(t *testing.T) {
+func TestIndexedObserverParity(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("mm", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
 	obs := &stepCounter{}
-	res, err := Run(p, 12, Options{Seed: 2, Engine: EngineFast, Events: obs})
+	res, err := Run(p, 12, Options{Seed: 2, Engine: EngineSparse, Events: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +171,10 @@ func TestFastObserverParity(t *testing.T) {
 	}
 }
 
-// TestFastEdgeQuiescenceGate runs a protocol that keeps node states
+// TestIndexedEdgeQuiescenceGate runs a protocol that keeps node states
 // churning after the edges settle, under the edge-quiescence detector:
 // the O(1) gate must fire even though full quiescence never holds.
-func TestFastEdgeQuiescenceGate(t *testing.T) {
+func TestIndexedEdgeQuiescenceGate(t *testing.T) {
 	t.Parallel()
 	// a-nodes pair up over fresh edges (the only edge-effective rule,
 	// and a is never recreated, so edge quiescence is absorbing); the
@@ -189,7 +183,7 @@ func TestFastEdgeQuiescenceGate(t *testing.T) {
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 2, OutEdge: true},
 		{A: 1, B: 2, Edge: true, OutA: 2, OutB: 1, OutEdge: true},
 	})
-	res, err := Run(p, 8, Options{Seed: 9, Engine: EngineFast, Detector: EdgeQuiescenceDetector(), MaxSteps: 1 << 22})
+	res, err := Run(p, 8, Options{Seed: 9, Engine: EngineSparse, Detector: EdgeQuiescenceDetector(), MaxSteps: 1 << 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +195,12 @@ func TestFastEdgeQuiescenceGate(t *testing.T) {
 	}
 }
 
-// TestFastStepsLawMatchesBaseline compares the distribution of the
+// TestIndexedStepsLawMatchesBaseline compares the distribution of the
 // detection step across many seeds on a workload with a non-trivial
 // ineffective fraction: the two engines must agree in the mean within
 // standard-error bounds (they are deterministic per seed but follow
 // different sample paths, so only the law is comparable).
-func TestFastStepsLawMatchesBaseline(t *testing.T) {
+func TestIndexedStepsLawMatchesBaseline(t *testing.T) {
 	t.Parallel()
 	p, det := epidemicProtocol()
 	const n, trials = 16, 300
@@ -229,10 +223,10 @@ func TestFastStepsLawMatchesBaseline(t *testing.T) {
 		return mean, math.Sqrt(variance / trials)
 	}
 	mb, sb := moments(EngineBaseline)
-	mf, sf := moments(EngineFast)
-	if diff, bound := math.Abs(mb-mf), 5*math.Hypot(sb, sf); diff > bound {
-		t.Fatalf("mean detection step diverged: baseline %.1f±%.1f vs fast %.1f±%.1f (|Δ|=%.1f > %.1f)",
-			mb, sb, mf, sf, diff, bound)
+	ms, ss := moments(EngineSparse)
+	if diff, bound := math.Abs(mb-ms), 5*math.Hypot(sb, ss); diff > bound {
+		t.Fatalf("mean detection step diverged: baseline %.1f±%.1f vs sparse %.1f±%.1f (|Δ|=%.1f > %.1f)",
+			mb, sb, ms, ss, diff, bound)
 	}
 }
 

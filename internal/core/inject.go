@@ -30,17 +30,15 @@ type Injector interface {
 }
 
 // Mutator applies out-of-band configuration mutations on behalf of an
-// Injector, keeping whatever incremental index the running engine
-// maintains synchronized: the fast engine's PairIndex, or the
+// Injector, keeping the running engine's index synchronized: the
 // state-class census index that the sparse engine and the batch
 // engine's exact route share (a batch run with an injector always
 // takes the exact route). Updates are incremental, never rebuilds: a
-// node write costs O(n) on the fast path and O(deg + |Q|) on the
-// census path, an edge write O(1) on both; the baseline path carries
-// no index and pays nothing.
+// node write costs O(deg + |Q|), an edge write O(1); the baseline path
+// carries no index and pays nothing.
 type Mutator struct {
 	cfg *Config
-	ix  pairSampler // nil on the baseline path
+	ix  *batchIndex // nil on the baseline path
 
 	// events and ev are the run's event sink and scratch record (both
 	// nil when no sink is attached); step is the engine's current step,

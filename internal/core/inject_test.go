@@ -17,11 +17,9 @@ func injProtocol() *Protocol {
 }
 
 // TestMutatorKeepsIndicesConsistent fuzzes out-of-band node and edge
-// writes through a Mutator against both incremental indices — the
-// dense PairIndex and the state-class census, on both edge stores —
-// and checks them after every mutation, the PairIndex against a
-// rebuild from scratch and the census against brute force: the
-// invariant fault injection relies on.
+// writes through a Mutator against the state-class census, on both
+// edge stores, and checks the census against brute force after every
+// mutation: the invariant fault injection relies on.
 func TestMutatorKeepsIndicesConsistent(t *testing.T) {
 	t.Parallel()
 	const n = 14
@@ -31,49 +29,17 @@ func TestMutatorKeepsIndicesConsistent(t *testing.T) {
 		if sparse {
 			cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
 		}
-		ix := NewPairIndex(cfg)
 		bi := newBatchIndex(cfg)
-		pairMut := &Mutator{cfg: cfg, ix: ix}
+		mut := &Mutator{cfg: cfg, ix: bi}
 		rng := NewRNG(42)
-
-		check := func(step int) {
-			t.Helper()
-			fresh := NewPairIndex(cfg)
-			if ix.Enabled() != fresh.Enabled() || ix.EdgeEnabled() != fresh.EdgeEnabled() {
-				t.Fatalf("sparse=%v op %d: PairIndex counters (%d, %d) diverge from rebuild (%d, %d)",
-					sparse, step, ix.Enabled(), ix.EdgeEnabled(), fresh.Enabled(), fresh.EdgeEnabled())
-			}
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					if ix.Contains(u, v) != fresh.Contains(u, v) {
-						t.Fatalf("sparse=%v op %d: PairIndex membership of {%d,%d} diverges", sparse, step, u, v)
-					}
-				}
-			}
-			verifyBatchIndex(t, bi, cfg)
-		}
-
 		for op := 0; op < 400; op++ {
-			// The mutator applies each write to cfg and the PairIndex;
-			// the census hears about it directly, exactly as its own
-			// mutator would tell it.
 			if rng.Coin() {
-				u := rng.IntN(n)
-				s := State(rng.IntN(p.Size()))
-				before := cfg.Node(u)
-				pairMut.SetNode(u, s)
-				if before != s {
-					bi.nodeChanged(u, before)
-				}
+				mut.SetNode(rng.IntN(n), State(rng.IntN(p.Size())))
 			} else {
 				u, v := rng.Pair(n)
-				active := rng.Coin()
-				if cfg.Edge(u, v) != active {
-					pairMut.SetEdge(u, v, active)
-					bi.edgeChanged(u, v)
-				}
+				mut.SetEdge(u, v, rng.Coin())
 			}
-			check(op)
+			verifyBatchIndex(t, bi, cfg)
 		}
 	}
 }
@@ -105,7 +71,7 @@ func (s *scriptInjector) Inject(step int64, m *Mutator) {
 
 // TestInjectorFiresAtSameStepsOnEveryEngine pins the step-positional
 // contract: a fixed event schedule fires at identical steps on the
-// baseline, fast and sparse paths, and events at or beyond MaxSteps
+// baseline and sparse paths, and events at or beyond MaxSteps
 // never fire.
 func TestInjectorFiresAtSameStepsOnEveryEngine(t *testing.T) {
 	t.Parallel()
@@ -118,7 +84,7 @@ func TestInjectorFiresAtSameStepsOnEveryEngine(t *testing.T) {
 	})
 	never := Detector{Trigger: TriggerInterval, Stable: func(*Config) bool { return false }}
 	const maxSteps = 500
-	for _, engine := range []Engine{EngineBaseline, EngineFast, EngineSparse} {
+	for _, engine := range []Engine{EngineBaseline, EngineSparse} {
 		inj := &scriptInjector{
 			events: []int64{10, 100, 499, 500, 600},
 			act: func(step int64, m *Mutator) {
@@ -161,7 +127,7 @@ func TestInjectorMutationsVisibleToRun(t *testing.T) {
 	p := MustProtocol("oneshot", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
-	for _, engine := range []Engine{EngineBaseline, EngineFast, EngineSparse} {
+	for _, engine := range []Engine{EngineBaseline, EngineSparse} {
 		resurrected := false
 		inj := &scriptInjector{events: []int64{25}}
 		inj.act = func(_ int64, m *Mutator) {

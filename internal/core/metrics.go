@@ -3,8 +3,7 @@ package core
 // Metrics is the per-run engine telemetry attached to every Result.
 // All fields except WallNS are deterministic in (protocol, n, seed,
 // scheduler, engine, faults) and independent of workspace reuse —
-// except the setup counters (IndexBuilds, SnapshotRestores,
-// WorkspaceResets), which by design describe how this particular run's
+// except the setup counters (IndexBuilds, WorkspaceResets), which by design describe how this particular run's
 // state was prepared. The counters are plain increments on paths the
 // engines already execute, so maintaining them costs no extra branches
 // in the hot loops and nothing scales with n.
@@ -28,18 +27,15 @@ type Metrics struct {
 	// (including O(1) gate evaluations on the indexed paths).
 	DetectorChecks int64 `json:"detector_checks,omitempty"`
 
-	// IndexBuilds counts full engine-index constructions this run paid
-	// (the O(n²) PairIndex scan or the O(n + m + |Q|²) state-class
-	// census build); SnapshotRestores counts the times the workspace's
-	// start-state snapshot replaced that scan with memcpys. Baseline
-	// runs carry no index and report zero for both.
-	IndexBuilds      int64 `json:"index_builds,omitempty"`
-	SnapshotRestores int64 `json:"snapshot_restores,omitempty"`
+	// IndexBuilds counts the O(n + m + |Q|²) state-class census builds
+	// this run paid (fresh or in place in a workspace). Baseline runs
+	// carry no index and report zero.
+	IndexBuilds int64 `json:"index_builds,omitempty"`
 
 	// SampleRejections counts rejected candidate draws in the sparse
 	// engine's class-internal rejection sampling; SampleFallbacks
 	// counts the exact-walk fallbacks taken when active edges saturate
-	// a class. Zero on the baseline and fast paths.
+	// a class. Zero on the baseline path.
 	SampleRejections int64 `json:"sample_rejections,omitempty"`
 	SampleFallbacks  int64 `json:"sample_fallbacks,omitempty"`
 

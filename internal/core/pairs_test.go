@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func TestPairIndexRoundTrip(t *testing.T) {
+func TestTriangularIndexRoundTrip(t *testing.T) {
 	t.Parallel()
 	for n := 2; n <= 40; n++ {
 		seen := make(map[int]bool, pairCount(n))
@@ -31,7 +31,7 @@ func TestPairIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPairIndexSymmetric(t *testing.T) {
+func TestTriangularIndexSymmetric(t *testing.T) {
 	t.Parallel()
 	f := func(a, b uint8) bool {
 		n := 50

@@ -59,7 +59,7 @@ func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Geometric returns the number of failures before the first success in
 // independent Bernoulli(p) trials, for p ∈ (0, 1] — the length of the
-// ineffective run the fast engine skips in one draw. It inverts the
+// ineffective run the indexed engines skip in one draw. It inverts the
 // geometric CDF on a single uniform draw: ⌊ln U / ln(1−p)⌋ with
 // U ∈ (0, 1]. Non-positive p (a success that can never happen) returns
 // a huge clamp the caller bounds by its step budget.

@@ -11,11 +11,10 @@ import (
 // bitset (n²/16 bytes — ≤ 1 MB at the threshold, and O(1) edge reads
 // for the hot dense-regime paths), larger ones switch to per-node
 // sorted adjacency sets whose memory is O(n + m) and whose operations
-// cost O(log deg) / O(deg). The threshold deliberately coincides with
-// maxAutoIndexNodes: below it the dense regime (bitset + PairIndex +
-// fast engine) is self-consistent, above it the sparse regime
-// (adjacency + state-class census + sparse and batch engines) is.
-const maxDenseEdgeNodes = maxAutoIndexNodes
+// cost O(log deg) / O(deg). Every engine runs on either store; the
+// batch engine's swap surgery and swap-run collapse walk adjacency
+// rows, so they engage only above the threshold.
+const maxDenseEdgeNodes = 1 << 12
 
 // edgeStore is the pluggable storage strategy behind Config's edge
 // set. Implementations store each undirected edge once and must treat
@@ -77,10 +76,31 @@ func (s *denseStore) set(u, v int, active bool) bool {
 }
 
 func (s *denseStore) neighbors(u int, dst []int) []int {
-	for v := 0; v < s.n; v++ {
-		if v != u && s.get(u, v) {
+	// The pairs {v, u} with v < u sit one per earlier row; the pairs
+	// {u, v} with v > u are row u, the contiguous bit range starting at
+	// pairIndex(n, u, u+1), scanned wordwise as in forEach.
+	for v := 0; v < u; v++ {
+		if s.bits.get(pairIndex(s.n, v, u)) {
 			dst = append(dst, v)
 		}
+	}
+	if u >= s.n-1 {
+		return dst
+	}
+	start := pairIndex(s.n, u, u+1)
+	end := start + s.n - u - 1
+	for i := start; i < end; {
+		w := s.bits[i>>6] >> (uint(i) & 63)
+		if w == 0 {
+			i += 64 - (i & 63)
+			continue
+		}
+		i += bits.TrailingZeros64(w)
+		if i >= end {
+			break
+		}
+		dst = append(dst, u+1+(i-start))
+		i++
 	}
 	return dst
 }

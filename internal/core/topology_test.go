@@ -209,7 +209,7 @@ func TestCompleteTopologyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineBaseline, EngineFast, EngineSparse, EngineBatch} {
+	for _, eng := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
 		topo, err := spec.Realize(24, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +280,7 @@ func TestRestrictedRunsKeepActiveWithinTopology(t *testing.T) {
 	t.Parallel()
 	p := matchingProtocol()
 	spec := &TopologySpec{Kind: TopoGnp, Param: 0.15}
-	for _, eng := range []Engine{EngineBaseline, EngineFast, EngineSparse, EngineBatch} {
+	for _, eng := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
 		topo, err := spec.Realize(32, 11)
 		if err != nil {
 			t.Fatal(err)
@@ -390,10 +390,11 @@ func TestQuiescentScanHonorsTopology(t *testing.T) {
 	}
 }
 
-// TestWorkspaceTopologySnapshotMiss checks that the workspace's dense-
-// index snapshot is keyed on the topology: alternating topologies
-// through one workspace must not leak one run's index into the next.
-func TestWorkspaceTopologySnapshotMiss(t *testing.T) {
+// TestWorkspaceAcrossTopologies checks that the workspace's census
+// index rebuilds its permitted-pair census per run: alternating
+// topologies through one workspace must not leak one run's index into
+// the next.
+func TestWorkspaceAcrossTopologies(t *testing.T) {
 	t.Parallel()
 	p := matchingProtocol()
 	ws := NewWorkspace()
@@ -403,7 +404,7 @@ func TestWorkspaceTopologySnapshotMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(p, 16, Options{Seed: seed, Engine: EngineFast, Detector: QuiescenceDetector(), Topology: topo})
+		fresh, err := Run(p, 16, Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +412,7 @@ func TestWorkspaceTopologySnapshotMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := Run(p, 16, Options{Seed: seed, Engine: EngineFast, Detector: QuiescenceDetector(), Topology: topo2, Workspace: ws})
+		reused, err := Run(p, 16, Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topo2, Workspace: ws})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestWeightedSchedulerEngineSelection(t *testing.T) {
 	if !res.Converged || res.Engine != EngineBaseline {
 		t.Fatalf("weighted run: %+v, want converged on the baseline engine", res)
 	}
-	for _, engine := range []Engine{EngineFast, EngineSparse} {
+	for _, engine := range []Engine{EngineSparse, EngineBatch} {
 		if _, err := Run(p, 24, Options{Seed: 1, Scheduler: &WeightedScheduler{}, Engine: engine}); err == nil {
 			t.Fatalf("engine %s accepted a non-uniform scheduler", engine)
 		}

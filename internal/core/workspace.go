@@ -1,14 +1,14 @@
 package core
 
 // Workspace owns the reusable scratch state of repeated runs: the
-// configuration (node-state slice plus either edge store), the dense
-// PairIndex, the state-class census index, and the RNG. A campaign
+// configuration (node-state slice plus either edge store), the
+// state-class census index, and the RNG. A campaign
 // worker keeps one workspace for its whole job stream and passes it
 // through Options.Workspace; every trial after the first then runs
 // without per-trial allocation — the backing arrays are reset in place instead
 // of reallocated, which is what lets campaign throughput stop scaling
-// with setup cost (at n = 4096 a fresh trial otherwise churns ~100 MB
-// of index plus a 1 MB edge bitset through the allocator).
+// with setup cost (at n = 4096 a fresh trial otherwise churns a 1 MB
+// edge bitset plus the index's per-node arrays through the allocator).
 //
 // Reuse preserves determinism exactly: every reset path rebuilds the
 // same bytes a fresh build would produce (same scan orders, same RNG
@@ -25,33 +25,15 @@ package core
 // A Workspace is not safe for concurrent use: one per goroutine.
 type Workspace struct {
 	cfg   *Config
-	pair  *PairIndex
 	batch *batchIndex
 	rng   *RNG
 
 	// resets counts the in-place component reuses (configuration
-	// reset/copy, RNG reseed, index reset or snapshot restore) performed
-	// so far; Run reports the per-run delta as
-	// Result.Metrics.WorkspaceResets. A fresh build of a component does
-	// not count — the steady state of a campaign worker is three resets
-	// per trial and zero allocations.
+	// reset/copy, RNG reseed, index reset) performed so far; Run reports
+	// the per-run delta as Result.Metrics.WorkspaceResets. A fresh build
+	// of a component does not count — the steady state of a campaign
+	// worker is three resets per trial and zero allocations.
 	resets int64
-
-	// Start-state snapshot of the dense index, captured whenever the
-	// index is (re)built by full scan for a run that starts from the
-	// default all-q0 configuration. Subsequent default-start runs of the
-	// same (protocol, n) restore it with three memcpys instead of the
-	// O(n²) rescan — the dominant saving of the steady-state campaign
-	// trial, since every trial of a point starts from the same
-	// configuration.
-	snapValid       bool
-	snapProto       *Protocol
-	snapN           int
-	snapTopo        *Topology
-	snapPos         []int32
-	snapList        []uint32
-	snapBits        bitset
-	snapEdgeEnabled int
 }
 
 // NewWorkspace returns an empty workspace; every piece is built lazily
@@ -93,43 +75,10 @@ func (ws *Workspace) rngFor(seed uint64) *RNG {
 	return ws.rng
 }
 
-// pairIndex returns the workspace's dense enabled-pair index rebound
-// to cfg, and whether it was restored from the start-state snapshot
-// rather than (re)built by full scan. defaultStart marks runs beginning
-// from the all-q0 initial configuration: those restore the captured
-// snapshot when it matches (memcpy instead of the O(n²) rescan) and
-// refresh the snapshot otherwise, so only the first trial of a point
-// pays the scan.
-func (ws *Workspace) pairIndex(cfg *Config, defaultStart bool) (*PairIndex, bool) {
-	if defaultStart && ws.snapValid && ws.snapProto == cfg.proto && ws.snapN == cfg.n && ws.snapTopo == cfg.topo && ws.pair != nil {
-		ws.resets++
-		ws.pair.restore(cfg, ws.snapPos, ws.snapList, ws.snapBits, ws.snapEdgeEnabled)
-		return ws.pair, true
-	}
-	if ws.pair == nil {
-		ws.pair = NewPairIndex(cfg)
-	} else {
-		ws.resets++
-		ws.pair.reset(cfg)
-	}
-	if defaultStart {
-		ws.snapValid = true
-		ws.snapProto = cfg.proto
-		ws.snapN = cfg.n
-		ws.snapTopo = cfg.topo
-		ws.snapPos = append(ws.snapPos[:0], ws.pair.pos...)
-		ws.snapList = append(ws.snapList[:0], ws.pair.list...)
-		ws.snapBits = append(ws.snapBits[:0], ws.pair.edgeBits...)
-		ws.snapEdgeEnabled = ws.pair.edgeEnabled
-	}
-	return ws.pair, false
-}
-
 // batchIndex returns the state-class census index the sparse and batch
 // engines run on, rebound to cfg: the workspace's, rebuilt in place,
-// or a fresh one when ws is nil. The rebuild is O(n + m + |Q|²) either
-// way, so no snapshot is kept — resetting is already cheap relative to
-// any run.
+// or a fresh one when ws is nil. Either way the build is
+// O(n + m + |Q|²).
 func (ws *Workspace) batchIndex(cfg *Config) *batchIndex {
 	if ws == nil {
 		return newBatchIndex(cfg)

@@ -38,7 +38,7 @@ func keyOf(res Result) wsResultKey {
 func dirtyWorkspace(t *testing.T, ws *Workspace) {
 	t.Helper()
 	p := injProtocol()
-	for _, engine := range []Engine{EngineFast, EngineSparse, EngineBatch, EngineBaseline} {
+	for _, engine := range []Engine{EngineSparse, EngineBatch, EngineBaseline} {
 		_, err := Run(p, 9, Options{
 			Seed:      99,
 			Engine:    engine,
@@ -56,7 +56,7 @@ func dirtyWorkspace(t *testing.T, ws *Workspace) {
 // a reused (and deliberately dirtied) workspace is bit-identical —
 // full Result plus final-configuration fingerprint — to a
 // fresh-allocation run with the same (protocol, n, seed, engine), on
-// all three engines, for default and caller-supplied initial
+// every engine, for default and caller-supplied initial
 // configurations, and under an injected fault sequence.
 func TestWorkspaceBitIdentical(t *testing.T) {
 	t.Parallel()
@@ -94,7 +94,7 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			for _, engine := range []Engine{EngineBaseline, EngineFast, EngineSparse, EngineBatch} {
+			for _, engine := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
 				opts := Options{Seed: 7, Engine: engine, Detector: tc.det, MaxSteps: tc.maxSteps}
 				if tc.initial != nil {
 					opts.Initial = tc.initial(tc.proto, tc.n)
@@ -111,9 +111,9 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 				ws := NewWorkspace()
 				dirtyWorkspace(t, ws)
 				opts.Workspace = ws
-				// Two reused runs: the first rebuilds the workspace by
-				// rescan, the second exercises the snapshot-restore fast
-				// path (default starts) or a second in-place reset.
+				// Two reused runs: the first resets the dirtied
+				// workspace, the second resets it after a run of the same
+				// case.
 				for round := 1; round <= 2; round++ {
 					if tc.injector != nil {
 						opts.Injector = tc.injector() // injectors are stateful: fresh per run
@@ -173,7 +173,7 @@ func TestWorkspaceFinalSurvivesAsNextInitial(t *testing.T) {
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	p, det := epidemicProtocol()
 	initial := seededInitial(p, 96)
-	for _, engine := range []Engine{EngineBaseline, EngineFast, EngineSparse, EngineBatch} {
+	for _, engine := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
 		ws := NewWorkspace()
 		seed := uint64(1)
 		run := func() {

@@ -268,8 +268,8 @@ func TestCCliquesStableMatchesReference(t *testing.T) {
 }
 
 // TestCCliquesStableOnTrajectories: on real runs the predicate agrees
-// with the reference after every effective step, on the fast and the
-// sparse engine.
+// with the reference after every effective step, on the sparse and the
+// batch engine.
 func TestCCliquesStableOnTrajectories(t *testing.T) {
 	t.Parallel()
 	for c := 2; c <= 4; c++ {
@@ -277,7 +277,7 @@ func TestCCliquesStableOnTrajectories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []core.Engine{core.EngineFast, core.EngineSparse} {
+		for _, engine := range []core.Engine{core.EngineSparse, core.EngineBatch} {
 			for n := c; n <= 3*c+2; n++ {
 				checks := 0
 				det := core.Detector{

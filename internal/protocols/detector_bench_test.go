@@ -12,7 +12,7 @@ var detectorVerdict bool
 
 // BenchmarkDetectorStable prices one Stable call of every registry
 // detector, the per-layer cost a TriggerEffective detector adds to each
-// effective step. Each protocol runs once on the fast engine to
+// effective step. Each protocol runs once on the sparse engine to
 // convergence; the state=stable row evaluates the final configuration
 // (the predicate's full, accepting path) and the state=near row the
 // configuration just before the detecting step (the last one it
@@ -21,7 +21,7 @@ func BenchmarkDetectorStable(b *testing.B) {
 	for _, name := range Names() {
 		cons, _ := Lookup(name)
 		for _, n := range []int{12, 24} {
-			opts := core.Options{Seed: 1, Engine: core.EngineFast, Detector: cons.Detector}
+			opts := core.Options{Seed: 1, Engine: core.EngineSparse, Detector: cons.Detector}
 			if name == "degree-doubling" {
 				initial, err := DegreeDoublingInitial(cons.Proto, n)
 				if err != nil {

@@ -1,9 +1,9 @@
-// Package scenario is the fault-injection layer on top of the three
+// Package scenario is the fault-injection layer on top of the
 // execution engines: declarative fault plans — crash faults,
 // adversarial edge deletions and state resets, each triggered by step
 // schedules or per-step rates — compile into core.Injector event
-// sources that fire at identical step positions on the baseline, fast
-// and sparse paths. Together with the alternative schedulers in
+// sources that fire at identical step positions on the baseline and
+// indexed paths. Together with the alternative schedulers in
 // internal/core it opens the workload class studied by the
 // fault-tolerant network constructor literature (Michail, Spirakis &
 // Theofilatos 2019): what do the paper's protocols build when nodes
@@ -208,8 +208,8 @@ const CrashStateName = "dead"
 //
 // This is what makes crash faults compose with every engine through
 // ordinary incremental index updates: a crash is "incident edges off,
-// node state := sink", and both PairIndex and the state-class census
-// index already know how to absorb state writes — pairs touching the sink simply never
+// node state := sink", and the state-class census index already knows
+// how to absorb state writes — pairs touching the sink simply never
 // enable again.
 func Crashable(p *core.Protocol) (*core.Protocol, core.State, error) {
 	states := append(p.States(), CrashStateName)

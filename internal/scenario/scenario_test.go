@@ -113,7 +113,7 @@ func TestCrashPlanAllEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := core.State(c.Proto.Size())
-	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineFast, core.EngineSparse} {
+	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			inj := prepared.NewInjection(seed)
 			res, err := core.Run(prepared.Proto, 16, core.Options{

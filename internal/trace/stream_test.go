@@ -47,7 +47,7 @@ func TestNDJSONReplayRecoversFinalConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []core.Engine{core.EngineBaseline, core.EngineFast, core.EngineSparse} {
+	for _, eng := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
 		stream, res := traceRun(t, prepared.Proto, 24, core.Options{
 			Seed:     6,
 			Engine:   eng,
@@ -78,7 +78,7 @@ func TestNDJSONReplayRecoversFinalConfig(t *testing.T) {
 func TestNDJSONByteIdentical(t *testing.T) {
 	t.Parallel()
 	c := protocols.GlobalStar()
-	opts := core.Options{Seed: 2, Engine: core.EngineFast, Detector: c.Detector}
+	opts := core.Options{Seed: 2, Engine: core.EngineSparse, Detector: c.Detector}
 	a, _ := traceRun(t, c.Proto, 16, opts)
 	b, _ := traceRun(t, c.Proto, 16, opts)
 	if !bytes.Equal(a, b) {
@@ -92,7 +92,7 @@ func TestNDJSONByteIdentical(t *testing.T) {
 // (and bump SchemaVersion if the change is incompatible).
 func TestNDJSONGoldenSchema(t *testing.T) {
 	c := protocols.GlobalStar()
-	stream, res := traceRun(t, c.Proto, 8, core.Options{Seed: 1, Engine: core.EngineFast, Detector: c.Detector})
+	stream, res := traceRun(t, c.Proto, 8, core.Options{Seed: 1, Engine: core.EngineSparse, Detector: c.Detector})
 	if !res.Converged {
 		t.Fatal("golden run did not converge")
 	}

@@ -33,14 +33,14 @@ func TestRecorderCapturesRun(t *testing.T) {
 	}
 }
 
-// TestRecorderOnEventStream pins the Recorder on the fast engine, whose
+// TestRecorderOnEventStream pins the Recorder on the sparse engine, whose
 // stream interleaves skip batches with the step events: the run-end
 // event must record the terminal configuration at the run's last step.
 func TestRecorderOnEventStream(t *testing.T) {
 	t.Parallel()
 	c := protocols.GlobalStar()
 	rec := NewRecorder(64)
-	res, err := core.Run(c.Proto, 20, core.Options{Seed: 1, Engine: core.EngineFast, Detector: c.Detector, Events: rec})
+	res, err := core.Run(c.Proto, 20, core.Options{Seed: 1, Engine: core.EngineSparse, Detector: c.Detector, Events: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

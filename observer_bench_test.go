@@ -38,7 +38,6 @@ func BenchmarkObserverOff(b *testing.B) {
 			BaseSeed: 1,
 			Proto:    cc.Proto,
 			Detector: cc.Detector,
-			Engine:   core.EngineFast,
 			// Same fixed budget as BenchmarkCampaignThroughput: the
 			// trials stay in the setup-dominated steady state and the
 			// deterministic cut keeps rows comparable.
@@ -69,7 +68,7 @@ func BenchmarkEventStream(b *testing.B) {
 	run := func(b *testing.B, events core.EventSink) core.Result {
 		res, err := core.Run(c.Proto, 128, core.Options{
 			Seed:      1,
-			Engine:    core.EngineFast,
+			Engine:    core.EngineSparse,
 			Detector:  c.Detector,
 			Workspace: ws,
 			Events:    events,
