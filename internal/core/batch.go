@@ -494,7 +494,7 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 					u, v = orient(u, v, rng)
 				}
 			} else {
-				u, v = ix.sampleNonEdge(id/ix.q, id%ix.q, rng)
+				u, v = ix.sampleNonEdge(id, rng)
 			}
 		} else {
 			u, v = ix.Sample(rng)

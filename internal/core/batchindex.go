@@ -124,6 +124,8 @@ type batchIndex struct {
 	edgeEnabled int64
 
 	effMask []uint8
+	// classRow[id] is the first state of class id (id / |Q|).
+	classRow []int32
 	// live lists, ascending, the class ids with effMask ≠ 0 — the only
 	// classes whose weights can be nonzero, so the only ones Sample
 	// needs to walk.
@@ -206,6 +208,10 @@ func (bi *batchIndex) reset(cfg *Config) {
 		bi.w = make([]int64, 2*q*q)
 		bi.we = make([]int64, 2*q*q)
 		bi.effMask = make([]uint8, q*q)
+		bi.classRow = make([]int32, q*q)
+		for id := range bi.classRow {
+			bi.classRow[id] = int32(id / q)
+		}
 		bi.listed = make([]bool, q*q)
 		bi.swapCell = make([]bool, q*q)
 		bi.swapOut = make([]bool, q*q)
@@ -262,10 +268,8 @@ func (bi *batchIndex) reset(cfg *Config) {
 	cfg.store.forEach(func(u, v int) {
 		bi.addEdge(u, v, bi.classID(cfg.nodes[u], cfg.nodes[v]))
 	})
-	for a := 0; a < q; a++ {
-		for b := a; b < q; b++ {
-			bi.reweigh(a, b)
-		}
+	for _, id := range bi.live {
+		bi.reweigh(int(id))
 	}
 	// The build's reweighs bump gen; a fresh index starts a fresh
 	// census history.
@@ -357,6 +361,13 @@ func (bi *batchIndex) rebuildMasks() {
 			}
 		}
 	}
+}
+
+// classStates inverts classID through the classRow table: reweigh and
+// Sample run it per landing, where a division would dominate them.
+func (bi *batchIndex) classStates(id int) (a, b int) {
+	a = int(bi.classRow[id])
+	return a, id - a*bi.q
 }
 
 func (bi *batchIndex) classID(a, b State) int {
@@ -515,8 +526,8 @@ func (bi *batchIndex) movePairsOf(u int, from, to State, skip int) {
 // reweigh recomputes one class's cached weights from the current
 // counts and edge buckets, folding deltas into the totals and bumping
 // gen iff some cached value actually changed. Idempotent.
-func (bi *batchIndex) reweigh(a, b int) {
-	id := a*bi.q + b
+func (bi *batchIndex) reweigh(id int) {
+	a, b := bi.classStates(id)
 	mask := bi.effMask[id]
 	var pairs int64
 	switch {
@@ -577,7 +588,7 @@ func (bi *batchIndex) markState(s State) {
 
 func (bi *batchIndex) flushDirty() {
 	for _, id := range bi.dirty {
-		bi.reweigh(int(id)/bi.q, int(id)%bi.q)
+		bi.reweigh(int(id))
 	}
 	bi.dirty = bi.dirty[:0]
 }
@@ -686,7 +697,7 @@ func (bi *batchIndex) edgeChanged(u, v int) {
 	} else {
 		bi.dropEdge(u, v, id)
 	}
-	bi.reweigh(id/bi.q, id%bi.q)
+	bi.reweigh(id)
 }
 
 // applySwap is the index side of batchLoop's swap kernel: the caller
@@ -799,32 +810,18 @@ func (bi *batchIndex) listEdgeAt(a, b, id int, slot int32) {
 // old and new classes no rule reads is skipped: dropEdge, addEdge and
 // markDirty would all leave it untouched.
 func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
-	cfg := bi.cfg
+	nodes := bi.cfg.nodes
+	effMask := bi.effMask
 	if bi.sp != nil {
-		// Hot path: hoisted classID arithmetic and a fused mask check
-		// so moves through the inert bulk (neither class read by any
-		// rule) cost one masked load per neighbor.
-		nodes := cfg.nodes
-		effMask := bi.effMask
-		q := bi.q
-		rb, ra := int(before)*q, int(after)*q
+		// Hot path: the fused mask check makes a move through the inert
+		// bulk (neither class read by any rule) cost one masked load per
+		// neighbor.
 		for _, x32 := range bi.sp.adj[u] {
 			x := int(x32)
 			if x == v {
 				continue
 			}
-			sx := int(nodes[x])
-			var from, to int
-			if sx >= int(before) {
-				from = rb + sx
-			} else {
-				from = sx*q + int(before)
-			}
-			if sx >= int(after) {
-				to = ra + sx
-			} else {
-				to = sx*q + int(after)
-			}
+			from, to := bi.classIDs(nodes[x], before, after)
 			if effMask[from]|effMask[to] == 0 {
 				continue
 			}
@@ -835,18 +832,42 @@ func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
 		}
 		return
 	}
-	bi.nbuf = cfg.store.neighbors(u, bi.nbuf[:0])
+	// Listing u's neighbours costs O(n) on the dense store; skip it when
+	// u has none besides v.
+	if d := bi.cfg.degree[u]; d == 0 || d == 1 && v >= 0 && bi.cfg.store.get(u, v) {
+		return
+	}
+	bi.nbuf = bi.cfg.store.neighbors(u, bi.nbuf[:0])
 	for _, x := range bi.nbuf {
 		if x == v {
 			continue
 		}
-		sx := cfg.nodes[x]
-		from, to := bi.classID(before, sx), bi.classID(after, sx)
-		if bi.effMask[from]|bi.effMask[to] == 0 {
+		from, to := bi.classIDs(nodes[x], before, after)
+		if effMask[from]|effMask[to] == 0 {
 			continue
 		}
-		bi.moveEdge(u, x, from, to)
+		bi.dropEdge(u, x, from)
+		bi.addEdge(u, x, to)
+		bi.markDirty(from)
+		bi.markDirty(to)
 	}
+}
+
+// classIDs returns the classes {before, sx} and {after, sx}: classID
+// for two states sharing one endpoint.
+func (bi *batchIndex) classIDs(sx, before, after State) (from, to int) {
+	q, s := bi.q, int(sx)
+	if s >= int(before) {
+		from = int(before)*q + s
+	} else {
+		from = s*q + int(before)
+	}
+	if s >= int(after) {
+		to = int(after)*q + s
+	} else {
+		to = s*q + int(after)
+	}
+	return from, to
 }
 
 // Sample returns a uniformly random enabled pair in random orientation
@@ -860,7 +881,7 @@ func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
 	for _, id32 := range bi.live {
 		id := int(id32)
 		if w := bi.w[2*id]; r < w {
-			return bi.sampleNonEdge(id/bi.q, id%bi.q, rng)
+			return bi.sampleNonEdge(id, rng)
 		} else {
 			r -= w
 		}
@@ -874,17 +895,18 @@ func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
 	panic("core: batchIndex class weights inconsistent with total")
 }
 
-// sampleNonEdge draws a uniformly random non-edge pair within the
-// class {a, b}: rejection from the per-state node lists (or, under a
+// sampleNonEdge draws a uniformly random non-edge pair within class
+// id = {a, b}: rejection from the per-state node lists (or, under a
 // topology, from the class's permitted-pair list), expected O(1) while
 // non-edges dominate the class, falling back to an exact counted walk
 // when active edges saturate it — the walk is O(P(a,b)) =
 // O(A/(1−acceptance)) and A is bounded by the edge count, so the
 // amortized cost stays O(m)-bounded.
-func (bi *batchIndex) sampleNonEdge(a, b int, rng *RNG) (int, int) {
+func (bi *batchIndex) sampleNonEdge(id int, rng *RNG) (int, int) {
 	if bi.topo != nil {
-		return bi.sampleNonEdgeTopo(a*bi.q+b, rng)
+		return bi.sampleNonEdgeTopo(id, rng)
 	}
+	a, b := bi.classStates(id)
 	store := bi.cfg.store
 	la, lb := bi.byState[a], bi.byState[b]
 	diag := a == b
@@ -916,7 +938,7 @@ func (bi *batchIndex) sampleNonEdge(a, b int, rng *RNG) (int, int) {
 	} else {
 		pairs = int64(len(la)) * int64(len(lb))
 	}
-	t := rng.Int64N(pairs - bi.edgeCount[a*bi.q+b])
+	t := rng.Int64N(pairs - bi.edgeCount[id])
 	for i := 0; i < len(la); i++ {
 		j0 := 0
 		if diag {

@@ -114,8 +114,9 @@ func runSparse(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 }
 
 // runIndexed is the exact indexed loop behind EngineSparse and the
-// batch engine's exact route. It reproduces the law of the baseline loop under the uniform
-// scheduler without simulating the ineffective steps:
+// batch engine's exact route. It reproduces the law of the baseline
+// loop under the uniform scheduler without simulating the ineffective
+// steps:
 //
 //   - each scheduler draw hits an enabled pair with probability
 //     m/|E_I| (m enabled pairs of n(n−1)/2), independently per step, so

@@ -76,13 +76,15 @@ func (s *denseStore) set(u, v int, active bool) bool {
 }
 
 func (s *denseStore) neighbors(u int, dst []int) []int {
-	// The pairs {v, u} with v < u sit one per earlier row; the pairs
-	// {u, v} with v > u are row u, the contiguous bit range starting at
-	// pairIndex(n, u, u+1), scanned wordwise as in forEach.
-	for v := 0; v < u; v++ {
-		if s.bits.get(pairIndex(s.n, v, u)) {
+	// The pairs {v, u} with v < u sit one per earlier row, n−2−v bits
+	// apart; the pairs {u, v} with v > u are row u, the contiguous bit
+	// range starting at pairIndex(n, u, u+1), scanned wordwise as in
+	// forEach.
+	for v, i := 0, u-1; v < u; v++ {
+		if s.bits.get(i) {
 			dst = append(dst, v)
 		}
+		i += s.n - 2 - v
 	}
 	if u >= s.n-1 {
 		return dst
