@@ -19,10 +19,11 @@ package netcons_test
 //
 // Run it with:
 //
-//	go test -run '^$' -bench BenchmarkBatchVsSparse -benchtime 1x -benchmem
+//	./scripts/bench.sh batch
 //
-// CI runs exactly that and uploads the test2json stream as
-// BENCH_batch.json.
+// which runs five samples per row (-benchtime 1x -count 5) and writes
+// the test2json stream to BENCH_batch.json; CI guards the median
+// n=65536 speedup.
 
 import (
 	"fmt"

@@ -1,24 +1,29 @@
 #!/usr/bin/env bash
 # Regenerates the tracked benchmark artifacts — BENCH_batch.json,
-# BENCH_campaign.json, BENCH_topology.json, BENCH_observer.json,
-# BENCH_detector.json — with the pinned -benchtime each suite is
+# BENCH_engine.json, BENCH_campaign.json, BENCH_topology.json,
+# BENCH_observer.json, BENCH_detector.json — with the pinned -benchtime
+# (and, for the repeated-sample suites, -count) each suite is
 # calibrated for. CI runs this script per suite and uploads the files;
 # run it locally (optionally with a subset of suite names) to reproduce
-# the numbers quoted in ARCHITECTURE.md and EXPERIMENTS.md. The -benchtime pins are part of
-# the artifact contract: trend comparisons across commits assume every
-# row was measured with the same iteration count.
+# the numbers quoted in ARCHITECTURE.md and EXPERIMENTS.md. The pins
+# are part of the artifact contract: trend comparisons across commits
+# assume every row was measured with the same iteration count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 suites="$*"
 if [ -z "$suites" ]; then
-  suites="batch campaign topology observer detector"
+  suites="batch engine campaign topology observer detector"
 fi
 
 for suite in $suites; do
   case "$suite" in
     batch)
-      go test -run '^$' -bench BenchmarkBatchVsSparse -benchtime 1x -benchmem -json . | tee BENCH_batch.json
+      # Five samples: the CI guard reads the median n=65536 speedup.
+      go test -run '^$' -bench BenchmarkBatchVsSparse -benchtime 1x -count 5 -benchmem -json . | tee BENCH_batch.json
+      ;;
+    engine)
+      go test -run '^$' -bench BenchmarkSparseVsBaseline -benchtime 1x -count 5 -benchmem -json . | tee BENCH_engine.json
       ;;
     campaign)
       go test -run '^$' -bench BenchmarkCampaignThroughput -benchtime 3x -benchmem -json . | tee BENCH_campaign.json
@@ -35,7 +40,7 @@ for suite in $suites; do
       go test -run '^$' -bench BenchmarkDetectorStable -benchtime 20000x -count 5 -benchmem -json ./internal/protocols | tee BENCH_detector.json
       ;;
     *)
-      echo "unknown suite: $suite (want batch, campaign, topology, observer, detector)" >&2
+      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector)" >&2
       exit 2
       ;;
   esac
