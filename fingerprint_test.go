@@ -230,6 +230,24 @@ func fingerprintRun(t *testing.T, c fingerprintCase, engine core.Engine, ws *cor
 	return res
 }
 
+// committedFingerprints reads the committed table, keyed by case name.
+func committedFingerprints(t *testing.T) map[string]fingerprintRow {
+	t.Helper()
+	data, err := os.ReadFile(fingerprintFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []fingerprintRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]fingerprintRow, len(rows))
+	for _, r := range rows {
+		want[r.Case] = r
+	}
+	return want
+}
+
 type nopSink struct{}
 
 func (nopSink) Event(*core.Event) {}
@@ -252,18 +270,7 @@ func TestExactRouteFingerprints(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(fingerprintFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []fingerprintRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]fingerprintRow, len(rows))
-	for _, r := range rows {
-		want[r.Case] = r
-	}
+	want := committedFingerprints(t)
 	if len(want) != len(cases) {
 		t.Fatalf("%s holds %d rows, the test defines %d cases", fingerprintFile, len(want), len(cases))
 	}
@@ -290,6 +297,38 @@ func TestExactRouteFingerprints(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestFastRouteFingerprints pins the "fast" engine name — the retired
+// dense-index engine's, kept so old specs, flags, checkpoints and
+// traces still parse — to the exact route: on the paper-sweep grid the
+// dense engine served, ParseEngine("fast") must reproduce the committed
+// EngineSparse rows bit for bit, fresh and through one workspace reused
+// by every case in table order.
+func TestFastRouteFingerprints(t *testing.T) {
+	engine, err := core.ParseEngine("fast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := committedFingerprints(t)
+	ws := core.NewWorkspace()
+	for _, c := range paperSweepCases(t) {
+		row, ok := want[c.name]
+		if !ok {
+			t.Fatalf("case %s has no committed row", c.name)
+		}
+		for _, mode := range []string{"fresh", "workspace"} {
+			var w *core.Workspace
+			if mode == "workspace" {
+				w = ws
+			}
+			t.Run(c.name+"/engine=fast/"+mode, func(t *testing.T) {
+				if got := fingerprintOf(c.name, fingerprintRun(t, c, engine, w)); got != row {
+					t.Fatalf("fingerprint diverged from the committed table:\ngot  %+v\nwant %+v", got, row)
+				}
+			})
 		}
 	}
 }

@@ -34,12 +34,16 @@ func resumePoints(eng core.Engine, metric Metric) []Point {
 // TestResumeBitIdentical is the tentpole acceptance: interrupt a
 // checkpointed campaign mid-flight, resume it in a fresh Execute, and
 // the merged outcome must be bit-identical to an uninterrupted run —
-// for every engine.
+// for every engine name a spec or checkpoint may carry ("fast", the
+// retired dense-index engine's, parses as sparse).
 func TestResumeBitIdentical(t *testing.T) {
 	t.Parallel()
-	for _, eng := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
+	for _, name := range []string{"baseline", "fast", "sparse", "batch"} {
+		eng, err := core.ParseEngine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			base := Options{Workers: 3, KeepRuns: true, ShardTrials: 3}
 			ref, err := Execute(context.Background(), resumePoints(eng, nil), base)
