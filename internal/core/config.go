@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -299,19 +300,24 @@ func (c *Config) EdgeQuiescent() bool {
 	return true
 }
 
-// Fingerprint returns a canonical byte encoding of the configuration
-// (node states followed by the edge-set encoding), suitable as a map
-// key in exhaustive state-space exploration. Fingerprints are
-// comparable between configurations of the same population size (whose
-// storage kind, and therefore edge encoding, is identical).
+// Fingerprint returns a canonical byte encoding of the configuration,
+// suitable as a map key in exhaustive state-space exploration: one
+// byte per node state, then the active edges in ascending pair order,
+// each as the uvarint gap from the previous edge's triangular pair
+// index (pairIndex + 1 for the first). The encoding is injective among
+// configurations of one population size and costs O(n + m).
 func (c *Config) Fingerprint() string {
-	var sb strings.Builder
-	sb.Grow(len(c.nodes))
+	buf := make([]byte, 0, len(c.nodes)+2*c.activeEdges)
 	for _, s := range c.nodes {
-		sb.WriteByte(byte(s))
+		buf = append(buf, byte(s))
 	}
-	c.store.appendFingerprint(&sb)
-	return sb.String()
+	prev := -1
+	c.store.forEach(func(u, v int) {
+		idx := pairIndex(c.n, u, v)
+		buf = binary.AppendUvarint(buf, uint64(idx-prev))
+		prev = idx
+	})
+	return string(buf)
 }
 
 // String renders the configuration compactly for debugging: node states

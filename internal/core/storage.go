@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"sort"
-	"strings"
-)
+import "math/bits"
 
 // maxDenseEdgeNodes is the population threshold of the edge-storage
 // strategy: configurations up to this size keep the triangular edge
@@ -40,11 +36,6 @@ type edgeStore interface {
 	// population (the kind is a pure function of n, which callers match
 	// before copying); src may alias the receiver.
 	copyFrom(src edgeStore)
-	// appendFingerprint writes a canonical encoding of the edge set.
-	// Encodings are canonical per storage kind (a Config's kind is
-	// fixed by n at construction, so fingerprints of same-n configs
-	// are always comparable).
-	appendFingerprint(sb *strings.Builder)
 }
 
 // newEdgeStore picks the storage strategy for a population of n nodes.
@@ -145,15 +136,6 @@ func (s *denseStore) copyFrom(src edgeStore) {
 	copy(s.bits, src.(*denseStore).bits)
 }
 
-func (s *denseStore) appendFingerprint(sb *strings.Builder) {
-	sb.Grow(len(s.bits) * 8)
-	for _, w := range s.bits {
-		for shift := 0; shift < 64; shift += 8 {
-			sb.WriteByte(byte(w >> shift))
-		}
-	}
-}
-
 // sparseStore keeps per-node sorted adjacency sets: O(n + m) memory,
 // O(log deg) membership, O(deg) updates and neighbor listing.
 type sparseStore struct {
@@ -245,25 +227,5 @@ func (s *sparseStore) reset() {
 func (s *sparseStore) copyFrom(src edgeStore) {
 	for u, row := range src.(*sparseStore).adj {
 		s.adj[u] = append(s.adj[u][:0], row...)
-	}
-}
-
-func (s *sparseStore) appendFingerprint(sb *strings.Builder) {
-	// Per-node upper rows, length-prefixed so the encoding is
-	// self-delimiting: for each u, the count of neighbors v > u then
-	// the neighbor ids, all little-endian uint32.
-	writeU32 := func(x uint32) {
-		sb.WriteByte(byte(x))
-		sb.WriteByte(byte(x >> 8))
-		sb.WriteByte(byte(x >> 16))
-		sb.WriteByte(byte(x >> 24))
-	}
-	for u, row := range s.adj {
-		i := sort.Search(len(row), func(i int) bool { return row[i] > int32(u) })
-		upper := row[i:]
-		writeU32(uint32(len(upper)))
-		for _, v := range upper {
-			writeU32(uint32(v))
-		}
 	}
 }

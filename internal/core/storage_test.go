@@ -34,8 +34,8 @@ func TestStorageStrategySelection(t *testing.T) {
 
 // TestSparseStoreMatchesDense drives the two storage strategies with
 // the same random operation sequence and checks every read-side answer
-// agrees: Edge, Degree, ActiveEdges, ActiveNeighbors, ForEachActiveEdge
-// and String.
+// agrees: Edge, Degree, ActiveEdges, ActiveNeighbors, ForEachActiveEdge,
+// String and Fingerprint.
 func TestSparseStoreMatchesDense(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["toggle"]
@@ -70,6 +70,9 @@ func TestSparseStoreMatchesDense(t *testing.T) {
 		}
 		if dense.String() != sparse.String() {
 			t.Fatalf("step %d: String diverged:\n%s\n%s", step, dense, sparse)
+		}
+		if dense.Fingerprint() != sparse.Fingerprint() {
+			t.Fatalf("step %d: Fingerprint diverged", step)
 		}
 	}
 	check(-1)
@@ -147,8 +150,8 @@ func TestSparseFingerprintDistinguishes(t *testing.T) {
 	if b.Fingerprint() == c.Fingerprint() {
 		t.Fatal("state difference not reflected in fingerprint")
 	}
-	// Length-prefixed rows must not alias across nodes: edge {0,1}
-	// versus edge {1,2} with identical states.
+	// Gap-coded edges must not alias across rows: edge {0,1} versus
+	// edge {1,2} with identical states.
 	d := sparsifiedConfig(p, 3)
 	e := sparsifiedConfig(p, 3)
 	d.SetEdge(0, 1, true)
