@@ -69,9 +69,9 @@ func fingerprintOf(name string, res core.Result) fingerprintRow {
 	}
 }
 
-// fingerprintCase is one row's run recipe. n above 4096 selects the
-// sparse edge store, whose in-place adjacency walks are a separate
-// index code path from the dense store's.
+// fingerprintCase is one row's run recipe. The n = 5000 rows carry
+// long runs through the index at a population beyond the paper's
+// tables.
 type fingerprintCase struct {
 	name     string
 	proto    *core.Protocol
@@ -130,8 +130,8 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 // Section 5 c-Cliques and c-RC constructors, Global-Ring, and the
 // Section 3.3 One-Way-Epidemic, whose rules change only one node in
 // either orientation — two-sided, one-sided and edge-only transitions
-// on the dense edge store, on the complete graph and under a
-// restricted topology, at an even and an odd population.
+// on the complete graph and under a restricted topology, at an even
+// and an odd population.
 func paperSweepCases(t *testing.T) []fingerprintCase {
 	t.Helper()
 	type subject struct {

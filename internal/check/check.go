@@ -20,6 +20,8 @@ package check
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -54,8 +56,8 @@ type Report struct {
 // space is the fully explored reachable configuration space.
 type space struct {
 	configs  []*core.Config
-	succs    [][]int
-	preds    [][]int
+	succs    [][]int32
+	preds    [][]int32
 	unstable []bool // true: forward closure changes the output graph
 }
 
@@ -67,6 +69,7 @@ func explore(p *core.Protocol, n int, opts Options) (*space, error) {
 	if maxConfigs <= 0 {
 		maxConfigs = 2_000_000
 	}
+	maxConfigs = min(maxConfigs, math.MaxInt32) // ids are int32
 	initial := opts.Initial
 	if initial == nil {
 		initial = core.NewConfig(p, n)
@@ -74,29 +77,37 @@ func explore(p *core.Protocol, n int, opts Options) (*space, error) {
 		initial = initial.Clone()
 	}
 
-	index := map[string]int{initial.Fingerprint(): 0}
+	index := map[string]int32{initial.Fingerprint(): 0}
 	s := &space{configs: []*core.Config{initial}}
+	var out []int32
 	for at := 0; at < len(s.configs); at++ {
-		cfg := s.configs[at]
-		var out []int
+		// Each outcome is applied to a scratch copy in place, cloned
+		// only when unseen and reverted before the next one; the stored
+		// configurations are never written, so they keep their packed
+		// rows.
+		cfg := s.configs[at].Clone()
+		out = out[:0]
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				for _, o := range p.Outcomes(cfg.Node(u), cfg.Node(v), cfg.Edge(u, v)) {
-					next := cfg.Clone()
-					next.SetNode(u, o.OutA)
-					next.SetNode(v, o.OutB)
-					next.SetEdge(u, v, o.OutEdge)
-					fp := next.Fingerprint()
+				a, b, e := cfg.Node(u), cfg.Node(v), cfg.Edge(u, v)
+				for _, o := range p.Outcomes(a, b, e) {
+					cfg.SetNode(u, o.OutA)
+					cfg.SetNode(v, o.OutB)
+					cfg.SetEdge(u, v, o.OutEdge)
+					fp := cfg.Fingerprint()
 					id, ok := index[fp]
 					if !ok {
-						id = len(s.configs)
-						if id >= maxConfigs {
+						id = int32(len(s.configs))
+						if int(id) >= maxConfigs {
 							return nil, fmt.Errorf("check: reachable space exceeds %d configurations", maxConfigs)
 						}
 						index[fp] = id
-						s.configs = append(s.configs, next)
+						s.configs = append(s.configs, cfg.Clone())
 					}
 					out = append(out, id)
+					cfg.SetNode(u, a)
+					cfg.SetNode(v, b)
+					cfg.SetEdge(u, v, e)
 				}
 			}
 		}
@@ -112,12 +123,12 @@ func explore(p *core.Protocol, n int, opts Options) (*space, error) {
 		outFP[i] = outputFingerprint(cfg)
 	}
 	s.unstable = make([]bool, len(s.configs))
-	var queue []int
+	var queue []int32
 	for i, ss := range s.succs {
 		for _, j := range ss {
 			if outFP[j] != outFP[i] {
 				s.unstable[i] = true
-				queue = append(queue, i)
+				queue = append(queue, int32(i))
 				break
 			}
 		}
@@ -145,7 +156,7 @@ func Verify(p *core.Protocol, n int, target func(cfg *core.Config) bool, opts Op
 	}
 	rep := Report{Reachable: len(s.configs)}
 	goal := make([]bool, len(s.configs))
-	var queue []int
+	var queue []int32
 	for i, cfg := range s.configs {
 		if s.unstable[i] {
 			continue
@@ -154,7 +165,7 @@ func Verify(p *core.Protocol, n int, target func(cfg *core.Config) bool, opts Op
 		if target(cfg) {
 			rep.TargetStable++
 			goal[i] = true
-			queue = append(queue, i)
+			queue = append(queue, int32(i))
 		}
 	}
 
@@ -209,23 +220,41 @@ func DetectorSound(p *core.Protocol, n int, det core.Detector, opts Options) (in
 	return accepted, nil
 }
 
-func dedupe(xs []int) []int {
-	seen := make(map[int]struct{}, len(xs))
-	out := xs[:0]
+// dedupe returns the distinct ids of xs in first-seen order, in a new
+// slice of exactly that length; xs is reordered in place. Successor
+// lists hold at most a few dozen ids, so the quadratic scan beats a
+// set.
+func dedupe(xs []int32) []int32 {
+	uniq := xs[:0]
 	for _, x := range xs {
-		if _, ok := seen[x]; !ok {
-			seen[x] = struct{}{}
-			out = append(out, x)
+		if !slices.Contains(uniq, x) {
+			uniq = append(uniq, x)
 		}
 	}
-	return out
+	return slices.Clone(uniq)
 }
 
-func invert(succs [][]int) [][]int {
-	preds := make([][]int, len(succs))
+// invert returns the predecessor lists of succs, packed into one
+// backing array.
+func invert(succs [][]int32) [][]int32 {
+	deg := make([]int, len(succs))
+	total := 0
+	for _, ss := range succs {
+		for _, j := range ss {
+			deg[j]++
+		}
+		total += len(ss)
+	}
+	back := make([]int32, total)
+	preds := make([][]int32, len(succs))
+	off := 0
+	for j, d := range deg {
+		preds[j] = back[off : off : off+d]
+		off += d
+	}
 	for i, ss := range succs {
 		for _, j := range ss {
-			preds[j] = append(preds[j], i)
+			preds[j] = append(preds[j], int32(i))
 		}
 	}
 	return preds

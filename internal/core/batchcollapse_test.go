@@ -7,18 +7,14 @@ import (
 )
 
 // walkerPathConfig builds the swap-run collapse's target shape
-// directly: a path graph of n blank (q2) nodes over a forced sparse
-// store, with a single walker (w) parked at node pos. The only enabled
-// pairs are the walker's incident edges, and every landing is a
-// deterministic swap, so the batch engine's census stays frozen while
-// the walker stays interior — exactly the regime the analytic collapse
-// tier absorbs. The configurations Run builds from the null state reach
-// this shape only deep into a Simple-Global-Line run at sparse sizes,
-// far beyond unit-test budgets, so the tests below construct it.
+// directly: a path graph of n blank (q2) nodes with a single walker
+// (w) parked at node pos. The only enabled pairs are the walker's
+// incident edges, and every landing is a deterministic swap, so the
+// batch engine's census stays frozen while the walker stays interior —
+// exactly the regime the analytic collapse tier absorbs.
 func walkerPathConfig(t *testing.T, p *Protocol, n, pos int) *Config {
 	t.Helper()
 	cfg := NewConfig(p, n)
-	cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
 	for u := 0; u < n; u++ {
 		cfg.SetNode(u, 1) // q2
 	}

@@ -87,12 +87,6 @@ type batchIndex struct {
 	proto *Protocol
 	q     int
 
-	// sp is cfg.store when it is the sparse adjacency store (always at
-	// populations above the dense-store threshold) — the swap kernel and
-	// the incident-edge walks iterate its rows in place instead of
-	// copying neighbors out.
-	sp *sparseStore
-
 	// byState lists the nodes in each state; slot is each node's index
 	// in its list, so state moves are O(1) swap-removes.
 	byState [][]int32
@@ -140,8 +134,6 @@ type batchIndex struct {
 	dirty      []int32
 	dirtyStamp []uint64
 	stamp      uint64
-
-	nbuf []int
 
 	// plan is the engine's bucket-plan scratch; it lives here (rather
 	// than on batchLoop's stack) so its backing arrays survive
@@ -199,7 +191,6 @@ func (bi *batchIndex) reset(cfg *Config) {
 	}
 	q := cfg.proto.Size()
 	bi.cfg = cfg
-	bi.sp, _ = cfg.store.(*sparseStore)
 	if bi.q != q {
 		bi.q = q
 		bi.byState = make([][]int32, q)
@@ -730,11 +721,8 @@ func (bi *batchIndex) applySwap(u, v int, beforeU, beforeV State) {
 // the caller falls back to applySwap. Like applySwap it expects
 // cfg.nodes[u] and cfg.nodes[v] already exchanged by the caller.
 func (bi *batchIndex) applySwapFast(u, v int, beforeU, beforeV State) bool {
-	sp := bi.sp
-	if sp == nil {
-		return false
-	}
-	au, av := sp.adj[u], sp.adj[v]
+	adj := bi.cfg.store.adj
+	au, av := adj[u], adj[v]
 	if len(au) != 2 || len(av) != 2 {
 		return false
 	}
@@ -805,40 +793,16 @@ func (bi *batchIndex) listEdgeAt(a, b, id int, slot int32) {
 
 // reclassifyIncident moves every active edge incident to u except
 // {u, v} from class {before, sx} to class {after, sx} — the
-// state-change fixup shared by Update and applySwap. On the sparse
-// store it walks the adjacency row in place. Either way an edge whose
-// old and new classes no rule reads is skipped: dropEdge, addEdge and
-// markDirty would all leave it untouched.
+// state-change fixup shared by Update and applySwap — walking u's
+// adjacency row in place. The fused mask check skips an edge whose old
+// and new classes no rule reads (dropEdge, addEdge and markDirty would
+// all leave it untouched), so a move through the inert bulk costs one
+// masked load per neighbor.
 func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
 	nodes := bi.cfg.nodes
 	effMask := bi.effMask
-	if bi.sp != nil {
-		// Hot path: the fused mask check makes a move through the inert
-		// bulk (neither class read by any rule) cost one masked load per
-		// neighbor.
-		for _, x32 := range bi.sp.adj[u] {
-			x := int(x32)
-			if x == v {
-				continue
-			}
-			from, to := bi.classIDs(nodes[x], before, after)
-			if effMask[from]|effMask[to] == 0 {
-				continue
-			}
-			bi.dropEdge(u, x, from)
-			bi.addEdge(u, x, to)
-			bi.markDirty(from)
-			bi.markDirty(to)
-		}
-		return
-	}
-	// Listing u's neighbours costs O(n) on the dense store; skip it when
-	// u has none besides v.
-	if d := bi.cfg.degree[u]; d == 0 || d == 1 && v >= 0 && bi.cfg.store.get(u, v) {
-		return
-	}
-	bi.nbuf = bi.cfg.store.neighbors(u, bi.nbuf[:0])
-	for _, x := range bi.nbuf {
+	for _, x32 := range bi.cfg.store.adj[u] {
+		x := int(x32)
 		if x == v {
 			continue
 		}
@@ -1067,8 +1031,8 @@ func (wp *walkPath) node(p int64) int32 {
 // an all-safe cycle.
 func (bi *batchIndex) scanDir(buf []int32, anchor, first int32, bs State, cap int64) (nodes []int32, ext int64, open, wrapped bool) {
 	nodes = buf
-	sp := bi.sp
 	cfg := bi.cfg
+	adj := cfg.store.adj
 	prev, cur := anchor, first
 	for {
 		if cur == anchor {
@@ -1079,7 +1043,7 @@ func (bi *batchIndex) scanDir(buf []int32, anchor, first int32, bs State, cap in
 			// occupied position.
 			return nodes, int64(len(nodes)) - 1, false, false
 		}
-		row := sp.adj[cur]
+		row := adj[cur]
 		if len(row) != 2 {
 			// cur is a valid lookahead (state bs) but not occupiable:
 			// moving onto it would reclassify its extra or missing
@@ -1108,10 +1072,6 @@ func (bi *batchIndex) scanDir(buf []int32, anchor, first int32, bs State, cap in
 func (bi *batchIndex) buildWalkPath(id int, need int64) bool {
 	wp := &bi.wpath
 	wp.valid = false
-	sp := bi.sp
-	if sp == nil {
-		return false
-	}
 	list := bi.edgeList[id]
 	if len(list) != 2 {
 		return false
@@ -1131,7 +1091,7 @@ func (bi *batchIndex) buildWalkPath(id int, need int64) bool {
 	default:
 		return false // two separate walkers share the class
 	}
-	if len(sp.adj[c]) != 2 {
+	if len(bi.cfg.store.adj[c]) != 2 {
 		return false
 	}
 	ws := bi.cfg.nodes[c]

@@ -189,7 +189,6 @@ func TestBatchIndexTracksApply(t *testing.T) {
 			const n = 12
 			rng := NewRNG(7)
 			cfg := NewConfig(p, n)
-			cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
 			bi := newBatchIndex(cfg)
 			verifyBatchIndex(t, bi, cfg)
 			for step := 0; step < 2000; step++ {
@@ -227,7 +226,6 @@ func TestBatchIndexApplySwap(t *testing.T) {
 	const n = 12
 	rng := NewRNG(31)
 	cfg := NewConfig(p, n)
-	cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
 	bi := newBatchIndex(cfg)
 	swaps, generic := 0, 0
 	for step := 0; step < 4000; step++ {
@@ -265,7 +263,6 @@ func TestBatchIndexReset(t *testing.T) {
 	const n = 12
 	rng := NewRNG(5)
 	cfg := NewConfig(walker, n)
-	cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
 	bi := newBatchIndex(cfg)
 	for step := 0; step < 500; step++ {
 		u, v := rng.Pair(n)
@@ -277,7 +274,6 @@ func TestBatchIndexReset(t *testing.T) {
 	}
 	// Reset onto a fresh same-protocol configuration…
 	cfg2 := NewConfig(walker, n)
-	cfg2.store = &sparseStore{n: n, adj: make([][]int32, n)}
 	bi.reset(cfg2)
 	verifyBatchIndex(t, bi, cfg2)
 	if bi.gen != 0 {
@@ -285,7 +281,6 @@ func TestBatchIndexReset(t *testing.T) {
 	}
 	// …and onto a different protocol with a different state count.
 	cfg3 := NewConfig(toggle, n)
-	cfg3.store = &sparseStore{n: n, adj: make([][]int32, n)}
 	bi.reset(cfg3)
 	verifyBatchIndex(t, bi, cfg3)
 }

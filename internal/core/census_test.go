@@ -39,28 +39,41 @@ func indexProtocols(t *testing.T) map[string]*Protocol {
 	}
 }
 
+// seedHalfEdges activates each pair of cfg — each permitted pair when
+// topo is non-nil — with probability 1/2.
+func seedHalfEdges(cfg *Config, topo *Topology, rng *RNG) {
+	for u := 0; u < cfg.n; u++ {
+		for v := u + 1; v < cfg.n; v++ {
+			if (topo == nil || topo.Contains(u, v)) && rng.Coin() {
+				cfg.SetEdge(u, v, true)
+			}
+		}
+	}
+}
+
 // TestClassIndexTracksApply drives each protocol with random
 // interactions through Config.Apply + Update and verifies the index
-// against brute force after every effective step — on both
-// edge-storage strategies (the dense store's incident-edge walks copy
-// neighbors out, the sparse store's iterate rows in place).
+// against brute force after every effective step. The subtests name
+// the starting edge set: "dense-store" seeds every pair active with
+// probability 1/2 (long adjacency rows), "sparse-store" starts with
+// no active edge.
 func TestClassIndexTracksApply(t *testing.T) {
 	t.Parallel()
 	for name, p := range indexProtocols(t) {
 		p := p
-		for _, sparse := range []bool{false, true} {
-			sparse := sparse
-			label := name + "/dense-store"
-			if sparse {
-				label = name + "/sparse-store"
+		for _, dense := range []bool{true, false} {
+			dense := dense
+			label := name + "/sparse-store"
+			if dense {
+				label = name + "/dense-store"
 			}
 			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				const n = 12
 				rng := NewRNG(7)
 				cfg := NewConfig(p, n)
-				if sparse {
-					cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
+				if dense {
+					seedHalfEdges(cfg, nil, rng)
 				}
 				bi := newBatchIndex(cfg)
 				verifyBatchIndex(t, bi, cfg)
@@ -200,18 +213,19 @@ func TestClassIndexSampleSaturatedClass(t *testing.T) {
 // permitted pairs through Update, interleaved with out-of-band node
 // and edge writes through the Mutator hooks — and verifies the
 // permitted-pair census and every weight against brute force after
-// each change, on both edge stores. Sampled pairs must be permitted
-// and enabled.
+// each change. Sampled pairs must be permitted and enabled. As in
+// TestClassIndexTracksApply, "dense-store" seeds half the permitted
+// pairs active and "sparse-store" starts with no active edge.
 func TestBatchIndexTopologyCensus(t *testing.T) {
 	t.Parallel()
 	for name, p := range batchProtocols(t) {
 		p := p
 		for _, specText := range []string{"gnp@0.4", "rgg@0.5"} {
-			for _, sparse := range []bool{false, true} {
-				specText, sparse := specText, sparse
-				label := name + "/" + specText + "/dense-store"
-				if sparse {
-					label = name + "/" + specText + "/sparse-store"
+			for _, dense := range []bool{true, false} {
+				specText, dense := specText, dense
+				label := name + "/" + specText + "/sparse-store"
+				if dense {
+					label = name + "/" + specText + "/dense-store"
 				}
 				t.Run(label, func(t *testing.T) {
 					t.Parallel()
@@ -225,10 +239,10 @@ func TestBatchIndexTopologyCensus(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg := NewConfig(p, n)
-					if sparse {
-						cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
-					}
 					cfg.topo = topo
+					if dense {
+						seedHalfEdges(cfg, topo, NewRNG(23))
+					}
 					bi := newBatchIndex(cfg)
 					verifyBatchIndex(t, bi, cfg)
 					mut := &Mutator{cfg: cfg, ix: bi}
@@ -302,8 +316,8 @@ func TestSparseEngineValidation(t *testing.T) {
 	if _, err := Run(p, maxSparseNodes+1, Options{Engine: EngineSparse, MaxSteps: 1}); err == nil {
 		t.Fatal("sparse engine accepted a population above its cap")
 	}
-	// Auto picks batch on both edge stores…
-	for _, n := range []int{16, maxDenseEdgeNodes + 1} {
+	// Auto picks batch at small and large n…
+	for _, n := range []int{16, 5000} {
 		res, err := Run(p, n, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +331,7 @@ func TestSparseEngineValidation(t *testing.T) {
 	}
 	// …but keeps exact-stepping runs on the sparse engine they are
 	// bit-identical to: an attached event sink forces it.
-	res, err := Run(p, maxDenseEdgeNodes+1, Options{Seed: 1, Events: &stepCounter{}})
+	res, err := Run(p, 5000, Options{Seed: 1, Events: &stepCounter{}})
 	if err != nil {
 		t.Fatal(err)
 	}

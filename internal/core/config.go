@@ -12,15 +12,13 @@ import (
 // population counts, and the active-edge count — that convergence
 // detectors use as O(1) gates.
 //
-// Edge states live behind a storage strategy picked by population
-// size: a triangular bitset (Θ(n²) bits, O(1) access) up to
-// maxDenseEdgeNodes, per-node sorted adjacency sets (O(n + m) memory)
-// above it. Every Config method is storage-agnostic.
+// Edge states live in per-node sorted adjacency rows: O(n + m)
+// memory, O(log deg) edge reads, O(deg) edge writes.
 type Config struct {
 	proto       *Protocol
 	n           int
 	nodes       []State
-	store       edgeStore
+	store       sparseStore
 	degree      []int32
 	counts      []int // population per state
 	activeEdges int
@@ -34,14 +32,13 @@ type Config struct {
 }
 
 // NewConfig returns the initial configuration on n nodes: every node in
-// q0 and every edge inactive. Above the dense-storage threshold the
-// construction cost is O(n), not Θ(n²).
+// q0 and every edge inactive, built in O(n).
 func NewConfig(p *Protocol, n int) *Config {
 	c := &Config{
 		proto:  p,
 		n:      n,
 		nodes:  make([]State, n),
-		store:  newEdgeStore(n),
+		store:  newSparseStore(n),
 		degree: make([]int32, n),
 		counts: make([]int, p.Size()),
 	}
@@ -73,8 +70,7 @@ func (c *Config) Clone() *Config {
 // resetDefault reinitializes c in place to protocol p's all-q0 initial
 // configuration — NewConfig's result without its allocations. The
 // population size is unchanged (the workspace reallocates on n
-// changes, because the storage kind is a function of n); the protocol
-// may differ from the previous run's.
+// changes); the protocol may differ from the previous run's.
 func (c *Config) resetDefault(p *Protocol) {
 	c.proto = p
 	for i := range c.nodes {
@@ -91,14 +87,13 @@ func (c *Config) resetDefault(p *Protocol) {
 }
 
 // copyFrom makes c an in-place deep copy of src — Clone's result
-// without its allocations. src must have the same population size
-// (and therefore the same storage kind); it may be c itself, in which
-// case the copy is a no-op, which is how a run seeded from the
-// workspace's own previous Final works.
+// without its allocations. src must have the same population size;
+// it may be c itself, in which case the copy is a no-op, which is how
+// a run seeded from the workspace's own previous Final works.
 func (c *Config) copyFrom(src *Config) {
 	c.proto = src.proto
 	copy(c.nodes, src.nodes)
-	c.store.copyFrom(src.store)
+	c.store.copyFrom(&src.store)
 	copy(c.degree, src.degree)
 	// append, not resizeCounts+copy: resizing zeroes in place, which
 	// would wipe src.counts first when src aliases the receiver.
@@ -190,14 +185,13 @@ func (c *Config) CountAll(dst []int) []int {
 func (c *Config) ActiveEdges() int { return c.activeEdges }
 
 // ActiveNeighbors appends the active neighbors of u to dst and returns
-// it: O(deg u) on adjacency storage, O(n) on the dense bitset.
+// it in ascending order, in O(deg u).
 func (c *Config) ActiveNeighbors(u int, dst []int) []int {
 	return c.store.neighbors(u, dst)
 }
 
 // ForEachActiveEdge visits every active edge once as (u, v) with
-// u < v, in lexicographic order: O(m) on adjacency storage, O(n²/64)
-// on the dense bitset.
+// u < v, in lexicographic order, in O(n + m).
 func (c *Config) ForEachActiveEdge(fn func(u, v int)) {
 	c.store.forEach(fn)
 }
@@ -321,7 +315,7 @@ func (c *Config) Fingerprint() string {
 }
 
 // String renders the configuration compactly for debugging: node states
-// by name and the active edge list (O(m) on adjacency storage).
+// by name and the active edge list.
 func (c *Config) String() string {
 	var sb strings.Builder
 	sb.WriteString("[")

@@ -106,7 +106,7 @@ func TestApplyIneffective(t *testing.T) {
 
 // TestApplyInvariants drives random interactions and checks the
 // aggregate invariants: state counts always sum to n and per-node
-// degrees always match the edge bitset.
+// degrees always match the edge set.
 func TestApplyInvariants(t *testing.T) {
 	t.Parallel()
 	p := testProtocol(t)

@@ -1,78 +1,140 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// sparsifiedConfig returns a fresh all-q0 configuration forced onto
-// adjacency storage regardless of n, so the sparse strategy is
-// exercised at test-sized populations.
-func sparsifiedConfig(p *Protocol, n int) *Config {
-	cfg := NewConfig(p, n)
-	cfg.store = &sparseStore{n: n, adj: make([][]int32, n)}
-	return cfg
-}
-
-// TestStorageStrategySelection pins the threshold: dense bitset up to
-// maxDenseEdgeNodes, adjacency sets above.
+// TestStorageStrategySelection pins the adjacency rows' independence
+// across Clone, copyFrom and resetDefault. A clone packs its rows into
+// one backing array, each capped at its own length, so appending to
+// one row of a clone must reallocate that row alone: it never writes
+// into the neighbouring rows or into the source. copyFrom and
+// resetDefault reuse the receiver's rows and must leave the source
+// untouched.
 func TestStorageStrategySelection(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["epidemic"]
-	if _, ok := NewConfig(p, 16).store.(*denseStore); !ok {
-		t.Fatal("small population should use the dense bitset")
+	const n = 8
+	src := NewConfig(p, n)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 5}} {
+		src.SetEdge(e[0], e[1], true)
 	}
-	big := NewConfig(p, maxDenseEdgeNodes+1)
-	if _, ok := big.store.(*sparseStore); !ok {
-		t.Fatal("large population should use adjacency storage")
+	want := src.String()
+
+	clone := src.Clone()
+	// Row 1 is full to its cap; growing it must not spill into row 2.
+	clone.SetEdge(1, 7, true)
+	clone.SetEdge(2, 6, true)
+	clone.SetEdge(0, 6, true)
+	if got := src.String(); got != want {
+		t.Fatalf("clone appends leaked into the source:\n got %s\nwant %s", got, want)
 	}
-	// Clone preserves the storage kind.
-	if _, ok := big.Clone().store.(*sparseStore); !ok {
-		t.Fatal("Clone changed the storage kind")
+	for u, wantRow := range [][]int{{1, 6}, {0, 2, 5, 7}, {1, 3, 6}, {2, 4}, {3}, {1}, {0, 2}, {1}} {
+		if got := clone.ActiveNeighbors(u, nil); !slices.Equal(got, wantRow) {
+			t.Fatalf("clone row %d = %v, want %v", u, got, wantRow)
+		}
+	}
+	// Shrinking a row of the source must not show through the clone.
+	src.SetEdge(1, 2, false)
+	if !clone.Edge(1, 2) || !slices.Equal(clone.ActiveNeighbors(2, nil), []int{1, 3, 6}) {
+		t.Fatal("source removal leaked into the clone")
+	}
+	src.SetEdge(1, 2, true)
+
+	// copyFrom onto a configuration with longer rows, then mutate.
+	dst := clone.Clone()
+	dst.copyFrom(src)
+	if got := dst.String(); got != want {
+		t.Fatalf("copyFrom = %s, want %s", got, want)
+	}
+	dst.SetEdge(4, 5, true)
+	dst.SetEdge(0, 1, false)
+	if got := src.String(); got != want {
+		t.Fatalf("copy mutations leaked into the source: %s", got)
+	}
+	if clone.Edge(4, 5) || !clone.Edge(0, 1) {
+		t.Fatal("copy mutations leaked into the clone it was built from")
+	}
+
+	// resetDefault empties the rows in place; refilling them must not
+	// reach the source or the clone.
+	dst.resetDefault(p)
+	if dst.ActiveEdges() != 0 || dst.String() != NewConfig(p, n).String() {
+		t.Fatalf("reset left %d edges: %s", dst.ActiveEdges(), dst)
+	}
+	for u := 0; u+1 < n; u++ {
+		dst.SetEdge(u, u+1, true)
+	}
+	if got := src.String(); got != want {
+		t.Fatalf("reset refill leaked into the source: %s", got)
+	}
+	if clone.Edge(4, 5) || clone.Edge(5, 6) {
+		t.Fatal("reset refill leaked into the clone")
 	}
 }
 
-// TestSparseStoreMatchesDense drives the two storage strategies with
-// the same random operation sequence and checks every read-side answer
-// agrees: Edge, Degree, ActiveEdges, ActiveNeighbors, ForEachActiveEdge,
-// String and Fingerprint.
+// TestSparseStoreMatchesDense drives a configuration and a triangular
+// []bool reference model with the same random operation sequence and
+// checks every read-side answer agrees: Edge, Degree, ActiveEdges,
+// ActiveNeighbors, ForEachActiveEdge (through String) and Fingerprint,
+// which must not depend on the order the edges were written in.
 func TestSparseStoreMatchesDense(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["toggle"]
 	const n = 13
-	dense := NewConfig(p, n)
-	sparse := sparsifiedConfig(p, n)
+	cfg := NewConfig(p, n)
+	ref := make([]bool, pairCount(n))
+	refEdge := func(u, v int) bool { return ref[pairIndex(n, u, v)] }
 	rngOps := NewRNG(41)
 	check := func(step int) {
 		t.Helper()
-		if dense.ActiveEdges() != sparse.ActiveEdges() {
-			t.Fatalf("step %d: ActiveEdges %d vs %d", step, dense.ActiveEdges(), sparse.ActiveEdges())
-		}
+		var edges []string
+		m := 0
 		for u := 0; u < n; u++ {
-			if dense.Degree(u) != sparse.Degree(u) {
-				t.Fatalf("step %d: Degree(%d) %d vs %d", step, u, dense.Degree(u), sparse.Degree(u))
+			var nbrs []int
+			for v := 0; v < n; v++ {
+				if v != u && refEdge(u, v) {
+					nbrs = append(nbrs, v)
+				}
+			}
+			m += len(nbrs)
+			if cfg.Degree(u) != len(nbrs) {
+				t.Fatalf("step %d: Degree(%d) %d, reference %d", step, u, cfg.Degree(u), len(nbrs))
 			}
 			for v := u + 1; v < n; v++ {
-				if dense.Edge(u, v) != sparse.Edge(u, v) {
-					t.Fatalf("step %d: Edge(%d,%d) %v vs %v", step, u, v, dense.Edge(u, v), sparse.Edge(u, v))
+				if cfg.Edge(u, v) != refEdge(u, v) {
+					t.Fatalf("step %d: Edge(%d,%d) %v, reference %v", step, u, v, cfg.Edge(u, v), refEdge(u, v))
+				}
+				if refEdge(u, v) {
+					edges = append(edges, fmt.Sprintf("%d-%d", u, v))
 				}
 			}
-			dn := dense.ActiveNeighbors(u, nil)
-			sn := sparse.ActiveNeighbors(u, nil)
-			if len(dn) != len(sn) {
-				t.Fatalf("step %d: ActiveNeighbors(%d) %v vs %v", step, u, dn, sn)
+			if got := cfg.ActiveNeighbors(u, nil); !slices.Equal(got, nbrs) {
+				t.Fatalf("step %d: ActiveNeighbors(%d) %v, reference %v", step, u, got, nbrs)
 			}
-			for i := range dn {
-				if dn[i] != sn[i] {
-					t.Fatalf("step %d: ActiveNeighbors(%d) %v vs %v", step, u, dn, sn)
+		}
+		if cfg.ActiveEdges() != m/2 {
+			t.Fatalf("step %d: ActiveEdges %d, reference %d", step, cfg.ActiveEdges(), m/2)
+		}
+		if got, want := cfg.String(), "{"+strings.Join(edges, " ")+"}"; !strings.HasSuffix(got, want) {
+			t.Fatalf("step %d: String %s, reference edges %s", step, got, want)
+		}
+		// Rebuild the reference edge set in descending order: the
+		// fingerprint is a function of the configuration alone.
+		rebuilt := NewConfig(p, n)
+		for u := n - 1; u >= 0; u-- {
+			rebuilt.SetNode(u, cfg.Node(u))
+			for v := n - 1; v > u; v-- {
+				if refEdge(u, v) {
+					rebuilt.SetEdge(v, u, true)
 				}
 			}
 		}
-		if dense.String() != sparse.String() {
-			t.Fatalf("step %d: String diverged:\n%s\n%s", step, dense, sparse)
-		}
-		if dense.Fingerprint() != sparse.Fingerprint() {
-			t.Fatalf("step %d: Fingerprint diverged", step)
+		if cfg.Fingerprint() != rebuilt.Fingerprint() {
+			t.Fatalf("step %d: Fingerprint depends on write order", step)
 		}
 	}
 	check(-1)
@@ -80,17 +142,16 @@ func TestSparseStoreMatchesDense(t *testing.T) {
 		u, v := rngOps.Pair(n)
 		if rngOps.Coin() {
 			active := rngOps.Coin()
-			dense.SetEdge(u, v, active)
-			sparse.SetEdge(u, v, active)
+			cfg.SetEdge(u, v, active)
+			ref[pairIndex(n, u, v)] = active
 		} else {
-			// Apply consumes randomness; use twin streams with the same
-			// seed so both configurations see identical coin flips.
-			seed := uint64(step)
-			effD, edgeD := dense.Apply(u, v, NewRNG(seed))
-			effS, edgeS := sparse.Apply(u, v, NewRNG(seed))
-			if effD != effS || edgeD != edgeS {
-				t.Fatalf("step %d: Apply diverged (%v,%v) vs (%v,%v)", step, effD, edgeD, effS, edgeS)
+			a, b, was := cfg.Node(u), cfg.Node(v), refEdge(u, v)
+			eff, edgeChanged := cfg.Apply(u, v, NewRNG(uint64(step)))
+			if edgeChanged != (cfg.Edge(u, v) != was) || eff != (edgeChanged || cfg.Node(u) != a || cfg.Node(v) != b) {
+				t.Fatalf("step %d: Apply reported (%v,%v) for a change %v/%v→%v/%v, edge %v→%v",
+					step, eff, edgeChanged, a, b, cfg.Node(u), cfg.Node(v), was, cfg.Edge(u, v))
 			}
+			ref[pairIndex(n, u, v)] = cfg.Edge(u, v)
 		}
 		if step%50 == 0 {
 			check(step)
@@ -99,42 +160,41 @@ func TestSparseStoreMatchesDense(t *testing.T) {
 	check(1500)
 }
 
-// TestSparseForEachOrder pins ForEachActiveEdge's contract on both
-// storages: each active edge exactly once, u < v, lexicographic order.
+// TestSparseForEachOrder pins ForEachActiveEdge's contract: each
+// active edge exactly once, u < v, lexicographic order.
 func TestSparseForEachOrder(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["epidemic"]
-	for _, cfg := range []*Config{NewConfig(p, 11), sparsifiedConfig(p, 11)} {
-		rng := NewRNG(17)
-		for u := 0; u < 11; u++ {
-			for v := u + 1; v < 11; v++ {
-				cfg.SetEdge(u, v, rng.Coin())
-			}
+	cfg := NewConfig(p, 11)
+	rng := NewRNG(17)
+	for u := 0; u < 11; u++ {
+		for v := u + 1; v < 11; v++ {
+			cfg.SetEdge(u, v, rng.Coin())
 		}
-		var got [][2]int
-		cfg.ForEachActiveEdge(func(u, v int) { got = append(got, [2]int{u, v}) })
-		if len(got) != cfg.ActiveEdges() {
-			t.Fatalf("visited %d edges, counter says %d", len(got), cfg.ActiveEdges())
+	}
+	var got [][2]int
+	cfg.ForEachActiveEdge(func(u, v int) { got = append(got, [2]int{u, v}) })
+	if len(got) != cfg.ActiveEdges() {
+		t.Fatalf("visited %d edges, counter says %d", len(got), cfg.ActiveEdges())
+	}
+	for i, e := range got {
+		if e[0] >= e[1] {
+			t.Fatalf("edge %v not upper-triangular", e)
 		}
-		for i, e := range got {
-			if e[0] >= e[1] {
-				t.Fatalf("edge %v not upper-triangular", e)
-			}
-			if i > 0 && !(got[i-1][0] < e[0] || (got[i-1][0] == e[0] && got[i-1][1] < e[1])) {
-				t.Fatalf("edges out of order: %v before %v", got[i-1], e)
-			}
+		if i > 0 && !(got[i-1][0] < e[0] || (got[i-1][0] == e[0] && got[i-1][1] < e[1])) {
+			t.Fatalf("edges out of order: %v before %v", got[i-1], e)
 		}
 	}
 }
 
-// TestSparseFingerprintDistinguishes mirrors the dense fingerprint
-// test on adjacency storage: distinct edge sets and node states must
-// produce distinct canonical encodings, equal ones equal encodings.
+// TestSparseFingerprintDistinguishes pins the canonical encoding:
+// distinct edge sets and node states must produce distinct
+// fingerprints, equal ones equal fingerprints.
 func TestSparseFingerprintDistinguishes(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["toggle"]
-	a := sparsifiedConfig(p, 6)
-	b := sparsifiedConfig(p, 6)
+	a := NewConfig(p, 6)
+	b := NewConfig(p, 6)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical configurations fingerprint differently")
 	}
@@ -152,8 +212,8 @@ func TestSparseFingerprintDistinguishes(t *testing.T) {
 	}
 	// Gap-coded edges must not alias across rows: edge {0,1} versus
 	// edge {1,2} with identical states.
-	d := sparsifiedConfig(p, 3)
-	e := sparsifiedConfig(p, 3)
+	d := NewConfig(p, 3)
+	e := NewConfig(p, 3)
 	d.SetEdge(0, 1, true)
 	e.SetEdge(1, 2, true)
 	if d.Fingerprint() == e.Fingerprint() {
@@ -166,7 +226,7 @@ func TestSparseFingerprintDistinguishes(t *testing.T) {
 func TestSparseCloneIndependence(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["epidemic"]
-	cfg := sparsifiedConfig(p, 8)
+	cfg := NewConfig(p, 8)
 	cfg.SetEdge(0, 1, true)
 	cfg.SetEdge(0, 2, true)
 	clone := cfg.Clone()
@@ -184,24 +244,23 @@ func TestSparseCloneIndependence(t *testing.T) {
 }
 
 // TestActiveEdgesCounter pins the O(1) counter against the stored edge
-// set through a mixed SetEdge/Apply workload on both storages.
+// set through a mixed SetEdge/Apply workload.
 func TestActiveEdgesCounter(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["toggle"]
-	for _, cfg := range []*Config{NewConfig(p, 12), sparsifiedConfig(p, 12)} {
-		rng := NewRNG(29)
-		for step := 0; step < 1000; step++ {
-			u, v := rng.Pair(12)
-			if rng.Coin() {
-				cfg.SetEdge(u, v, rng.Coin())
-			} else {
-				cfg.Apply(u, v, rng)
-			}
+	cfg := NewConfig(p, 12)
+	rng := NewRNG(29)
+	for step := 0; step < 1000; step++ {
+		u, v := rng.Pair(12)
+		if rng.Coin() {
+			cfg.SetEdge(u, v, rng.Coin())
+		} else {
+			cfg.Apply(u, v, rng)
 		}
-		count := 0
-		cfg.ForEachActiveEdge(func(_, _ int) { count++ })
-		if cfg.ActiveEdges() != count {
-			t.Fatalf("ActiveEdges() = %d, edge walk found %d", cfg.ActiveEdges(), count)
-		}
+	}
+	count := 0
+	cfg.ForEachActiveEdge(func(_, _ int) { count++ })
+	if cfg.ActiveEdges() != count {
+		t.Fatalf("ActiveEdges() = %d, edge walk found %d", cfg.ActiveEdges(), count)
 	}
 }

@@ -1,14 +1,14 @@
 package core
 
 // Workspace owns the reusable scratch state of repeated runs: the
-// configuration (node-state slice plus either edge store), the
-// state-class census index, and the RNG. A campaign
-// worker keeps one workspace for its whole job stream and passes it
-// through Options.Workspace; every trial after the first then runs
-// without per-trial allocation — the backing arrays are reset in place instead
-// of reallocated, which is what lets campaign throughput stop scaling
-// with setup cost (at n = 4096 a fresh trial otherwise churns a 1 MB
-// edge bitset plus the index's per-node arrays through the allocator).
+// configuration (node states plus adjacency rows), the state-class
+// census index, and the RNG. A campaign worker keeps one workspace for
+// its whole job stream and passes it through Options.Workspace; every
+// trial after the first then runs without per-trial allocation — the
+// backing arrays are reset in place instead of reallocated, which is
+// what lets campaign throughput stop scaling with setup cost (a fresh
+// trial otherwise churns the adjacency rows plus the index's per-node
+// arrays through the allocator).
 //
 // Reuse preserves determinism exactly: every reset path rebuilds the
 // same bytes a fresh build would produce (same scan orders, same RNG
@@ -43,8 +43,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // config returns the workspace configuration prepared for a run of
 // protocol p on n nodes: a copy of initial when non-nil, the all-q0
 // configuration otherwise. The backing arrays are reused whenever the
-// population size matches the previous run's (the storage kind is a
-// function of n, so same n means same kind).
+// population size matches the previous run's.
 func (ws *Workspace) config(p *Protocol, n int, initial *Config) *Config {
 	if ws.cfg == nil || ws.cfg.n != n {
 		if initial != nil {
