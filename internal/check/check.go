@@ -221,7 +221,7 @@ func DetectorSound(p *core.Protocol, n int, det core.Detector, opts Options) (in
 }
 
 // dedupe returns the distinct ids of xs in first-seen order, in a new
-// slice of exactly that length; xs is reordered in place. Successor
+// slice of exactly that length; xs is overwritten. Successor
 // lists hold at most a few dozen ids, so the quadratic scan beats a
 // set.
 func dedupe(xs []int32) []int32 {

@@ -301,17 +301,19 @@ func (c *Config) EdgeQuiescent() bool {
 // index (pairIndex + 1 for the first). The encoding is injective among
 // configurations of one population size and costs O(n + m).
 func (c *Config) Fingerprint() string {
-	buf := make([]byte, 0, len(c.nodes)+2*c.activeEdges)
+	var sb strings.Builder
+	sb.Grow(len(c.nodes) + 2*c.activeEdges)
 	for _, s := range c.nodes {
-		buf = append(buf, byte(s))
+		sb.WriteByte(byte(s))
 	}
+	var gap [binary.MaxVarintLen64]byte
 	prev := -1
 	c.store.forEach(func(u, v int) {
 		idx := pairIndex(c.n, u, v)
-		buf = binary.AppendUvarint(buf, uint64(idx-prev))
+		sb.Write(gap[:binary.PutUvarint(gap[:], uint64(idx-prev))])
 		prev = idx
 	})
-	return string(buf)
+	return sb.String()
 }
 
 // String renders the configuration compactly for debugging: node states
