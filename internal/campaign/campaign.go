@@ -63,8 +63,8 @@ func MetricParallelTime(res core.Result, n int) float64 { return res.ParallelTim
 // component of the final output graph — the nodes in Qout plus the
 // active edges joining them. It is the survivability measure of fault
 // campaigns: crashed nodes leave Qout, so what remains is the largest
-// structure the protocol salvaged. NaN when the run carries no final
-// configuration (dynamic points).
+// structure the protocol salvaged. NaN when the result carries no final
+// configuration (a zero Result).
 func MetricLargestComponent(res core.Result, _ int) float64 {
 	largest, _ := outputComponents(res.Final)
 	return largest
@@ -81,6 +81,7 @@ func MetricComponents(res core.Result, _ int) float64 {
 
 // outputComponents measures the final output graph with a union-find
 // over the active edges whose endpoints are both in Qout: O(n + m α).
+// A nil cfg (the Final of a zero Result) measures NaN.
 func outputComponents(cfg *core.Config) (largest, count float64) {
 	if cfg == nil {
 		return math.NaN(), math.NaN()
@@ -202,19 +203,6 @@ type Point struct {
 	// data, not a measurement failure. Stopped (cancelled / timed-out)
 	// runs stay excluded — their cut point is nondeterministic.
 	IncludeUnconverged bool
-
-	// DynProto, when non-nil, makes this a dynamic-protocol point
-	// (the Section 6 machinery): trials execute through core.RunDyn
-	// under the uniform scheduler, inheriting the campaign's
-	// cancellation and per-run timeouts via the dynamic Stop hook.
-	// DynStable is required; Proto, Engine, NewScheduler, Faults and
-	// Initial must be unset.
-	DynProto *core.DynProtocol
-	// DynStable is the dynamic point's stop predicate.
-	DynStable func(cfg *core.DynConfig) bool
-	// DynInitial, when non-nil, builds a trial's initial configuration
-	// (cloned by core.RunDyn, so returning a shared one is fine).
-	DynInitial func(trial int) (*core.DynConfig, error)
 
 	// prepared caches the fault plan resolved against Proto (possibly
 	// an augmented protocol); Execute fills it during validation.
@@ -809,19 +797,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 func prepare(points []Point) error {
 	for i := range points {
 		pt := &points[i]
-		switch {
-		case pt.DynProto != nil:
-			if pt.Proto != nil {
-				return fmt.Errorf("campaign: point %d (%s) sets both Proto and DynProto", i, pt.Protocol)
-			}
-			if pt.DynStable == nil {
-				return fmt.Errorf("campaign: point %d (%s): dynamic points require DynStable", i, pt.Protocol)
-			}
-			if pt.Engine != core.EngineAuto || pt.NewScheduler != nil || pt.Faults != nil ||
-				pt.Initial != nil || pt.Topology != nil {
-				return fmt.Errorf("campaign: point %d (%s): dynamic points run the dynamic engine under the uniform scheduler and support no engine, scheduler, fault, topology or static-initial options", i, pt.Protocol)
-			}
-		case pt.Proto == nil:
+		if pt.Proto == nil {
 			return fmt.Errorf("campaign: point %d has no protocol", i)
 		}
 		if pt.N < 1 {
@@ -878,62 +854,6 @@ func schedulerLabel(pt Point) string {
 		}
 	}
 	return core.UniformScheduler{}.Name()
-}
-
-// runDynTrial is runAttempt's dynamic-protocol branch: core.RunDyn with
-// the same cancellation and timeout plumbing, mapped onto the shared
-// record shape (Engine "dynamic", no edge-change counter).
-//
-// Workspace audit: dynamic trials deliberately keep fresh allocation.
-// A DynConfig is O(n + n²/64) bytes with no Θ(n²) enabled-pair index
-// behind it — per-trial setup is a vanishing fraction of a Section 6
-// run, which simulates a Turing machine step by step — and the
-// caller-supplied DynStable predicate may retain DynResult.Final,
-// which a reuse contract would invalidate. If dynamic sweeps ever grow
-// a hot setup path, the place to add reuse is a DynWorkspace mirroring
-// core.Workspace, not sharing this one (the config types are
-// disjoint).
-func runDynTrial(pt *Point, rec RunRecord, stop func() bool) RunRecord {
-	dopts := core.DynOptions{
-		Seed:          rec.Seed,
-		MaxSteps:      pt.MaxSteps,
-		CheckInterval: pt.CheckInterval,
-		Stable:        pt.DynStable,
-		Stop:          stop,
-	}
-	if pt.DynInitial != nil {
-		initial, err := pt.DynInitial(rec.Trial)
-		if err != nil {
-			rec.Err = err.Error()
-			return rec
-		}
-		dopts.Initial = initial
-	}
-	start := time.Now()
-	res, err := core.RunDyn(pt.DynProto, pt.N, dopts)
-	rec.DurationNS = time.Since(start).Nanoseconds()
-	if err != nil {
-		rec.Err = err.Error()
-		return rec
-	}
-	rec.Engine = "dynamic"
-	rec.Converged = res.Converged
-	rec.Stopped = res.Stopped
-	rec.Steps = res.Steps
-	rec.ConvergenceTime = res.ConvergenceTime
-	rec.EffectiveSteps = res.EffectiveSteps
-	metric := pt.Metric
-	if metric == nil {
-		metric = MetricConvergenceTime
-	}
-	rec.Value = metric(core.Result{
-		Converged:       res.Converged,
-		Stopped:         res.Stopped,
-		Steps:           res.Steps,
-		ConvergenceTime: res.ConvergenceTime,
-		EffectiveSteps:  res.EffectiveSteps,
-	}, pt.N)
-	return rec
 }
 
 // Mean replaces the old core.Mean: it runs the protocol `trials` times

@@ -537,101 +537,6 @@ func TestFaultPointRejections(t *testing.T) {
 	}
 }
 
-// TestDynPointExecutes: dynamic-protocol points run through the
-// campaign pool, and the campaign's per-run timeout reaches RunDyn via
-// the new Stop hook — the cancellation path Section-6 runs previously
-// bypassed.
-func TestDynPointExecutes(t *testing.T) {
-	t.Parallel()
-	matching := &core.DynProtocol{
-		Name:    "dyn-matching",
-		Initial: 0,
-		Apply: func(a, b core.DynState, edge bool, _ *core.RNG) (core.DynState, core.DynState, bool, bool) {
-			if a == 0 && b == 0 && !edge {
-				return 1, 1, true, true
-			}
-			return a, b, edge, false
-		},
-	}
-	out, err := Execute(context.Background(), []Point{{
-		Protocol: "dyn-matching", N: 16, Trials: 6, BaseSeed: 1,
-		DynProto: matching,
-		DynStable: func(cfg *core.DynConfig) bool {
-			for u := 0; u < cfg.N(); u++ {
-				if cfg.Node(u) == 0 {
-					return false
-				}
-			}
-			return true
-		},
-		Metric: MetricEffectiveSteps,
-	}}, Options{KeepRuns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := out.Aggregates[0]
-	if agg.Converged != 6 || agg.Mean != 8 {
-		t.Fatalf("dynamic aggregate %+v (a perfect matching on 16 nodes takes exactly 8 effective steps)", agg)
-	}
-	for _, rec := range out.Runs {
-		if rec.Engine != "dynamic" || rec.ConvergenceTime <= 0 {
-			t.Fatalf("dynamic record %+v", rec)
-		}
-	}
-}
-
-func TestDynPointTimeoutStops(t *testing.T) {
-	t.Parallel()
-	busy := &core.DynProtocol{
-		Name:    "dyn-busy",
-		Initial: 0,
-		Apply: func(a, b core.DynState, edge bool, _ *core.RNG) (core.DynState, core.DynState, bool, bool) {
-			return a + 1, b + 1, edge, true
-		},
-	}
-	out, err := Execute(context.Background(), []Point{{
-		Protocol: "dyn-busy", N: 64, Trials: 2, BaseSeed: 1,
-		DynProto:      busy,
-		DynStable:     func(*core.DynConfig) bool { return false },
-		CheckInterval: 64, // poll the deadline often enough to stop promptly
-	}}, Options{Timeout: 20 * time.Millisecond, KeepRuns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := out.Aggregates[0]
-	if agg.Stopped != 2 || agg.Converged != 0 {
-		t.Fatalf("dynamic timeout aggregate %+v", agg)
-	}
-	for _, rec := range out.Runs {
-		if !rec.Stopped {
-			t.Fatalf("dynamic run not stopped: %+v", rec)
-		}
-	}
-}
-
-func TestDynPointValidation(t *testing.T) {
-	t.Parallel()
-	cc := protocols.CycleCover()
-	dyn := &core.DynProtocol{Name: "d", Apply: func(a, b core.DynState, e bool, _ *core.RNG) (core.DynState, core.DynState, bool, bool) {
-		return a, b, e, false
-	}}
-	stable := func(*core.DynConfig) bool { return true }
-	bad := []Point{
-		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn}, // no DynStable
-		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable, Proto: cc.Proto},
-		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable, Engine: core.EngineSparse},
-		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable,
-			NewScheduler: func() core.Scheduler { return &core.RoundRobinScheduler{} }},
-		{Protocol: "d", N: 8, Trials: 1, DynProto: dyn, DynStable: stable,
-			Faults: &scenario.FaultPlan{Events: []scenario.Fault{{Kind: scenario.KindReset, Step: 1}}}},
-	}
-	for i, pt := range bad {
-		if _, err := Execute(context.Background(), []Point{pt}, Options{}); err == nil {
-			t.Fatalf("invalid dynamic point %d accepted: %+v", i, pt)
-		}
-	}
-}
-
 // TestIncludeUnconverged: budget-exhausted runs fold their metric into
 // the aggregate when requested — the survivability convention.
 func TestIncludeUnconverged(t *testing.T) {
@@ -670,9 +575,9 @@ func TestFormatFloatNonFinite(t *testing.T) {
 		t.Fatalf("finite value formatted as %q", got)
 	}
 
-	// A NaN metric (dynamic runs have no final configuration for the
-	// component metrics) must flow through CSV export as empty cells,
-	// not as literal NaN tokens.
+	// A NaN metric (a component metric of a result with no final
+	// configuration) must flow through CSV export as empty cells, not
+	// as literal NaN tokens.
 	var buf bytes.Buffer
 	if err := WriteAggregatesCSV(&buf, []Aggregate{{Protocol: "x", N: 2, Trials: 1, Mean: math.NaN(), Min: math.Inf(-1), Max: math.Inf(1)}}); err != nil {
 		t.Fatal(err)

@@ -164,14 +164,6 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		}
 		return pt.Stop != nil && pt.Stop()
 	}
-	cutByTimeout := func() bool {
-		return ctx.Err() == nil && timeout > 0 && !time.Now().Before(deadline)
-	}
-
-	if pt.DynProto != nil {
-		rec = runDynTrial(pt, rec, stop)
-		return rec, rec.Stopped && cutByTimeout()
-	}
 
 	var ws *core.Workspace
 	if wsp != nil {
@@ -251,5 +243,5 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		metric = MetricConvergenceTime
 	}
 	rec.Value = metric(res, pt.N)
-	return rec, rec.Stopped && cutByTimeout()
+	return rec, rec.Stopped && ctx.Err() == nil && timeout > 0 && !time.Now().Before(deadline)
 }

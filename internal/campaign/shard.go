@@ -105,11 +105,14 @@ func SpecHash(points []Point, shardTrials int) string {
 		if pt.Faults != nil {
 			faultSeed = pt.Faults.Seed
 		}
-		fmt.Fprintf(h, "point=%d proto=%q n=%d sched=%q trials=%d seed=%d max=%d check=%d engine=%q metric=%q gate=%d faults=%q faultseed=%d topology=%q unconv=%t dyn=%t init=%t expected=%g\n",
+		// "dyn=false" is a literal: points once had a dynamic-protocol
+		// flag here, and checkpoints written before it went must keep
+		// their hash so they still resume.
+		fmt.Fprintf(h, "point=%d proto=%q n=%d sched=%q trials=%d seed=%d max=%d check=%d engine=%q metric=%q gate=%d faults=%q faultseed=%d topology=%q unconv=%t dyn=false init=%t expected=%g\n",
 			i, pt.Protocol, pt.N, schedulerLabel(*pt), pt.Trials, pt.BaseSeed,
 			pt.MaxSteps, pt.CheckInterval, pt.Engine.String(), pt.MetricName,
 			int(pt.Detector.Gate), faults, faultSeed, pt.Topology.Label(), pt.IncludeUnconverged,
-			pt.DynProto != nil, pt.Initial != nil, pt.Expected)
+			pt.Initial != nil, pt.Expected)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

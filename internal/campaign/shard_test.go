@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/protocols"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -172,6 +174,34 @@ func TestSpecHashSensitivity(t *testing.T) {
 	}
 	if SpecHash(base(), 16) == h {
 		t.Fatal("changing the shard granularity did not change the spec hash")
+	}
+}
+
+// TestSpecHashGolden pins the hash of a fixed static point list, so a
+// change to the hashed fields or their encoding cannot silently
+// orphan existing checkpoints (resume refuses a file whose hash
+// differs).
+func TestSpecHashGolden(t *testing.T) {
+	t.Parallel()
+	cc := protocols.CycleCover()
+	points := []Point{
+		{
+			Protocol: "cycle-cover", N: 24, Trials: 5, BaseSeed: 9,
+			MaxSteps: 1 << 20, CheckInterval: 64, Engine: core.EngineSparse,
+			Proto: cc.Proto, Detector: cc.Detector, MetricName: "steps",
+			Initial: func(int) (*core.Config, error) { return core.NewConfig(cc.Proto, 24), nil },
+			Faults: &scenario.FaultPlan{Seed: 3, Events: []scenario.Fault{
+				{Kind: scenario.KindEdge, Rate: 0.001},
+				{Kind: scenario.KindReset, Step: 500, Count: 2},
+			}},
+			Topology:           &core.TopologySpec{Kind: core.TopoGnp, Param: 0.5},
+			IncludeUnconverged: true, Expected: 1.5,
+		},
+		{Protocol: "bare", N: 8, Trials: 2},
+	}
+	const want = "cb1bbd4b76ac58c17d276dd8bd5bdb00f1d6d1f1f7829fdef30573e25f18f727"
+	if got := SpecHash(points, 16); got != want {
+		t.Fatalf("SpecHash = %s, want %s", got, want)
 	}
 }
 

@@ -172,14 +172,7 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 
 	stable := func() bool {
 		res.Metrics.DetectorChecks++
-		switch det.Gate {
-		case GateQuiescence:
-			return ix.enabled == 0
-		case GateEdgeQuiescence:
-			return ix.edgeEnabled == 0
-		default:
-			return det.Stable(cfg)
-		}
+		return ix.stable(&det, cfg)
 	}
 	if stable() {
 		res.Converged = true
@@ -541,18 +534,7 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 			planEligible = true
 		}
 
-		check := false
-		switch det.Trigger {
-		case TriggerEffective:
-			check = effective
-		case TriggerEdge:
-			check = edgeChanged
-		case TriggerInterval:
-			check = step%interval == 0
-		default:
-			check = effective
-		}
-		if check && stable() {
+		if det.due(step, interval, effective, edgeChanged) && stable() {
 			res.Converged = true
 			res.Steps = step
 			return res

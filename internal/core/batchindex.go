@@ -584,6 +584,21 @@ func (bi *batchIndex) flushDirty() {
 	bi.dirty = bi.dirty[:0]
 }
 
+// stable evaluates det against cfg, the configuration the index is
+// bound to: a gated detector is answered from the enabled-pair
+// counters in O(1), any other through its Stable predicate. Both
+// indexed loops check stability through here.
+func (bi *batchIndex) stable(det *Detector, cfg *Config) bool {
+	switch det.Gate {
+	case GateQuiescence:
+		return bi.enabled == 0
+	case GateEdgeQuiescence:
+		return bi.edgeEnabled == 0
+	default:
+		return det.Stable(cfg)
+	}
+}
+
 // Update refreshes the index after an interaction was applied to the
 // pair {u, v}. beforeU and beforeV are the node states before the
 // interaction and edgeChanged reports whether the edge flipped —

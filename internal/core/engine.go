@@ -63,6 +63,21 @@ type Detector struct {
 	Gate Gate
 }
 
+// due reports whether the detector's trigger fires after a step: step
+// is its 1-based position, effective and edgeChanged its outcome. An
+// unset Trigger fires like TriggerEffective. Every run loop dispatches
+// through here, so the trigger rules live in one place.
+func (d *Detector) due(step, interval int64, effective, edgeChanged bool) bool {
+	switch d.Trigger {
+	case TriggerEdge:
+		return edgeChanged
+	case TriggerInterval:
+		return step%interval == 0
+	default:
+		return effective
+	}
+}
+
 // QuiescenceDetector detects full quiescence: no effective transition
 // applies to any pair. Sufficient for protocols whose stable
 // configurations are completely silent (Global-Star, Cycle-Cover, all
@@ -239,9 +254,9 @@ func DefaultMaxSteps(n int) int64 {
 // keeps Stop polling — and with it campaign timeouts and context
 // cancellation — responsive on large baseline runs, where an uncapped
 // n² default (2⁴⁰ steps between polls at n = 2²⁰) would mean the run
-// effectively never observes a stop request. Run, the indexed engines
-// and RunDyn all share this helper, so the default cannot drift between
-// paths.
+// effectively never observes a stop request. The baseline loop and
+// both indexed engines share this helper, so the default cannot drift
+// between paths.
 func DefaultCheckInterval(n int) int64 {
 	const ceiling = int64(1) << 22
 	interval := int64(n) * int64(n)
@@ -516,18 +531,7 @@ func baselineLoop(p *Protocol, cfg *Config, det Detector, opts Options, sched Sc
 			recordEffective(&res, p, cfg, opts.Events, ev, step, u, v, beforeU, beforeV, edgeChanged)
 		}
 
-		check := false
-		switch det.Trigger {
-		case TriggerEffective:
-			check = effective
-		case TriggerEdge:
-			check = edgeChanged
-		case TriggerInterval:
-			check = step%interval == 0
-		default:
-			check = effective
-		}
-		if check {
+		if det.due(step, interval, effective, edgeChanged) {
 			res.Metrics.DetectorChecks++
 			st := det.Stable(cfg)
 			emitDetect(opts.Events, ev, step, st, cfg)

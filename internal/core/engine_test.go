@@ -298,57 +298,6 @@ func TestStopReachesLargeBaselineRuns(t *testing.T) {
 	}
 }
 
-func TestRunDynValidation(t *testing.T) {
-	t.Parallel()
-	dp := &DynProtocol{
-		Name:    "noop",
-		Initial: 0,
-		Apply: func(a, b DynState, edge bool, rng *RNG) (DynState, DynState, bool, bool) {
-			return a, b, edge, false
-		},
-	}
-	if _, err := RunDyn(dp, 0, DynOptions{Stable: func(*DynConfig) bool { return true }}); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := RunDyn(dp, 3, DynOptions{}); err == nil {
-		t.Fatal("missing Stable accepted")
-	}
-}
-
-func TestRunDynConverges(t *testing.T) {
-	t.Parallel()
-	// Dynamic one-to-one elimination: state 1 = leader, 0 = follower.
-	dp := &DynProtocol{
-		Name:    "dyn-elim",
-		Initial: 1,
-		Apply: func(a, b DynState, edge bool, rng *RNG) (DynState, DynState, bool, bool) {
-			if a == 1 && b == 1 {
-				return 1, 0, edge, true
-			}
-			return a, b, edge, false
-		},
-	}
-	res, err := RunDyn(dp, 16, DynOptions{
-		Seed:                3,
-		CheckEveryEffective: true,
-		Stable: func(cfg *DynConfig) bool {
-			leaders := 0
-			for u := 0; u < cfg.N(); u++ {
-				if cfg.Node(u) == 1 {
-					leaders++
-				}
-			}
-			return leaders == 1
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.EffectiveSteps != 15 {
-		t.Fatalf("dyn run: %+v", res)
-	}
-}
-
 func TestRunErrorsAreErrors(t *testing.T) {
 	t.Parallel()
 	p, det := epidemicProtocol()

@@ -197,15 +197,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 	// events' Step fields keep the per-position timeline unambiguous.
 	stable := func(at int64) bool {
 		res.Metrics.DetectorChecks++
-		var st bool
-		switch det.Gate {
-		case GateQuiescence:
-			st = ix.enabled == 0
-		case GateEdgeQuiescence:
-			st = ix.edgeEnabled == 0
-		default:
-			st = det.Stable(cfg)
-		}
+		st := ix.stable(&det, cfg)
 		emitDetect(events, ev, at, st, cfg)
 		return st
 	}
@@ -332,18 +324,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			recordEffective(&res, p, cfg, events, ev, step, u, v, beforeU, beforeV, edgeChanged)
 		}
 
-		check := false
-		switch det.Trigger {
-		case TriggerEffective:
-			check = effective
-		case TriggerEdge:
-			check = edgeChanged
-		case TriggerInterval:
-			check = step%interval == 0
-		default:
-			check = effective
-		}
-		if check && stable(step) {
+		if det.due(step, interval, effective, edgeChanged) && stable(step) {
 			res.Converged = true
 			res.Steps = step
 			return res

@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 // pairCount returns the number of unordered pairs over n nodes,
 // |E_I| = n(n−1)/2.
 func pairCount(n int) int { return n * (n - 1) / 2 }
@@ -28,37 +26,4 @@ func pairFromIndex(n, idx int) (u, v int) {
 		rowLen--
 	}
 	return u, u + 1 + idx
-}
-
-// bitset is a fixed-capacity bit vector used for edge states.
-type bitset []uint64
-
-func newBitset(bits int) bitset {
-	return make(bitset, (bits+63)/64)
-}
-
-func (b bitset) get(i int) bool {
-	return b[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-func (b bitset) set(i int, v bool) {
-	if v {
-		b[i>>6] |= 1 << (uint(i) & 63)
-	} else {
-		b[i>>6] &^= 1 << (uint(i) & 63)
-	}
-}
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
-func (b bitset) popcount() int {
-	total := 0
-	for _, w := range b {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }

@@ -45,45 +45,3 @@ func TestTriangularIndexSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBitsetSetGet(t *testing.T) {
-	t.Parallel()
-	f := func(positions []uint16) bool {
-		const bits = 1000
-		b := newBitset(bits)
-		ref := make(map[int]bool, len(positions))
-		for _, p := range positions {
-			i := int(p) % bits
-			val := p%3 != 0
-			b.set(i, val)
-			ref[i] = val
-		}
-		for i := 0; i < bits; i++ {
-			if b.get(i) != ref[i] {
-				return false
-			}
-		}
-		count := 0
-		for _, v := range ref {
-			if v {
-				count++
-			}
-		}
-		return b.popcount() == count
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitsetCloneIndependent(t *testing.T) {
-	t.Parallel()
-	b := newBitset(128)
-	b.set(5, true)
-	c := b.clone()
-	c.set(5, false)
-	c.set(77, true)
-	if !b.get(5) || b.get(77) {
-		t.Fatal("clone shares storage with original")
-	}
-}

@@ -182,32 +182,6 @@ func (r *RNG) MultinomialBuckets(k int64, weights []int64, out []int64) []int64 
 	return out
 }
 
-// HypergeometricBuckets distributes `draws` draws without replacement
-// over buckets with the given capacities — the counts of a
-// multivariate hypergeometric vector, drawn by the conditional chain
-// c₁ ~ Hyp(draws, cap₁, C), c₂ ~ Hyp(draws−c₁, cap₂, C−cap₁), …
-// Every count is bounded by its bucket's capacity and the counts sum
-// to draws exactly. The result is appended to out (reset to length
-// zero first). draws must not exceed the total capacity.
-func (r *RNG) HypergeometricBuckets(draws int64, capacities []int64, out []int64) []int64 {
-	out = out[:0]
-	var totalC int64
-	for _, c := range capacities {
-		totalC += c
-	}
-	if draws > totalC || draws < 0 {
-		panic("core: HypergeometricBuckets requires 0 ≤ draws ≤ total capacity")
-	}
-	rem := draws
-	for _, capi := range capacities {
-		c := r.Hypergeometric(rem, capi, totalC)
-		out = append(out, c)
-		rem -= c
-		totalC -= capi
-	}
-	return out
-}
-
 // Pair returns a uniform unordered pair {u, v}, u ≠ v, over n nodes —
 // the uniform random scheduler's single draw.
 func (r *RNG) Pair(n int) (u, v int) {
