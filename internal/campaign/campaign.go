@@ -81,7 +81,6 @@ func MetricComponents(res core.Result, _ int) float64 {
 
 // outputComponents measures the final output graph with a union-find
 // over the active edges whose endpoints are both in Qout: O(n + m α).
-// A nil cfg (the Final of a zero Result) measures NaN.
 func outputComponents(cfg *core.Config) (largest, count float64) {
 	if cfg == nil {
 		return math.NaN(), math.NaN()

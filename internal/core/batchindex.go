@@ -586,8 +586,7 @@ func (bi *batchIndex) flushDirty() {
 
 // stable evaluates det against cfg, the configuration the index is
 // bound to: a gated detector is answered from the enabled-pair
-// counters in O(1), any other through its Stable predicate. Both
-// indexed loops check stability through here.
+// counters in O(1), any other through its Stable predicate.
 func (bi *batchIndex) stable(det *Detector, cfg *Config) bool {
 	switch det.Gate {
 	case GateQuiescence:

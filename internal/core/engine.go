@@ -65,8 +65,7 @@ type Detector struct {
 
 // due reports whether the detector's trigger fires after a step: step
 // is its 1-based position, effective and edgeChanged its outcome. An
-// unset Trigger fires like TriggerEffective. Every run loop dispatches
-// through here, so the trigger rules live in one place.
+// unset Trigger fires like TriggerEffective.
 func (d *Detector) due(step, interval int64, effective, edgeChanged bool) bool {
 	switch d.Trigger {
 	case TriggerEdge:
