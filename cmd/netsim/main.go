@@ -89,18 +89,6 @@ func run() error {
 		return nil
 	}
 
-	c, err := protocols.Lookup(*name)
-	if err != nil {
-		return err
-	}
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	factory, err := campaign.SchedulerFactory(*sched)
-	if err != nil {
-		return err
-	}
 	plan, err := scenario.ParsePlan(*faults)
 	if err != nil {
 		return err
@@ -109,34 +97,32 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := topoSpec.Validate(*n); err != nil {
+	points, err := campaign.Spec{
+		Items:      []campaign.Item{{Name: *name, Sizes: []int{*n}}},
+		Trials:     *trials,
+		Seed:       *seed,
+		Schedulers: []string{*sched},
+		Engine:     *engine,
+		Detector:   *detector,
+		Faults:     plan,
+		Topology:   topoSpec,
+	}.Compile()
+	if err != nil {
 		return err
 	}
-	if topoSpec != nil && topoSpec.Kind == core.TopoComplete {
-		topoSpec = nil // an explicit "complete" is the default path
-	}
-	det := c.Detector
-	detOverride, haveDet, err := campaign.ParseDetector(*detector)
-	switch {
-	case err != nil:
-		return err
-	case haveDet:
-		det = detOverride
-	case *detector == "" && (plan != nil || topoSpec != nil):
-		// Target detectors assume the fault-free complete-graph goal is
-		// reachable; under faults or a restricted topology quiescence is
-		// the honest default stop rule. An explicit -detector target
-		// keeps the registry detector.
-		det = core.QuiescenceDetector()
+	pt := &points[0]
+	// Compile defaults fault and restricted-topology runs to the
+	// quiescence detector; say so.
+	if *detector == "" && (pt.Faults != nil || pt.Topology != nil) {
 		fmt.Println("faults or topology present: using the quiescence detector (override with -detector)")
 	}
 	fmt.Printf("protocol %s (%d states) on n=%d, %d trial(s), %s engine, %s scheduler\n",
-		c.Proto.Name(), c.Proto.Size(), *n, *trials, eng, *sched)
-	if plan != nil {
-		fmt.Printf("fault plan: %s\n", plan)
+		pt.Proto.Name(), pt.Proto.Size(), *n, *trials, pt.Engine, *sched)
+	if pt.Faults != nil {
+		fmt.Printf("fault plan: %s\n", pt.Faults)
 	}
-	if topoSpec != nil {
-		fmt.Printf("topology: %s (one realization per trial)\n", topoSpec)
+	if pt.Topology != nil {
+		fmt.Printf("topology: %s (one realization per trial)\n", pt.Topology)
 	}
 
 	// SIGINT/SIGTERM cancel in-flight trials instead of killing the
@@ -144,29 +130,15 @@ func run() error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var lastConvergedSeed, firstSeed uint64
-	var lastConvergedSteps, firstSeedSteps int64
+	var lastConvergedTrial int
+	var lastConvergedSteps, firstTrialSteps int64
 	haveConverged := false
-	out, err := campaign.Execute(ctx, []campaign.Point{{
-		Protocol:     c.Proto.Name(),
-		N:            *n,
-		Scheduler:    *sched,
-		Trials:       *trials,
-		BaseSeed:     *seed,
-		Proto:        c.Proto,
-		Detector:     det,
-		Engine:       eng,
-		NewScheduler: factory,
-		Faults:       plan,
-		Topology:     topoSpec,
-		Metric:       campaign.MetricConvergenceTime,
-	}}, campaign.Options{
+	out, err := campaign.Execute(ctx, points, campaign.Options{
 		Workers:    *workers,
 		FreshAlloc: *freshAlc,
 		OnRun: func(rec campaign.RunRecord) {
 			if rec.Trial == 0 {
-				firstSeed = rec.Seed
-				firstSeedSteps = rec.Steps
+				firstTrialSteps = rec.Steps
 			}
 			if !rec.Converged {
 				fmt.Printf("  trial %d: DID NOT CONVERGE within %d steps\n", rec.Trial, rec.Steps)
@@ -178,7 +150,7 @@ func run() error {
 			}
 			fmt.Printf("  trial %d: converged at step %d (%d effective, %d edge changes%s)\n",
 				rec.Trial, rec.ConvergenceTime, rec.EffectiveSteps, rec.EdgeChanges, faultNote)
-			lastConvergedSeed = rec.Seed
+			lastConvergedTrial = rec.Trial
 			lastConvergedSteps = rec.Steps
 			haveConverged = true
 		},
@@ -192,9 +164,8 @@ func run() error {
 			agg.Mean, agg.StdErr, agg.Min, agg.Max)
 	}
 	if *tracePth != "" || (*dot && haveConverged) {
-		// Replay one trial sequentially — runs are deterministic in
-		// (protocol, n, seed, scheduler, faults, engine), so this
-		// recovers the exact run the campaign measured: the last
+		// Replay one trial sequentially — Point.Trial derives the run
+		// the campaign measured, so this recovers it exactly: the last
 		// converged trial when there is one, the first trial otherwise
 		// (a trace of a non-converging run is still worth inspecting).
 		// One exception, disclosed below: a batch-engine run that took
@@ -202,31 +173,13 @@ func run() error {
 		// attached — the sink reroutes the replay to exact stepping
 		// (bit-identical to -engine sparse), which is equal in law but
 		// not bit-identical to the measured batched trial.
-		replaySeed, measuredSteps := firstSeed, firstSeedSteps
+		trial, measuredSteps := 0, firstTrialSteps
 		if haveConverged {
-			replaySeed, measuredSteps = lastConvergedSeed, lastConvergedSteps
+			trial, measuredSteps = lastConvergedTrial, lastConvergedSteps
 		}
-		opts := core.Options{Seed: replaySeed, Engine: eng, Detector: det}
-		if topoSpec != nil {
-			// The campaign realized this trial's topology from its run
-			// seed; the same derivation reproduces the identical graph.
-			topo, err := topoSpec.Realize(*n, replaySeed)
-			if err != nil {
-				return err
-			}
-			opts.Topology = topo
-		}
-		proto := c.Proto
-		if factory != nil {
-			opts.Scheduler = factory()
-		}
-		if plan != nil {
-			prepared, err := plan.Prepare(c.Proto)
-			if err != nil {
-				return err
-			}
-			proto = prepared.Proto
-			opts.Injector = prepared.NewInjection(replaySeed)
+		proto, opts, err := pt.Trial(trial)
+		if err != nil {
+			return err
 		}
 		var traceFile *os.File
 		if *tracePth != "" {
@@ -237,7 +190,7 @@ func run() error {
 			traceFile = f
 			opts.Events = trace.NewNDJSON(f)
 		}
-		res, err := core.Run(proto, *n, opts)
+		res, err := core.Run(proto, pt.N, opts)
 		if err != nil {
 			return err
 		}
@@ -249,7 +202,7 @@ func run() error {
 			if err := traceFile.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("event trace of seed-%d replay written to %s\n", replaySeed, *tracePth)
+			fmt.Printf("event trace of seed-%d replay written to %s\n", opts.Seed, *tracePth)
 		}
 		if res.Steps != measuredSteps {
 			fmt.Printf("note: the measured trial ran the %s engine's batched path; the replay exact-stepped (bit-identical to -engine sparse, equal in law to the measured trial)\n", res.Engine)

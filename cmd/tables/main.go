@@ -115,7 +115,7 @@ func table2(trials int, seed uint64, quick bool, engine core.Engine) error {
 		if quick && len(sizes) > 3 {
 			sizes = sizes[:3]
 		}
-		series, err := experiments.MeasureProtocol(c, sizes, trials, seed, engine)
+		series, err := experiments.MeasureProtocol(row.key, sizes, trials, seed, engine)
 		if err != nil {
 			return err
 		}

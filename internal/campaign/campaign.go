@@ -122,9 +122,8 @@ func outputComponents(cfg *core.Config) (largest, count float64) {
 
 // Point is one fully-resolved cell of a campaign grid: a protocol on a
 // population size under a scheduler, measured over Trials runs with
-// seeds BaseSeed, BaseSeed+1, … Specs compile to points; callers with
-// in-hand protocols (internal/experiments, cmd/netsim) build them
-// directly.
+// seeds BaseSeed, BaseSeed+1, … Spec.Compile builds them; Trial
+// derives each trial's run from them.
 type Point struct {
 	// Protocol, N and Scheduler label the point in records and
 	// aggregates. Scheduler is informational; the factory below decides
@@ -172,12 +171,6 @@ type Point struct {
 	// goroutines. Nil means the uniform scheduler.
 	NewScheduler func() core.Scheduler
 
-	// Stop, when non-nil, is polled alongside the engine's own
-	// cancellation and timeout checks; returning true aborts the run
-	// (Stopped=true). It is called concurrently from every run of this
-	// point, so it must be safe for concurrent use.
-	Stop func() bool
-
 	// Faults, when non-nil, injects the plan into every run of this
 	// point: each trial mints a fresh injector seeded from its run
 	// seed, so trials are independent and reproducible. Plans that
@@ -206,6 +199,56 @@ type Point struct {
 	// prepared caches the fault plan resolved against Proto (possibly
 	// an augmented protocol); Execute fills it during validation.
 	prepared *scenario.Prepared
+}
+
+// Trial returns the protocol and core options that trial t of the
+// point runs with: the seed BaseSeed+t, the trial's initial
+// configuration, a fresh scheduler, the topology realized from the
+// seed and, under a fault plan, the augmented protocol with a fresh
+// injection. It is the one derivation of a trial's run, so core.Run on
+// its result reproduces the campaign's record of that trial.
+func (pt *Point) Trial(t int) (*core.Protocol, core.Options, error) {
+	seed := pt.BaseSeed + uint64(t)
+	opts := core.Options{
+		Seed:          seed,
+		Engine:        pt.Engine,
+		Detector:      pt.Detector,
+		MaxSteps:      pt.MaxSteps,
+		CheckInterval: pt.CheckInterval,
+	}
+	if pt.NewScheduler != nil {
+		opts.Scheduler = pt.NewScheduler()
+	}
+	if pt.Initial != nil {
+		initial, err := pt.Initial(t)
+		if err != nil {
+			return nil, opts, err
+		}
+		opts.Initial = initial
+	}
+	if pt.Topology != nil {
+		// Each trial realizes its own topology instance from the trial
+		// seed, so trials sample independent graphs from the same model
+		// and a record is reproducible from (spec, seed) alone.
+		topo, err := pt.Topology.Realize(pt.N, seed)
+		if err != nil {
+			return nil, opts, err
+		}
+		opts.Topology = topo
+	}
+	if pt.Faults == nil {
+		return pt.Proto, opts, nil
+	}
+	pr := pt.prepared
+	if pr == nil {
+		// A point Execute has not validated resolves its plan here.
+		var err error
+		if pr, err = pt.Faults.Prepare(pt.Proto); err != nil {
+			return nil, opts, err
+		}
+	}
+	opts.Injector = pr.NewInjection(seed)
+	return pr.Proto, opts, nil
 }
 
 // RunRecord is the raw outcome of one trial, as streamed to the
@@ -608,15 +651,8 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 	// reduction tree — and therefore every output bit — is identical to
 	// an uninterrupted run's.
 	out := Outcome{Aggregates: make([]Aggregate, len(points)), Workers: workers}
-	for i, pt := range points {
-		out.Aggregates[i] = Aggregate{
-			Protocol:  pt.Protocol,
-			N:         pt.N,
-			Scheduler: schedulerLabel(pt),
-			Expected:  pt.Expected,
-			Faults:    pt.Faults.String(),
-			Topology:  pt.Topology.Label(),
-		}
+	for i := range points {
+		out.Aggregates[i] = newAggregate(&points[i])
 	}
 	var firstErr, flushErr error
 	firstErrGid := -1
@@ -648,18 +684,10 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 
 	openShard := func() {
 		s := &shards[curShard]
-		pt := &points[s.Point]
 		open = &ShardResult{
 			Shard: *s,
-			Agg: Aggregate{
-				Protocol:  pt.Protocol,
-				N:         pt.N,
-				Scheduler: schedulerLabel(*pt),
-				Expected:  pt.Expected,
-				Faults:    pt.Faults.String(),
-				Topology:  pt.Topology.Label(),
-			},
-			Runs: make([]RunRecord, 0, s.Trials),
+			Agg:   newAggregate(&points[s.Point]),
+			Runs:  make([]RunRecord, 0, s.Trials),
 		}
 		openAcc = stats.Online{}
 		openCut = false
@@ -853,41 +881,4 @@ func schedulerLabel(pt Point) string {
 		}
 	}
 	return core.UniformScheduler{}.Name()
-}
-
-// Mean replaces the old core.Mean: it runs the protocol `trials` times
-// with seeds seed, seed+1, … on the worker pool and returns the mean
-// convergence time over converged runs plus the number of runs that
-// failed to converge within budget. A caller-supplied scheduler in
-// opts forces sequential execution (it would otherwise be shared across
-// goroutines); opts.Seed is ignored in favor of the seed argument.
-func Mean(p *core.Protocol, n, trials int, seed uint64, opts core.Options) (mean float64, failures int, err error) {
-	pt := Point{
-		Protocol:      p.Name(),
-		N:             n,
-		Trials:        trials,
-		BaseSeed:      seed,
-		Proto:         p,
-		Detector:      opts.Detector,
-		MaxSteps:      opts.MaxSteps,
-		CheckInterval: opts.CheckInterval,
-		Engine:        opts.Engine,
-		Stop:          opts.Stop,
-	}
-	if opts.Initial != nil {
-		initial := opts.Initial
-		pt.Initial = func(int) (*core.Config, error) { return initial, nil }
-	}
-	var workers int
-	if opts.Scheduler != nil {
-		sched := opts.Scheduler
-		pt.NewScheduler = func() core.Scheduler { return sched }
-		workers = 1
-	}
-	out, err := Execute(context.Background(), []Point{pt}, Options{Workers: workers})
-	if err != nil {
-		return 0, 0, err
-	}
-	agg := out.Aggregates[0]
-	return agg.Mean, agg.Failures, nil
 }

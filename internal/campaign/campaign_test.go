@@ -199,49 +199,6 @@ func TestInitialErrorSurfaces(t *testing.T) {
 	}
 }
 
-func TestMeanMatchesSequentialSemantics(t *testing.T) {
-	t.Parallel()
-	mm := core.MustProtocol("mm", []string{"a", "b"}, 0, nil, []core.Rule{
-		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
-	})
-	det := core.Detector{Trigger: core.TriggerEffective, Stable: func(cfg *core.Config) bool {
-		return cfg.Count(0) <= 1
-	}}
-	mean, failures, err := Mean(mm, 10, 5, 1, core.Options{Detector: det})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 0 || mean <= 0 {
-		t.Fatalf("mean %f failures %d", mean, failures)
-	}
-	if _, _, err := Mean(mm, 10, 0, 1, core.Options{Detector: det}); err == nil {
-		t.Fatal("trials=0 accepted")
-	}
-	// A caller-supplied Stop hook must reach the engine: with an
-	// always-true hook no run can converge.
-	_, failures3, err := Mean(mm, 10, 3, 1, core.Options{
-		Detector: det,
-		Stop:     func() bool { return true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures3 != 3 {
-		t.Fatalf("Stop hook ignored: %d failures, want 3", failures3)
-	}
-	// A stateful scheduler must still work (forced sequential).
-	mean2, failures2, err := Mean(mm, 10, 5, 1, core.Options{
-		Detector:  det,
-		Scheduler: &core.RoundRobinScheduler{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures2 != 0 || mean2 <= 0 {
-		t.Fatalf("round-robin mean %f failures %d", mean2, failures2)
-	}
-}
-
 func TestSpecCompile(t *testing.T) {
 	t.Parallel()
 	spec := Spec{
@@ -312,9 +269,71 @@ func TestSpecCompileRejects(t *testing.T) {
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{1<<20 + 1}}}, Engine: "batch"},
 		{Trials: 1, Items: []Item{{Name: "cycle-cover", Sizes: []int{1<<20 + 1}}}, Engine: "sparse"},
 	}
+	// Population sizes below 1 are a compile error on every item kind,
+	// never a panic while building an initial configuration.
+	for _, item := range []Item{{Name: "cycle-cover"}, {Name: "One-Way-Epidemic", Kind: "process"}, {Kind: "replication"}} {
+		for _, n := range []int{0, -3} {
+			item.Sizes = []int{n}
+			bad = append(bad, Spec{Trials: 1, Items: []Item{item}})
+		}
+	}
 	for i, spec := range bad {
 		if _, err := spec.Compile(); err == nil {
 			t.Fatalf("bad spec %d accepted: %+v", i, spec)
+		}
+	}
+}
+
+// TestPointTrialReproducesRecords: core.Run on what Point.Trial returns
+// replays every recorded trial of a point that uses every per-trial
+// ingredient at once — a crash plan, a gnp topology and a stateful
+// scheduler — both on the point Execute prepared and on a freshly
+// compiled one.
+func TestPointTrialReproducesRecords(t *testing.T) {
+	t.Parallel()
+	spec := Spec{
+		Trials:     6,
+		Seed:       3,
+		Schedulers: []string{"permutation"},
+		Faults:     &scenario.FaultPlan{Events: []scenario.Fault{{Kind: scenario.KindCrash, Step: 40, Count: 2}}},
+		Topology:   &core.TopologySpec{Kind: core.TopoGnp, Param: 0.5},
+		MaxSteps:   1 << 20,
+		Items:      []Item{{Name: "cycle-cover", Sizes: []int{16}}},
+	}
+	points, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Execute(context.Background(), points, Options{KeepRuns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range out.Runs {
+		if rec.FaultCrashes != 2 || rec.Topology != "gnp@0.5" {
+			t.Fatalf("record %+v misses the plan or the topology", rec)
+		}
+		for name, pt := range map[string]*Point{"executed": &points[0], "fresh": &fresh[0]} {
+			proto, opts, err := pt.Trial(rec.Trial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts.Seed != rec.Seed || opts.Scheduler == nil || opts.Topology == nil || opts.Injector == nil {
+				t.Fatalf("%s point, trial %d: options %+v miss the seed, scheduler, topology or injection", name, rec.Trial, opts)
+			}
+			res, err := core.Run(proto, pt.N, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := opts.Injector.(*scenario.Injection).Counts()
+			got := [6]int64{res.Steps, res.ConvergenceTime, res.EffectiveSteps, counts.Crashes, counts.EdgeDeletions, counts.Resets}
+			want := [6]int64{rec.Steps, rec.ConvergenceTime, rec.EffectiveSteps, rec.FaultCrashes, rec.FaultEdgeDeletions, rec.FaultResets}
+			if got != want {
+				t.Fatalf("%s point, trial %d: Trial replay gives %v, the record says %v", name, rec.Trial, got, want)
+			}
 		}
 	}
 }
@@ -599,6 +618,12 @@ func TestParseSpec(t *testing.T) {
 	}
 	if _, err := ParseSpec(strings.NewReader(`{"itemz":[]}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	if _, err := ParseSpec(strings.NewReader(src + "\n")); err != nil {
+		t.Fatalf("spec followed by a newline rejected: %v", err)
+	}
+	if _, err := ParseSpec(strings.NewReader(src + ` {"bogus":1}`)); err == nil {
+		t.Fatal("trailing object after the spec accepted")
 	}
 }
 

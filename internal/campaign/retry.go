@@ -29,15 +29,12 @@ type RetryPolicy struct {
 	// one attempt (no retries).
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry, doubling each
-	// further retry; ≤ 0 means 100ms.
+	// further retry up to maxBackoff; ≤ 0 means 100ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the delay; ≤ 0 means 5s.
-	MaxBackoff time.Duration
-	// Deadline, when positive, caps one trial's total wall-clock time
-	// across all attempts and backoffs; once exceeded, the last
-	// attempt's record stands.
-	Deadline time.Duration
 }
+
+// maxBackoff caps the delay between two attempts of one trial.
+const maxBackoff = 5 * time.Second
 
 func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts < 1 {
@@ -47,23 +44,16 @@ func (p RetryPolicy) attempts() int {
 }
 
 // backoff returns the delay before retry number `retry` (0-based):
-// BaseBackoff doubled per retry, capped at MaxBackoff.
+// BaseBackoff doubled per retry, capped at maxBackoff.
 func (p RetryPolicy) backoff(retry int) time.Duration {
 	d := p.BaseBackoff
 	if d <= 0 {
 		d = 100 * time.Millisecond
 	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	for i := 0; i < retry && d < max; i++ {
+	for i := 0; i < retry && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // runTrial executes one trial under the retry policy and never returns
@@ -74,10 +64,6 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 // one (see runAttempt), so a poisoned workspace is never reused — by a
 // retry or by any later trial of the worker.
 func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.Duration, retry RetryPolicy, wsp **core.Workspace) RunRecord {
-	var trialDeadline time.Time
-	if retry.Deadline > 0 {
-		trialDeadline = time.Now().Add(retry.Deadline)
-	}
 	maxAttempts := retry.attempts()
 	var prevPanic string
 	for attempt := 1; ; attempt++ {
@@ -100,14 +86,10 @@ func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.
 			// deterministic in the trial's inputs.
 		case rec.Stopped:
 			// A per-run timeout is transient — the same seed can finish
-			// on a less-loaded machine. Cancellation (and a caller Stop
-			// hook) is terminal.
+			// on a less-loaded machine. Cancellation is terminal.
 			retryable = timedOut
 		}
 		if !retryable || attempt >= maxAttempts || ctx.Err() != nil {
-			return rec
-		}
-		if !trialDeadline.IsZero() && !time.Now().Before(trialDeadline) {
 			return rec
 		}
 		t := time.NewTimer(retry.backoff(attempt - 1))
@@ -123,7 +105,7 @@ func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.
 // runAttempt executes a single attempt of one trial, recovering any
 // panic into a failed record. timedOut reports whether a Stopped
 // result was cut by the per-run timeout (retryable) rather than by
-// cancellation or a caller Stop hook (terminal).
+// cancellation (terminal).
 func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.Duration, wsp **core.Workspace) (rec RunRecord, timedOut bool) {
 	rec = RunRecord{
 		Point:     pointIdx,
@@ -159,61 +141,25 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 			return true
 		default:
 		}
-		if timeout > 0 && time.Now().After(deadline) {
-			return true
-		}
-		return pt.Stop != nil && pt.Stop()
+		return timeout > 0 && time.Now().After(deadline)
 	}
 
-	var ws *core.Workspace
+	proto, opts, err := pt.Trial(trial)
+	if err != nil {
+		rec.Err = err.Error()
+		return rec, false
+	}
+	opts.Stop = stop
 	if wsp != nil {
-		ws = *wsp
+		opts.Workspace = *wsp
 	}
-	opts := core.Options{
-		Seed:          rec.Seed,
-		Engine:        pt.Engine,
-		Detector:      pt.Detector,
-		MaxSteps:      pt.MaxSteps,
-		CheckInterval: pt.CheckInterval,
-		Stop:          stop,
-		Workspace:     ws,
-	}
-	if pt.NewScheduler != nil {
-		opts.Scheduler = pt.NewScheduler()
-	}
-	if pt.Initial != nil {
-		initial, err := pt.Initial(trial)
-		if err != nil {
-			rec.Err = err.Error()
-			return rec, false
-		}
-		opts.Initial = initial
-	}
-	if pt.Topology != nil {
-		// Each trial realizes its own topology instance from the trial
-		// seed, so trials sample independent graphs from the same model
-		// and a record is reproducible from (spec, seed) alone.
-		topo, err := pt.Topology.Realize(pt.N, rec.Seed)
-		if err != nil {
-			rec.Err = err.Error()
-			return rec, false
-		}
-		opts.Topology = topo
-		rec.Topology = pt.Topology.Label()
-	}
-	proto := pt.Proto
-	var injection *scenario.Injection
-	if pt.prepared != nil {
-		proto = pt.prepared.Proto
-		injection = pt.prepared.NewInjection(rec.Seed)
-		opts.Injector = injection
-		rec.Faults = pt.Faults.String()
-	}
+	rec.Topology = pt.Topology.Label()
+	rec.Faults = pt.Faults.String()
 
 	start := time.Now()
 	res, err := core.Run(proto, pt.N, opts)
 	rec.DurationNS = time.Since(start).Nanoseconds()
-	if injection != nil {
+	if injection, ok := opts.Injector.(*scenario.Injection); ok {
 		counts := injection.Counts()
 		rec.FaultCrashes = counts.Crashes
 		rec.FaultEdgeDeletions = counts.EdgeDeletions

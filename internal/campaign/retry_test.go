@@ -159,34 +159,11 @@ func TestRetryDeterministicPanic(t *testing.T) {
 	}
 }
 
-// TestRetryDeadline: the per-trial deadline bounds the attempt loop
-// even when the attempt cap would allow more.
-func TestRetryDeadline(t *testing.T) {
-	t.Parallel()
-	cc := protocols.CycleCover()
-	n := 0
-	pt := Point{Protocol: "cycle-cover", N: 12, Trials: 1, BaseSeed: 1,
-		Proto: cc.Proto, Detector: cc.Detector,
-		Metric: func(core.Result, int) float64 {
-			n++
-			panic(fmt.Sprintf("glitch %d", n))
-		}}
-	ws := core.NewWorkspace()
-	rec := runTrial(context.Background(), &pt, 0, 0, 0,
-		RetryPolicy{MaxAttempts: 1000, BaseBackoff: 40 * time.Millisecond, Deadline: 60 * time.Millisecond}, &ws)
-	if !rec.Panicked {
-		t.Fatalf("record %+v", rec)
-	}
-	if rec.Attempts > 3 {
-		t.Fatalf("deadline did not bound the loop: %d attempts", rec.Attempts)
-	}
-}
-
 func TestRetryPolicyBackoff(t *testing.T) {
 	t.Parallel()
-	p := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
+	p := RetryPolicy{BaseBackoff: time.Second}
 	for retry, want := range []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond,
+		time.Second, 2 * time.Second, 4 * time.Second, 5 * time.Second, 5 * time.Second,
 	} {
 		if got := p.backoff(retry); got != want {
 			t.Fatalf("backoff(%d) = %v, want %v", retry, got, want)

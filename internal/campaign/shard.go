@@ -132,6 +132,19 @@ func buildVersion() string {
 	return ""
 }
 
+// newAggregate returns the empty aggregate of one point, carrying the
+// point's identity labels (the ones Merge checks) and Expected.
+func newAggregate(pt *Point) Aggregate {
+	return Aggregate{
+		Protocol:  pt.Protocol,
+		N:         pt.N,
+		Scheduler: schedulerLabel(*pt),
+		Expected:  pt.Expected,
+		Faults:    pt.Faults.String(),
+		Topology:  pt.Topology.Label(),
+	}
+}
+
 // Merge folds the partial aggregate b — another shard of the same
 // point, computed live, loaded from a checkpoint, or shipped from
 // another process — into a. The integer counters add; the metric

@@ -77,7 +77,7 @@ type Spec struct {
 // Item is one row of a spec grid: a named protocol or process swept
 // over population sizes.
 type Item struct {
-	// Name is a protocols.Registry key (kind "protocol"), a
+	// Name is a protocols.Names entry (kind "protocol"), a
 	// processes.Registry key (kind "process"), or ignored for kind
 	// "replication".
 	Name string `json:"name"`
@@ -100,13 +100,17 @@ type Item struct {
 	Topology *core.TopologySpec `json:"topology,omitempty"`
 }
 
-// ParseSpec decodes a JSON spec, rejecting unknown fields.
+// ParseSpec decodes a JSON spec, rejecting unknown fields and anything
+// but whitespace after the spec.
 func ParseSpec(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("campaign: parsing spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("campaign: parsing spec: unexpected data after the spec")
 	}
 	return s, nil
 }
@@ -240,6 +244,9 @@ func (s Spec) Compile() ([]Point, error) {
 			topology = nil
 		}
 		for _, n := range item.Sizes {
+			if n < 1 {
+				return nil, fmt.Errorf("campaign: item %d (%q): population size %d must be ≥ 1", i, item.Name, n)
+			}
 			for _, schedName := range schedulers {
 				factory, err := SchedulerFactory(schedName)
 				if err != nil {

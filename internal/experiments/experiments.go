@@ -5,10 +5,11 @@
 // Section 7.
 //
 // Every sweep is a thin wrapper over a campaign (see
-// repro/internal/campaign): the grid of (protocol, n) points executes
-// on a worker pool, one goroutine per CPU, and the campaign collector's
-// order-independent reduction keeps the reported statistics identical
-// to the old sequential trial loops for a fixed seed range.
+// repro/internal/campaign): it describes its grid as a campaign.Spec,
+// whose compiled (protocol, n) points execute on a worker pool, one
+// goroutine per CPU, and the campaign collector's order-independent
+// reduction keeps the reported statistics identical to the old
+// sequential trial loops for a fixed seed range.
 package experiments
 
 import (
@@ -18,7 +19,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/processes"
-	"repro/internal/protocols"
 	"repro/internal/stats"
 )
 
@@ -34,7 +34,7 @@ type Measurement struct {
 type Series struct {
 	Name     string
 	Points   []Measurement
-	Expected []float64 // analytic reference per point (may be nil)
+	Expected []float64 // analytic reference per point (0 where none applies)
 	Theta    string
 }
 
@@ -62,16 +62,21 @@ func (s Series) RatioSpread() (float64, error) {
 	return stats.RatioSpread(ys, s.Expected)
 }
 
-// sweep executes the points as a campaign on the default worker pool
-// and converts the aggregates into a Series, failing if any run did
-// not converge within budget (the historical contract of these
-// measurement helpers).
-func sweep(name string, points []campaign.Point) (Series, error) {
+// sweep compiles the spec and executes it as a campaign on the default
+// worker pool, converting the aggregates into a Series named after the
+// first point's protocol and failing if any run did not converge
+// within budget (the historical contract of these measurement
+// helpers).
+func sweep(spec campaign.Spec) (Series, error) {
+	points, err := spec.Compile()
+	if err != nil {
+		return Series{}, err
+	}
 	out, err := campaign.Execute(context.Background(), points, campaign.Options{})
 	if err != nil {
 		return Series{}, err
 	}
-	series := Series{Name: name}
+	series := Series{Name: points[0].Proto.Name()}
 	for _, agg := range out.Aggregates {
 		if agg.Failures > 0 {
 			return Series{}, fmt.Errorf("experiments: %s n=%d: %d of %d trials did not converge",
@@ -83,6 +88,7 @@ func sweep(name string, points []campaign.Point) (Series, error) {
 			StdErr: agg.StdErr,
 			Trials: agg.Trials,
 		})
+		series.Expected = append(series.Expected, agg.Expected)
 	}
 	return series, nil
 }
@@ -94,75 +100,32 @@ func sweep(name string, points []campaign.Point) (Series, error) {
 // conversion happens (which may be a node-state change, not an edge
 // one), so the campaign measures MetricSteps.
 func MeasureProcess(proc processes.Process, sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
-	points := make([]campaign.Point, 0, len(sizes))
-	for _, n := range sizes {
-		initial, err := proc.Initial(n)
-		if err != nil {
-			return Series{}, err
-		}
-		pt := campaign.Point{
-			Protocol: proc.Proto.Name(),
-			N:        n,
-			Trials:   trials,
-			BaseSeed: seed,
-			Proto:    proc.Proto,
-			Detector: proc.Detector,
-			Engine:   engine,
-			Metric:   campaign.MetricSteps,
-			Expected: proc.Expected(n),
-		}
-		if initial != nil {
-			pt.Initial = func(int) (*core.Config, error) { return initial, nil }
-		}
-		points = append(points, pt)
-	}
-	series, err := sweep(proc.Proto.Name(), points)
+	series, err := sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
+		{Name: proc.Proto.Name(), Kind: "process", Sizes: sizes},
+	}})
 	if err != nil {
 		return Series{}, err
 	}
 	series.Theta = proc.Theta
-	for _, n := range sizes {
-		series.Expected = append(series.Expected, proc.Expected(n))
-	}
 	return series, nil
 }
 
-// MeasureProtocol sweeps a Table 2 constructor over sizes on the given
-// engine, reporting the paper's convergence time (last output change).
-func MeasureProtocol(c protocols.Constructor, sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
-	return sweep(c.Proto.Name(), protocolPoints(c, sizes, trials, seed, engine))
-}
-
-func protocolPoints(c protocols.Constructor, sizes []int, trials int, seed uint64, engine core.Engine) []campaign.Point {
-	points := make([]campaign.Point, 0, len(sizes))
-	for _, n := range sizes {
-		points = append(points, campaign.Point{
-			Protocol: c.Proto.Name(),
-			N:        n,
-			Trials:   trials,
-			BaseSeed: seed,
-			Proto:    c.Proto,
-			Detector: c.Detector,
-			Engine:   engine,
-			Metric:   campaign.MetricConvergenceTime,
-		})
-	}
-	return points
+// MeasureProtocol sweeps the Table 2 constructor registered under name
+// over sizes on the given engine, reporting the paper's convergence
+// time (last output change).
+func MeasureProtocol(name string, sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
+	return sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
+		{Name: name, Sizes: sizes},
+	}})
 }
 
 // MeasureReplication sweeps Graph-Replication on the given engine: for
 // each n, the input is a ring on ⌊n/2⌋ nodes replicated onto the other
 // half.
 func MeasureReplication(sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
-	c := protocols.GraphReplication()
-	spec := campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
+	return sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
 		{Kind: "replication", Sizes: sizes},
-	}}
-	points, err := spec.Compile()
-	if err != nil {
-		return Series{}, err
-	}
-	return sweep(c.Proto.Name(), points)
+	}})
 }
 
 // Comparison holds the Section 7 Fast- vs Faster-Global-Line
@@ -178,22 +141,19 @@ type Comparison struct {
 // engine. The two sweeps execute as a single campaign, so their runs
 // interleave on the worker pool.
 func CompareLineProtocols(sizes []int, trials int, seed uint64, engine core.Engine) (Comparison, error) {
-	fast := protocolPoints(protocols.FastGlobalLine(), sizes, trials, seed, engine)
-	faster := protocolPoints(protocols.FasterGlobalLine(), sizes, trials, seed, engine)
-	out, err := campaign.Execute(context.Background(), append(fast, faster...), campaign.Options{})
+	both, err := sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
+		{Name: "fast-global-line", Sizes: sizes},
+		{Name: "faster-global-line", Sizes: sizes},
+	}})
 	if err != nil {
 		return Comparison{}, err
 	}
 	cmp := Comparison{Sizes: sizes}
-	for i, agg := range out.Aggregates {
-		if agg.Failures > 0 {
-			return Comparison{}, fmt.Errorf("experiments: %s n=%d: %d of %d trials did not converge",
-				agg.Protocol, agg.N, agg.Failures, agg.Trials)
-		}
+	for i, p := range both.Points {
 		if i < len(sizes) {
-			cmp.Fast = append(cmp.Fast, agg.Mean)
+			cmp.Fast = append(cmp.Fast, p.Mean)
 		} else {
-			cmp.Faster = append(cmp.Faster, agg.Mean)
+			cmp.Faster = append(cmp.Faster, p.Mean)
 		}
 	}
 	return cmp, nil

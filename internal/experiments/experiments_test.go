@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/processes"
-	"repro/internal/protocols"
 )
 
 func TestMeasureProcessTracksTheory(t *testing.T) {
@@ -37,7 +36,7 @@ func TestMeasureProcessTracksTheory(t *testing.T) {
 
 func TestMeasureProtocolExponent(t *testing.T) {
 	t.Parallel()
-	series, err := MeasureProtocol(protocols.CycleCover(), []int{16, 32, 64}, 20, 1, core.EngineAuto)
+	series, err := MeasureProtocol("cycle-cover", []int{16, 32, 64}, 20, 1, core.EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestCompareLineProtocols(t *testing.T) {
 
 func TestRatioSpreadRequiresReference(t *testing.T) {
 	t.Parallel()
-	series, err := MeasureProtocol(protocols.GlobalStar(), []int{8, 16}, 2, 1, core.EngineBaseline)
+	series, err := MeasureProtocol("global-star", []int{8, 16}, 2, 1, core.EngineBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/protocols"
 	"repro/internal/scenario"
 )
 
@@ -45,45 +44,45 @@ type FaultPoint struct {
 // q1 endpoint keeps swapping along it forever without ever changing
 // the output graph).
 func FaultSweep(n int, crashCounts []int, trials int, seed uint64, engine core.Engine) ([]FaultPoint, error) {
-	c := protocols.SimpleGlobalLine()
 	nn := int64(n)
-	budget := 32 * nn * nn * nn * nn
-
-	// One point per k. The aggregate's metric is the largest component;
-	// the component count is read off the same final configuration in
-	// the same metric call and accumulated as an integer sum, which is
-	// exact and order-independent, so the sweep stays deterministic
-	// without simulating every trial twice.
-	compSums := make([]int64, len(crashCounts))
-	points := make([]campaign.Point, 0, len(crashCounts))
-	for i, k := range crashCounts {
-		var plan *scenario.FaultPlan
-		if k > 0 {
-			plan = &scenario.FaultPlan{Seed: seed}
-			for j := 1; j <= k; j++ {
-				plan.Events = append(plan.Events, scenario.Fault{
-					Kind: scenario.KindCrash,
-					Step: int64(j) * nn * nn,
-				})
-			}
+	spec := campaign.Spec{
+		Trials:             trials,
+		Seed:               seed,
+		Engine:             engine.String(),
+		Detector:           "quiescence",
+		Metric:             "largest-component",
+		MaxSteps:           32 * nn * nn * nn * nn,
+		IncludeUnconverged: true,
+	}
+	// One item per k; k = 0 compiles its empty plan to the fault-free
+	// control row.
+	for _, k := range crashCounts {
+		plan := &scenario.FaultPlan{Seed: seed}
+		for j := 1; j <= k; j++ {
+			plan.Events = append(plan.Events, scenario.Fault{
+				Kind: scenario.KindCrash,
+				Step: int64(j) * nn * nn,
+			})
 		}
+		spec.Items = append(spec.Items, campaign.Item{Name: "simple-global-line", Sizes: []int{n}, Faults: plan})
+	}
+	points, err := spec.Compile()
+	if err != nil {
+		return nil, err
+	}
+
+	// The aggregate's metric is the largest component; the component
+	// count is read off the same final configuration in the same metric
+	// call and accumulated as an integer sum, which is exact and
+	// order-independent, so the sweep stays deterministic without
+	// simulating every trial twice.
+	compSums := make([]int64, len(points))
+	for i := range points {
 		compSum := &compSums[i]
-		points = append(points, campaign.Point{
-			Protocol:           c.Proto.Name(),
-			N:                  n,
-			Trials:             trials,
-			BaseSeed:           seed,
-			Proto:              c.Proto,
-			Detector:           core.QuiescenceDetector(),
-			Engine:             engine,
-			MaxSteps:           budget,
-			Faults:             plan,
-			IncludeUnconverged: true,
-			Metric: func(res core.Result, n int) float64 {
-				atomic.AddInt64(compSum, int64(campaign.MetricComponents(res, n)))
-				return campaign.MetricLargestComponent(res, n)
-			},
-		})
+		points[i].Metric = func(res core.Result, n int) float64 {
+			atomic.AddInt64(compSum, int64(campaign.MetricComponents(res, n)))
+			return campaign.MetricLargestComponent(res, n)
+		}
 	}
 
 	out, err := campaign.Execute(context.Background(), points, campaign.Options{})

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/protocols"
 )
 
 // SparsityPoint is one cell of a sparsity sweep: convergence-time
@@ -58,43 +57,35 @@ func SparsitySweep(n int, degrees []float64, model string, trials int, seed uint
 	if model != core.TopoGnp && model != core.TopoRGG {
 		return nil, fmt.Errorf("experiments: sparsity sweep: unknown topology model %q (known: gnp, rgg)", model)
 	}
-	constructors := []protocols.Constructor{protocols.SimpleGlobalLine(), protocols.CycleCover()}
-	nn := int64(n)
-	budget := 32 * nn * nn * nn * nn
-
+	spec := campaign.Spec{
+		Trials:             trials,
+		Seed:               seed,
+		Engine:             engine.String(),
+		Detector:           "quiescence",
+		MaxSteps:           32 * int64(n) * int64(n) * int64(n) * int64(n),
+		IncludeUnconverged: true,
+	}
 	// The grid is protocols × degrees, in that order, so aggregate i
 	// maps back to (i / len(degrees), i % len(degrees)).
-	points := make([]campaign.Point, 0, len(constructors)*len(degrees))
-	specs := make([]*core.TopologySpec, len(degrees))
-	for i, d := range degrees {
-		if d < 0 {
-			return nil, fmt.Errorf("experiments: sparsity sweep: expected degree %g must be non-negative", d)
-		}
-		if d < float64(n-1) {
-			switch model {
-			case core.TopoGnp:
-				specs[i] = &core.TopologySpec{Kind: core.TopoGnp, Param: round4(d / float64(n-1))}
-			case core.TopoRGG:
-				specs[i] = &core.TopologySpec{Kind: core.TopoRGG, Param: round4(math.Sqrt(d / (math.Pi * float64(n-1))))}
+	for _, name := range []string{"simple-global-line", "cycle-cover"} {
+		for _, d := range degrees {
+			if d < 0 {
+				return nil, fmt.Errorf("experiments: sparsity sweep: expected degree %g must be non-negative", d)
 			}
+			var topo *core.TopologySpec
+			switch {
+			case d >= float64(n-1): // the complete-graph control row
+			case model == core.TopoGnp:
+				topo = &core.TopologySpec{Kind: core.TopoGnp, Param: round4(d / float64(n-1))}
+			default:
+				topo = &core.TopologySpec{Kind: core.TopoRGG, Param: round4(math.Sqrt(d / (math.Pi * float64(n-1))))}
+			}
+			spec.Items = append(spec.Items, campaign.Item{Name: name, Sizes: []int{n}, Topology: topo})
 		}
 	}
-	for _, c := range constructors {
-		for i := range degrees {
-			points = append(points, campaign.Point{
-				Protocol:           c.Proto.Name(),
-				N:                  n,
-				Trials:             trials,
-				BaseSeed:           seed,
-				Proto:              c.Proto,
-				Detector:           core.QuiescenceDetector(),
-				Engine:             engine,
-				MaxSteps:           budget,
-				Topology:           specs[i],
-				IncludeUnconverged: true,
-				Metric:             campaign.MetricConvergenceTime,
-			})
-		}
+	points, err := spec.Compile()
+	if err != nil {
+		return nil, err
 	}
 
 	out, err := campaign.Execute(context.Background(), points, campaign.Options{})
@@ -108,7 +99,7 @@ func SparsitySweep(n int, degrees []float64, model string, trials int, seed uint
 			return nil, fmt.Errorf("experiments: sparsity sweep %s d=%g lost runs: %+v", agg.Protocol, d, agg)
 		}
 		result = append(result, SparsityPoint{
-			Protocol:  agg.Protocol,
+			Protocol:  points[i].Proto.Name(),
 			Degree:    d,
 			Topology:  agg.Topology,
 			Mean:      agg.Mean,

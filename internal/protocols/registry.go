@@ -5,55 +5,46 @@ import (
 	"sort"
 )
 
-// Registry maps protocol names to constructors, for the CLI tools and
-// table generators. Parameterized protocols are registered at useful
-// default parameters; use the typed constructors directly for other
+// registry maps each protocol name to its constructor, for the CLI
+// tools and table generators; a lookup builds only the protocol it
+// asks for. Parameterized protocols are registered at useful default
+// parameters; use the typed constructors directly for other
 // parameters.
-func Registry() map[string]Constructor {
-	reg := map[string]Constructor{
-		"simple-global-line": SimpleGlobalLine(),
-		"fast-global-line":   FastGlobalLine(),
-		"faster-global-line": FasterGlobalLine(),
-		"spanning-net":       SpanningNet(),
-		"cycle-cover":        CycleCover(),
-		"global-star":        GlobalStar(),
-		"global-ring":        GlobalRing(),
-		"2rc":                TwoRC(),
-	}
-	if krc, err := KRC(3); err == nil {
-		reg["3rc"] = krc
-	}
-	if krc, err := KRC(4); err == nil {
-		reg["4rc"] = krc
-	}
-	if cl, err := CCliques(3); err == nil {
-		reg["3-cliques"] = cl
-	}
-	if cl, err := CCliques(4); err == nil {
-		reg["4-cliques"] = cl
-	}
-	if dd, err := DegreeDoubling(3); err == nil {
-		reg["degree-doubling"] = dd
-	}
-	return reg
+var registry = map[string]func() (Constructor, error){
+	"simple-global-line": fixed(SimpleGlobalLine),
+	"fast-global-line":   fixed(FastGlobalLine),
+	"faster-global-line": fixed(FasterGlobalLine),
+	"spanning-net":       fixed(SpanningNet),
+	"cycle-cover":        fixed(CycleCover),
+	"global-star":        fixed(GlobalStar),
+	"global-ring":        fixed(GlobalRing),
+	"2rc":                fixed(TwoRC),
+	"3rc":                func() (Constructor, error) { return KRC(3) },
+	"4rc":                func() (Constructor, error) { return KRC(4) },
+	"3-cliques":          func() (Constructor, error) { return CCliques(3) },
+	"4-cliques":          func() (Constructor, error) { return CCliques(4) },
+	"degree-doubling":    func() (Constructor, error) { return DegreeDoubling(3) },
+}
+
+func fixed(build func() Constructor) func() (Constructor, error) {
+	return func() (Constructor, error) { return build(), nil }
 }
 
 // Names returns the sorted registry keys.
 func Names() []string {
-	reg := Registry()
-	names := make([]string, 0, len(reg))
-	for name := range reg {
+	names := make([]string, 0, len(registry))
+	for name := range registry {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Lookup fetches a registered constructor by name.
+// Lookup builds the registered constructor of that name.
 func Lookup(name string) (Constructor, error) {
-	c, ok := Registry()[name]
+	build, ok := registry[name]
 	if !ok {
 		return Constructor{}, fmt.Errorf("protocols: unknown protocol %q (known: %v)", name, Names())
 	}
-	return c, nil
+	return build()
 }
