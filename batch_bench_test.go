@@ -65,7 +65,7 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 				b.ReportMetric(float64(effective)/float64(b.N), "effective/op")
 				if engine == core.EngineBatch {
 					if bucketDraws == 0 {
-						b.Fatal("batch rows never took the bucket-plan path; the speedup rows measure nothing")
+						b.Fatal("batch rows never took the pure path; the speedup rows measure nothing")
 					}
 					b.ReportMetric(float64(bucketDraws)/float64(b.N), "bucket-draws/op")
 				}

@@ -119,7 +119,11 @@ func TestBatchExactStepping(t *testing.T) {
 //     Kolmogorov–Smirnov test at α = 0.001, and
 //   - the active-edge count at a fixed mid-transient horizon — a
 //     final-graph statistic with real spread — must pass a two-sample
-//     chi-square test at α = 0.001.
+//     chi-square test at α = 0.001, once under an ungated never-stable
+//     detector (no swap run is ever revealed: every landing takes the
+//     per-landing path) and once under Simple-Global-Line's own
+//     edge-triggered detector, which lets the engine reveal swap runs
+//     (runs that end at the horizon are fine: MaxSteps is the horizon).
 //
 // Seeds are fixed, so failures are law changes, not noise. The batch
 // runs must actually exercise the pure path (BucketDraws > 0) — a
@@ -159,7 +163,7 @@ func TestBatchDistributionalEquivalence(t *testing.T) {
 				bucketDraws += res.Metrics.BucketDraws
 			}
 			if engine == core.EngineBatch && bucketDraws == 0 {
-				t.Fatal("batch runs never exercised the bucket-plan path")
+				t.Fatal("batch runs never drew inside a census-frozen stretch")
 			}
 			return out
 		}
@@ -193,28 +197,69 @@ func TestBatchDistributionalEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				edges := 0
-				for u := 0; u < n; u++ {
-					for v := u + 1; v < n; v++ {
-						if res.Final.Edge(u, v) {
-							edges++
-						}
-					}
-				}
-				h[edges]++
+				h[activeEdges(res.Final)]++
 			}
 			return h
 		}
-		a := hist(core.EngineSparse)
-		b := hist(core.EngineBatch)
-		stat, df := stats.ChiSquareTwoSample(a, b)
-		if df == 0 {
-			t.Fatalf("degenerate horizon: histograms %v vs %v", a, b)
-		}
-		if crit := stats.ChiSquareCritical(df, 0.001); stat > crit {
-			t.Fatalf("active-edge chi-square %.2f > critical %.2f (df %d)\nsparse %v\nbatch  %v", stat, crit, df, a, b)
-		}
+		chiSquareEngines(t, hist(core.EngineSparse), hist(core.EngineBatch))
 	})
+
+	t.Run("engine=batch/chi-square-active-edges-gated", func(t *testing.T) {
+		t.Parallel()
+		trials := 300
+		if testing.Short() {
+			trials = 100
+		}
+		const (
+			n       = 24
+			horizon = 2000
+		)
+		hist := func(engine core.Engine) []int64 {
+			h := make([]int64, n)
+			var bucketDraws int64
+			for trial := 0; trial < trials; trial++ {
+				res, err := core.Run(c.Proto, n, core.Options{
+					Seed: uint64(trial) + 1, Engine: engine, Detector: c.Detector, MaxSteps: horizon,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h[activeEdges(res.Final)]++
+				bucketDraws += res.Metrics.BucketDraws
+			}
+			if engine == core.EngineBatch && bucketDraws == 0 {
+				t.Fatal("batch runs never drew inside a census-frozen stretch")
+			}
+			return h
+		}
+		chiSquareEngines(t, hist(core.EngineSparse), hist(core.EngineBatch))
+	})
+}
+
+// activeEdges counts the active edges of a configuration.
+func activeEdges(cfg *core.Config) int {
+	edges := 0
+	for u := 0; u < cfg.N(); u++ {
+		for v := u + 1; v < cfg.N(); v++ {
+			if cfg.Edge(u, v) {
+				edges++
+			}
+		}
+	}
+	return edges
+}
+
+// chiSquareEngines fails unless two active-edge histograms, sparse and
+// batch, pass a two-sample chi-square test at α = 0.001.
+func chiSquareEngines(t *testing.T, a, b []int64) {
+	t.Helper()
+	stat, df := stats.ChiSquareTwoSample(a, b)
+	if df == 0 {
+		t.Fatalf("degenerate horizon: histograms %v vs %v", a, b)
+	}
+	if crit := stats.ChiSquareCritical(df, 0.001); stat > crit {
+		t.Fatalf("active-edge chi-square %.2f > critical %.2f (df %d)\nsparse %v\nbatch  %v", stat, crit, df, a, b)
+	}
 }
 
 // recordSink serializes every event except the run-envelope Engine tag

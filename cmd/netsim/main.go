@@ -169,7 +169,7 @@ func run() error {
 		// converged trial when there is one, the first trial otherwise
 		// (a trace of a non-converging run is still worth inspecting).
 		// One exception, disclosed below: a batch-engine run that took
-		// the pure bucket-plan path cannot be replayed with a sink
+		// the pure batched path cannot be replayed with a sink
 		// attached — the sink reroutes the replay to exact stepping
 		// (bit-identical to -engine sparse), which is equal in law but
 		// not bit-identical to the measured batched trial.

@@ -74,7 +74,7 @@ func TestBatchIndexApplySwapFast(t *testing.T) {
 // simulation. Both arms run the single-walker path to a fixed step
 // budget: the literal arm applies one uniform pair draw per step
 // (the baseline scheduler, nothing skipped), the batch arm runs
-// batchLoop — geometric skips, bucket plans, swap-run collapse,
+// batchLoop — geometric skips, geometric swap-run reveals, collapse,
 // hypergeometric fast-forward at the budget's end. The walker's final
 // position is a complete summary of the run (the path never changes,
 // only the walker moves), so a two-sample chi-square on its
@@ -167,4 +167,83 @@ func walkerPos(t *testing.T, cfg *Config) int {
 		t.Fatal("walker vanished")
 	}
 	return pos
+}
+
+// TestBatchRunBreakerLaw pins revealed swap runs whose cell holds only
+// part of the enabled weight (w < m), so that completed runs end in a
+// landing drawn with the run cell excluded. Two walkers — w over q2 on
+// one path, x over y on another — each hold their own swap class, so
+// every run on one walker is broken by a landing on the other. Both
+// arms run to a fixed step budget from both walkers at their paths'
+// middles: the literal arm draws one uniform pair per step, the batch
+// arm runs batchLoop. A breaker drawn from the wrong law shifts how
+// the landings split between the walkers, so the statistic is the
+// joint distribution of the two walkers' distances from their start
+// (four buckets each), compared by a two-sample chi-square test at
+// α = 0.001.
+func TestBatchRunBreakerLaw(t *testing.T) {
+	t.Parallel()
+	p := MustProtocol("two-walkers", []string{"q2", "w", "y", "x"}, 0, nil, []Rule{
+		{A: 1, B: 0, Edge: true, OutA: 0, OutB: 1, OutEdge: true},
+		{A: 3, B: 2, Edge: true, OutA: 2, OutB: 3, OutEdge: true},
+	})
+	trials := 1200
+	if testing.Short() {
+		trials = 400
+	}
+	const (
+		line     = 16
+		maxSteps = 1 << 13
+		buckets  = 4
+	)
+	det := Detector{Trigger: TriggerEdge, Stable: func(*Config) bool { return false }}
+	initial := func() *Config {
+		cfg := NewConfig(p, 2*line)
+		for u := 0; u < line; u++ {
+			cfg.SetNode(line+u, 2) // y
+		}
+		cfg.SetNode(line/2, 1)      // w
+		cfg.SetNode(line+line/2, 3) // x
+		for u := 0; u+1 < line; u++ {
+			cfg.SetEdge(u, u+1, true)
+			cfg.SetEdge(line+u, line+u+1, true)
+		}
+		return cfg
+	}
+	cellOf := func(cfg *Config) int {
+		var dist [2]int
+		for u := 0; u < cfg.N(); u++ {
+			if s := cfg.Node(u); s == 1 || s == 3 {
+				d := u%line - line/2
+				dist[s/3] = min(max(d, -d)/2, buckets-1)
+			}
+		}
+		return dist[0]*buckets + dist[1]
+	}
+
+	literal := make([]int64, buckets*buckets)
+	batch := make([]int64, buckets*buckets)
+	var bucketDraws int64
+	for trial := 0; trial < trials; trial++ {
+		cfg := initial()
+		rng := NewRNG(uint64(trial) + 1)
+		for step := int64(0); step < maxSteps; step++ {
+			u, v := rng.Pair(cfg.N())
+			cfg.Apply(u, v, rng)
+		}
+		literal[cellOf(cfg)]++
+
+		cfg = initial()
+		res := batchLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg))
+		if m := res.Metrics; m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps {
+			t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d",
+				trial, m.Landings, m.SkippedSteps, m.CollapsedLandings, res.Steps)
+		}
+		bucketDraws += res.Metrics.BucketDraws
+		batch[cellOf(cfg)]++
+	}
+	if bucketDraws == 0 {
+		t.Fatal("batch arm never drew inside a census-frozen stretch")
+	}
+	chiSquareCompare(t, "two-walker distances", literal, batch)
 }

@@ -40,8 +40,8 @@ const maxSparseNodes = 1 << 20
 //
 //   - a census *generation* counter (gen) that bumps exactly when some
 //     cached sub-bucket weight changes value, so the batch engine can
-//     detect "the landing law is unchanged" in O(1) and keep a bucket
-//     plan alive across landings (see batch.go);
+//     detect "the landing law is unchanged" in O(1) and keep a
+//     revealed swap run alive across landings (see batch.go);
 //   - edge *lists* only for the classes the sampler can ever draw an
 //     edge from (mask bit effEdge — for Simple-Global-Line that is the
 //     handful of walker/leader classes, a few edges each, while the
@@ -62,7 +62,9 @@ const maxSparseNodes = 1 << 20
 //   - swapCell marks the edge classes whose rule is a deterministic
 //     state swap — the walker-walk workhorse — for which batchLoop
 //     runs a specialized kernel (no rule lookup, no store access, no
-//     coins) through applySwap.
+//     coins) through applySwap; runs lists the live ones whose swap
+//     leaves the output graph alone, the classes batchLoop reveals
+//     swap runs on.
 //
 // Under a restricted topology (cfg.Topology() non-nil) the population
 // products no longer count schedulable pairs, so P(q₁,q₂) is replaced
@@ -127,6 +129,7 @@ type batchIndex struct {
 	listed   []bool
 	swapCell []bool
 	swapOut  []bool
+	runs     []int32
 	touch    [][]int32
 
 	gen uint64
@@ -135,15 +138,10 @@ type batchIndex struct {
 	dirtyStamp []uint64
 	stamp      uint64
 
-	// plan is the engine's bucket-plan scratch; it lives here (rather
-	// than on batchLoop's stack) so its backing arrays survive
-	// workspace reuse and steady-state campaign trials stay
-	// allocation-free.
-	plan bucketPlan
-
 	// wpath is the swap-run collapse's cached walker segment (see
-	// walkChunk); like plan it lives here so its scan buffers survive
-	// workspace reuse.
+	// walkChunk); it lives here (rather than on batchLoop's stack) so
+	// its scan buffers survive workspace reuse and steady-state
+	// campaign trials stay allocation-free.
 	wpath walkPath
 
 	// Sampling-effort telemetry, zeroed per reset (i.e. per run):
@@ -317,6 +315,7 @@ func (bi *batchIndex) rebuildMasks() {
 		bi.touch[a] = bi.touch[a][:0]
 	}
 	bi.live = bi.live[:0]
+	bi.runs = bi.runs[:0]
 	for a := 0; a < q; a++ {
 		for b := a; b < q; b++ {
 			id := a*q + b
@@ -345,6 +344,9 @@ func (bi *batchIndex) rebuildMasks() {
 			bi.swapOut[id] = p.IsOutput(State(a)) != p.IsOutput(State(b))
 			if m != 0 {
 				bi.live = append(bi.live, int32(id))
+				if bi.swapCell[id] && !bi.swapOut[id] {
+					bi.runs = append(bi.runs, int32(id))
+				}
 				bi.touch[a] = append(bi.touch[a], int32(id))
 				if b != a {
 					bi.touch[b] = append(bi.touch[b], int32(id))
@@ -850,27 +852,66 @@ func (bi *batchIndex) classIDs(sx, before, after State) (from, to int) {
 
 // Sample returns a uniformly random enabled pair in random orientation
 // (matching the orientation law of RNG.Pair): a class sub-bucket drawn
-// proportionally to its weight, then a member of it. The walk visits
-// the live classes in ascending id order; the classes it skips have
-// zero weight, so the draw is the one a walk over all |Q|² classes
-// makes. It must not be called when no pair is enabled.
+// proportionally to its weight, then a member of it. It must not be
+// called when no pair is enabled.
 func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
-	r := rng.Int64N(bi.enabled)
-	for _, id32 := range bi.live {
-		id := int(id32)
-		if w := bi.w[2*id]; r < w {
-			return bi.sampleNonEdge(id, rng)
-		} else {
-			r -= w
+	return bi.sampleMember(bi.sampleCell(rng, -1), rng)
+}
+
+// sampleCell draws a sub-bucket key 2·id + edgeBit proportionally to
+// the cached weights, excluding sub-bucket skip (−1 excludes none; an
+// excluded sub-bucket must leave some weight elsewhere). The walk
+// visits the live classes in ascending id order; the classes it skips
+// have zero weight, so the draw is the one a walk over all |Q|²
+// classes makes.
+func (bi *batchIndex) sampleCell(rng *RNG, skip int32) int32 {
+	total := bi.enabled
+	if skip >= 0 {
+		total -= bi.w[skip]
+	}
+	r := rng.Int64N(total)
+	for _, id := range bi.live {
+		cell := 2 * id
+		w0, w1 := bi.w[cell], bi.w[cell+1]
+		if cell == skip {
+			w0 = 0
+		} else if cell+1 == skip {
+			w1 = 0
 		}
-		if w := bi.w[2*id+1]; r < w {
-			key := bi.edgeList[id][rng.IntN(len(bi.edgeList[id]))]
-			return orient(int(key>>32), int(key&0xffffffff), rng)
-		} else {
-			r -= w
+		if r < w0 {
+			return cell
 		}
+		r -= w0
+		if r < w1 {
+			return cell + 1
+		}
+		r -= w1
 	}
 	panic("core: batchIndex class weights inconsistent with total")
+}
+
+// sampleMember draws a uniformly random pair of sub-bucket cell, in
+// random orientation: an O(1) list draw for an edge cell, a non-edge
+// draw (sampleNonEdge) otherwise.
+func (bi *batchIndex) sampleMember(cell int32, rng *RNG) (u, v int) {
+	id := int(cell >> 1)
+	if cell&1 == 0 {
+		return bi.sampleNonEdge(id, rng)
+	}
+	key := bi.edgeList[id][rng.IntN(len(bi.edgeList[id]))]
+	return orient(int(key>>32), int(key&0xffffffff), rng)
+}
+
+// runClass returns the edge sub-bucket 2·id + 1 of the run-eligible
+// swap class (runs) with the most listed edges, and its weight — zero
+// when no such class holds an edge.
+func (bi *batchIndex) runClass() (cell int32, w int64) {
+	for _, id := range bi.runs {
+		if x := bi.w[2*id+1]; x > w {
+			cell, w = 2*id+1, x
+		}
+	}
+	return cell, w
 }
 
 // sampleNonEdge draws a uniformly random non-edge pair within class
@@ -1182,7 +1223,7 @@ func (bi *batchIndex) walkChunk(cell int32, need int64) int64 {
 // effect to |d| single swaps along the segment. Every class weight is
 // provably unchanged (the walker's two listed edges drop and two new
 // ones add in the same class; the traversed interior keeps state bs),
-// so gen stays put and any outstanding plan survives. d = 0 (or a
+// so gen stays put and any revealed run survives. d = 0 (or a
 // full wrap on a cycle) leaves the configuration untouched.
 func (bi *batchIndex) collapseMove(d int64) {
 	wp := &bi.wpath

@@ -213,7 +213,7 @@ func TestBatchIndexTracksApply(t *testing.T) {
 }
 
 // TestBatchIndexApplySwap exercises the swap kernel's index side
-// directly: walker-protocol configurations where planned landings on
+// directly: walker-protocol configurations where landings on
 // the swap class are applied through applySwap (states exchanged in
 // place, no Config.Apply), interleaved with ordinary rule
 // applications, with a full brute-force verification after each.

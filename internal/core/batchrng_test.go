@@ -1,19 +1,18 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
 )
 
-// The samplers behind the batch engine's plans carry two kinds of
-// obligation: hard invariants (counts sum to the number of draws and
-// respect zero weights) and the law itself (the conditional-binomial
-// chain must reproduce the joint distribution of brute-force
-// sequential draws, the scalar samplers their literal experiments).
-// The invariants are property-tested and fuzzed; the laws are pinned
-// by two-sample chi-square tests at α = 0.001 against literal urn
-// simulations.
+// The draws the batch engine's pure path rests on — the geometric
+// swap-run length and scheduler gap, the cell draw with an excluded
+// sub-bucket, the hypergeometric budget cut — are pinned by two-sample
+// chi-square tests at α = 0.001 against literal coin, urn and
+// categorical simulations.
 
 const lawTrials = 4000
 
@@ -29,69 +28,6 @@ func chiSquareCompare(t *testing.T, label string, a, b []int64) {
 		t.Errorf("%s: chi-square stat %.2f > critical %.2f (df %d)\n sampler: %v\n brute:   %v",
 			label, stat, crit, df, a, b)
 	}
-}
-
-func TestMultinomialBucketsProperties(t *testing.T) {
-	t.Parallel()
-	rng := NewRNG(11)
-	weightSets := [][]int64{
-		{1},
-		{3, 5, 2},
-		{0, 7, 0, 1},
-		{1, 0, 0, 0, 1},
-		{1000000, 1},
-		{0, 0, 5},
-	}
-	var out []int64
-	for _, weights := range weightSets {
-		for _, k := range []int64{0, 1, 7, 64, 513} {
-			out = rng.MultinomialBuckets(k, weights, out)
-			if len(out) != len(weights) {
-				t.Fatalf("weights %v, k=%d: got %d counts", weights, k, len(out))
-			}
-			var sum int64
-			for i, c := range out {
-				if c < 0 {
-					t.Fatalf("weights %v, k=%d: negative count %d in bucket %d", weights, k, c, i)
-				}
-				if weights[i] == 0 && c != 0 {
-					t.Fatalf("weights %v, k=%d: zero-weight bucket %d received %d draws", weights, k, i, c)
-				}
-				sum += c
-			}
-			if sum != k {
-				t.Fatalf("weights %v, k=%d: counts sum to %d", weights, k, sum)
-			}
-		}
-	}
-	// k = 0 with all-zero weights is legal (an empty plan).
-	out = rng.MultinomialBuckets(0, []int64{0, 0}, out)
-	for _, c := range out {
-		if c != 0 {
-			t.Fatalf("k=0 over zero weights produced count %d", c)
-		}
-	}
-}
-
-// TestBinomialLawMatch pins the scalar binomial sampler against the
-// literal coin-flipping experiment it replaces.
-func TestBinomialLawMatch(t *testing.T) {
-	t.Parallel()
-	const n, p = 10, 0.3
-	rngA, rngB := NewRNG(101), NewRNG(202)
-	histA := make([]int64, n+1)
-	histB := make([]int64, n+1)
-	for trial := 0; trial < lawTrials; trial++ {
-		histA[rngA.Binomial(n, p)]++
-		var brute int64
-		for i := 0; i < n; i++ {
-			if rngB.Float64() < p {
-				brute++
-			}
-		}
-		histB[brute]++
-	}
-	chiSquareCompare(t, "Binomial(10, 0.3)", histA, histB)
 }
 
 // TestHypergeometricLawMatch pins the scalar hypergeometric sampler
@@ -123,87 +59,103 @@ func TestHypergeometricLawMatch(t *testing.T) {
 	chiSquareCompare(t, "Hypergeometric(6, 5, 14)", histA, histB)
 }
 
-// TestMultinomialBucketsLawMatch pins the conditional-binomial chain
-// against brute-force sequential categorical draws: per bucket, the
-// marginal count distribution over many trials must match.
-func TestMultinomialBucketsLawMatch(t *testing.T) {
+// TestGeometricExpLawMatch pins GeometricExp — the batch engine's
+// swap-run length and scheduler-gap draw — against literal Bernoulli
+// trials: the failures before the first success, with the last
+// histogram bin pooling the tail. invLambda = +Inf is the run of a
+// cell holding every enabled pair, which never ends: the clamp.
+func TestGeometricExpLawMatch(t *testing.T) {
 	t.Parallel()
-	weights := []int64{3, 5, 2}
-	const k = 8
-	var total int64
-	for _, w := range weights {
-		total += w
-	}
-	rngA, rngB := NewRNG(505), NewRNG(606)
-	histA := make([][]int64, len(weights))
-	histB := make([][]int64, len(weights))
-	for i := range histA {
-		histA[i] = make([]int64, k+1)
-		histB[i] = make([]int64, k+1)
-	}
-	var out, brute []int64
-	for trial := 0; trial < lawTrials; trial++ {
-		out = rngA.MultinomialBuckets(k, weights, out)
-		for i, c := range out {
-			histA[i][c]++
-		}
-		brute = brute[:0]
-		brute = append(brute, make([]int64, len(weights))...)
-		for d := 0; d < k; d++ {
-			v := rngB.Int64N(total)
-			for i, w := range weights {
-				if v < w {
-					brute[i]++
-					break
-				}
-				v -= w
+	const bins = 12
+	for i, p := range []float64{0.05, 0.3, 2.0 / 3, 0.9} {
+		rngA, rngB := NewRNG(uint64(707+i)), NewRNG(uint64(808+i))
+		invLambda := -1 / math.Log1p(-p)
+		histA := make([]int64, bins)
+		histB := make([]int64, bins)
+		for trial := 0; trial < lawTrials; trial++ {
+			histA[min(rngA.GeometricExp(invLambda), bins-1)]++
+			var brute int64
+			for rngB.Float64() >= p {
+				brute++
 			}
+			histB[min(brute, bins-1)]++
 		}
-		for i, c := range brute {
-			histB[i][c]++
-		}
+		chiSquareCompare(t, "GeometricExp", histA, histB)
 	}
-	for i := range weights {
-		chiSquareCompare(t, "MultinomialBuckets bucket "+string(rune('0'+i)), histA[i], histB[i])
+	rng := NewRNG(1)
+	for i := 0; i < 100; i++ {
+		if got := rng.GeometricExp(math.Inf(1)); got != geometricClamp {
+			t.Fatalf("GeometricExp(+Inf) = %d, want the clamp %d", got, geometricClamp)
+		}
 	}
 }
 
-// FuzzBucketSamplers fuzzes the hard invariants of the multinomial
-// sampler over arbitrary weight vectors, draw counts and seeds: counts
-// are non-negative, sum exactly to the number of draws, and respect
-// zero weights.
-func FuzzBucketSamplers(f *testing.F) {
-	f.Add(uint64(1), uint16(8), []byte{3, 5, 2})
-	f.Add(uint64(42), uint16(0), []byte{0, 0})
-	f.Add(uint64(7), uint16(500), []byte{255, 0, 1, 17})
-	f.Add(uint64(99), uint16(1), []byte{1})
-	f.Fuzz(func(t *testing.T, seed uint64, k uint16, raw []byte) {
-		if len(raw) == 0 || len(raw) > 32 {
-			t.Skip()
+// TestSampleCellExcluding pins the batch engine's cell draw: with a
+// sub-bucket excluded (the landing right after a completed swap run)
+// it never returns that sub-bucket, and its law is the categorical law
+// of the remaining weights; with none excluded it is Sample's own walk.
+// The configuration is the walker protocol's mid-growth census, several
+// enabled sub-buckets of unequal weight.
+func TestSampleCellExcluding(t *testing.T) {
+	t.Parallel()
+	p := batchProtocols(t)["walker"]
+	const n = 12
+	cfg := NewConfig(p, n)
+	for u := 0; u < 5; u++ {
+		cfg.SetNode(u, 1) // q2
+	}
+	cfg.SetNode(2, 2) // w
+	for u := 0; u+1 < 5; u++ {
+		cfg.SetEdge(u, u+1, true)
+	}
+	bi := newBatchIndex(cfg)
+	var cells []int32
+	for cell := range bi.w {
+		if bi.w[cell] > 0 {
+			cells = append(cells, int32(cell))
 		}
-		weights := make([]int64, len(raw))
+	}
+	if len(cells) < 3 {
+		t.Fatalf("want at least three enabled sub-buckets, got %v", cells)
+	}
+	for si, skip := range append([]int32{-1}, cells...) {
+		rngA, rngB := NewRNG(uint64(909+si)), NewRNG(uint64(1010+si))
+		var rest []int64
 		var total int64
-		for i, b := range raw {
-			weights[i] = int64(b)
-			total += int64(b)
-		}
-		draws := int64(k)
-		if total == 0 && draws > 0 {
-			t.Skip() // no bucket to draw into; only the empty plan is legal
-		}
-		out := NewRNG(seed).MultinomialBuckets(draws, weights, nil)
-		var sum int64
-		for i, c := range out {
-			if c < 0 {
-				t.Fatalf("negative count %d", c)
+		for _, cell := range cells {
+			w := bi.w[cell]
+			if cell == skip {
+				w = 0
 			}
-			if weights[i] == 0 && c != 0 {
-				t.Fatalf("zero-weight bucket %d got %d", i, c)
+			rest = append(rest, w)
+			total += w
+		}
+		histA := make([]int64, len(cells))
+		histB := make([]int64, len(cells))
+		for trial := 0; trial < lawTrials; trial++ {
+			got := bi.sampleCell(rngA, skip)
+			if got == skip {
+				t.Fatalf("sampleCell excluding %d returned it", skip)
 			}
-			sum += c
+			idx := slices.Index(cells, got)
+			if idx < 0 {
+				t.Fatalf("sampleCell returned sub-bucket %d of zero weight", got)
+			}
+			histA[idx]++
+			r := rngB.Int64N(total)
+			for i, w := range rest {
+				if r < w {
+					histB[i]++
+					break
+				}
+				r -= w
+			}
 		}
-		if sum != draws {
-			t.Fatalf("counts sum %d, want %d", sum, draws)
+		if skip >= 0 {
+			i := slices.Index(cells, skip)
+			histA = slices.Delete(histA, i, i+1)
+			histB = slices.Delete(histB, i, i+1)
 		}
-	})
+		chiSquareCompare(t, "sampleCell", histA, histB)
+	}
 }

@@ -29,8 +29,9 @@ const (
 	// configured scheduler is not uniform.
 	EngineSparse
 	// EngineBatch forces the batch engine: the sparse engine's census
-	// index plus multivariate bucket plans over census-frozen stretches
-	// and a deterministic-swap kernel (see batch.go). Run errors if the
+	// index plus swap runs revealed by one geometric draw inside
+	// census-frozen stretches, their analytic collapse, and a
+	// deterministic-swap kernel (see batch.go). Run errors if the
 	// configured scheduler is not uniform. With an EventSink, an
 	// Injector or a restricted Topology attached it steps exactly,
 	// bit-identical to EngineSparse.

@@ -39,12 +39,13 @@ type Metrics struct {
 	SampleRejections int64 `json:"sample_rejections,omitempty"`
 	SampleFallbacks  int64 `json:"sample_fallbacks,omitempty"`
 
-	// BucketDraws counts the landings the batch engine drew from a
-	// bucket plan (one multivariate allocation covering a census-frozen
-	// stretch); ExactFallbackLandings counts the landings it stepped
-	// exactly instead — every landing of the run when a sink, an
-	// injector, a topology or an unbatchable protocol forced the exact
-	// path. Zero on the other engines.
+	// BucketDraws counts the pure-path landings the batch engine drew
+	// inside a census-frozen stretch: run-kernel landings plus landings
+	// right after a census-preserving landing (the name stays for the
+	// records and exports that carry it); ExactFallbackLandings counts
+	// the landings it stepped exactly instead — every landing of the
+	// run when a sink, an injector, a topology or an unbatchable
+	// protocol forced the exact path. Zero on the other engines.
 	BucketDraws           int64 `json:"bucket_draws,omitempty"`
 	ExactFallbackLandings int64 `json:"exact_fallback_landings,omitempty"`
 

@@ -272,9 +272,9 @@ func (p *Protocol) Randomized() bool {
 // swap across a preserved edge state ((a, b, e) → (b, a, e) with
 // a ≠ b — the random-walk workhorse of Simple-Global-Line), or any
 // probabilistic rule (whose coin may select an identity or
-// census-preserving branch). The batch engine can only amortize its
-// multivariate bucket plans across census-frozen stretches, and only
-// batchable protocols ever produce one — so runBatch steps
+// census-preserving branch). The batch engine can only reveal swap
+// runs inside census-frozen stretches, and only batchable protocols
+// ever produce one — so runBatch steps
 // non-batchable protocols exactly, which keeps them bit-identical to
 // the sparse engine by construction.
 func (p *Protocol) Batchable() bool {

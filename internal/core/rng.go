@@ -97,25 +97,18 @@ func (r *RNG) GeometricLn(ln1mp float64) int64 {
 // (P(⌊E/Λ⌋ = k) = e^(−kΛ) − e^(−(k+1)Λ) = (1−p)ᵏ·p). The caller
 // passes invLambda = 1/Λ, memoized like GeometricLn's logarithm, so
 // the hot path is one ziggurat draw and one multiply — cheaper than
-// GeometricLn's log inversion. The variate consumes a different
-// primitive than GeometricLn, so the two methods produce different
-// streams of the same law; only the batch engine's pure path — which
-// carries no bit-identity obligation — uses this one.
+// GeometricLn's log inversion. invLambda = +Inf (p = 0, a success that
+// never happens) returns the clamp, like Geometric's p ≤ 0. The variate
+// consumes a different primitive than GeometricLn, so the two methods
+// produce different streams of the same law; only the batch engine's
+// pure path — which carries no bit-identity obligation — uses this
+// one, for its scheduler gaps and its swap-run lengths.
 func (r *RNG) GeometricExp(invLambda float64) int64 {
 	k := r.src.ExpFloat64() * invLambda
 	if k >= float64(geometricClamp) {
 		return geometricClamp
 	}
 	return int64(k)
-}
-
-// Binomial returns the number of successes in n independent
-// Bernoulli(p) trials — stats.Binomial on this source: exact CDF
-// inversion (with popcount counting for fair coins), O(n·min(p, 1−p))
-// expected, which is what the batch engine needs: its plans draw
-// Binomial(k, w/W) for plan sizes k of a few hundred.
-func (r *RNG) Binomial(n int64, p float64) int64 {
-	return stats.Binomial(r.src, n, p)
 }
 
 // Hypergeometric returns how many of `draws` draws without
@@ -141,45 +134,6 @@ func (r *RNG) NegBinomial(n int64, p float64) int64 {
 // stats.WalkDisplacement.
 func (r *RNG) WalkDisplacement(steps int64, stay float64) int64 {
 	return stats.WalkDisplacement(r.src, steps, stay)
-}
-
-// NegHypergeometricRun returns the length of the opening run of
-// marked items in a uniform shuffle of marked+unmarked items — the
-// law of "consecutive same-class landings before the next other-class
-// landing" within a bucket plan. See stats.NegHypergeometricRun.
-func (r *RNG) NegHypergeometricRun(marked, unmarked int64) int64 {
-	return stats.NegHypergeometricRun(r.src, marked, unmarked)
-}
-
-// MultinomialBuckets distributes k categorical draws over buckets
-// proportionally to weights — the counts of a Multinomial(k, w/W)
-// vector, drawn by the conditional-binomial chain
-// c₁ ~ Bin(k, w₁/W), c₂ ~ Bin(k−c₁, w₂/(W−w₁)), … which is the exact
-// joint law. The result is appended to out (reset to length zero
-// first) so the batch engine's plans reuse one backing array. The
-// total weight must be positive when k > 0.
-func (r *RNG) MultinomialBuckets(k int64, weights []int64, out []int64) []int64 {
-	out = out[:0]
-	var totalW int64
-	for _, w := range weights {
-		totalW += w
-	}
-	if k > 0 && totalW <= 0 {
-		panic("core: MultinomialBuckets requires positive total weight")
-	}
-	rem := k
-	for _, w := range weights {
-		if rem == 0 || w == 0 {
-			out = append(out, 0)
-			totalW -= w
-			continue
-		}
-		c := r.Binomial(rem, float64(w)/float64(totalW))
-		out = append(out, c)
-		rem -= c
-		totalW -= w
-	}
-	return out
 }
 
 // Pair returns a uniform unordered pair {u, v}, u ≠ v, over n nodes —

@@ -203,21 +203,24 @@ func (ts *TopologySpec) Validate(n int) error {
 	switch ts.Kind {
 	case "", TopoComplete:
 		return nil
+	// The range checks are written so that NaN fails them.
 	case TopoGnp:
-		if ts.Param < 0 || ts.Param > 1 {
+		if !(ts.Param >= 0 && ts.Param <= 1) {
 			return fmt.Errorf("core: topology gnp: edge probability %g outside [0, 1]", ts.Param)
 		}
 	case TopoRGG:
-		if ts.Param <= 0 {
-			return fmt.Errorf("core: topology rgg: radius %g must be positive", ts.Param)
+		if !(ts.Param > 0) || math.IsInf(ts.Param, 1) {
+			return fmt.Errorf("core: topology rgg: radius %g must be positive and finite", ts.Param)
 		}
 	case TopoCM:
 		d := ts.Param
-		if d < 0 || d != math.Trunc(d) {
+		if !(d >= 0) || d != math.Trunc(d) {
 			return fmt.Errorf("core: topology cm: degree %g must be a non-negative integer", d)
 		}
-		if int(d) > n-1 {
-			return fmt.Errorf("core: topology cm: degree %d exceeds n−1 = %d", int(d), n-1)
+		// Compared as a float: converting +Inf or a huge degree to int
+		// is undefined.
+		if d > float64(n-1) {
+			return fmt.Errorf("core: topology cm: degree %g exceeds n−1 = %d", d, n-1)
 		}
 		if n*int(d)%2 != 0 {
 			return fmt.Errorf("core: topology cm: n·d = %d·%d is odd, so no realization exists", n, int(d))

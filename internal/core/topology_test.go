@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -147,6 +148,56 @@ func TestTopologySpecValidate(t *testing.T) {
 			t.Errorf("%+v n=%d: got err %v, want ok=%t", tc.spec, tc.n, err, tc.ok)
 		}
 	}
+}
+
+// TestTopologySpecRejectsNonFinite pins the non-finite parameters
+// Validate must reject, each with an error naming the parameter: NaN
+// fails no plain comparison, and +Inf is an integer to math.Trunc.
+func TestTopologySpecRejectsNonFinite(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		flag, param string
+	}{
+		{"gnp@NaN", "edge probability"},
+		{"rgg@NaN", "radius"},
+		{"rgg@Inf", "radius"},
+		{"cm@Inf", "degree"},
+	} {
+		spec, err := ParseTopologySpec(tc.flag)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.flag, err)
+		}
+		err = spec.Validate(12)
+		if err == nil || !strings.Contains(err.Error(), tc.param) {
+			t.Errorf("%s: Validate(12) = %v, want an error naming the %s", tc.flag, err, tc.param)
+		}
+	}
+}
+
+// FuzzParseTopologySpec fuzzes the topology flag, a spec-file and CLI
+// input: parsing never panics, and a spec that passes Validate(n) for
+// a population 1 ≤ n ≤ 64 has a finite parameter and realizes without
+// a panic or an error (every validated uniform degree is graphical).
+func FuzzParseTopologySpec(f *testing.F) {
+	for _, s := range []string{"complete", "gnp@0.3", "rgg@0.2", "cm@3", "cm@Inf", "gnp@NaN", "rgg@1e308", "cm@1e300", ""} {
+		f.Add(s, uint8(12), uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, s string, size uint8, seed uint64) {
+		spec, err := ParseTopologySpec(s)
+		if err != nil || spec == nil {
+			return
+		}
+		n := int(size)%64 + 1
+		if spec.Validate(n) != nil {
+			return
+		}
+		if math.IsNaN(spec.Param) || math.IsInf(spec.Param, 0) {
+			t.Fatalf("%q passed Validate(%d) with parameter %g", s, n, spec.Param)
+		}
+		if _, err := spec.Realize(n, seed); err != nil {
+			t.Fatalf("%q passed Validate(%d) but did not realize: %v", s, n, err)
+		}
+	})
 }
 
 func TestTopologySpecBuildAndRealize(t *testing.T) {

@@ -235,7 +235,7 @@ func NegBinomial(src Source, r int64, p float64) int64 {
 // moving steps (binomial) and R the rightward moves among them (fair
 // binomial, counted by popcount), the displacement 2R − M carries the
 // exact k-step law — one draw replacing k per-step simulations. The
-// batch engine uses stay = 0: a planned swap run moves its walker on
+// batch engine uses stay = 0: a revealed swap run moves its walker on
 // every landing.
 func WalkDisplacement(src Source, steps int64, stay float64) int64 {
 	if steps <= 0 {
@@ -246,38 +246,6 @@ func WalkDisplacement(src Source, steps int64, stay float64) int64 {
 		moves = steps - Binomial(src, steps, stay)
 	}
 	return 2*Binomial(src, moves, 0.5) - moves
-}
-
-// NegHypergeometricRun returns how many marked items a uniform random
-// permutation of `marked` marked and `unmarked` unmarked items yields
-// before its first unmarked item — the negative hypergeometric law the
-// batch engine uses for run collapse: with a bucket plan holding k_s
-// swap-class and k_o other landings, the length of the opening run of
-// swap landings is exactly this variate. Sampled by walking the
-// survival function P(run ≥ j) = ∏_{i<j} (marked−i)/(marked+unmarked−i)
-// on one uniform draw; unmarked = 0 returns marked (the whole plan is
-// one run).
-func NegHypergeometricRun(src Source, marked, unmarked int64) int64 {
-	if marked < 0 || unmarked < 0 {
-		panic("stats: NegHypergeometricRun requires non-negative counts")
-	}
-	if marked == 0 {
-		return 0
-	}
-	if unmarked == 0 {
-		return marked
-	}
-	u := src.Float64()
-	surv := 1.0
-	var j int64
-	for j < marked {
-		surv *= float64(marked-j) / float64(marked+unmarked-j)
-		if u >= surv {
-			return j
-		}
-		j++
-	}
-	return marked
 }
 
 // LnChoose returns ln C(n, k) via lgamma.

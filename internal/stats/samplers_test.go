@@ -232,50 +232,6 @@ func TestNegBinomialLawMatch(t *testing.T) {
 	}
 }
 
-// TestNegHypergeometricRunLawMatch pins the run-length sampler against
-// a literal shuffled sequence: how many marked items precede the first
-// unmarked one.
-func TestNegHypergeometricRunLawMatch(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		marked, unmarked int64
-	}{
-		{12, 3},
-		{5, 5},
-		{30, 1},
-		{2, 9},
-	}
-	for i, tc := range cases {
-		srcA := newSource(uint64(900 + i))
-		srcB := newSource(uint64(1000 + i))
-		histA := make([]int64, tc.marked+1)
-		histB := make([]int64, tc.marked+1)
-		total := tc.marked + tc.unmarked
-		seq := make([]int, total)
-		for trial := 0; trial < samplerLawTrials; trial++ {
-			histA[NegHypergeometricRun(srcA, tc.marked, tc.unmarked)]++
-			for j := range seq {
-				seq[j] = 0
-				if int64(j) < tc.marked {
-					seq[j] = 1
-				}
-			}
-			rand.New(rand.NewPCG(srcB.Uint64(), srcB.Uint64())).Shuffle(len(seq), func(a, b int) {
-				seq[a], seq[b] = seq[b], seq[a]
-			})
-			var run int64
-			for _, v := range seq {
-				if v == 0 {
-					break
-				}
-				run++
-			}
-			histB[run]++
-		}
-		samplerChiSquare(t, "NegHypergeometricRun", histA, histB)
-	}
-}
-
 // TestPoissonLawMatch pins both Poisson regimes against the
 // theoretical pmf with a one-sample chi-square: the small-mean
 // multiplication method and the PTRS rejection path.
@@ -377,8 +333,8 @@ func TestGammaMoments(t *testing.T) {
 }
 
 // FuzzHypergeometric fuzzes the support invariant of the scalar
-// hypergeometric sampler alongside core's FuzzBucketSamplers: any
-// valid (draws, marked, total) must yield
+// hypergeometric sampler — the batch engine's budget cut inside a
+// collapsed swap run: any valid (draws, marked, total) must yield
 // max(0, draws+marked−total) ≤ k ≤ min(draws, marked).
 func FuzzHypergeometric(f *testing.F) {
 	f.Add(uint64(1), int64(6), int64(5), int64(14))
@@ -390,8 +346,7 @@ func FuzzHypergeometric(f *testing.F) {
 			total = -(total + 1)
 		}
 		// CDF inversion is O(result): cap the population so a fuzz
-		// case stays sub-second. The engine's own calls keep the
-		// marked dimension at plan size (≤ 2¹⁵) for the same reason.
+		// case stays sub-second.
 		total %= 1 << 20
 		if marked < 0 {
 			marked = -(marked + 1)
@@ -424,7 +379,7 @@ func FuzzHypergeometric(f *testing.F) {
 
 // TestWalkDisplacementStreamEconomy documents the popcount fast path:
 // a 512-step displacement must consume exactly ⌈512/64⌉ = 8 uniform
-// words, which is what makes collapsing plan-sized runs essentially
+// words, which is what makes collapsing long swap runs essentially
 // free. A counting source wrapper verifies it.
 func TestWalkDisplacementStreamEconomy(t *testing.T) {
 	t.Parallel()
