@@ -211,14 +211,18 @@ func TestBatchRunBreakerLaw(t *testing.T) {
 		return cfg
 	}
 	cellOf := func(cfg *Config) int {
-		var dist [2]int
+		var w, x int // the walkers' distance buckets
 		for u := 0; u < cfg.N(); u++ {
-			if s := cfg.Node(u); s == 1 || s == 3 {
-				d := u%line - line/2
-				dist[s/3] = min(max(d, -d)/2, buckets-1)
+			d := u%line - line/2
+			d = min(max(d, -d)/2, buckets-1)
+			switch cfg.Node(u) {
+			case 1:
+				w = d
+			case 3:
+				x = d
 			}
 		}
-		return dist[0]*buckets + dist[1]
+		return w*buckets + x
 	}
 
 	literal := make([]int64, buckets*buckets)
