@@ -7,9 +7,11 @@ import "math"
 // kernel they replace.
 const collapseMin = 8
 
-// kernelPass bounds the landings one run-kernel pass simulates before
-// batchLoop returns to its head, where opts.Stop is polled: a revealed
-// run may span the whole remaining step budget.
+// kernelPass bounds the landings one collapse or run-kernel pass
+// consumes before batchLoop returns to its head, where opts.Stop is
+// polled: a revealed run may span the whole remaining step budget. The
+// bound also keeps a collapse's displacement and budget-cut draws
+// O(kernelPass) on an all-safe cycle, where walkChunk imposes none.
 const kernelPass = 1 << 16
 
 // runBatch is the batch engine. In its pure form it runs batchLoop
@@ -92,11 +94,12 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 	// deterministic-swap cell unlocks two tiers:
 	//
 	//   - the analytic collapse, when the cell hosts a single interior
-	//     walker (two listed edges sharing a degree-2 endpoint): the
-	//     whole run resolves into one displacement draw (the run is an
-	//     unconstrained ±1 walk while it stays on the safe segment —
-	//     batchIndex.walkChunk), one negative-binomial draw for the
-	//     scheduler gaps between its landings, and one teleport;
+	//     walker (two listed edges sharing a degree-2 endpoint): each
+	//     chunk of up to kernelPass landings resolves into one
+	//     displacement draw (the run is an unconstrained ±1 walk while
+	//     it stays on the safe segment — batchIndex.walkChunk), one
+	//     negative-binomial draw for the scheduler gaps between its
+	//     landings, and one teleport;
 	//   - the run kernel, otherwise (many walkers sharing the cell):
 	//     the run's landings are simulated individually — same draws,
 	//     same law — but in a tight loop with the cell fixed, skipping
@@ -156,8 +159,8 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 
 		if runLeft > 0 {
 			limit := min(runLeft, kernelPass)
-			if runLeft >= collapseMin {
-				chunk := ix.walkChunk(runCell, runLeft)
+			if limit >= collapseMin {
+				chunk := ix.walkChunk(runCell, limit)
 				if chunk >= collapseMin {
 					// The chunk's landings interleave with iid
 					// Geometric(m/total) scheduler misses, independent

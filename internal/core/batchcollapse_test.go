@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -250,4 +251,111 @@ func TestBatchRunBreakerLaw(t *testing.T) {
 		t.Fatal("batch arm never drew inside a census-frozen stretch")
 	}
 	chiSquareCompare(t, "two-walker distances", literal, batch)
+}
+
+// walkerRingConfig closes walkerPathConfig's path into a cycle: every
+// node has degree 2, so the walker's safe segment never ends and
+// batchIndex.walkChunk bounds a collapse only by the landings asked
+// for. The walker's two edges are the only enabled pairs, so its swap
+// cell holds all of them (w = m) and every revealed run is unbounded.
+func walkerRingConfig(t *testing.T, p *Protocol, n int) *Config {
+	t.Helper()
+	cfg := walkerPathConfig(t, p, n, 0)
+	cfg.SetEdge(n-1, 0, true)
+	return cfg
+}
+
+// TestBatchCollapseRingBudgetLaw pins the collapse on an all-safe cycle,
+// where one revealed run spans the whole step budget. The ring is a
+// triangle, so a landing takes 2 of the 3 pairs and a kernelPass-sized
+// chunk spans about 1.5·kernelPass steps, some 18 standard deviations
+// inside the budget below: each trial collapses one full chunk and
+// then ends inside the next, at the hypergeometric budget cut. The literal arm draws one uniform pair per step and
+// applies and counts the steps that land on the walker's edges (every
+// other pair is a no-op); every landing is a swap, so the batch arm's
+// landings are its EffectiveSteps. The joint law of (landings, final
+// walker node) is compared by a two-sample chi-square test at
+// α = 0.001, with the landings bucketed by standard deviations around
+// their Binomial(maxSteps, 2/3) mean.
+func TestBatchCollapseRingBudgetLaw(t *testing.T) {
+	t.Parallel()
+	p := batchProtocols(t)["walker"]
+	trials := 400
+	if testing.Short() {
+		trials = 150
+	}
+	const (
+		n        = 3
+		maxSteps = kernelPass*3/2 + 1<<12
+		buckets  = 6
+	)
+	det := Detector{Trigger: TriggerEdge, Stable: func(*Config) bool { return false }}
+	mean := float64(maxSteps) * 2 / 3
+	sd := math.Sqrt(float64(maxSteps) * 2 / 9)
+	cellOf := func(landings int64, cfg *Config) int {
+		b := int(math.Floor((float64(landings)-mean)/sd)) + buckets/2
+		return min(max(b, 0), buckets-1)*n + walkerPos(t, cfg)
+	}
+
+	literal := make([]int64, buckets*n)
+	batch := make([]int64, buckets*n)
+	var epochs int64
+	for trial := 0; trial < trials; trial++ {
+		cfg := walkerRingConfig(t, p, n)
+		rng := NewRNG(uint64(trial) + 1)
+		var landings int64
+		for step := int64(0); step < maxSteps; step++ {
+			u, v := rng.Pair(n)
+			if cfg.Node(u) == 2 || cfg.Node(v) == 2 {
+				landings++
+				cfg.Apply(u, v, rng)
+			}
+		}
+		literal[cellOf(landings, cfg)]++
+
+		cfg = walkerRingConfig(t, p, n)
+		res := batchLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg))
+		m := res.Metrics
+		if m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps || res.Steps != maxSteps {
+			t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d (budget %d)",
+				trial, m.Landings, m.SkippedSteps, m.CollapsedLandings, res.Steps, int64(maxSteps))
+		}
+		if res.EffectiveSteps != m.Landings+m.CollapsedLandings {
+			t.Fatalf("trial %d: EffectiveSteps %d != Landings %d + CollapsedLandings %d",
+				trial, res.EffectiveSteps, m.Landings, m.CollapsedLandings)
+		}
+		epochs += m.FastForwardEpochs
+		batch[cellOf(res.EffectiveSteps, cfg)]++
+	}
+	if epochs < 2*int64(trials) {
+		t.Fatalf("batch arm collapsed %d chunks over %d trials; want at least two per trial", epochs, trials)
+	}
+	chiSquareCompare(t, "ring landings × walker node", literal, batch)
+}
+
+// TestBatchCollapseRingPollsStop pins the bound on one collapse: on an
+// all-safe cycle a revealed run is unbounded, and a collapse spanning
+// a huge budget would run its displacement and budget-cut draws over
+// every landing in one call. batchLoop must instead return to its head
+// — where opts.Stop is polled — after at most kernelPass landings.
+func TestBatchCollapseRingPollsStop(t *testing.T) {
+	t.Parallel()
+	p := batchProtocols(t)["walker"]
+	cfg := walkerRingConfig(t, p, 16)
+	det := Detector{Trigger: TriggerEdge, Stable: func(*Config) bool { return false }}
+	const polls = 4
+	calls := 0
+	opts := Options{Stop: func() bool { calls++; return calls > polls }}
+	res := batchLoop(p, cfg, det, opts, 1<<36, 1, NewRNG(7), newBatchIndex(cfg))
+	if !res.Stopped {
+		t.Fatalf("run not stopped: Steps %d, Stop polled %d times", res.Steps, calls)
+	}
+	m := res.Metrics
+	if m.CollapsedLandings == 0 {
+		t.Fatal("ring walker never collapsed")
+	}
+	if got := m.Landings + m.CollapsedLandings; got > polls*kernelPass {
+		t.Fatalf("%d landings consumed over %d polls; want at most %d per pass", got, polls, kernelPass)
+	}
+	walkerPos(t, cfg)
 }
