@@ -53,7 +53,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 					b.Fatal("no convergence")
 				}
 				return float64(res.ConvergenceTime)
-			}, 0)
+			})
 		})
 	}
 }
@@ -102,7 +102,7 @@ func BenchmarkAblationMergeVsSteal(b *testing.B) {
 						b.Fatal("no convergence")
 					}
 					return float64(res.ConvergenceTime)
-				}, 0)
+				})
 			})
 		}
 	}
@@ -121,7 +121,7 @@ func BenchmarkGeometric(b *testing.B) {
 					b.Fatal("no convergence")
 				}
 				return float64(res.Steps)
-			}, 0)
+			})
 		})
 	}
 }
@@ -134,7 +134,7 @@ func BenchmarkDeterministicConstruct(b *testing.B) {
 				b.Fatal(err)
 			}
 			return float64(res.Steps)
-		}, 0)
+		})
 	})
 	b.Run("randomized-connected/n=16", func(b *testing.B) {
 		reportRun(b, func(seed uint64) float64 {
@@ -143,6 +143,6 @@ func BenchmarkDeterministicConstruct(b *testing.B) {
 				b.Fatal(err)
 			}
 			return float64(res.Steps)
-		}, 0)
+		})
 	})
 }

@@ -64,24 +64,18 @@ func TestBatchExactStepping(t *testing.T) {
 		t.Run("engine=batch/exact/"+name, func(t *testing.T) {
 			t.Parallel()
 			run := func(engine core.Engine) core.Result {
+				const n = 10
 				opts := core.Options{
 					Seed: 3, Engine: engine, Detector: c.Detector, MaxSteps: 1 << 20,
 				}
-				if name == "degree-doubling" {
-					// Its default start is already stable; the measured run
-					// needs the registered non-uniform initial.
-					initial, err := protocols.DegreeDoublingInitial(c.Proto, 12)
+				if c.Initial != nil {
+					initial, err := c.Initial(n)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opts.Initial = initial
-					res, err := core.Run(c.Proto, 12, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
 				}
-				res, err := core.Run(c.Proto, 10, opts)
+				res, err := core.Run(c.Proto, n, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

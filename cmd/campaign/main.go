@@ -9,7 +9,7 @@
 //
 //	campaign -spec sweep.json -workers 8 -format csv -out results.csv
 //	campaign -name cycle-cover -sizes 32,64,128 -trials 20 -seed 1
-//	campaign -name One-Way-Epidemic -kind process -sizes 64,128
+//	campaign -name One-Way-Epidemic -sizes 64,128
 //	campaign -name simple-global-line -sizes 24 -faults "crash@576,crash@1152" -metric largest-component
 //	campaign -name cycle-cover -sizes 256 -topology gnp@0.05 -detector quiescence
 //	campaign -name global-star -sizes 256 -trials 200 -progress 2s -progress-out progress.ndjson
@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/processes"
 	"repro/internal/protocols"
 	"repro/internal/scenario"
 )
@@ -55,13 +54,12 @@ func main() {
 func run() error {
 	var (
 		specPath = flag.String("spec", "", "JSON campaign spec file (\"-\" for stdin); overrides the single-item flags")
-		name     = flag.String("name", "", "protocol or process name for a single-item campaign (see -list)")
-		kind     = flag.String("kind", "protocol", "item kind: protocol, process, or replication")
+		name     = flag.String("name", "", "registry name for a single-item campaign (see -list)")
 		sizes    = flag.String("sizes", "16,32,64", "comma-separated population sizes")
 		trials   = flag.Int("trials", 10, "trials per grid point")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
 		sched    = flag.String("schedulers", "uniform", "comma-separated scheduler names")
-		metric   = flag.String("metric", "", "measured quantity (default: convergence-time for protocols, steps for processes)")
+		metric   = flag.String("metric", "", "measured quantity (default: steps for the Table 1 processes, convergence-time otherwise)")
 		engine   = flag.String("engine", "auto", "execution path: auto, baseline, sparse, or batch")
 		detector = flag.String("detector", "", "stability predicate: target (default), quiescence, or edge-quiescence; fault and restricted-topology runs default to quiescence")
 		faults   = flag.String("faults", "", `fault plan for every item, e.g. "crash@500x2,edge@0.001" (spec files carry their own "faults" field)`)
@@ -85,7 +83,7 @@ func run() error {
 		verbose  = flag.Bool("verbose", false, "log each completed run to stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		list     = flag.Bool("list", false, "list known protocols and processes, then exit")
+		list     = flag.Bool("list", false, "list the registry names, then exit")
 	)
 	flag.Parse()
 
@@ -109,15 +107,9 @@ func run() error {
 	}
 
 	if *list {
-		fmt.Println("protocols (kind \"protocol\"):")
 		for _, n := range protocols.Names() {
-			fmt.Printf("  %s\n", n)
+			fmt.Println(n)
 		}
-		fmt.Println("processes (kind \"process\"):")
-		for _, n := range processes.Names() {
-			fmt.Printf("  %s\n", n)
-		}
-		fmt.Println("kind \"replication\": Graph-Replication of a ring on ⌊n/2⌋ nodes")
 		return nil
 	}
 	if *format != "json" && *format != "csv" {
@@ -128,7 +120,7 @@ func run() error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 
-	spec, err := loadSpec(*specPath, *name, *kind, *sizes, *trials, *seed, *sched, *metric, *engine, *detector, *faults, *topology, *inclUnc, *maxSteps)
+	spec, err := loadSpec(*specPath, *name, *sizes, *trials, *seed, *sched, *metric, *engine, *detector, *faults, *topology, *inclUnc, *maxSteps)
 	if err != nil {
 		return err
 	}
@@ -254,7 +246,7 @@ func run() error {
 // flags. Spec files carry their own "engine", "detector" and "faults"
 // fields, so combining -spec with those flags is rejected rather than
 // silently ignored.
-func loadSpec(specPath, name, kind, sizes string, trials int, seed uint64, sched, metric, engine, detector, faults, topology string, inclUnc bool, maxSteps int64) (campaign.Spec, error) {
+func loadSpec(specPath, name, sizes string, trials int, seed uint64, sched, metric, engine, detector, faults, topology string, inclUnc bool, maxSteps int64) (campaign.Spec, error) {
 	if _, err := core.ParseEngine(engine); err != nil {
 		return campaign.Spec{}, err
 	}
@@ -293,7 +285,7 @@ func loadSpec(specPath, name, kind, sizes string, trials int, seed uint64, sched
 		}
 		return campaign.ParseSpec(r)
 	}
-	if name == "" && kind != "replication" {
+	if name == "" {
 		return campaign.Spec{}, fmt.Errorf("either -spec or -name is required (or -list)")
 	}
 	ns, err := parseSizes(sizes)
@@ -301,7 +293,7 @@ func loadSpec(specPath, name, kind, sizes string, trials int, seed uint64, sched
 		return campaign.Spec{}, err
 	}
 	return campaign.Spec{
-		Items:              []campaign.Item{{Name: name, Kind: kind, Sizes: ns}},
+		Items:              []campaign.Item{{Name: name, Sizes: ns}},
 		Trials:             trials,
 		Seed:               seed,
 		Schedulers:         splitList(sched),

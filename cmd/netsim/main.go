@@ -1,5 +1,6 @@
-// Command netsim runs any registered network constructor on a
-// population and reports convergence statistics (and optionally the
+// Command netsim runs any registry entry (a network constructor, a
+// Table 1 process or Graph-Replication) from its start configuration
+// on a population and reports convergence statistics (and optionally the
 // final network as DOT). Trials execute concurrently on the campaign
 // worker pool; the reported statistics are identical for any -workers
 // value.
@@ -40,7 +41,7 @@ func main() {
 
 func run() error {
 	var (
-		name     = flag.String("protocol", "global-star", "protocol name (see -list)")
+		name     = flag.String("protocol", "global-star", "registry name (see -list)")
 		n        = flag.Int("n", 50, "population size")
 		trials   = flag.Int("trials", 3, "independent runs")
 		seed     = flag.Uint64("seed", 1, "base RNG seed")
@@ -55,7 +56,7 @@ func run() error {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		freshAlc = flag.Bool("fresh-alloc", false, "disable per-worker run workspaces (every trial allocates fresh state; results are identical, only slower)")
-		list     = flag.Bool("list", false, "list registered protocols and exit")
+		list     = flag.Bool("list", false, "list the registry names and exit")
 	)
 	flag.Parse()
 
@@ -84,7 +85,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-20s %2d states  →  %s\n", name, c.Proto.Size(), c.Target)
+			fmt.Printf("%-22s %2d states  →  %s\n", name, c.Proto.Size(), c.Target)
 		}
 		return nil
 	}

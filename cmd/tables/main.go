@@ -5,8 +5,9 @@
 //     seven fundamental probabilistic processes, with measured means,
 //     measured/analytic ratios and fitted scaling exponents;
 //   - Table 2 (Sections 4–5): the nine protocols with their state
-//     counts (verified programmatically) and measured convergence-time
-//     sweeps, plus the Section 7 Faster-vs-Fast comparison.
+//     counts (verified programmatically), the paper's time bounds (the
+//     registry entries' Theta) and measured convergence-time sweeps,
+//     plus the Section 7 Faster-vs-Fast comparison.
 //
 // A fourth table reports the sparsity sweep: convergence of
 // Simple-Global-Line and Cycle-Cover under restricted interaction
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -71,7 +73,7 @@ func table1(trials int, seed uint64, quick bool, engine core.Engine) error {
 	fmt.Println("Table 1 — fundamental probabilistic processes (expected time to convergence)")
 	fmt.Printf("%-24s %-14s %-10s %-14s %-10s\n", "Process", "Paper", "fit α", "ratio spread", "mean@max-n")
 	for _, proc := range processes.All() {
-		series, err := experiments.MeasureProcess(proc, sizes, trials, seed, engine)
+		series, err := experiments.Measure(proc.Proto.Name(), sizes, trials, seed, engine)
 		if err != nil {
 			return err
 		}
@@ -93,29 +95,23 @@ func table1(trials int, seed uint64, quick bool, engine core.Engine) error {
 func table2(trials int, seed uint64, quick bool, engine core.Engine) error {
 	fmt.Println("Table 2 — protocols (states, measured expected convergence time)")
 	fmt.Printf("%-22s %-7s %-18s %-10s %s\n", "Protocol", "states", "Paper time", "fit α", "mean steps per n")
-	rows := []struct {
-		key       string
-		paperTime string
-	}{
-		{"simple-global-line", "Ω(n⁴), O(n⁵)"},
-		{"fast-global-line", "O(n³)"},
-		{"cycle-cover", "Θ(n²) (opt)"},
-		{"global-star", "Θ(n² log n) (opt)"},
-		{"global-ring", "(Ω(n²) LB)"},
-		{"2rc", "(Ω(n log n) LB)"},
-		{"3rc", "(Ω(n log n) LB)"},
-		{"3-cliques", "(Ω(n log n) LB)"},
-	}
-	for _, row := range rows {
-		c, err := protocols.Lookup(row.key)
+	rows := []string{"simple-global-line", "fast-global-line", "cycle-cover", "global-star",
+		"global-ring", "2rc", "3rc", "3-cliques", "Graph-Replication"}
+	for _, name := range rows {
+		c, err := protocols.Lookup(name)
 		if err != nil {
 			return err
 		}
-		sizes := experiments.Table2Sizes(row.key)
-		if quick && len(sizes) > 3 {
+		sizes := experiments.Table2Sizes(name)
+		switch {
+		case quick && name == "Graph-Replication":
+			// Θ(n⁴ log n): n = 16 alone would outweigh the rest of the
+			// quick pass.
+			sizes = sizes[:2]
+		case quick && len(sizes) > 3:
 			sizes = sizes[:3]
 		}
-		series, err := experiments.MeasureProtocol(row.key, sizes, trials, seed, engine)
+		series, err := experiments.Measure(name, sizes, trials, seed, engine)
 		if err != nil {
 			return err
 		}
@@ -123,31 +119,13 @@ func table2(trials int, seed uint64, quick bool, engine core.Engine) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-22s %-7d %-18s %-10.2f ", row.key, c.Proto.Size(), row.paperTime, alpha)
+		// Rows print in the constructors' lowercase key style.
+		fmt.Printf("%-22s %-7d %-18s %-10.2f ", strings.ToLower(name), c.Proto.Size(), c.Theta, alpha)
 		for _, p := range series.Points {
 			fmt.Printf("n=%d:%.0f ", p.N, p.Mean)
 		}
 		fmt.Println()
 	}
-	// Graph-Replication needs its input-graph initial configuration.
-	sizes := experiments.Table2Sizes("graph-replication")
-	if quick {
-		sizes = sizes[:2]
-	}
-	series, err := experiments.MeasureReplication(sizes, trials, seed, engine)
-	if err != nil {
-		return err
-	}
-	alpha, err := series.FitExponent()
-	if err != nil {
-		return err
-	}
-	c := protocols.GraphReplication()
-	fmt.Printf("%-22s %-7d %-18s %-10.2f ", "graph-replication", c.Proto.Size(), "Θ(n⁴ log n)", alpha)
-	for _, p := range series.Points {
-		fmt.Printf("n=%d:%.0f ", p.N, p.Mean)
-	}
-	fmt.Println()
 	return nil
 }
 

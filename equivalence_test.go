@@ -1,10 +1,10 @@
 package netcons_test
 
 // TestEngineEquivalence is the distributional-equivalence suite for
-// the indexed engines: every registered protocol and every Table 1
-// process runs under the uniform scheduler on ALL THREE engines
-// (baseline, sparse, batch) across many seeds, and the suites
-// must agree on
+// the indexed engines: every registry entry (constructors, Table 1
+// processes, Graph-Replication) runs under the uniform scheduler on
+// ALL THREE engines (baseline, sparse, batch) across many seeds, and
+// the suites must agree on
 //
 //   - convergence semantics: every trial converges on every engine
 //     (and no trial stops), and
@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/processes"
 	"repro/internal/protocols"
 	"repro/internal/scenario"
 )
@@ -40,68 +39,45 @@ import (
 var indexedEngines = []core.Engine{core.EngineSparse, core.EngineBatch}
 
 // equivalencePoints returns the grid the suite sweeps: every registry
-// protocol at a small-but-nontrivial population, and every registered
-// process (their detection step is the measured metric).
-// Degree-doubling needs its non-uniform initial configuration, so its
-// point is built by hand rather than through the spec path.
+// entry at a small-but-nontrivial population, compiled from a spec so
+// each starts from its own configuration and measures its default
+// metric (the detection step for the Table 1 processes).
 func equivalencePoints(t *testing.T, trials int) []campaign.Point {
 	t.Helper()
 	sizes := map[string]int{
-		"simple-global-line": 10,
-		"fast-global-line":   12,
-		"faster-global-line": 12,
-		"spanning-net":       16,
-		"cycle-cover":        16,
-		"global-star":        16,
-		"global-ring":        8,
-		"2rc":                8,
-		"3rc":                9,
-		"4rc":                9,
-		"3-cliques":          9,
-		"4-cliques":          8,
-		"degree-doubling":    12, // needs n ≥ 2³+1 for the registered d=3
+		"simple-global-line":     10,
+		"fast-global-line":       12,
+		"faster-global-line":     12,
+		"spanning-net":           16,
+		"cycle-cover":            16,
+		"global-star":            16,
+		"global-ring":            8,
+		"2rc":                    8,
+		"3rc":                    9,
+		"4rc":                    9,
+		"3-cliques":              9,
+		"4-cliques":              8,
+		"degree-doubling":        12, // needs n ≥ 2³+1 for the registered d=3
+		"Graph-Replication":      8,
+		"One-Way-Epidemic":       32,
+		"One-To-One-Elimination": 32,
+		"Maximum-Matching":       32,
+		"One-To-All-Elimination": 32,
+		"Meet-Everybody":         32,
+		"Node-Cover":             32,
+		"Edge-Cover":             32,
 	}
-	var points []campaign.Point
+	spec := campaign.Spec{Trials: trials, Seed: 1}
 	for _, name := range protocols.Names() {
-		c, err := protocols.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n, ok := sizes[name]
 		if !ok {
 			n = 8 // new registry entries get a conservative default
 		}
-		pt := campaign.Point{
-			Protocol: name, N: n, Trials: trials, BaseSeed: 1,
-			Proto: c.Proto, Detector: c.Detector, Metric: campaign.MetricConvergenceTime,
-		}
-		if name == "degree-doubling" {
-			initial, err := protocols.DegreeDoublingInitial(c.Proto, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pt.Initial = func(int) (*core.Config, error) { return initial, nil }
-		}
-		points = append(points, pt)
+		spec.Items = append(spec.Items, campaign.Item{Name: name, Sizes: []int{n}})
 	}
-	for _, name := range processes.Names() {
-		proc, err := processes.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 32
-		pt := campaign.Point{
-			Protocol: name, N: n, Trials: trials, BaseSeed: 1,
-			Proto: proc.Proto, Detector: proc.Detector, Metric: campaign.MetricSteps,
-		}
-		initial, err := proc.Initial(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if initial != nil {
-			pt.Initial = func(int) (*core.Config, error) { return initial, nil }
-		}
-		points = append(points, pt)
+	points, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return points
 }

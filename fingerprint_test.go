@@ -150,8 +150,7 @@ func paperSweepCases(t *testing.T) []fingerprintCase {
 		subjects = append(subjects, subject{name: name, proto: cons.Proto, det: cons.Detector, n: 12})
 	}
 	epi := processes.OneWayEpidemic()
-	subjects = append(subjects, subject{name: "one-way-epidemic", proto: epi.Proto, det: epi.Detector, n: 16,
-		initial: func(n int) (*core.Config, error) { return processes.InitialWithOneA(epi.Proto, n) }})
+	subjects = append(subjects, subject{name: "one-way-epidemic", proto: epi.Proto, det: epi.Detector, n: 16, initial: epi.Initial})
 
 	var cases []fingerprintCase
 	seed := uint64(100)

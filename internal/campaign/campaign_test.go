@@ -231,7 +231,7 @@ func TestSpecCompile(t *testing.T) {
 				t.Fatalf("process point not resolved: %+v", pt)
 			}
 		}
-		if pt.Protocol == "graph-replication" && pt.Initial == nil {
+		if pt.Protocol == "Graph-Replication" && pt.Initial == nil {
 			t.Fatalf("replication point has no initial builder")
 		}
 	}

@@ -1,13 +1,14 @@
 package campaign
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 
+	"slices"
+
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/processes"
 	"repro/internal/protocols"
 	"repro/internal/scenario"
 )
@@ -20,7 +21,7 @@ import (
 //	{
 //	  "items": [
 //	    {"name": "cycle-cover", "sizes": [32, 64, 128]},
-//	    {"name": "One-Way-Epidemic", "kind": "process", "sizes": [64]}
+//	    {"name": "One-Way-Epidemic", "sizes": [64]}
 //	  ],
 //	  "trials": 20,
 //	  "seed": 1,
@@ -38,10 +39,11 @@ type Spec struct {
 	// engines require "uniform"; other schedules run on the baseline
 	// path.
 	Schedulers []string `json:"schedulers,omitempty"`
-	// Metric selects the measured quantity: "convergence-time"
-	// (default for protocols), "steps" (default for processes),
-	// "effective-steps", "edge-changes", "parallel-time",
-	// "largest-component" or "components".
+	// Metric selects the measured quantity: "convergence-time",
+	// "steps", "effective-steps", "edge-changes", "parallel-time",
+	// "largest-component" or "components". Empty means each entry's
+	// default: steps for the Table 1 processes, convergence-time for
+	// the rest.
 	Metric string `json:"metric,omitempty"`
 	// MaxSteps caps each run's interactions; 0 means the engine's
 	// per-n default budget.
@@ -74,14 +76,16 @@ type Spec struct {
 	IncludeUnconverged bool `json:"include_unconverged,omitempty"`
 }
 
-// Item is one row of a spec grid: a named protocol or process swept
-// over population sizes.
+// Item is one row of a spec grid: a registry entry swept over
+// population sizes.
 type Item struct {
-	// Name is a protocols.Names entry (kind "protocol"), a
-	// processes.Registry key (kind "process"), or ignored for kind
-	// "replication".
+	// Name is any registry name (protocols.Names, `campaign -list`): a
+	// constructor, a Table 1 process or Graph-Replication.
 	Name string `json:"name"`
-	// Kind is "protocol" (default), "process", or "replication".
+	// Kind ("protocol", "process" or "replication") is accepted for
+	// specs written before the name alone decided the row. It never
+	// changes what a name resolves to; a nameless "replication" item
+	// means Graph-Replication.
 	Kind string `json:"kind,omitempty"`
 	// Sizes is the population sweep for this item.
 	Sizes []int `json:"sizes"`
@@ -176,9 +180,9 @@ func ParseMetric(name string) (Metric, error) {
 	}
 }
 
-// Compile resolves the spec against the protocol and process
-// registries, returning the point list in deterministic grid order
-// (items × sizes × schedulers).
+// Compile resolves every item against the registry (one Lookup each),
+// returning the point list in deterministic grid order (items × sizes
+// × schedulers).
 func (s Spec) Compile() ([]Point, error) {
 	if len(s.Items) == 0 {
 		return nil, fmt.Errorf("campaign: spec has no items")
@@ -192,29 +196,24 @@ func (s Spec) Compile() ([]Point, error) {
 	}
 	var points []Point
 	for i, item := range s.Items {
+		name, entry, err := lookupItem(item)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: item %d (%q): %w", i, item.Name, err)
+		}
 		if len(item.Sizes) == 0 {
-			return nil, fmt.Errorf("campaign: item %d (%q) has no sizes", i, item.Name)
+			return nil, fmt.Errorf("campaign: item %d (%q) has no sizes", i, name)
 		}
-		trials := item.Trials
-		if trials == 0 {
-			trials = s.Trials
-		}
-		metricName := item.Metric
-		if metricName == "" {
-			metricName = s.Metric
-		}
-		engineName := item.Engine
-		if engineName == "" {
-			engineName = s.Engine
-		}
-		engine, err := core.ParseEngine(engineName)
+		trials := cmp.Or(item.Trials, s.Trials)
+		metricName := cmp.Or(item.Metric, s.Metric, entry.Metric, "convergence-time")
+		metric, err := ParseMetric(metricName)
 		if err != nil {
 			return nil, err
 		}
-		detectorName := item.Detector
-		if detectorName == "" {
-			detectorName = s.Detector
+		engine, err := core.ParseEngine(cmp.Or(item.Engine, s.Engine))
+		if err != nil {
+			return nil, err
 		}
+		detectorName := cmp.Or(item.Detector, s.Detector)
 		detOverride, haveDet, err := ParseDetector(detectorName)
 		if err != nil {
 			return nil, err
@@ -230,13 +229,10 @@ func (s Spec) Compile() ([]Point, error) {
 		}
 		if faults != nil {
 			if err := faults.Validate(); err != nil {
-				return nil, fmt.Errorf("campaign: item %d (%q): %w", i, item.Name, err)
+				return nil, fmt.Errorf("campaign: item %d (%q): %w", i, name, err)
 			}
 		}
-		topology := item.Topology
-		if topology == nil {
-			topology = s.Topology
-		}
+		topology := cmp.Or(item.Topology, s.Topology)
 		if topology != nil && (topology.Kind == "" || topology.Kind == core.TopoComplete) {
 			// An explicit "complete" normalizes to the nil spec, so the
 			// point — and its records — look exactly like a pre-topology
@@ -245,7 +241,19 @@ func (s Spec) Compile() ([]Point, error) {
 		}
 		for _, n := range item.Sizes {
 			if n < 1 {
-				return nil, fmt.Errorf("campaign: item %d (%q): population size %d must be ≥ 1", i, item.Name, n)
+				return nil, fmt.Errorf("campaign: item %d (%q): population size %d must be ≥ 1", i, name, n)
+			}
+			var initial func(int) (*core.Config, error)
+			if entry.Initial != nil {
+				cfg, err := entry.Initial(n)
+				if err != nil {
+					return nil, fmt.Errorf("campaign: item %d (%q): %w", i, name, err)
+				}
+				initial = func(int) (*core.Config, error) { return cfg, nil }
+			}
+			var expected float64
+			if entry.Expected != nil {
+				expected = entry.Expected(n)
 			}
 			for _, schedName := range schedulers {
 				factory, err := SchedulerFactory(schedName)
@@ -253,27 +261,34 @@ func (s Spec) Compile() ([]Point, error) {
 					return nil, err
 				}
 				if (engine == core.EngineSparse || engine == core.EngineBatch) && factory != nil {
-					return nil, fmt.Errorf("campaign: item %d (%q): the %s engine requires the uniform scheduler, not %q", i, item.Name, engine, schedName)
+					return nil, fmt.Errorf("campaign: item %d (%q): the %s engine requires the uniform scheduler, not %q", i, name, engine, schedName)
 				}
 				if err := engine.ValidateN(n); err != nil {
-					return nil, fmt.Errorf("campaign: item %d (%q): %w", i, item.Name, err)
+					return nil, fmt.Errorf("campaign: item %d (%q): %w", i, name, err)
 				}
 				if err := topology.Validate(n); err != nil {
-					return nil, fmt.Errorf("campaign: item %d (%q): %w", i, item.Name, err)
+					return nil, fmt.Errorf("campaign: item %d (%q): %w", i, name, err)
 				}
 				if topology != nil && (schedName == "weighted" || schedName == "biased") {
 					// Mirrors core.Run's whitelist: the rate- and
 					// bias-weighted schedulers draw over the full pair space
 					// and have no restricted form.
-					return nil, fmt.Errorf("campaign: item %d (%q): the %q scheduler does not support a restricted topology", i, item.Name, schedName)
+					return nil, fmt.Errorf("campaign: item %d (%q): the %q scheduler does not support a restricted topology", i, name, schedName)
 				}
 				pt := Point{
+					Protocol:           name,
 					N:                  n,
 					Scheduler:          schedName,
 					Trials:             trials,
 					BaseSeed:           s.Seed,
+					Proto:              entry.Proto,
+					Detector:           entry.Detector,
 					MaxSteps:           s.MaxSteps,
 					Engine:             engine,
+					Metric:             metric,
+					MetricName:         metricName,
+					Expected:           expected,
+					Initial:            initial,
 					NewScheduler:       factory,
 					Faults:             faults,
 					Topology:           topology,
@@ -281,9 +296,6 @@ func (s Spec) Compile() ([]Point, error) {
 				}
 				if pt.Scheduler == "" {
 					pt.Scheduler = "uniform"
-				}
-				if err := resolveItem(&pt, item, metricName); err != nil {
-					return nil, err
 				}
 				switch {
 				case haveDet:
@@ -296,7 +308,7 @@ func (s Spec) Compile() ([]Point, error) {
 					pt.Detector = core.QuiescenceDetector()
 				}
 				if faults.HasCrashes() && pt.Initial != nil {
-					return nil, fmt.Errorf("campaign: item %d (%q): crash faults require the default initial configuration (kinds process/replication build their own)", i, item.Name)
+					return nil, fmt.Errorf("campaign: item %d (%q): crash faults require the default initial configuration, and this entry builds its own", i, name)
 				}
 				points = append(points, pt)
 			}
@@ -305,66 +317,18 @@ func (s Spec) Compile() ([]Point, error) {
 	return points, nil
 }
 
-// resolveItem fills the protocol-dependent fields of a compiled point.
-func resolveItem(pt *Point, item Item, metricName string) error {
-	switch item.Kind {
-	case "", "protocol":
-		c, err := protocols.Lookup(item.Name)
-		if err != nil {
-			return err
-		}
-		pt.Protocol = item.Name
-		pt.Proto = c.Proto
-		pt.Detector = c.Detector
-		if metricName == "" {
-			metricName = "convergence-time"
-		}
-	case "process":
-		proc, err := processes.Lookup(item.Name)
-		if err != nil {
-			return err
-		}
-		pt.Protocol = item.Name
-		pt.Proto = proc.Proto
-		pt.Detector = proc.Detector
-		pt.Expected = proc.Expected(pt.N)
-		initial, err := proc.Initial(pt.N)
-		if err != nil {
-			return err
-		}
-		if initial != nil {
-			pt.Initial = func(int) (*core.Config, error) { return initial, nil }
-		}
-		// For the pure processes the detection step is the convergence
-		// step, so "steps" is the faithful default metric.
-		if metricName == "" {
-			metricName = "steps"
-		}
-	case "replication":
-		// Graph-Replication's input is a ring on ⌊n/2⌋ nodes replicated
-		// onto the other half, matching the Table 2 measurement.
-		c := protocols.GraphReplication()
-		n := pt.N
-		g1 := graph.Ring(n / 2)
-		pt.Protocol = c.Proto.Name()
-		pt.Proto = c.Proto
-		pt.Detector = protocols.ReplicationDetector(g1)
-		pt.Initial = func(int) (*core.Config, error) {
-			return protocols.ReplicationInitial(c.Proto, g1, n)
-		}
-		if metricName == "" {
-			metricName = "convergence-time"
-		}
-	default:
-		return fmt.Errorf("campaign: unknown item kind %q (known: protocol, process, replication)", item.Kind)
+// itemKinds are the Item.Kind values specs may carry.
+var itemKinds = []string{"", "protocol", "process", "replication"}
+
+// lookupItem resolves an item to its registry name and entry.
+func lookupItem(item Item) (string, protocols.Constructor, error) {
+	if !slices.Contains(itemKinds, item.Kind) {
+		return "", protocols.Constructor{}, fmt.Errorf("unknown item kind %q (known: protocol, process, replication)", item.Kind)
 	}
-	metric, err := ParseMetric(metricName)
-	if err != nil {
-		return err
+	name := item.Name
+	if name == "" && item.Kind == "replication" {
+		name = "Graph-Replication"
 	}
-	pt.Metric = metric
-	// The resolved name keeps the metric choice hashable: SpecHash folds
-	// it into checkpoint identity, where the func itself cannot go.
-	pt.MetricName = metricName
-	return nil
+	c, err := protocols.Lookup(name)
+	return name, c, err
 }

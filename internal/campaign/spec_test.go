@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -64,6 +65,88 @@ func TestCompiledRegistryGolden(t *testing.T) {
 	if h := SpecHash(points, 0); h != wantHash {
 		t.Errorf("SpecHash = %s, want %s", h, wantHash)
 	}
+}
+
+// TestDegreeDoublingStart: the registered degree-doubling entry runs
+// from its own start configuration (a leader in q0), so every trial of
+// a compiled spec converges.
+func TestDegreeDoublingStart(t *testing.T) {
+	t.Parallel()
+	points, err := Spec{Trials: 4, Seed: 1, Items: []Item{{Name: "degree-doubling", Sizes: []int{16}}}}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Execute(context.Background(), points, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg := out.Aggregates[0]; agg.Converged != agg.Trials {
+		t.Fatalf("degree-doubling n=16: %d of %d trials converged", agg.Converged, agg.Trials)
+	}
+}
+
+// TestDegreeDoublingRefusesSmallN: with d = 3 the target needs 2³
+// neighbors, so n = 8 cannot converge and the spec is refused with an
+// error naming the item.
+func TestDegreeDoublingRefusesSmallN(t *testing.T) {
+	t.Parallel()
+	_, err := Spec{Trials: 1, Items: []Item{{Name: "degree-doubling", Sizes: []int{8}}}}.Compile()
+	if err == nil || !strings.Contains(err.Error(), `item 0 ("degree-doubling")`) {
+		t.Fatalf("err = %v, want a compile error naming the item", err)
+	}
+}
+
+// FuzzCompileSpec fuzzes the spec boundary, outside input from files
+// and CLIs: parsing and compiling arbitrary bytes returns an error or
+// points, never panics. Sizes above 2¹² are skipped because Compile
+// builds each entry's start configuration.
+func FuzzCompileSpec(f *testing.F) {
+	for _, seed := range []string{
+		// The EXPERIMENTS.md example.
+		`{
+  "items": [
+    {"name": "cycle-cover", "sizes": [32, 64, 128]},
+    {"name": "fast-global-line", "sizes": [16, 32], "trials": 40},
+    {"name": "One-Way-Epidemic", "sizes": [64, 128]},
+    {"name": "Graph-Replication", "sizes": [8, 12, 16]}
+  ],
+  "trials": 20,
+  "seed": 1,
+  "schedulers": ["uniform", "round-robin"],
+  "metric": "convergence-time",
+  "engine": "auto",
+  "max_steps": 0
+}`,
+		`{"items": [{"name": "global-star", "kind": "protocol", "sizes": [8]}], "trials": 1}`,
+		`{"items": [{"name": "Edge-Cover", "kind": "process", "sizes": [4]}], "trials": 1}`,
+		`{"items": [{"kind": "replication", "sizes": [1, 2]}], "trials": 1}`,
+		`{"items": [{"name": "cycle-cover", "kind": "wat", "sizes": [8]}], "trials": 1}`,
+		`{"items": [{"name": "degree-doubling", "sizes": [8]}], "trials": 1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(strings.NewReader(string(data)))
+		if err != nil {
+			return
+		}
+		for _, item := range spec.Items {
+			for _, n := range item.Sizes {
+				if n > 1<<12 {
+					return
+				}
+			}
+		}
+		points, err := spec.Compile()
+		if err != nil {
+			return
+		}
+		for _, pt := range points {
+			if pt.Proto == nil || pt.Metric == nil || pt.N < 1 || pt.Trials < 1 {
+				t.Fatalf("compiled an incomplete point: %+v", pt)
+			}
+		}
+	})
 }
 
 const compiledRegistryGolden = `simple-global-line n=8 metric=convergence-time init=false expected=0

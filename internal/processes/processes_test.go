@@ -10,12 +10,11 @@ import (
 // step.
 func measure(t *testing.T, proc Process, n, trials int) float64 {
 	t.Helper()
-	needsOneA := proc.Proto.Name() == "One-Way-Epidemic" || proc.Proto.Name() == "Meet-Everybody"
 	var total float64
 	for seed := 1; seed <= trials; seed++ {
 		opts := core.Options{Seed: uint64(seed), Detector: proc.Detector}
-		if needsOneA {
-			initial, err := InitialWithOneA(proc.Proto, n)
+		if proc.Initial != nil {
+			initial, err := proc.Initial(n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,21 +106,17 @@ func TestExpectedMonotone(t *testing.T) {
 	}
 }
 
-// TestThetaMetadata: the declared Θ-classes and exponents match the
-// paper's Table 1.
+// TestThetaMetadata: the declared Θ-classes match the paper's Table 1.
 func TestThetaMetadata(t *testing.T) {
 	t.Parallel()
-	want := map[string]struct {
-		theta    string
-		exponent float64
-	}{
-		"One-Way-Epidemic":       {"Θ(n log n)", 1},
-		"One-To-One-Elimination": {"Θ(n²)", 2},
-		"Maximum-Matching":       {"Θ(n²)", 2},
-		"One-To-All-Elimination": {"Θ(n log n)", 1},
-		"Meet-Everybody":         {"Θ(n² log n)", 2},
-		"Node-Cover":             {"Θ(n log n)", 1},
-		"Edge-Cover":             {"Θ(n² log n)", 2},
+	want := map[string]string{
+		"One-Way-Epidemic":       "Θ(n log n)",
+		"One-To-One-Elimination": "Θ(n²)",
+		"Maximum-Matching":       "Θ(n²)",
+		"One-To-All-Elimination": "Θ(n log n)",
+		"Meet-Everybody":         "Θ(n² log n)",
+		"Node-Cover":             "Θ(n log n)",
+		"Edge-Cover":             "Θ(n² log n)",
 	}
 	procs := All()
 	if len(procs) != len(want) {
@@ -132,9 +127,8 @@ func TestThetaMetadata(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected process %q", proc.Proto.Name())
 		}
-		if proc.Theta != w.theta || proc.Exponent != w.exponent {
-			t.Fatalf("%s: Θ=%q exp=%f, want %q/%f",
-				proc.Proto.Name(), proc.Theta, proc.Exponent, w.theta, w.exponent)
+		if proc.Theta != w {
+			t.Fatalf("%s: Θ=%q, want %q", proc.Proto.Name(), proc.Theta, w)
 		}
 	}
 }

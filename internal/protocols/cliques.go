@@ -145,6 +145,7 @@ func CCliques(c int) (Constructor, error) {
 		Proto:    p,
 		Detector: det,
 		Target:   fmt.Sprintf("partition into ⌊n/%d⌋ cliques of order %d", c, c),
+		Theta:    "(Ω(n log n) LB)",
 	}, nil
 }
 

@@ -58,5 +58,5 @@ func CycleCover() Constructor {
 			}
 		},
 	}
-	return Constructor{Proto: p, Detector: det, Target: "cycle cover (waste ≤ 2)"}
+	return Constructor{Proto: p, Detector: det, Target: "cycle cover (waste ≤ 2)", Theta: "Θ(n²) (opt)"}
 }

@@ -22,8 +22,8 @@ func BenchmarkDetectorStable(b *testing.B) {
 		cons, _ := Lookup(name)
 		for _, n := range []int{12, 24} {
 			opts := core.Options{Seed: 1, Engine: core.EngineSparse, Detector: cons.Detector}
-			if name == "degree-doubling" {
-				initial, err := DegreeDoublingInitial(cons.Proto, n)
+			if cons.Initial != nil {
+				initial, err := cons.Initial(n)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,7 +14,8 @@ import (
 // generation is twice the aᵢ generation).
 //
 // The initial configuration is non-uniform: one node starts in q0, all
-// others in a0 (use DegreeDoublingInitial). Requires n ≥ 2^d + 1.
+// others in a0 (DegreeDoublingInitial, the entry's Initial). Requires
+// n ≥ 2^d + 1.
 func DegreeDoubling(d int) (Constructor, error) {
 	if d < 1 {
 		return Constructor{}, fmt.Errorf("protocols: degree doubling requires d ≥ 1, got %d", d)
@@ -79,15 +80,22 @@ func DegreeDoubling(d int) (Constructor, error) {
 		Proto:    p,
 		Detector: det,
 		Target:   fmt.Sprintf("distinguished node with exactly %d neighbors", want),
+		Initial:  func(n int) (*core.Config, error) { return DegreeDoublingInitial(p, n) },
 	}, nil
 }
 
 // DegreeDoublingInitial builds the non-uniform initial configuration:
-// node 0 in q0, every other node in a0.
+// node 0 in q0, every other node in a0. It refuses n < 2^d + 1, where
+// the 2^d neighbors the target asks for do not exist and no run can
+// converge.
 func DegreeDoublingInitial(p *core.Protocol, n int) (*core.Config, error) {
 	q0, ok := p.StateIndex("q0")
 	if !ok {
 		return nil, fmt.Errorf("protocols: %q is not a degree-doubling protocol", p.Name())
+	}
+	d := (p.Size() - 3) / 2 // q0, q0', q, q2..qd, a0..ad
+	if n < 1<<d+1 {
+		return nil, fmt.Errorf("protocols: degree doubling with d=%d needs n ≥ 2^%d+1 = %d nodes, got %d", d, d, 1<<d+1, n)
 	}
 	cfg := core.NewConfig(p, n)
 	cfg.SetNode(0, q0)

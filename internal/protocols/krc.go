@@ -145,7 +145,7 @@ func KRC(k int) (Constructor, error) {
 	if k == 2 {
 		target = "spanning ring"
 	}
-	return Constructor{Proto: p, Detector: det, Target: target}, nil
+	return Constructor{Proto: p, Detector: det, Target: target, Theta: "(Ω(n log n) LB)"}, nil
 }
 
 // TwoRC returns Protocol 6 (2RC), the 6-state spanning-ring

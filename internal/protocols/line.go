@@ -46,7 +46,7 @@ func SimpleGlobalLine() Constructor {
 			return ActiveGraph(cfg).IsSpanningLine()
 		},
 	}
-	return Constructor{Proto: p, Detector: det, Target: "spanning line"}
+	return Constructor{Proto: p, Detector: det, Target: "spanning line", Theta: "Ω(n⁴), O(n⁵)"}
 }
 
 // Fast-Global-Line state indices (Protocol 2).
@@ -99,7 +99,7 @@ func FastGlobalLine() Constructor {
 			return ActiveGraph(cfg).IsSpanningLine()
 		},
 	}
-	return Constructor{Proto: p, Detector: det, Target: "spanning line"}
+	return Constructor{Proto: p, Detector: det, Target: "spanning line", Theta: "O(n³)"}
 }
 
 // Faster-Global-Line state indices (Protocol 10).
@@ -116,7 +116,8 @@ const (
 // paper's conclusions: a defeated leader's line dissolves itself node
 // by node, releasing free nodes for the surviving leader to absorb.
 // The paper reports experimental evidence that it improves on
-// Fast-Global-Line; BenchmarkFasterVsFast reproduces that comparison.
+// Fast-Global-Line; cmd/tables' Section 7 table reproduces that
+// comparison.
 func FasterGlobalLine() Constructor {
 	p := core.MustProtocol(
 		"Faster-Global-Line",

@@ -17,12 +17,25 @@ import (
 	"repro/internal/graph"
 )
 
-// Constructor bundles a protocol with its stability detector and a
-// human-readable description of the target network.
+// Constructor is one registry entry — a measured row: a protocol with
+// its stability detector, a human-readable description of its target,
+// and how a measurement of it starts and is read.
 type Constructor struct {
 	Proto    *core.Protocol
 	Detector core.Detector
 	Target   string
+	// Initial, when non-nil, builds the start configuration on n nodes
+	// (an error names a population the entry cannot start from); nil
+	// means the all-q0 configuration.
+	Initial func(n int) (*core.Config, error)
+	// Metric names the default measured quantity (a campaign metric
+	// name); "" means convergence-time.
+	Metric string
+	// Expected, when non-nil, is the analytic expectation of the metric
+	// on n nodes.
+	Expected func(n int) float64
+	// Theta is the paper's running-time bound as the tables print it.
+	Theta string
 }
 
 // ActiveGraph returns the graph induced by all nodes and the active

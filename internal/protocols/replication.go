@@ -96,7 +96,18 @@ func GraphReplication() Constructor {
 		[]core.State{grpR, grpRa, grpRd, grpRp},
 		rules,
 	)
-	return Constructor{Proto: p, Target: "replica of the input graph on V2"}
+	return Constructor{Proto: p, Target: "replica of the input graph on V2", Theta: "Θ(n⁴ log n)"}
+}
+
+// ringReplication is the registered Graph-Replication row of Table 2:
+// the input is a ring on ⌊n/2⌋ nodes, replicated onto the other half.
+func ringReplication() Constructor {
+	c := GraphReplication()
+	c.Detector = replicationDetector(func(n int) *graph.Graph { return graph.Ring(n / 2) })
+	c.Initial = func(n int) (*core.Config, error) {
+		return ReplicationInitial(c.Proto, graph.Ring(n/2), n)
+	}
+	return c
 }
 
 // ReplicationInitial builds Protocol 9's initial configuration on n
@@ -127,7 +138,13 @@ func ReplicationInitial(p *core.Protocol, g1 *graph.Graph, n int) (*core.Config,
 // V2 nodes is isomorphic to g1. The paper proves such configurations
 // output-stable (any further copy rewrites an already-correct value).
 func ReplicationDetector(g1 *graph.Graph) core.Detector {
-	n1 := g1.N()
+	return replicationDetector(func(int) *graph.Graph { return g1 })
+}
+
+// replicationDetector is ReplicationDetector for an input graph that
+// depends on the population size; input is called only once the O(1)
+// count checks pass.
+func replicationDetector(input func(n int) *graph.Graph) core.Detector {
 	return core.Detector{
 		Trigger: core.TriggerEffective,
 		Stable: func(cfg *core.Config) bool {
@@ -141,6 +158,8 @@ func ReplicationDetector(g1 *graph.Graph) core.Detector {
 				cfg.Count(grpRa) != 0 || cfg.Count(grpRd) != 0 || cfg.Count(grpRp) != 0 {
 				return false
 			}
+			g1 := input(cfg.N())
+			n1 := g1.N()
 			if cfg.Count(grpR) != n1 {
 				return false
 			}

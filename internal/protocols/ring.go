@@ -90,5 +90,5 @@ func GlobalRing() Constructor {
 			return ActiveGraph(cfg).IsSpanningRing()
 		},
 	}
-	return Constructor{Proto: p, Detector: det, Target: "spanning ring"}
+	return Constructor{Proto: p, Detector: det, Target: "spanning ring", Theta: "(Ω(n²) LB)"}
 }

@@ -52,5 +52,5 @@ func GlobalStar() Constructor {
 			return true
 		},
 	}
-	return Constructor{Proto: p, Detector: det, Target: "spanning star"}
+	return Constructor{Proto: p, Detector: det, Target: "spanning star", Theta: "Θ(n² log n) (opt)"}
 }
