@@ -116,6 +116,9 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 		{name: "sgl/complete/n=20/faults", proto: sgl.Proto, det: quiet, n: 20, seed: 13, maxSteps: 300_000, faults: "crash@400,edge@900x3,crash@1500"},
 		{name: "cycle-cover/complete/n=16/faults", proto: cc.Proto, det: quiet, n: 16, seed: 14, maxSteps: 300_000, faults: "crash@200,edge@500x2"},
 		{name: "global-star/rgg@0.5/n=16/faults", proto: star.Proto, det: quiet, n: 16, seed: 15, maxSteps: 300_000, topology: "rgg@0.5", faults: "crash@150,edge@300x2"},
+		// Rate-triggered faults draw their firing gaps through
+		// RNG.Geometric, the scenario's own stream.
+		{name: "sgl/complete/n=20/rate-faults", proto: sgl.Proto, det: quiet, n: 20, seed: 20, maxSteps: 300_000, faults: "reset@0.0005,edge@0.001x2"},
 		{name: "sgl/complete/n=5000/faults/budget", proto: sgl.Proto, det: quiet, n: 5000, seed: 16, maxSteps: 60_000, faults: "crash@20000,edge@40000x4"},
 		// Edge-Cover saturates its single class with active edges, so
 		// its last non-edges are drawn by the exact-walk fallback.

@@ -59,7 +59,7 @@ func TestHypergeometricLawMatch(t *testing.T) {
 	chiSquareCompare(t, "Hypergeometric(6, 5, 14)", histA, histB)
 }
 
-// TestGeometricExpLawMatch pins GeometricExp — the batch engine's
+// TestGeometricExpLawMatch pins GeometricExp — the indexed loop's
 // swap-run length and scheduler-gap draw — against literal Bernoulli
 // trials: the failures before the first success, with the last
 // histogram bin pooling the tail. invLambda = +Inf is the run of a

@@ -220,15 +220,13 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		nextFault = inj.NextEvent(0)
 	}
 
-	// Geometric-skip memo: ln(1 − m/total) is a pure function of the
-	// enabled-pair count m, and m repeats heavily between effective
-	// steps (most landings change it by at most a few units, and phases
-	// often hold it constant), so the logarithm from the previous
-	// landing is reused whenever m is unchanged — saving one of the two
-	// math.Log calls per landing. The drawn variate is identical, so
-	// runs are unchanged bit for bit.
+	// Geometric-skip memo: the gap rate −1/ln(1 − m/total) is a pure
+	// function of the enabled-pair count m, and m repeats heavily
+	// between effective steps (most landings change it by at most a few
+	// units, and phases often hold it constant), so the rate from the
+	// previous landing is reused whenever m is unchanged.
 	memoM := int64(-1)
-	var memoLn float64
+	var memoInv float64
 
 	var step int64
 	for step < maxSteps {
@@ -262,9 +260,9 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			} else {
 				if m != memoM {
 					memoM = m
-					memoLn = math.Log1p(-fm / total)
+					memoInv = -1 / math.Log1p(-fm/total)
 				}
-				skip = rng.GeometricLn(memoLn)
+				skip = rng.GeometricExp(memoInv)
 			}
 			if skip < maxSteps-step {
 				land = step + skip + 1

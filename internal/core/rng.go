@@ -58,11 +58,11 @@ func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Geometric returns the number of failures before the first success in
-// independent Bernoulli(p) trials, for p ∈ (0, 1] — the length of the
-// ineffective run the indexed engines skip in one draw. It inverts the
-// geometric CDF on a single uniform draw: ⌊ln U / ln(1−p)⌋ with
-// U ∈ (0, 1]. Non-positive p (a success that can never happen) returns
-// a huge clamp the caller bounds by its step budget.
+// independent Bernoulli(p) trials, for p ∈ (0, 1] — GeometricExp with
+// its rate computed here, for callers with no rate to memoize (the
+// scenario's rate-triggered faults). Non-positive p (a success that can
+// never happen) returns a huge clamp the caller bounds by its step
+// budget.
 func (r *RNG) Geometric(p float64) int64 {
 	if p >= 1 {
 		return 0
@@ -70,39 +70,20 @@ func (r *RNG) Geometric(p float64) int64 {
 	if p <= 0 {
 		return geometricClamp
 	}
-	return r.GeometricLn(math.Log1p(-p))
+	return r.GeometricExp(-1 / math.Log1p(-p))
 }
 
 const geometricClamp = int64(1) << 62
 
-// GeometricLn is Geometric with the logarithm ln(1−p) precomputed by
-// the caller, for p ∈ (0, 1): same variate, same single uniform draw.
-// The indexed engines memoize the logarithm keyed by the enabled-pair
-// count m — which repeats heavily between effective steps — saving one
-// of the two math.Log calls per landing.
-func (r *RNG) GeometricLn(ln1mp float64) int64 {
-	u := 1 - r.src.Float64() // (0, 1]: avoids ln(0)
-	k := math.Floor(math.Log(u) / ln1mp)
-	if k < 0 {
-		return 0
-	}
-	if k >= float64(geometricClamp) {
-		return geometricClamp
-	}
-	return int64(k)
-}
-
 // GeometricExp returns a Geometric(p) variate from one exponential
 // draw: with Λ = −ln(1−p), ⌊Exp(1)/Λ⌋ is Geometric(p) exactly
 // (P(⌊E/Λ⌋ = k) = e^(−kΛ) − e^(−(k+1)Λ) = (1−p)ᵏ·p). The caller
-// passes invLambda = 1/Λ, memoized like GeometricLn's logarithm, so
-// the hot path is one ziggurat draw and one multiply — cheaper than
-// GeometricLn's log inversion. invLambda = +Inf (p = 0, a success that
-// never happens) returns the clamp, like Geometric's p ≤ 0. The variate
-// consumes a different primitive than GeometricLn, so the two methods
-// produce different streams of the same law; only the batch engine's
-// pure path — which carries no bit-identity obligation — uses this
-// one, for its scheduler gaps and its swap-run lengths.
+// passes invLambda = 1/Λ, which the indexed loop memoizes keyed by the
+// enabled-pair count m (it repeats heavily between effective steps), so
+// the hot path is one ziggurat draw and one multiply. invLambda = +Inf
+// (p = 0, a success that never happens) returns the clamp, like
+// Geometric's p ≤ 0. The indexed loop draws its scheduler gaps and its
+// swap-run lengths through this one sampler.
 func (r *RNG) GeometricExp(invLambda float64) int64 {
 	k := r.src.ExpFloat64() * invLambda
 	if k >= float64(geometricClamp) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestReseedMatchesFresh pins the workspace RNG contract: a reseeded
 // source emits exactly the stream a fresh NewRNG(seed) would.
@@ -19,22 +16,6 @@ func TestReseedMatchesFresh(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			if f, r := fresh.src.Uint64(), reused.src.Uint64(); f != r {
 				t.Fatalf("seed %d, draw %d: fresh %d vs reseeded %d", seed, i, f, r)
-			}
-		}
-	}
-}
-
-// TestGeometricLnMatchesGeometric pins the memoized-logarithm skip
-// draw to the original: same p, same seed, same variates, same
-// randomness consumption.
-func TestGeometricLnMatchesGeometric(t *testing.T) {
-	t.Parallel()
-	for _, p := range []float64{1e-9, 0.01, 0.5, 0.999} {
-		a, b := NewRNG(3), NewRNG(3)
-		ln := math.Log1p(-p)
-		for i := 0; i < 200; i++ {
-			if ga, gb := a.Geometric(p), b.GeometricLn(ln); ga != gb {
-				t.Fatalf("p=%g draw %d: Geometric %d vs GeometricLn %d", p, i, ga, gb)
 			}
 		}
 	}
