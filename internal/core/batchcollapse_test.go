@@ -75,9 +75,9 @@ func TestBatchIndexApplySwapFast(t *testing.T) {
 // simulation. Both arms run the single-walker path to a fixed step
 // budget: the literal arm applies one uniform pair draw per step
 // (the baseline scheduler, nothing skipped), the batch arm runs
-// batchLoop — geometric skips, geometric swap-run reveals, collapse,
-// hypergeometric fast-forward at the budget's end. The walker's final
-// position is a complete summary of the run (the path never changes,
+// indexedLoop with swap runs on — geometric skips, geometric swap-run
+// reveals, collapse, hypergeometric fast-forward at the budget's end.
+// The walker's final position is a complete summary of the run (the path never changes,
 // only the walker moves), so a two-sample chi-square on its
 // distribution at α = 0.001 pins the collapse to the literal law.
 // Seeds are fixed: a failure is a law change, not noise.
@@ -120,7 +120,7 @@ func TestBatchCollapseWalkLaw(t *testing.T) {
 			cfg := walkerPathConfig(t, p, n, n/2)
 			rng := NewRNG(uint64(trial) + 1)
 			ix := newBatchIndex(cfg)
-			res := batchLoop(p, cfg, det, Options{}, maxSteps, 1, rng, ix)
+			res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, rng, ix, true, nil, nil)
 			m := res.Metrics
 			if m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps {
 				t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d",
@@ -177,7 +177,7 @@ func walkerPos(t *testing.T, cfg *Config) int {
 // every run on one walker is broken by a landing on the other. Both
 // arms run to a fixed step budget from both walkers at their paths'
 // middles: the literal arm draws one uniform pair per step, the batch
-// arm runs batchLoop. A breaker drawn from the wrong law shifts how
+// arm runs indexedLoop with swap runs on. A breaker drawn from the wrong law shifts how
 // the landings split between the walkers, so the statistic is the
 // joint distribution of the two walkers' distances from their start
 // (four buckets each), compared by a two-sample chi-square test at
@@ -239,7 +239,7 @@ func TestBatchRunBreakerLaw(t *testing.T) {
 		literal[cellOf(cfg)]++
 
 		cfg = initial()
-		res := batchLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg))
+		res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg), true, nil, nil)
 		if m := res.Metrics; m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps {
 			t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d",
 				trial, m.Landings, m.SkippedSteps, m.CollapsedLandings, res.Steps)
@@ -314,7 +314,7 @@ func TestBatchCollapseRingBudgetLaw(t *testing.T) {
 		literal[cellOf(landings, cfg)]++
 
 		cfg = walkerRingConfig(t, p, n)
-		res := batchLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg))
+		res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg), true, nil, nil)
 		m := res.Metrics
 		if m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps || res.Steps != maxSteps {
 			t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d (budget %d)",
@@ -336,7 +336,7 @@ func TestBatchCollapseRingBudgetLaw(t *testing.T) {
 // TestBatchCollapseRingPollsStop pins the bound on one collapse: on an
 // all-safe cycle a revealed run is unbounded, and a collapse spanning
 // a huge budget would run its displacement and budget-cut draws over
-// every landing in one call. batchLoop must instead return to its head
+// every landing in one call. indexedLoop must instead return to its head
 // — where opts.Stop is polled — after at most kernelPass landings.
 func TestBatchCollapseRingPollsStop(t *testing.T) {
 	t.Parallel()
@@ -346,7 +346,7 @@ func TestBatchCollapseRingPollsStop(t *testing.T) {
 	const polls = 4
 	calls := 0
 	opts := Options{Stop: func() bool { calls++; return calls > polls }}
-	res := batchLoop(p, cfg, det, opts, 1<<36, 1, NewRNG(7), newBatchIndex(cfg))
+	res := indexedLoop(p, cfg, det, opts, 1<<36, 1, NewRNG(7), newBatchIndex(cfg), true, nil, nil)
 	if !res.Stopped {
 		t.Fatalf("run not stopped: Steps %d, Stop polled %d times", res.Steps, calls)
 	}

@@ -41,7 +41,7 @@ const maxSparseNodes = 1 << 20
 //   - a census *generation* counter (gen) that bumps exactly when some
 //     cached sub-bucket weight changes value, so the batch engine can
 //     detect "the landing law is unchanged" in O(1) and keep a
-//     revealed swap run alive across landings (see batch.go);
+//     revealed swap run alive across landings (see indexedLoop);
 //   - edge *lists* only for the classes the sampler can ever draw an
 //     edge from (mask bit effEdge — for Simple-Global-Line that is the
 //     handful of walker/leader classes, a few edges each, while the
@@ -60,11 +60,11 @@ const maxSparseNodes = 1 << 20
 //     swap moves one active edge out of class {q₂, w} and another in)
 //     must not bump gen on the transient;
 //   - swapCell marks the edge classes whose rule is a deterministic
-//     state swap — the walker-walk workhorse — for which batchLoop
-//     runs a specialized kernel (no rule lookup, no store access, no
-//     coins) through applySwap; runs lists the live ones whose swap
-//     leaves the output graph alone, the classes batchLoop reveals
-//     swap runs on.
+//     state swap — the walker-walk workhorse — for which indexedLoop
+//     with swap runs on runs a specialized kernel (no rule lookup, no
+//     store access, no coins) through applySwap; runs lists the live
+//     ones whose swap leaves the output graph alone, the classes
+//     indexedLoop reveals swap runs on.
 //
 // Under a restricted topology (cfg.Topology() non-nil) the population
 // products no longer count schedulable pairs, so P(q₁,q₂) is replaced
@@ -75,9 +75,9 @@ const maxSparseNodes = 1 << 20
 // when an endpoint changes state. Non-edge sampling then draws from the class's
 // permitted-pair list by rejection against the active edges (active ⊆
 // permitted — an invariant Run enforces on the initial configuration
-// and interactions preserve). Only the exact route (runIndexed) ever
-// sees a topology; the pure batch path excludes it, and every topology
-// branch sits behind a nil check outside the swap kernel.
+// and interactions preserve). Only indexedLoop with swap runs off ever
+// sees a topology (runIndexed turns runs off under one), and every
+// topology branch sits behind a nil check outside the swap kernel.
 //
 // The index is bound to the Config it was built from and must be
 // notified after every effective interaction (Update) and every
@@ -139,7 +139,7 @@ type batchIndex struct {
 	stamp      uint64
 
 	// wpath is the swap-run collapse's cached walker segment (see
-	// walkChunk); it lives here (rather than on batchLoop's stack) so
+	// walkChunk); it lives here (rather than on indexedLoop's stack) so
 	// its scan buffers survive workspace reuse and steady-state
 	// campaign trials stay allocation-free.
 	wpath walkPath
@@ -707,7 +707,7 @@ func (bi *batchIndex) edgeChanged(u, v int) {
 	bi.reweigh(id)
 }
 
-// applySwap is the index side of batchLoop's swap kernel: the caller
+// applySwap is the index side of indexedLoop's swap kernel: the caller
 // has already swapped nodes[u] and nodes[v] (their pre-swap states
 // beforeU ≠ beforeV), nothing else changed. u and v exchange their
 // byState slots in place, incident edges reclassify, and only the
@@ -1018,8 +1018,8 @@ func orient(u, v int, rng *RNG) (int, int) {
 }
 
 // ---------------------------------------------------------------------
-// Swap-run collapse support (see batchLoop's collapse block in
-// batch.go). A deterministic-swap class whose edge list holds exactly
+// Swap-run collapse support (see indexedLoop's collapse block in
+// indexed.go). A deterministic-swap class whose edge list holds exactly
 // two edges sharing an endpoint is a single walker on a line (or
 // cycle): the shared endpoint carries the walker state ws, its two
 // neighbours carry the partner state bs, and every landing on the

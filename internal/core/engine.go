@@ -127,9 +127,9 @@ type Options struct {
 	// MaxSteps aborts the run (Converged=false) when exceeded.
 	// Defaults to DefaultMaxSteps(n).
 	MaxSteps int64
-	// CheckInterval is the period, in scheduler steps, of both
-	// TriggerInterval detection and Stop polling; 0 means
-	// DefaultCheckInterval(n).
+	// CheckInterval is the period, in scheduler steps, of
+	// TriggerInterval detection and of Stop polling on the baseline
+	// engine; 0 means DefaultCheckInterval(n).
 	CheckInterval int64
 	// Topology, when non-nil, restricts the interaction graph to its
 	// permitted pairs: the uniform scheduler draws uniformly over them,
@@ -154,9 +154,11 @@ type Options struct {
 	// else.
 	Events EventSink
 	// Stop, when non-nil, is polled once immediately and then
-	// periodically (every CheckInterval steps on the baseline engine,
-	// every landing on the indexed engines); when it returns true the run
-	// aborts early with Converged=false and Stopped=true. It is how
+	// periodically: every CheckInterval steps on the baseline engine;
+	// at the head of each loop iteration on the indexed engines, that
+	// is after every landing, or after each collapse or run-kernel pass
+	// of at most kernelPass = 2¹⁶ landings. When it returns true the
+	// run aborts early with Converged=false and Stopped=true. It is how
 	// callers plug in context cancellation and per-run deadlines.
 	Stop func() bool
 	// Injector, when non-nil, is the scenario layer's engine hook: an
@@ -246,15 +248,15 @@ func DefaultMaxSteps(n int) int64 {
 }
 
 // DefaultCheckInterval returns the period, in scheduler steps, at
-// which interval-triggered detectors and Options.Stop are polled when
-// Options.CheckInterval is zero: n² clamped to [1024, 2²²]. The n²
-// term amortizes an O(n²) stability scan to O(1) per step; the floor
-// keeps tiny populations from polling every few steps; the ceiling
-// keeps Stop polling — and with it campaign timeouts and context
+// which interval-triggered detectors, and Options.Stop on the baseline
+// engine, are polled when Options.CheckInterval is zero: n² clamped to
+// [1024, 2²²]. The n² term amortizes an O(n²) stability scan to O(1)
+// per step; the floor keeps tiny populations from polling every few
+// steps; the ceiling keeps Stop polling — and with it campaign timeouts and context
 // cancellation — responsive on large baseline runs, where an uncapped
 // n² default (2⁴⁰ steps between polls at n = 2²⁰) would mean the run
 // effectively never observes a stop request. The baseline loop and
-// both indexed engines share this helper, so the default cannot drift
+// the indexed loop share this helper, so the default cannot drift
 // between paths.
 func DefaultCheckInterval(n int) int64 {
 	const ceiling = int64(1) << 22
@@ -394,7 +396,6 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 	}
 
 	var res Result
-	var err error
 	if n == 1 {
 		// No pairs exist to ever interact.
 		res = Result{Final: cfg, Engine: engine, Converged: det.Stable(cfg)}
@@ -402,15 +403,10 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 		emitDetect(opts.Events, ev, 0, res.Converged, cfg)
 	} else {
 		switch engine {
-		case EngineSparse:
-			res, err = runSparse(p, cfg, det, opts, maxSteps, interval, rng)
-		case EngineBatch:
-			res, err = runBatch(p, cfg, det, opts, maxSteps, interval, rng)
+		case EngineSparse, EngineBatch:
+			res = runIndexed(p, cfg, det, opts, maxSteps, interval, rng, engine)
 		default:
-			res, err = runBaseline(p, cfg, det, opts, sched, maxSteps, interval, rng)
-		}
-		if err != nil {
-			return res, err
+			res = runBaseline(p, cfg, det, opts, sched, maxSteps, interval, rng)
 		}
 	}
 	if opts.Workspace != nil {
@@ -465,7 +461,7 @@ func recordEffective(res *Result, p *Protocol, cfg *Config, events EventSink, ev
 // baselineLoop to fold the mutator's fault tallies and the
 // Landings = Steps identity (every baseline draw is simulated) into
 // the metrics once, at the single exit.
-func runBaseline(p *Protocol, cfg *Config, det Detector, opts Options, sched Scheduler, maxSteps, interval int64, rng *RNG) (Result, error) {
+func runBaseline(p *Protocol, cfg *Config, det Detector, opts Options, sched Scheduler, maxSteps, interval int64, rng *RNG) Result {
 	var ev *Event
 	if opts.Events != nil {
 		ev = new(Event)
@@ -479,7 +475,7 @@ func runBaseline(p *Protocol, cfg *Config, det Detector, opts Options, sched Sch
 	if mut != nil {
 		mut.fold(&res.Metrics)
 	}
-	return res, nil
+	return res
 }
 
 func baselineLoop(p *Protocol, cfg *Config, det Detector, opts Options, sched Scheduler, maxSteps, interval int64, rng *RNG, mut *Mutator, ev *Event) Result {

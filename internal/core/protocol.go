@@ -274,9 +274,9 @@ func (p *Protocol) Randomized() bool {
 // probabilistic rule (whose coin may select an identity or
 // census-preserving branch). The batch engine can only reveal swap
 // runs inside census-frozen stretches, and only batchable protocols
-// ever produce one — so runBatch steps
-// non-batchable protocols exactly, which keeps them bit-identical to
-// the sparse engine by construction.
+// ever produce one — so runIndexed turns swap runs off for
+// non-batchable protocols and steps them exactly, which keeps them
+// bit-identical to the sparse engine by construction.
 func (p *Protocol) Batchable() bool {
 	q := len(p.states)
 	for a := 0; a < q; a++ {

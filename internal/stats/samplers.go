@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the exact discrete samplers behind the batch
-// engine's analytic phase collapse (see internal/core/batch.go and
+// engine's analytic phase collapse (see indexedLoop in internal/core/indexed.go and
 // ARCHITECTURE.md): binomial and hypergeometric counts, gamma/Poisson
 // variates feeding the negative-binomial gap collapse, and the net
 // displacement of a k-step lazy random walk. They live in
