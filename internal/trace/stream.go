@@ -295,49 +295,73 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 // records write the out-of-band mutations. Because every
 // configuration-changing event is in the stream — skipped draws by
 // definition change nothing — the result equals the run's final
-// configuration exactly.
+// configuration exactly. A stream is outside input, so every node,
+// pair and state a record would write is checked first: nodes must lie
+// in the population, pairs must join two distinct nodes, and states
+// must index the start protocol's state table.
 func Replay(start *core.Config, recs []Record) (*core.Config, error) {
 	cfg := start.Clone()
-	n := cfg.N()
-	check := func(i int, u int) error {
+	n, q := cfg.N(), len(cfg.Protocol().States())
+	node := func(i, u int) error {
 		if u < 0 || u >= n {
 			return fmt.Errorf("trace: record %d: node %d outside population of %d", i, u, n)
 		}
 		return nil
 	}
+	pair := func(i, u, v int) error {
+		if err := node(i, u); err != nil {
+			return err
+		}
+		if err := node(i, v); err != nil {
+			return err
+		}
+		if u == v {
+			return fmt.Errorf("trace: record %d: pair {%d, %d} joins a node to itself", i, u, v)
+		}
+		return nil
+	}
+	state := func(i int, kind, field string, s *int) (core.State, error) {
+		if s == nil {
+			return 0, fmt.Errorf("trace: record %d: %s without %s", i, kind, field)
+		}
+		if *s < 0 || *s >= q {
+			return 0, fmt.Errorf("trace: record %d: %s state %d outside the protocol's %d states", i, field, *s, q)
+		}
+		return core.State(*s), nil
+	}
 	for i, rec := range recs {
 		switch rec.Kind {
 		case "step":
-			if rec.AU == nil || rec.AV == nil {
-				return nil, fmt.Errorf("trace: record %d: step without au/av", i)
-			}
-			if err := check(i, rec.U); err != nil {
+			au, err := state(i, rec.Kind, "au", rec.AU)
+			if err != nil {
 				return nil, err
 			}
-			if err := check(i, rec.V); err != nil {
+			av, err := state(i, rec.Kind, "av", rec.AV)
+			if err != nil {
 				return nil, err
 			}
-			cfg.SetNode(rec.U, core.State(*rec.AU))
-			cfg.SetNode(rec.V, core.State(*rec.AV))
+			if err := pair(i, rec.U, rec.V); err != nil {
+				return nil, err
+			}
+			cfg.SetNode(rec.U, au)
+			cfg.SetNode(rec.V, av)
 			if rec.Edge != nil {
 				cfg.SetEdge(rec.U, rec.V, *rec.Edge)
 			}
 		case "fault_node":
-			if rec.AU == nil {
-				return nil, fmt.Errorf("trace: record %d: fault_node without au", i)
-			}
-			if err := check(i, rec.U); err != nil {
+			au, err := state(i, rec.Kind, "au", rec.AU)
+			if err != nil {
 				return nil, err
 			}
-			cfg.SetNode(rec.U, core.State(*rec.AU))
+			if err := node(i, rec.U); err != nil {
+				return nil, err
+			}
+			cfg.SetNode(rec.U, au)
 		case "fault_edge":
 			if rec.Edge == nil {
 				return nil, fmt.Errorf("trace: record %d: fault_edge without edge", i)
 			}
-			if err := check(i, rec.U); err != nil {
-				return nil, err
-			}
-			if err := check(i, rec.V); err != nil {
+			if err := pair(i, rec.U, rec.V); err != nil {
 				return nil, err
 			}
 			cfg.SetEdge(rec.U, rec.V, *rec.Edge)

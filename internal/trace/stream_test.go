@@ -145,3 +145,51 @@ func TestNDJSONStringEscaping(t *testing.T) {
 		t.Fatalf("label round-tripped as %q", recs[0].Fault)
 	}
 }
+
+// malformedRecords are stream lines Replay must refuse rather than
+// apply: a state index past the protocol's state table, a negative
+// state index, and a step that joins a node to itself.
+var malformedRecords = []string{
+	`{"kind":"step","step":1,"u":0,"v":1,"bu":0,"bv":0,"au":200,"av":0}`,
+	`{"kind":"fault_node","step":1,"u":0,"bu":0,"au":-1}`,
+	`{"kind":"step","step":1,"u":3,"v":3,"bu":0,"bv":0,"au":0,"av":0,"edge":true}`,
+}
+
+// TestReplayRejectsMalformed pins Replay's input checks: each malformed
+// record decodes, and Replay returns an error naming it instead of
+// panicking or writing an impossible configuration.
+func TestReplayRejectsMalformed(t *testing.T) {
+	t.Parallel()
+	start := core.NewConfig(protocols.GlobalStar().Proto, 8)
+	for _, line := range malformedRecords {
+		recs, err := ReadRecords(strings.NewReader(line + "\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if _, err := Replay(start, recs); err == nil {
+			t.Errorf("%s: replay accepted the record", line)
+		} else if !strings.Contains(err.Error(), "record 0") {
+			t.Errorf("%s: error %q does not name the record", line, err)
+		}
+	}
+}
+
+// FuzzReplay holds Replay to its contract on arbitrary input: decoding
+// and replaying any stream over a small Global-Star start returns a
+// configuration or an error, never a panic.
+func FuzzReplay(f *testing.F) {
+	for _, line := range malformedRecords {
+		f.Add(line + "\n")
+	}
+	if golden, err := os.ReadFile(filepath.Join("testdata", "star_n8_seed1.ndjson")); err == nil {
+		f.Add(string(golden))
+	}
+	start := core.NewConfig(protocols.GlobalStar().Proto, 8)
+	f.Fuzz(func(t *testing.T, stream string) {
+		recs, err := ReadRecords(strings.NewReader(stream))
+		if err != nil {
+			return
+		}
+		Replay(start, recs)
+	})
+}
