@@ -177,11 +177,11 @@ func walkerPos(t *testing.T, cfg *Config) int {
 // every run on one walker is broken by a landing on the other. Both
 // arms run to a fixed step budget from both walkers at their paths'
 // middles: the literal arm draws one uniform pair per step, the batch
-// arm runs indexedLoop with swap runs on. A breaker drawn from the wrong law shifts how
-// the landings split between the walkers, so the statistic is the
-// joint distribution of the two walkers' distances from their start
-// (four buckets each), compared by a two-sample chi-square test at
-// α = 0.001.
+// arm runs indexedLoop with swap runs on. A breaker drawn from the
+// wrong law shifts how the landings split between the walkers, so the
+// statistic is the joint distribution of the two walkers' distances
+// from their start (four buckets each), compared by a two-sample
+// chi-square test at α = 0.001.
 func TestBatchRunBreakerLaw(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("two-walkers", []string{"q2", "w", "y", "x"}, 0, nil, []Rule{

@@ -123,13 +123,13 @@ const kernelPass = 1 << 16
 // for EngineBatch unless an EventSink or fault Injector is attached
 // (those consumers observe individual landings, which the run tiers do
 // not reproduce draw for draw), a restricted topology is set (the run
-// tiers draw their gaps against the complete-graph universe
-// n(n−1)/2), or the protocol has no census-preserving outcome
-// (Protocol.Batchable — such runs never freeze the census, so exact
-// stepping costs nothing). With runs off the loop steps every landing
-// exactly, so batch's exact route is bit-identical to EngineSparse;
-// Result.Engine still reports EngineBatch and
-// Metrics.ExactFallbackLandings counts every landing as exact-stepped.
+// tiers' law tests cover the complete graph only), or the protocol has
+// no census-preserving outcome (Protocol.Batchable — such runs never
+// freeze the census, so exact stepping costs nothing). With runs off
+// the loop steps every landing exactly, so batch's exact route is
+// bit-identical to EngineSparse; Result.Engine still reports
+// EngineBatch and Metrics.ExactFallbackLandings counts every landing
+// as exact-stepped.
 //
 // The caller (Run) has already resolved defaults and cloned the
 // initial configuration. runIndexed folds the mutator's fault tallies
