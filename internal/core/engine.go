@@ -252,10 +252,11 @@ func DefaultMaxSteps(n int) int64 {
 // engine, are polled when Options.CheckInterval is zero: n² clamped to
 // [1024, 2²²]. The n² term amortizes an O(n²) stability scan to O(1)
 // per step; the floor keeps tiny populations from polling every few
-// steps; the ceiling keeps Stop polling — and with it campaign timeouts and context
-// cancellation — responsive on large baseline runs, where an uncapped
-// n² default (2⁴⁰ steps between polls at n = 2²⁰) would mean the run
-// effectively never observes a stop request. The baseline loop and
+// steps; the ceiling keeps Stop polling — and with it campaign
+// timeouts and context cancellation — responsive on large baseline
+// runs, where an uncapped n² default (2⁴⁰ steps between polls at
+// n = 2²⁰) would mean the run effectively never observes a stop
+// request. The baseline loop and
 // the indexed loop share this helper, so the default cannot drift
 // between paths.
 func DefaultCheckInterval(n int) int64 {
