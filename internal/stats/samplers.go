@@ -6,16 +6,22 @@ import (
 )
 
 // This file holds the exact discrete samplers behind the batch
-// engine's analytic phase collapse (see indexedLoop in internal/core/indexed.go and
-// ARCHITECTURE.md): binomial and hypergeometric counts, gamma/Poisson
-// variates feeding the negative-binomial gap collapse, and the net
-// displacement of a k-step lazy random walk. They live in
-// internal/stats rather than on core.RNG so their laws can be pinned
-// against literal urn and coin simulations without importing the
-// engine, and so non-engine consumers (future analysis tooling) can
-// draw from any uniform source. Every sampler is exact up to float64
+// engine's swap-run collapse (see indexedLoop in
+// internal/core/indexed.go and ARCHITECTURE.md): binomial and
+// hypergeometric counts, gamma/Poisson variates feeding the
+// negative-binomial gap collapse, and the net displacement of a k-step
+// lazy random walk. The displacement and the gap total cost O(1)
+// expected uniforms at any chunk length — the displacement's fair
+// binomial goes through BTRS once popcounting stops paying — while the
+// hypergeometric budget cut, drawn once where the step budget ends,
+// walks O(result) terms (BenchmarkSamplers prices each draw). They
+// live in internal/stats rather than on core.RNG so their laws can be
+// pinned against literal urn and coin simulations and exact pmfs
+// without importing the engine, and so non-engine consumers can draw
+// from any uniform source. Every sampler is exact up to float64
 // rounding: CDF inversions walk the true probability mass, and the
-// gamma/Poisson pair are rejection samplers, not approximations.
+// BTRS binomial and the gamma/Poisson pair are rejection samplers, not
+// approximations.
 
 // Source is the uniform-randomness interface the samplers consume.
 // *math/rand/v2.Rand satisfies it, as does core.RNG.
@@ -35,12 +41,23 @@ type Source interface {
 // callers bound the result by their remaining step budget anyway.
 const sampleClamp = int64(1) << 62
 
+// popcountMax is the fair-coin count below which Binomial counts
+// popcounts: ⌈n/64⌉ uniform words beat one BTRS draw up to about a
+// thousand coins (BENCH_stats.json's fair-coins medians: popcount 41,
+// 62 and 120 ns at 512, 768 and 1,024 coins, BTRS 71, 94 and 68 ns).
+const popcountMax = 1024
+
 // Binomial returns the number of successes in n independent
-// Bernoulli(p) trials. Fair coins (p = 1/2) are counted exactly by
-// popcount over ⌈n/64⌉ uniform words; other probabilities invert the
-// CDF on a single uniform draw, walking O(n·min(p, 1−p)) expected
-// terms, with very large n·p split into independent halves so the
-// starting mass (1−p)ⁿ stays representable.
+// Bernoulli(p) trials, by one of three exact methods:
+//   - fair coins (p = 1/2) below popcountMax are counted by popcount
+//     over ⌈n/64⌉ uniform words;
+//   - n·min(p, 1−p) ≥ 10 runs Hörmann's BTRS transformed rejection
+//     (binomialBTRS), O(1) expected uniform pairs at any n;
+//   - smaller means invert the CDF on a single uniform, walking
+//     O(n·min(p, 1−p)) expected terms from the mass (1−p)ⁿ > e⁻²⁰.
+//
+// p > 1/2 draws the failures instead (the complement branch), so the
+// rejection and inversion paths always see p ≤ 1/2.
 func Binomial(src Source, n int64, p float64) int64 {
 	if n <= 0 || p <= 0 {
 		return 0
@@ -48,35 +65,89 @@ func Binomial(src Source, n int64, p float64) int64 {
 	if p >= 1 {
 		return n
 	}
-	if p == 0.5 {
-		var k int64
-		for ; n >= 64; n -= 64 {
-			k += int64(bits.OnesCount64(src.Uint64()))
-		}
-		if n > 0 {
-			k += int64(bits.OnesCount64(src.Uint64() >> (64 - uint(n))))
-		}
-		return k
+	if p == 0.5 && n < popcountMax {
+		return fairCoins(src, n)
 	}
 	if p > 0.5 {
 		return n - Binomial(src, n, 1-p)
 	}
-	if float64(n)*math.Log1p(-p) < -700 {
-		half := n / 2
-		return Binomial(src, half, p) + Binomial(src, n-half, p)
+	if float64(n)*p >= 10 {
+		return binomialBTRS(src, n, p)
 	}
+	// The starting mass (1−p)ⁿ goes through log1p: pow(1−p, n) would
+	// carry the rounding of 1−p to the n-th power (relative error ~10⁻⁷
+	// at n = 2³⁰).
 	u := src.Float64()
-	q := 1 - p
-	pmf := math.Pow(q, float64(n))
+	pmf := math.Exp(float64(n) * math.Log1p(-p))
 	cdf := pmf
-	ratio := p / q
+	ratio := p / (1 - p)
 	var k int64
-	for u > cdf && k < n {
+	// pmf > 0 ends the walk where the upper tail underflows: a u above
+	// the rounded total mass would otherwise walk on to k = n.
+	for u > cdf && k < n && pmf > 0 {
 		k++
 		pmf *= ratio * float64(n-k+1) / float64(k)
 		cdf += pmf
 	}
 	return k
+}
+
+// fairCoins counts the heads among n fair coins by popcount over
+// ⌈n/64⌉ uniform words.
+func fairCoins(src Source, n int64) int64 {
+	var k int64
+	for ; n >= 64; n -= 64 {
+		k += int64(bits.OnesCount64(src.Uint64()))
+	}
+	if n > 0 {
+		k += int64(bits.OnesCount64(src.Uint64() >> (64 - uint(n))))
+	}
+	return k
+}
+
+// binomialBTRS is Hörmann's BTRS transformed rejection ("The
+// generation of binomial random variates", 1993), the binomial twin of
+// Poisson's PTRS: one uniform pair per iteration, accepted inside the
+// squeeze box without any logarithm, at a rate of about 0.8 once n·p
+// is large. It requires n·p ≥ 10 and p ≤ 1/2. Outside the box the
+// candidate k is accepted against the exact ratio pmf(k)/pmf(m), m the
+// mode; the mode's log-factorials (and ln(p/q)) are computed at most
+// once per call, on the first candidate that needs them. Their
+// rounding error grows like n·ln n·2⁻⁵³ (about 10⁻⁶ at n = 2²⁸); the
+// swap-run collapse never asks for more than kernelPass = 2¹⁶ steps.
+func binomialBTRS(src Source, n int64, p float64) int64 {
+	fn := float64(n)
+	q := 1 - p
+	spq := math.Sqrt(fn * p * q)
+	b := 1.15 + 2.53*spq
+	a := -0.0873 + 0.0248*b + 0.01*p
+	c := fn*p + 0.5
+	alpha := (2.83 + 5.1/b) * spq
+	vr := 0.92 - 4.2/b
+	m := math.Floor((fn + 1) * p)
+	h, lpq := math.NaN(), 0.0 // ln m! + ln (n−m)! and ln(p/q), on first use
+	for {
+		u := src.Float64() - 0.5
+		v := src.Float64()
+		us := 0.5 - math.Abs(u)
+		k := math.Floor((2*a/us+b)*u + c)
+		if us >= 0.07 && v <= vr {
+			return int64(k)
+		}
+		if k < 0 || k > fn {
+			continue
+		}
+		if math.IsNaN(h) {
+			lm, _ := math.Lgamma(m + 1)
+			lnm, _ := math.Lgamma(fn - m + 1)
+			h, lpq = lm+lnm, math.Log(p/q)
+		}
+		lk, _ := math.Lgamma(k + 1)
+		lnk, _ := math.Lgamma(fn - k + 1)
+		if math.Log(v*alpha/(a/(us*us)+b)) <= h-lk-lnk+(k-m)*lpq {
+			return int64(k)
+		}
+	}
 }
 
 // Hypergeometric returns how many of `draws` draws without
@@ -232,11 +303,12 @@ func NegBinomial(src Source, r int64, p float64) int64 {
 // WalkDisplacement returns the net displacement of a `steps`-step lazy
 // simple random walk on ℤ: each step holds with probability `stay`,
 // otherwise moves ±1 with equal probability. With M the number of
-// moving steps (binomial) and R the rightward moves among them (fair
-// binomial, counted by popcount), the displacement 2R − M carries the
-// exact k-step law — one draw replacing k per-step simulations. The
-// batch engine uses stay = 0: a revealed swap run moves its walker on
-// every landing.
+// moving steps (binomial) and R the rightward moves among them (a fair
+// binomial: popcount for short walks, BTRS above popcountMax), the
+// displacement 2R − M carries the exact k-step law — one draw
+// replacing k per-step simulations, at O(1) expected cost for any k.
+// The batch engine uses stay = 0: a revealed swap run moves its walker
+// on every landing.
 func WalkDisplacement(src Source, steps int64, stay float64) int64 {
 	if steps <= 0 {
 		return 0

@@ -1,8 +1,8 @@
 package stats
 
 import (
+	"fmt"
 	"math"
-	"math/bits"
 	rand "math/rand/v2"
 	"testing"
 )
@@ -33,21 +33,27 @@ func samplerChiSquare(t *testing.T, label string, a, b []int64) {
 	}
 }
 
-// TestBinomialLawMatch pins every Binomial code path — the fair-coin
-// popcount counter, the CDF-inversion walk, the complement branch —
-// against literally flipped coins.
+// TestBinomialLawMatch pins every Binomial code path against literally
+// flipped coins: the fair-coin popcount counter, the CDF-inversion
+// walk, the complement branch, and BTRS rejection (n·min(p, 1−p) ≥ 10,
+// fair coins from popcountMax up). TestBinomialExactPMF covers the
+// populations too large to flip.
 func TestBinomialLawMatch(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
-		n int64
-		p float64
+		branch string
+		n      int64
+		p      float64
 	}{
-		{10, 0.3},  // inversion walk
-		{10, 0.7},  // complement branch
-		{100, 0.5}, // popcount, full word + remainder
-		{64, 0.5},  // popcount, exactly one word
-		{3, 0.5},   // popcount, sub-word only
-		{20, 0.05}, // sparse successes
+		{"inversion", 10, 0.3},
+		{"inversion/sparse", 20, 0.05},
+		{"complement/inversion", 10, 0.7},
+		{"popcount/word+remainder", 100, 0.5},
+		{"popcount/one-word", 64, 0.5},
+		{"popcount/sub-word", 3, 0.5},
+		{"btrs", 40, 0.3},
+		{"complement/btrs", 60, 0.8},
+		{"btrs/fair", popcountMax + 100, 0.5},
 	}
 	for i, tc := range cases {
 		srcA := newSource(uint64(100 + i))
@@ -64,32 +70,97 @@ func TestBinomialLawMatch(t *testing.T) {
 			}
 			histB[brute]++
 		}
-		samplerChiSquare(t, "Binomial", histA, histB)
+		samplerChiSquare(t, "Binomial/"+tc.branch, histA, histB)
 	}
 }
 
-// TestBinomialSplitMean checks the large-n split path (starting mass
-// below float64 range) by a moment bound: a chi-square against 10⁶
-// literal coin flips per trial would dominate the suite's runtime.
-func TestBinomialSplitMean(t *testing.T) {
+// exactLawTrials is the sample size of the one-sample chi-square tests
+// against an exact pmf: no literal simulation to pay for, so it can be
+// large enough to see a rejection sampler's acceptance test mis-set.
+const exactLawTrials = 400_000
+
+// binomialPMFChiSquare draws exactLawTrials variates and compares
+// their histogram with the exact Binomial(n, p) pmf, built from
+// LnChoose, by a one-sample chi-square at α = 0.001. Bins cover the
+// mean ± 8 standard deviations (plus a margin for tiny means), the
+// draws beyond them are clamped into the edge bins, and sparse bins
+// are pooled to expected counts ≥ 5.
+func binomialPMFChiSquare(t *testing.T, label string, n int64, p float64, draw func() int64) {
+	t.Helper()
+	mean := float64(n) * p
+	sd := math.Sqrt(mean * (1 - p))
+	lo := max(0, int64(mean-8*sd)-10)
+	hi := min(n, int64(mean+8*sd)+10)
+	obs := make([]int64, hi-lo+1)
+	for trial := 0; trial < exactLawTrials; trial++ {
+		k := draw()
+		if k < 0 || k > n {
+			t.Fatalf("%s: draw %d outside [0, %d]", label, k, n)
+		}
+		obs[min(max(k, lo), hi)-lo]++
+	}
+	exp := make([]float64, len(obs))
+	lp, lq := math.Log(p), math.Log1p(-p)
+	for k := lo; k <= hi; k++ {
+		exp[k-lo] = math.Exp(LnChoose(n, k)+float64(k)*lp+float64(n-k)*lq) * exactLawTrials
+	}
+	pooledObs, pooledExp := poolBins(obs, exp, 5)
+	df := len(pooledObs) - 1
+	if df < 1 {
+		t.Fatalf("%s: degenerate binning", label)
+	}
+	if stat, crit := ChiSquareStat(pooledObs, pooledExp), ChiSquareCritical(df, 0.001); stat > crit {
+		t.Errorf("%s: chi-square stat %.2f > critical %.2f (df %d)", label, stat, crit, df)
+	}
+}
+
+// TestBinomialExactPMF pins Binomial against its exact pmf at
+// populations no literal coin simulation reaches, up to n = 2²⁸: BTRS
+// at every mean from 1 to 2²⁷, the inversion walk and the popcount
+// counter at n = 10³, and the complement branch in front of both the
+// rejection and the inversion path.
+func TestBinomialExactPMF(t *testing.T) {
 	t.Parallel()
-	src := newSource(7)
-	const n, p, trials = int64(1_000_000), 1e-3, 2000
-	var sum, sumSq float64
-	for trial := 0; trial < trials; trial++ {
-		k := float64(Binomial(src, n, p))
-		sum += k
-		sumSq += k * k
+	cases := []struct {
+		n int64
+		p float64
+	}{
+		{1000, 0.5},     // popcount
+		{1000, 0.3},     // BTRS
+		{1000, 1e-3},    // inversion
+		{1 << 16, 0.5},  // BTRS, fair coins
+		{1 << 16, 0.3},  // BTRS
+		{1 << 16, 1e-3}, // BTRS at n·p = 65.5
+		{1 << 28, 0.5},  // BTRS
+		{1 << 28, 0.3},  // BTRS
+		{1 << 28, 1e-3}, // BTRS
+		{1 << 16, 0.7},  // complement → BTRS
+		{1000, 0.999},   // complement → inversion
 	}
-	mean := sum / trials
-	wantMean := float64(n) * p
-	wantSD := math.Sqrt(float64(n) * p * (1 - p))
-	if math.Abs(mean-wantMean) > 6*wantSD/math.Sqrt(trials) {
-		t.Errorf("split-path mean %.2f, want %.2f ± %.2f", mean, wantMean, 6*wantSD/math.Sqrt(trials))
+	for i, tc := range cases {
+		src := newSource(uint64(1300 + i))
+		label := fmt.Sprintf("Binomial(n=%d, p=%g)", tc.n, tc.p)
+		binomialPMFChiSquare(t, label, tc.n, tc.p, func() int64 { return Binomial(src, tc.n, tc.p) })
 	}
-	variance := sumSq/trials - mean*mean
-	if math.Abs(variance-wantSD*wantSD) > 0.2*wantSD*wantSD {
-		t.Errorf("split-path variance %.2f, want %.2f", variance, wantSD*wantSD)
+}
+
+// TestWalkDisplacementExactLaw pins the swap-run collapse's
+// displacement draw at chunk lengths past popcountMax, up to the
+// engine's kernelPass cap of 2¹⁶ steps: with stay = 0 the displacement
+// is 2R − J, R ~ Binomial(J, 1/2), so R = (d + J)/2 must be an integer
+// with the exact binomial law.
+func TestWalkDisplacementExactLaw(t *testing.T) {
+	t.Parallel()
+	for i, steps := range []int64{1 << 12, 1 << 16} {
+		src := newSource(uint64(1400 + i))
+		label := fmt.Sprintf("WalkDisplacement(%d, 0)", steps)
+		binomialPMFChiSquare(t, label, steps, 0.5, func() int64 {
+			d := WalkDisplacement(src, steps, 0)
+			if (d+steps)%2 != 0 {
+				t.Fatalf("%s: displacement %d has the wrong parity", label, d)
+			}
+			return (d + steps) / 2
+		})
 	}
 }
 
@@ -377,11 +448,51 @@ func FuzzHypergeometric(f *testing.F) {
 	})
 }
 
-// TestWalkDisplacementStreamEconomy documents the popcount fast path:
-// a 512-step displacement must consume exactly ⌈512/64⌉ = 8 uniform
-// words, which is what makes collapsing long swap runs essentially
-// free. A counting source wrapper verifies it.
-func TestWalkDisplacementStreamEconomy(t *testing.T) {
+// FuzzBinomial fuzzes the support invariants of Binomial and of the
+// swap-run displacement built on it, over every path's parameters:
+// 0 ≤ k ≤ n for n up to 2⁶² and p ∈ [0, 1], and WalkDisplacement(J, 0)
+// inside [−J, J] with the parity of J. Each call must also return:
+// every path is O(1) expected draws or O(n·min(p, 1−p)) < O(10) terms,
+// so a hang shows as the fuzzer's per-input timeout.
+func FuzzBinomial(f *testing.F) {
+	f.Add(uint64(1), int64(10), 0.3)
+	f.Add(uint64(2), int64(popcountMax-1), 0.5)
+	f.Add(uint64(3), int64(popcountMax), 0.5)
+	f.Add(uint64(4), int64(1<<16), 0.5)
+	f.Add(uint64(5), int64(1)<<62, 0.5)
+	f.Add(uint64(6), int64(1)<<62, 1e-18)
+	f.Add(uint64(7), int64(1)<<62, 1-1e-12)
+	f.Add(uint64(8), int64(1000), 0.01)
+	f.Add(uint64(9), int64(0), 1.0)
+	f.Fuzz(func(t *testing.T, seed uint64, n int64, p float64) {
+		if n < 0 {
+			n = -(n + 1)
+		}
+		n %= 1<<62 + 1
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return
+		}
+		if p < 0 || p > 1 {
+			p = math.Abs(math.Mod(p, 1))
+		}
+		src := newSource(seed)
+		if k := Binomial(src, n, p); k < 0 || k > n {
+			t.Fatalf("Binomial(%d, %g) = %d outside [0, %d]", n, p, k, n)
+		}
+		if d := WalkDisplacement(src, n, 0); d < -n || d > n || (d+n)%2 != 0 {
+			t.Fatalf("WalkDisplacement(%d, 0) = %d: outside [−J, J] or wrong parity", n, d)
+		}
+	})
+}
+
+// TestWalkDisplacementDrawCost pins the cost that makes collapsing long
+// swap runs cheap, through a counting source wrapper. Below popcountMax
+// the displacement counts popcounts: 512 steps take exactly ⌈512/64⌉ = 8
+// uniform words and no floats. From popcountMax up to the kernelPass
+// cap of 2¹⁶ steps it must consume O(1) uniforms on average — BTRS
+// takes one float pair per iteration at an acceptance rate near 0.8 —
+// and no 64-bit words, where popcount would take 1,024 per draw.
+func TestWalkDisplacementDrawCost(t *testing.T) {
 	t.Parallel()
 	src := &countingSource{Rand: newSource(9)}
 	if d := WalkDisplacement(src, 512, 0); d < -512 || d > 512 {
@@ -391,8 +502,36 @@ func TestWalkDisplacementStreamEconomy(t *testing.T) {
 		t.Errorf("512-step displacement consumed %d words and %d floats; want 8 words, 0 floats",
 			src.uint64s, src.float64s)
 	}
-	_ = bits.OnesCount64 // the fast path under test
+	src = &countingSource{Rand: newSource(10)}
+	const steps, draws = int64(1 << 16), 10_000
+	for i := 0; i < draws; i++ {
+		if d := WalkDisplacement(src, steps, 0); d < -steps || d > steps {
+			t.Fatalf("displacement %d out of range", d)
+		}
+	}
+	if perDraw := float64(src.float64s) / draws; src.uint64s != 0 || perDraw > 3 {
+		t.Errorf("%d-step displacements consumed %d words and %.2f floats per draw; want 0 words, ≤ 3 floats",
+			steps, src.uint64s, perDraw)
+	}
 }
+
+// TestBinomialInversionTopUniform pins the inversion walk's end at the
+// top of the uniform range: with u = 1 − 2⁻⁵³ above the rounded total
+// mass, the walk must stop in the upper tail, not walk on to k = n
+// (2³⁰ terms here, and a hang at n = 2⁶²).
+func TestBinomialInversionTopUniform(t *testing.T) {
+	t.Parallel()
+	src := &topSource{Rand: newSource(11)}
+	const n, p = int64(1 << 30), 3e-9 // n·p ≈ 3.2: the inversion path
+	if k := Binomial(src, n, p); k > 1000 {
+		t.Fatalf("Binomial(%d, %g) at the top uniform = %d; want the walk to end in the tail", n, p, k)
+	}
+}
+
+// topSource returns the largest uniform Float64 can.
+type topSource struct{ *rand.Rand }
+
+func (topSource) Float64() float64 { return math.Nextafter(1, 0) }
 
 type countingSource struct {
 	*rand.Rand

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates the tracked benchmark artifacts — BENCH_batch.json,
 # BENCH_engine.json, BENCH_campaign.json, BENCH_topology.json,
-# BENCH_observer.json, BENCH_detector.json — with the pinned -benchtime
+# BENCH_observer.json, BENCH_detector.json, BENCH_stats.json — with the pinned -benchtime
 # (and, for the repeated-sample suites, -count) each suite is
 # calibrated for. CI runs this script per suite and uploads the files;
 # run it locally (optionally with a subset of suite names) to reproduce
@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 
 suites="$*"
 if [ -z "$suites" ]; then
-  suites="batch engine campaign topology observer detector"
+  suites="batch engine campaign topology observer detector stats"
 fi
 
 for suite in $suites; do
@@ -39,8 +39,13 @@ for suite in $suites; do
       # microseconds, so five counts give each row a median and a spread.
       go test -run '^$' -bench BenchmarkDetectorStable -benchtime 20000x -count 5 -benchmem -json ./internal/protocols | tee BENCH_detector.json
       ;;
+    stats)
+      # The swap-run collapse's sampler draws, ns per draw: five counts
+      # per row, from ~10 ns displacements to ~10 µs budget cuts.
+      go test -run '^$' -bench BenchmarkSamplers -benchtime 20000x -count 5 -benchmem -json ./internal/stats | tee BENCH_stats.json
+      ;;
     *)
-      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector)" >&2
+      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector, stats)" >&2
       exit 2
       ;;
   esac
