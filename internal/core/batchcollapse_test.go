@@ -359,3 +359,66 @@ func TestBatchCollapseRingPollsStop(t *testing.T) {
 	}
 	walkerPos(t, cfg)
 }
+
+// TestBatchWalkPathSurvivesNearEndPass pins the walk-path cache across
+// the run kernel's near-end passes: with the walker two positions from
+// its segment's end, walkChunk offers fewer than collapseMin landings,
+// so indexedLoop steps at most collapseMin of them through the kernel.
+// A pass that leaves gen unchanged must keep the cached path and
+// re-locate the walker on it — the next walkChunk answers from the
+// cache (same anchor, no rescan) with the walker's true distance to
+// the segment's end — and a pass that moves the census (the walker
+// stepping onto the degree-1 end) must drop it.
+func TestBatchWalkPathSurvivesNearEndPass(t *testing.T) {
+	t.Parallel()
+	p := batchProtocols(t)["walker"]
+	const n = 48
+	kept, dropped := 0, 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		cfg := walkerPathConfig(t, p, n, n-4)
+		bi := newBatchIndex(cfg)
+		cell := int32(bi.classID(2, 1)<<1 | 1)
+		if chunk := bi.walkChunk(cell, kernelPass); chunk != 2 || !bi.wpath.valid {
+			t.Fatalf("seed %d: walkChunk = %d (valid %v); want 2 from a valid path", seed, chunk, bi.wpath.valid)
+		}
+		anchor := bi.wpath.anchor
+		// One near-end kernel pass, as indexedLoop runs it.
+		rng := NewRNG(seed)
+		genBefore := bi.gen
+		var done int64
+		for done < collapseMin && bi.gen == genBefore {
+			list := bi.edgeList[cell>>1]
+			key := list[rng.IntN(len(list))]
+			u, v := int(key>>32), int(key&0xffffffff)
+			a, b := cfg.nodes[u], cfg.nodes[v]
+			cfg.nodes[u], cfg.nodes[v] = b, a
+			if !bi.applySwapFast(u, v, a, b) {
+				bi.applySwap(u, v, a, b)
+			}
+			done++
+		}
+		bi.relocateWalker(cell, done)
+		if bi.gen != genBefore {
+			if bi.wpath.valid {
+				t.Fatalf("seed %d: the pass moved the census but the walk path stayed valid", seed)
+			}
+			dropped++
+			continue
+		}
+		wp := &bi.wpath
+		w := walkerPos(t, cfg)
+		if !wp.valid || int(wp.node(wp.pos)) != w {
+			t.Fatalf("seed %d: after a frozen %d-landing pass the path is valid=%v at node %d; walker at %d",
+				seed, done, wp.valid, wp.node(wp.pos), w)
+		}
+		want := min(int64(w-1), int64(n-2-w))
+		if chunk := bi.walkChunk(cell, kernelPass); chunk != want || wp.anchor != anchor {
+			t.Fatalf("seed %d: walkChunk = %d from anchor %d; want %d from the cached anchor %d",
+				seed, chunk, wp.anchor, want, anchor)
+		}
+		kept++
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("%d passes kept the path and %d dropped it; want both > 0", kept, dropped)
+	}
+}

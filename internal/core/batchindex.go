@@ -1217,6 +1217,38 @@ func (bi *batchIndex) walkChunk(cell int32, need int64) int64 {
 	return min(avail, need)
 }
 
+// relocateWalker keeps the cached path across a run-kernel pass of
+// `landings` landings on swap cell: the kernel moves the walker one
+// position per landing without telling the cache. When the pass left
+// gen unchanged and was short (≤ collapseMin landings — the near-end
+// pass indexedLoop takes when walkChunk reports fewer than collapseMin
+// collapsible landings), the segment itself is intact — the class
+// still lists only the walker's two edges, and every swap moved the
+// walker's state onto a partner — so the walker is the one node of
+// state ws among the ≤ 2·collapseMin+1 cached positions around wp.pos
+// inside [lo, hi]. Anything else (a longer pass, another cell, a moved
+// census, or a walker that left the segment) drops the cache, and the
+// next walkChunk rescans.
+func (bi *batchIndex) relocateWalker(cell int32, landings int64) {
+	wp := &bi.wpath
+	if !wp.valid || wp.cell != cell || wp.gen != bi.gen || landings > collapseMin {
+		wp.valid = false
+		return
+	}
+	from, to := wp.pos-landings, wp.pos+landings
+	if !wp.cyclic {
+		from, to = max(from, wp.lo), min(to, wp.hi)
+	}
+	nodes := bi.cfg.nodes
+	for p := from; p <= to; p++ {
+		if nodes[wp.node(p)] == wp.ws {
+			wp.pos = p
+			return
+		}
+	}
+	wp.valid = false
+}
+
 // collapseMove commits a collapsed swap run's net displacement d: the
 // walker state teleports from its current path position to position
 // pos+d — a two-node state exchange plus index fixup, identical in

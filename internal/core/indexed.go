@@ -398,7 +398,8 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 					// A single walker near its segment's end: step it a
 					// few landings and try the collapse again, rather
 					// than kernel-stepping the rest of a possibly
-					// unbounded run.
+					// unbounded run. The pass keeps the cached walk
+					// path (relocateWalker below).
 					limit = collapseMin
 				}
 			}
@@ -412,7 +413,6 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			// the census the run ends right there — a stopping time of
 			// the landing sequence, exactly as on the outer path.
 			id := int(runCell >> 1)
-			ix.wpath.valid = false
 			drawGaps := float64(ix.enabled) < total
 			if drawGaps && ix.enabled != memoM {
 				memoM = ix.enabled
@@ -468,6 +468,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 					list = ix.edgeList[id]
 				}
 			}
+			ix.relocateWalker(runCell, done)
 			res.Metrics.Landings += done
 			res.Metrics.BucketDraws += done
 			res.Metrics.SkippedSteps += skipped
