@@ -131,15 +131,14 @@ func run() error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var lastConvergedTrial int
-	var lastConvergedSteps, firstTrialSteps int64
+	var firstTrial, lastConverged campaign.RunRecord
 	haveConverged := false
 	out, err := campaign.Execute(ctx, points, campaign.Options{
 		Workers:    *workers,
 		FreshAlloc: *freshAlc,
 		OnRun: func(rec campaign.RunRecord) {
 			if rec.Trial == 0 {
-				firstTrialSteps = rec.Steps
+				firstTrial = rec
 			}
 			if !rec.Converged {
 				fmt.Printf("  trial %d: DID NOT CONVERGE within %d steps\n", rec.Trial, rec.Steps)
@@ -151,8 +150,7 @@ func run() error {
 			}
 			fmt.Printf("  trial %d: converged at step %d (%d effective, %d edge changes%s)\n",
 				rec.Trial, rec.ConvergenceTime, rec.EffectiveSteps, rec.EdgeChanges, faultNote)
-			lastConvergedTrial = rec.Trial
-			lastConvergedSteps = rec.Steps
+			lastConverged = rec
 			haveConverged = true
 		},
 	})
@@ -174,11 +172,11 @@ func run() error {
 		// attached — the sink reroutes the replay to exact stepping
 		// (bit-identical to -engine sparse), which is equal in law but
 		// not bit-identical to the measured batched trial.
-		trial, measuredSteps := 0, firstTrialSteps
+		measured := firstTrial
 		if haveConverged {
-			trial, measuredSteps = lastConvergedTrial, lastConvergedSteps
+			measured = lastConverged
 		}
-		proto, opts, err := pt.Trial(trial)
+		proto, opts, err := pt.Trial(measured.Trial)
 		if err != nil {
 			return err
 		}
@@ -205,8 +203,8 @@ func run() error {
 			}
 			fmt.Printf("event trace of seed-%d replay written to %s\n", opts.Seed, *tracePth)
 		}
-		if res.Steps != measuredSteps {
-			fmt.Printf("note: the measured trial ran the %s engine's batched path; the replay exact-stepped (bit-identical to -engine sparse, equal in law to the measured trial)\n", res.Engine)
+		if note := replayNote(measured, res); note != "" {
+			fmt.Println(note)
 		}
 		if *dot && haveConverged {
 			g := protocols.ActiveGraph(res.Final)
@@ -218,6 +216,19 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// replayNote discloses a replay that diverged from the trial it
+// reproduces, which only a batch-engine trial on the pure batched path
+// does: the replay's sink reroutes it to exact stepping. The note names
+// the engine the measured trial ran, from its record — the replay's
+// own engine can differ, since under -engine auto the sink makes auto
+// choose sparse. It returns "" when the replay matched.
+func replayNote(measured campaign.RunRecord, replay core.Result) string {
+	if replay.Steps == measured.Steps {
+		return ""
+	}
+	return fmt.Sprintf("note: the measured trial ran the %s engine's batched path; the replay exact-stepped (bit-identical to -engine sparse, equal in law to the measured trial)", measured.Engine)
 }
 
 // writeHeapProfile snapshots the live heap after a final GC, the shape
