@@ -46,8 +46,10 @@ const maxSparseNodes = 1 << 20
 //     edge from (mask bit effEdge — for Simple-Global-Line that is the
 //     handful of walker/leader classes, a few edges each, while the
 //     huge inert {q₂,q₂} bulk keeps only a counter). A per-node mirror
-//     holds (class, slot) for listed-class edges only, so edge removal
-//     needs no hash map and the mirror stays cache-resident;
+//     holds (other, slot) for listed-class edges only, two entries
+//     inline in a 16-byte record per node and a spill beyond that, so
+//     edge removal needs no hash map and a line node's entries sit in
+//     one record;
 //   - the protocol's four effectiveness bits per class are cached in
 //     effMask, and touch[s] lists the classes containing state s whose
 //     mask is nonzero — the only classes whose weights can move when
@@ -99,7 +101,18 @@ type batchIndex struct {
 	// edges of listed classes packed u<<32|v (u < v).
 	edgeCount []int64
 	edgeList  [][]uint64
-	mirror    [][]mirrorEntry
+
+	// mirror locates each listed edge {u, x} (u < x) in its class list,
+	// at the lower endpoint u: two inline (other, slot) entries per node,
+	// so a line or ring node never looks further. An entry with
+	// other = 0 is empty — a mirrored edge's other endpoint exceeds
+	// u ≥ 0. A node with more listed edges (a star centre) keeps the
+	// rest in mpool[mspill[u]−1]; mspill[u] = 0 flags no spill, and
+	// mfree lists the unused pool rows.
+	mirror []mirrorNode
+	mspill []int32
+	mpool  [][]mirrorEntry
+	mfree  []int32
 
 	// Permitted-pair census, populated only under a restricted topology
 	// (topo non-nil) and only for classes with effMask ≠ 0: pairCnt is
@@ -153,13 +166,15 @@ type batchIndex struct {
 }
 
 // mirrorEntry records one listed-class active edge incident to the
-// node owning the slice: the other endpoint and the edge's position in
-// its class bucket. Entries live at the lower-id endpoint only.
+// node owning it: the other endpoint and the edge's position in its
+// class list. Entries live at the lower-id endpoint only.
 type mirrorEntry struct {
 	other int32
-	class int32
 	slot  int32
 }
+
+// mirrorNode is a node's inline pair of mirror entries.
+type mirrorNode [2]mirrorEntry
 
 // effMask bit layout: EffectiveOn(a, b, edge) and
 // EdgeEffectiveOn(a, b, edge) for edge ∈ {0, 1}.
@@ -233,12 +248,17 @@ func (bi *batchIndex) reset(cfg *Config) {
 		bi.slot = bi.slot[:n]
 	}
 	if cap(bi.mirror) < n {
-		bi.mirror = make([][]mirrorEntry, n)
+		bi.mirror = make([]mirrorNode, n)
+		bi.mspill = make([]int32, n)
 	} else {
 		bi.mirror = bi.mirror[:n]
-		for i := range bi.mirror {
-			bi.mirror[i] = bi.mirror[i][:0]
-		}
+		bi.mspill = bi.mspill[:n]
+		clear(bi.mirror)
+		clear(bi.mspill)
+	}
+	bi.mfree = bi.mfree[:0]
+	for p := len(bi.mpool) - 1; p >= 0; p-- {
+		bi.mfree = append(bi.mfree, int32(p))
 	}
 	bi.enabled, bi.edgeEnabled = 0, 0
 	bi.rejections, bi.fallbacks = 0, 0
@@ -387,8 +407,7 @@ func (bi *batchIndex) addEdge(u, v, id int) {
 	if u > v {
 		u, v = v, u
 	}
-	bi.mirror[u] = append(bi.mirror[u], mirrorEntry{
-		other: int32(v), class: int32(id), slot: int32(len(bi.edgeList[id]))})
+	bi.mirrorAdd(u, v, int32(len(bi.edgeList[id])))
 	bi.edgeList[id] = append(bi.edgeList[id], uint64(u)<<32|uint64(v))
 }
 
@@ -403,31 +422,87 @@ func (bi *batchIndex) dropEdge(u, v, id int) {
 	if u > v {
 		u, v = v, u
 	}
-	m := bi.mirror[u]
-	mi := 0
-	for m[mi].other != int32(v) {
-		mi++
-	}
-	slot := m[mi].slot
+	slot := bi.mirrorTake(u, v)
 	list := bi.edgeList[id]
 	lastIdx := len(list) - 1
 	if int(slot) != lastIdx {
 		last := list[lastIdx]
 		list[slot] = last
 		// Fix the displaced edge's mirror entry.
-		lu := int(last >> 32)
-		lv := int32(last & 0xffffffff)
-		mm := bi.mirror[lu]
-		for j := range mm {
-			if mm[j].other == lv {
-				mm[j].slot = slot
-				break
-			}
-		}
+		bi.mirrorAt(int(last>>32), int(last&0xffffffff)).slot = slot
 	}
 	bi.edgeList[id] = list[:lastIdx]
-	m[mi] = m[len(m)-1]
-	bi.mirror[u] = m[:len(m)-1]
+}
+
+// mirrorAdd records listed edge {a, b} (a < b) at slot in its class
+// list: in a free inline entry of a, else in a's spill row.
+func (bi *batchIndex) mirrorAdd(a, b int, slot int32) {
+	e := mirrorEntry{other: int32(b), slot: slot}
+	m := &bi.mirror[a]
+	switch {
+	case m[0].other == 0:
+		m[0] = e
+	case m[1].other == 0:
+		m[1] = e
+	default:
+		p := bi.mspill[a] - 1
+		if p < 0 {
+			if k := len(bi.mfree); k > 0 {
+				p = bi.mfree[k-1]
+				bi.mfree = bi.mfree[:k-1]
+				bi.mpool[p] = bi.mpool[p][:0]
+			} else {
+				p = int32(len(bi.mpool))
+				bi.mpool = append(bi.mpool, nil)
+			}
+			bi.mspill[a] = p + 1
+		}
+		bi.mpool[p] = append(bi.mpool[p], e)
+	}
+}
+
+// mirrorAt returns the mirror entry of listed edge {a, b} (a < b).
+func (bi *batchIndex) mirrorAt(a, b int) *mirrorEntry {
+	m := &bi.mirror[a]
+	for i := range m {
+		if m[i].other == int32(b) {
+			return &m[i]
+		}
+	}
+	sp := bi.mpool[bi.mspill[a]-1]
+	i := 0
+	for sp[i].other != int32(b) {
+		i++
+	}
+	return &sp[i]
+}
+
+// mirrorTake removes the mirror entry of listed edge {a, b} (a < b)
+// and returns the edge's slot in its class list. A spill row emptied
+// by the removal returns to the pool.
+func (bi *batchIndex) mirrorTake(a, b int) int32 {
+	m := &bi.mirror[a]
+	for i := range m {
+		if m[i].other == int32(b) {
+			slot := m[i].slot
+			m[i] = mirrorEntry{}
+			return slot
+		}
+	}
+	p := bi.mspill[a] - 1
+	sp := bi.mpool[p]
+	i := 0
+	for sp[i].other != int32(b) {
+		i++
+	}
+	slot := sp[i].slot
+	sp[i] = sp[len(sp)-1]
+	bi.mpool[p] = sp[:len(sp)-1]
+	if len(sp) == 1 {
+		bi.mspill[a] = 0
+		bi.mfree = append(bi.mfree, p)
+	}
+	return slot
 }
 
 func (bi *batchIndex) moveEdge(u, v, fromID, toID int) {
@@ -737,8 +812,8 @@ func (bi *batchIndex) applySwap(u, v int, beforeU, beforeV State) {
 // the caller falls back to applySwap. Like applySwap it expects
 // cfg.nodes[u] and cfg.nodes[v] already exchanged by the caller.
 func (bi *batchIndex) applySwapFast(u, v int, beforeU, beforeV State) bool {
-	adj := bi.cfg.store.adj
-	au, av := adj[u], adj[v]
+	store := &bi.cfg.store
+	au, av := store.row(u), store.row(v)
 	if len(au) != 2 || len(av) != 2 {
 		return false
 	}
@@ -786,15 +861,7 @@ func (bi *batchIndex) unlistEdge(a, b, id int) (int32, bool) {
 	if a > b {
 		a, b = b, a
 	}
-	m := bi.mirror[a]
-	mi := 0
-	for m[mi].other != int32(b) {
-		mi++
-	}
-	slot := m[mi].slot
-	m[mi] = m[len(m)-1]
-	bi.mirror[a] = m[:len(m)-1]
-	return slot, true
+	return bi.mirrorTake(a, b), true
 }
 
 // listEdgeAt writes edge {a, b} into class id's list at slot and
@@ -804,7 +871,7 @@ func (bi *batchIndex) listEdgeAt(a, b, id int, slot int32) {
 		a, b = b, a
 	}
 	bi.edgeList[id][slot] = uint64(a)<<32 | uint64(b)
-	bi.mirror[a] = append(bi.mirror[a], mirrorEntry{other: int32(b), class: int32(id), slot: slot})
+	bi.mirrorAdd(a, b, slot)
 }
 
 // reclassifyIncident moves every active edge incident to u except
@@ -817,7 +884,7 @@ func (bi *batchIndex) listEdgeAt(a, b, id int, slot int32) {
 func (bi *batchIndex) reclassifyIncident(u, v int, before, after State) {
 	nodes := bi.cfg.nodes
 	effMask := bi.effMask
-	for _, x32 := range bi.cfg.store.adj[u] {
+	for _, x32 := range bi.cfg.store.row(u) {
 		x := int(x32)
 		if x == v {
 			continue
@@ -1087,7 +1154,6 @@ func (wp *walkPath) node(p int64) int32 {
 func (bi *batchIndex) scanDir(buf []int32, anchor, first int32, bs State, cap int64) (nodes []int32, ext int64, open, wrapped bool) {
 	nodes = buf
 	cfg := bi.cfg
-	adj := cfg.store.adj
 	prev, cur := anchor, first
 	for {
 		if cur == anchor {
@@ -1098,7 +1164,7 @@ func (bi *batchIndex) scanDir(buf []int32, anchor, first int32, bs State, cap in
 			// occupied position.
 			return nodes, int64(len(nodes)) - 1, false, false
 		}
-		row := adj[cur]
+		row := cfg.store.row(int(cur))
 		if len(row) != 2 {
 			// cur is a valid lookahead (state bs) but not occupiable:
 			// moving onto it would reclassify its extra or missing
@@ -1146,7 +1212,7 @@ func (bi *batchIndex) buildWalkPath(id int, need int64) bool {
 	default:
 		return false // two separate walkers share the class
 	}
-	if len(bi.cfg.store.adj[c]) != 2 {
+	if len(bi.cfg.store.row(int(c))) != 2 {
 		return false
 	}
 	ws := bi.cfg.nodes[c]

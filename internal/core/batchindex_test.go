@@ -75,6 +75,7 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 		t.Fatalf("quiescence gates (%v, %v) disagree with the scans (%v, %v)",
 			bi.enabled == 0, bi.edgeEnabled == 0, cfg.Quiescent(), cfg.EdgeQuiescent())
 	}
+	listedEdges := 0
 	for id := 0; id < q*q; id++ {
 		if id/q > id%q {
 			continue // classes live at a ≤ b
@@ -113,21 +114,53 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 			if got := bi.classID(cfg.Node(u), cfg.Node(v)); got != id {
 				t.Fatalf("edge {%d,%d} listed in class %d but classifies as %d", u, v, id, got)
 			}
-			found := false
-			for _, me := range bi.mirror[u] {
+			found := 0
+			for _, me := range mirrorEntries(bi, u) {
 				if me.other == int32(v) {
-					if int(me.class) != id || int(me.slot) != slot {
-						t.Fatalf("edge {%d,%d} mirror entry (class %d, slot %d), want (%d, %d)",
-							u, v, me.class, me.slot, id, slot)
+					if int(me.slot) != slot {
+						t.Fatalf("edge {%d,%d} mirror slot %d, want %d", u, v, me.slot, slot)
 					}
-					found = true
+					found++
 				}
 			}
-			if !found {
-				t.Fatalf("edge {%d,%d} has no mirror entry", u, v)
+			if found != 1 {
+				t.Fatalf("edge {%d,%d} has %d mirror entries, want 1", u, v, found)
 			}
 		}
+		listedEdges += len(bi.edgeList[id])
 	}
+	// Every mirror entry belongs to a listed edge (each edge was found
+	// once above), and a spill flag always points at a non-empty row.
+	entries := 0
+	for u := 0; u < n; u++ {
+		for _, me := range mirrorEntries(bi, u) {
+			if int(me.other) <= u {
+				t.Fatalf("node %d mirrors edge to %d; entries live at the lower endpoint", u, me.other)
+			}
+			entries++
+		}
+		if p := bi.mspill[u]; p != 0 && len(bi.mpool[p-1]) == 0 {
+			t.Fatalf("node %d flags an empty mirror spill row", u)
+		}
+	}
+	if entries != listedEdges {
+		t.Fatalf("mirror holds %d entries for %d listed edges", entries, listedEdges)
+	}
+}
+
+// mirrorEntries returns node u's mirror entries: the occupied inline
+// entries, then its spill row.
+func mirrorEntries(bi *batchIndex, u int) []mirrorEntry {
+	var out []mirrorEntry
+	for _, me := range bi.mirror[u] {
+		if me.other != 0 {
+			out = append(out, me)
+		}
+	}
+	if p := bi.mspill[u]; p != 0 {
+		out = append(out, bi.mpool[p-1]...)
+	}
+	return out
 }
 
 // verifyPairCensus checks class id's permitted-pair census: the count

@@ -6,12 +6,44 @@ package core
 // O(deg) — the paper's constructors build O(n)-edge targets, and the
 // batch engine's swap surgery and swap-run collapse walk these rows in
 // place.
+//
+// Every node owns one 8-byte record. A row of degree ≤ 2 — every
+// interior node of a line or ring — lives inline in it, padded with
+// noNbr; a longer row spills to a side pool and the record holds
+// {pool index, spilled}. An interior swap thus reads its two rows from
+// two records in one 8n-byte array instead of chasing a slice header
+// to a separately allocated row. row is the only reader of the format.
 type sparseStore struct {
-	adj [][]int32
+	rec  [][2]int32
+	pool [][]int32 // spilled rows, degree ≥ 3
+	free []int32   // pool indices no record uses; their rows keep their capacity
 }
 
+const (
+	noNbr   = -1 // an unused inline entry
+	spilled = -2 // rec[u][1] of a spilled row; rec[u][0] is its pool index
+)
+
 func newSparseStore(n int) sparseStore {
-	return sparseStore{adj: make([][]int32, n)}
+	s := sparseStore{rec: make([][2]int32, n)}
+	s.reset()
+	return s
+}
+
+// row returns u's sorted adjacency row. An inline row aliases u's
+// record, so it is valid only until the next write to u's edges.
+func (s *sparseStore) row(u int) []int32 {
+	r := &s.rec[u]
+	switch {
+	case r[1] >= 0:
+		return r[:2]
+	case r[1] == spilled:
+		return s.pool[r[0]]
+	case r[0] >= 0:
+		return r[:1]
+	default:
+		return r[:0]
+	}
 }
 
 // find locates v in u's sorted adjacency row: a hand-rolled binary
@@ -19,7 +51,7 @@ func newSparseStore(n int) sparseStore {
 // engines call this on every edge probe, so the sort.Search closure
 // indirection is measurable.
 func (s *sparseStore) find(u, v int) (int, bool) {
-	row := s.adj[u]
+	row := s.row(u)
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -47,27 +79,67 @@ func (s *sparseStore) set(u, v int, active bool) bool {
 	return true
 }
 
+// setHalf writes v into or out of u's row at its sorted position i. A
+// write that keeps the row inline allocates nothing; crossing degree
+// 2↔3 moves the row between its record and a pool row.
 func (s *sparseStore) setHalf(u, v int, active bool) bool {
 	i, present := s.find(u, v)
 	if present == active {
 		return false
 	}
-	row := s.adj[u]
-	if active {
-		row = append(row, 0)
+	r := &s.rec[u]
+	switch {
+	case r[1] == spilled:
+		row := s.pool[r[0]]
+		if active {
+			row = append(row, 0)
+			copy(row[i+1:], row[i:])
+			row[i] = int32(v)
+		} else {
+			row = append(row[:i], row[i+1:]...)
+		}
+		s.pool[r[0]] = row
+		if len(row) == 2 {
+			s.free = append(s.free, r[0])
+			*r = [2]int32{row[0], row[1]}
+		}
+	case active && r[1] >= 0:
+		p := s.takePool()
+		row := append(s.pool[p][:0], r[0], r[1], 0)
 		copy(row[i+1:], row[i:])
 		row[i] = int32(v)
-	} else {
-		row = append(row[:i], row[i+1:]...)
+		s.pool[p] = row
+		*r = [2]int32{p, spilled}
+	case active:
+		if i == 0 {
+			r[1] = r[0]
+		}
+		r[i] = int32(v)
+	default:
+		if i == 0 {
+			r[0] = r[1]
+		}
+		r[1] = noNbr
 	}
-	s.adj[u] = row
 	return true
+}
+
+// takePool returns an unused pool index, reusing a freed row's backing
+// array when one is available.
+func (s *sparseStore) takePool() int32 {
+	if k := len(s.free); k > 0 {
+		p := s.free[k-1]
+		s.free = s.free[:k-1]
+		return p
+	}
+	s.pool = append(s.pool, nil)
+	return int32(len(s.pool) - 1)
 }
 
 // neighbors appends u's active neighbors to dst in ascending order and
 // returns it.
 func (s *sparseStore) neighbors(u int, dst []int) []int {
-	for _, v := range s.adj[u] {
+	for _, v := range s.row(u) {
 		dst = append(dst, int(v))
 	}
 	return dst
@@ -76,8 +148,8 @@ func (s *sparseStore) neighbors(u int, dst []int) []int {
 // forEach visits every active edge once as (u, v) with u < v, in
 // lexicographic order.
 func (s *sparseStore) forEach(fn func(u, v int)) {
-	for u, row := range s.adj {
-		for _, v := range row {
+	for u := range s.rec {
+		for _, v := range s.row(u) {
 			if int(v) > u {
 				fn(u, int(v))
 			}
@@ -85,38 +157,66 @@ func (s *sparseStore) forEach(fn func(u, v int)) {
 	}
 }
 
-// clone returns a deep copy whose rows share one backing array, each
-// capped at its own length so a later append reallocates that row
-// alone.
+// clone returns a deep copy whose spilled rows share one backing
+// array, each capped at its own length so a later append reallocates
+// that row alone. The copy's pool holds exactly the spilled rows.
 func (s *sparseStore) clone() sparseStore {
-	total := 0
-	for _, row := range s.adj {
-		total += len(row)
+	c := sparseStore{rec: make([][2]int32, len(s.rec))}
+	copy(c.rec, s.rec)
+	total, rows := 0, 0
+	for u := range s.rec {
+		if s.rec[u][1] == spilled {
+			total += len(s.row(u))
+			rows++
+		}
+	}
+	if rows == 0 {
+		return c
 	}
 	back := make([]int32, 0, total)
-	c := newSparseStore(len(s.adj))
-	for u, row := range s.adj {
-		if len(row) > 0 {
+	c.pool = make([][]int32, 0, rows)
+	for u := range c.rec {
+		if r := &c.rec[u]; r[1] == spilled {
 			start := len(back)
-			back = append(back, row...)
-			c.adj[u] = back[start:len(back):len(back)]
+			back = append(back, s.pool[r[0]]...)
+			r[0] = int32(len(c.pool))
+			c.pool = append(c.pool, back[start:len(back):len(back)])
 		}
 	}
 	return c
 }
 
-// reset deactivates every edge in place, retaining the backing memory —
-// the workspace path's allocation-free NewConfig.
+// reset deactivates every edge in place, retaining the pool rows'
+// backing memory — the workspace path's allocation-free NewConfig.
 func (s *sparseStore) reset() {
-	for u := range s.adj {
-		s.adj[u] = s.adj[u][:0]
+	for u := range s.rec {
+		s.rec[u] = [2]int32{noNbr, noNbr}
+	}
+	s.freeAll()
+}
+
+// freeAll returns every pool row to the free list, lowest index on
+// top.
+func (s *sparseStore) freeAll() {
+	s.free = s.free[:0]
+	for p := len(s.pool) - 1; p >= 0; p-- {
+		s.free = append(s.free, int32(p))
 	}
 }
 
 // copyFrom replaces the edge set with src's, reusing the backing
 // memory. src has the receiver's population and may alias it.
 func (s *sparseStore) copyFrom(src *sparseStore) {
-	for u, row := range src.adj {
-		s.adj[u] = append(s.adj[u][:0], row...)
+	if src == s {
+		return
+	}
+	s.freeAll()
+	copy(s.rec, src.rec)
+	for u := range s.rec {
+		if r := &s.rec[u]; r[1] == spilled {
+			p := s.takePool()
+			s.pool[p] = append(s.pool[p][:0], src.pool[r[0]]...)
+			r[0] = p
+		}
 	}
 }
