@@ -687,13 +687,16 @@ func (bi *batchIndex) stable(det *Detector, cfg *Config) bool {
 // touched. Cost: O(deg(u) + deg(v) + |Q|) when a node state changed,
 // O(1) for edge-only transitions.
 func (bi *batchIndex) Update(u, v int, beforeU, beforeV State, edgeChanged bool) {
+	bi.update(u, v, beforeU, beforeV, bi.cfg.store.get(u, v) != edgeChanged, edgeChanged)
+}
+
+// update is Update given the edge state edgeBefore the interaction
+// read — indexedLoop knows it from the sampled cell, so the landing
+// pays no edge probe.
+func (bi *batchIndex) update(u, v int, beforeU, beforeV State, edgeBefore, edgeChanged bool) {
 	cfg := bi.cfg
 	afterU, afterV := cfg.nodes[u], cfg.nodes[v]
-	edgeNow := cfg.store.get(u, v)
-	edgeBefore := edgeNow
-	if edgeChanged {
-		edgeBefore = !edgeNow
-	}
+	edgeNow := edgeBefore != edgeChanged
 	bi.stamp++
 
 	if afterU != beforeU {

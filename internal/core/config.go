@@ -204,8 +204,14 @@ func (c *Config) ForEachActiveEdge(fn func(u, v int)) {
 // resolves orientation; when both nodes share a state and the outcomes
 // differ, the winner is drawn equiprobably.
 func (c *Config) Apply(u, v int, rng *RNG) (effective, edgeChanged bool) {
+	return c.apply(u, v, c.store.get(u, v), rng)
+}
+
+// apply is Apply given the pair's current edge state active, which
+// the caller already knows — indexedLoop reads it off the sampled
+// cell, so the landing pays no edge probe.
+func (c *Config) apply(u, v int, active bool, rng *RNG) (effective, edgeChanged bool) {
 	a, b := c.nodes[u], c.nodes[v]
-	active := c.store.get(u, v)
 	e := c.proto.lookup(a, b, active)
 	if !e.effective {
 		return false, false

@@ -561,6 +561,9 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			skip, breakerPending = runCell, false
 		}
 		cell := ix.sampleCell(rng, skip)
+		// The cell's low bit is the drawn pair's edge state: edge cells
+		// hold active edges only, non-edge cells none.
+		edge := cell&1 == 1
 		var effective, edgeChanged bool
 		u, v, kernel := 0, 0, false
 		if id := int(cell >> 1); runs && cell&1 == 1 && ix.swapCell[id] {
@@ -580,8 +583,8 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 				ix.applySwap(u, v, beforeU, beforeV)
 			}
 			effective = true
-		} else if effective, edgeChanged = cfg.Apply(u, v, rng); effective {
-			ix.Update(u, v, beforeU, beforeV, edgeChanged)
+		} else if effective, edgeChanged = cfg.apply(u, v, edge, rng); effective {
+			ix.update(u, v, beforeU, beforeV, edge, edgeChanged)
 		}
 		if effective {
 			recordEffective(&res, p, cfg, events, ev, step, u, v, beforeU, beforeV, edgeChanged)
