@@ -152,11 +152,14 @@ func binomialBTRS(src Source, n int64, p float64) int64 {
 
 // Hypergeometric returns how many of `draws` draws without
 // replacement, from a population of `total` items of which `marked`
-// are marked, hit marked items. CDF inversion like Binomial, with the
-// starting mass computed through lgamma; a starting mass below float64
-// range splits the draw into two rounds on the depleted urn, which is
-// exact by the urn decomposition. It must hold 0 ≤ marked ≤ total and
-// 0 ≤ draws ≤ total.
+// are marked, hit marked items. CDF inversion like Binomial, on one
+// uniform: the walk starts from pmf(0), computed without cancellation
+// by lnHyperZero. A pmf(0) below e⁻⁷⁰⁰ is carried in scaled form up to
+// the first term above 2⁻⁹⁰⁰ (hyperHead); the terms skipped sum to
+// less than any positive Float64 uniform. The walk ends where the next
+// term no longer moves the rounded cdf, so a u above the rounded total
+// mass stops in the tail rather than at min(draws, marked). It must
+// hold 0 ≤ marked ≤ total and 0 ≤ draws ≤ total.
 func Hypergeometric(src Source, draws, marked, total int64) int64 {
 	if draws < 0 || marked < 0 || marked > total || draws > total {
 		panic("stats: Hypergeometric requires 0 ≤ draws, marked ≤ total")
@@ -179,28 +182,84 @@ func Hypergeometric(src Source, draws, marked, total int64) int64 {
 	if draws > marked {
 		return Hypergeometric(src, marked, draws, total)
 	}
-	// ln pmf(0) = ln C(total−marked, draws) − ln C(total, draws).
-	lp := LnChoose(total-marked, draws) - LnChoose(total, draws)
-	if lp < -700 {
-		half := draws / 2
-		k1 := Hypergeometric(src, half, marked, total)
-		return k1 + Hypergeometric(src, draws-half, marked-k1, total-half)
-	}
+	// Here draws ≤ marked ≤ total − marked, so the support is
+	// [0, draws].
 	u := src.Float64()
-	pmf := math.Exp(lp)
-	cdf := pmf
-	maxK := draws
-	if marked < maxK {
-		maxK = marked
-	}
 	var k int64
-	for u > cdf && k < maxK {
+	lp := lnHyperZero(draws, marked, total)
+	pmf := math.Exp(lp)
+	if lp < -700 {
+		k, pmf = hyperHead(lp, draws, marked, total)
+	}
+	cdf := pmf
+	for u > cdf && k < draws {
 		pmf *= float64(marked-k) * float64(draws-k) /
 			(float64(k+1) * float64(total-marked-draws+k+1))
 		k++
-		cdf += pmf
+		// Before the mode every term exceeds cdf/(k+1), so only the
+		// upper tail can fail to move the sum.
+		next := cdf + pmf
+		if next == cdf {
+			break
+		}
+		cdf = next
 	}
 	return k
+}
+
+// hyperHead walks Hypergeometric's pmf recursion from k = 0, where
+// ln pmf(0) = lp < −700, carrying each term as s·2^e so that nothing
+// underflows, and returns the first k whose term reaches 2⁻⁹⁰⁰ with
+// that term. The pmf rises up to the mode, where it is at least
+// 1/(draws+1), so such a k exists, and each skipped term is below
+// 2⁻⁸³⁶.
+func hyperHead(lp float64, draws, marked, total int64) (int64, float64) {
+	e := math.Floor(lp / math.Ln2)
+	s := math.Exp(lp - e*math.Ln2)
+	var k int64
+	for e < -900 && k < draws {
+		s *= float64(marked-k) * float64(draws-k) /
+			(float64(k+1) * float64(total-marked-draws+k+1))
+		k++
+		if s >= 0x1p64 {
+			s *= 0x1p-64
+			e += 64
+		}
+	}
+	return k, math.Ldexp(s, int(e))
+}
+
+// lnHyperZero returns ln pmf(0) = ln C(N−K, n) − ln C(N, n) for n draws
+// from N items of which K are marked, n ≤ K ≤ N − K. It is
+// ln Γ(a₁+n) − ln Γ(a₁) − [ln Γ(a₂+n) − ln Γ(a₂)] with a₁ = N−K−n+1 and
+// a₂ = N−n+1; writing each difference as n·ln a + lnGammaRest(a, n)
+// folds the two n·ln a terms into n·log1p(−K/a₂). Four lgammas of
+// arguments near N would cancel to an absolute error of about N·2⁻⁴⁸
+// (0.004 at the budget cut's N ≈ 2⁴⁰); this form keeps it near n·2⁻⁵².
+func lnHyperZero(n, K, N int64) float64 {
+	fn := float64(n)
+	a1, a2 := float64(N-K-n+1), float64(N-n+1)
+	return fn*math.Log1p(-float64(K)/a2) + lnGammaRest(a1, fn) - lnGammaRest(a2, fn)
+}
+
+// lnGammaRest returns ln Γ(a+n) − ln Γ(a) − n·ln a: by Stirling's
+// series for a ≥ 16, where lnGammaTail's truncation error is below
+// 10⁻¹⁴, and through lgamma below that.
+func lnGammaRest(a, n float64) float64 {
+	if a < 16 {
+		x, _ := math.Lgamma(a + n)
+		y, _ := math.Lgamma(a)
+		return x - y - n*math.Log(a)
+	}
+	return (a+n-0.5)*math.Log1p(n/a) - n + lnGammaTail(a+n) - lnGammaTail(a)
+}
+
+// lnGammaTail returns ln Γ(x) − [(x−½)·ln x − x + ½·ln 2π], the tail
+// of Stirling's series, to its x⁻⁷ term.
+func lnGammaTail(x float64) float64 {
+	r := 1 / x
+	r2 := r * r
+	return r * (1.0/12 - r2*(1.0/360-r2*(1.0/1260-r2/1680)))
 }
 
 // Gamma returns a Gamma(shape, 1) variate by the Marsaglia–Tsang

@@ -528,6 +528,123 @@ func TestBinomialInversionTopUniform(t *testing.T) {
 	}
 }
 
+// TestHypergeometricInversionTopUniform pins the two faults a top
+// uniform u = 1 − 2⁻⁵³ exposed in the inversion walk. At mean 4 the
+// walk must end in the tail, not walk every term to
+// min(draws, marked) = 4,096. At mean 2,047.5 (sd ≈ 32), where pmf(0)
+// underflows, one uniform must give one quantile — about 8 sd from the
+// mean — rather than a sum of rounds that each land at their own
+// extreme (780, 40 sd off, when the draw was split into rounds).
+func TestHypergeometricInversionTopUniform(t *testing.T) {
+	t.Parallel()
+	src := &topSource{Rand: newSource(12)}
+	if k := Hypergeometric(src, 1<<20, 1<<12, 1<<30); k > 100 {
+		t.Fatalf("Hypergeometric(2^20, 2^12, 2^30) at the top uniform = %d; want the walk to end in the tail", k)
+	}
+	if k := Hypergeometric(src, 1<<23, 4095, 1<<24-1); math.Abs(float64(k)-2047.5) > 10*32 {
+		t.Fatalf("Hypergeometric(2^23, 4095, 2^24-1) at the top uniform = %d; want within 10 sd of 2047.5", k)
+	}
+}
+
+// TestLnHyperZeroPrecision pins the starting mass ln pmf(0) against
+// the direct sum Σ_{i<n} log1p(−K/(N−i)), at the budget cut's sizes
+// (N up to 2⁴⁰, where differences of lgammas lose about 0.004) and at
+// small urns on the lgamma branch.
+func TestLnHyperZeroPrecision(t *testing.T) {
+	t.Parallel()
+	cases := [][3]int64{ // n, K, N
+		{5, 6, 14},
+		{1, 1, 2},
+		{4095, 1<<23 - 1, 1<<24 - 1},
+		{1 << 12, 1 << 20, 1 << 30},
+		{1<<16 - 1, 1 << 39, 1 << 40},
+		{1 << 12, 1 << 38, 1 << 40},
+		{1 << 16, 1<<40 - 1<<16, 1 << 41},
+	}
+	for _, c := range cases {
+		n, K, N := c[0], c[1], c[2]
+		var want float64
+		for i := int64(0); i < n; i++ {
+			want += math.Log1p(-float64(K) / float64(N-i))
+		}
+		got := lnHyperZero(n, K, N)
+		if tol := 1e-9 * max(1, math.Abs(want)); math.Abs(got-want) > tol {
+			t.Errorf("lnHyperZero(%d, %d, %d) = %.12g, direct sum %.12g", n, K, N, got, want)
+		}
+	}
+}
+
+// TestHypergeometricExactPMF pins Hypergeometric against its exact pmf
+// at totals no literal urn reaches: the budget cut's shape (a few
+// thousand marked among 2³⁰–2⁴⁰, so the draw/mark swap runs first),
+// a starting mass below e⁻⁷⁰⁰ on the scaled head walk, and the
+// complement branch in front of it.
+func TestHypergeometricExactPMF(t *testing.T) {
+	t.Parallel()
+	cases := [][3]int64{ // draws, marked, total
+		{1 << 30, 1 << 12, 1 << 40},   // mean 4
+		{1 << 36, 1 << 12, 1 << 40},   // mean 256
+		{1 << 38, 1<<12 - 1, 1 << 40}, // mean ≈ 1024, pmf(0) ≈ e⁻¹¹⁷⁸
+		{1 << 23, 4095, 1<<24 - 1},    // complement, pmf(0) ≈ e⁻²⁸³⁸
+	}
+	for i, c := range cases {
+		src := newSource(uint64(1500 + i))
+		label := fmt.Sprintf("Hypergeometric(%d, %d, %d)", c[0], c[1], c[2])
+		hyperPMFChiSquare(t, label, c[0], c[1], c[2], func() int64 { return Hypergeometric(src, c[0], c[1], c[2]) })
+	}
+}
+
+// hyperPMFChiSquare is binomialPMFChiSquare for the hypergeometric law
+// of n draws from N items of which K are marked. The expected counts
+// come from the pmf ratio recursion run outward from the mode and
+// normalized over the bins (mean ± 8 sd plus a margin), so they need
+// no starting mass at all.
+func hyperPMFChiSquare(t *testing.T, label string, n, K, N int64, draw func() int64) {
+	t.Helper()
+	fn, fK, fN := float64(n), float64(K), float64(N)
+	mean := fn * fK / fN
+	sd := math.Sqrt(mean * (1 - fK/fN) * (fN - fn) / (fN - 1))
+	support := min(n, K)
+	lo := max(0, n+K-N, int64(mean-8*sd)-10)
+	hi := min(support, int64(mean+8*sd)+10)
+	ratio := func(k int64) float64 { // pmf(k+1)/pmf(k)
+		return float64(K-k) * float64(n-k) / (float64(k+1) * float64(N-K-n+k+1))
+	}
+	mode := min(max(int64(math.Floor((fn+1)*(fK+1)/(fN+2))), lo), hi)
+	w := make([]float64, hi-lo+1)
+	w[mode-lo] = 1
+	for k := mode; k < hi; k++ {
+		w[k+1-lo] = w[k-lo] * ratio(k)
+	}
+	for k := mode; k > lo; k-- {
+		w[k-1-lo] = w[k-lo] / ratio(k-1)
+	}
+	var sum float64
+	for _, x := range w {
+		sum += x
+	}
+	obs := make([]int64, len(w))
+	exp := make([]float64, len(w))
+	for i, x := range w {
+		exp[i] = x / sum * exactLawTrials
+	}
+	for trial := 0; trial < exactLawTrials; trial++ {
+		k := draw()
+		if k < max(0, n+K-N) || k > support {
+			t.Fatalf("%s: draw %d outside the support", label, k)
+		}
+		obs[min(max(k, lo), hi)-lo]++
+	}
+	pooledObs, pooledExp := poolBins(obs, exp, 5)
+	df := len(pooledObs) - 1
+	if df < 1 {
+		t.Fatalf("%s: degenerate binning", label)
+	}
+	if stat, crit := ChiSquareStat(pooledObs, pooledExp), ChiSquareCritical(df, 0.001); stat > crit {
+		t.Errorf("%s: chi-square stat %.2f > critical %.2f (df %d)", label, stat, crit, df)
+	}
+}
+
 // topSource returns the largest uniform Float64 can.
 type topSource struct{ *rand.Rand }
 
