@@ -317,3 +317,59 @@ func TestBatchIndexReset(t *testing.T) {
 	bi.reset(cfg3)
 	verifyBatchIndex(t, bi, cfg3)
 }
+
+// TestBatchIndexMirrorSpill extends the brute-force check to a node
+// with more listed edges than its two inline mirror entries: a star
+// centre in state a whose edges to b leaves all sit in the listed class
+// {a, b} of the toggle protocol. Out-of-band edge toggles and leaf
+// state writes (through edgeChanged and nodeChanged) and ordinary
+// interactions drain and refill the centre's spill row across the
+// 2↔3 boundary, with a full verification after every change.
+func TestBatchIndexMirrorSpill(t *testing.T) {
+	t.Parallel()
+	p := batchProtocols(t)["toggle"]
+	const n = 10
+	cfg := NewConfig(p, n)
+	for v := 1; v < n; v++ {
+		cfg.SetNode(v, 1)
+		cfg.SetEdge(0, v, true)
+	}
+	bi := newBatchIndex(cfg)
+	verifyBatchIndex(t, bi, cfg)
+	if bi.mspill[0] == 0 {
+		t.Fatal("a star centre with nine listed edges keeps no mirror spill")
+	}
+	rng := NewRNG(13)
+	withSpill, without := 0, 0
+	for step := 0; step < 3000; step++ {
+		switch x := 1 + rng.IntN(n-1); rng.IntN(4) {
+		case 0, 1:
+			cfg.SetEdge(0, x, !cfg.Edge(0, x))
+			bi.edgeChanged(0, x)
+		case 2:
+			before := cfg.Node(x)
+			cfg.SetNode(x, 1-before)
+			bi.nodeChanged(x, before)
+		default:
+			u, v := rng.Pair(n)
+			a, b := cfg.Node(u), cfg.Node(v)
+			if effective, edgeChanged := cfg.Apply(u, v, rng); effective {
+				bi.Update(u, v, a, b, edgeChanged)
+			}
+		}
+		if cfg.Node(0) != 0 {
+			// Keep the centre in state a, so its edges stay listed.
+			cfg.SetNode(0, 0)
+			bi.nodeChanged(0, 1)
+		}
+		verifyBatchIndex(t, bi, cfg)
+		if bi.mspill[0] != 0 {
+			withSpill++
+		} else {
+			without++
+		}
+	}
+	if withSpill == 0 || without == 0 {
+		t.Fatalf("the centre kept a spill row on %d steps and none on %d; want both", withSpill, without)
+	}
+}

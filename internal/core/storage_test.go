@@ -264,3 +264,99 @@ func TestActiveEdgesCounter(t *testing.T) {
 		t.Fatalf("ActiveEdges() = %d, edge walk found %d", cfg.ActiveEdges(), count)
 	}
 }
+
+// FuzzSparseStore drives two stores on six nodes — where rows cross
+// the inline/pool boundary at degree 2↔3 constantly — through set,
+// clone, copyFrom and reset, checking after every operation that both
+// match a reference adjacency set: get, row order, neighbors, forEach,
+// set's change report, and the pool bookkeeping (a row is spilled iff
+// its degree exceeds two, and the free list and the spilled rows
+// partition the pool). Two stores make clone and copyFrom checkable
+// for independence: a write to one must never show in the other.
+func FuzzSparseStore(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 2, 1, 2, 3, 4, 0, 0, 5, 6, 1, 1, 5, 8, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 2, 0, 1, 2, 0, 3, 1, 0, 2, 6, 0, 0, 1, 0, 4})
+	f.Add([]byte{0, 5, 4, 0, 5, 3, 0, 5, 2, 0, 5, 1, 9, 0, 0, 3, 5, 1, 7, 0, 0, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const n = 6
+		stores := [2]sparseStore{newSparseStore(n), newSparseStore(n)}
+		var refs [2][n][n]bool
+		for len(ops) >= 3 {
+			op, u, v := ops[0], int(ops[1])%n, int(ops[2])%n
+			ops = ops[3:]
+			t0, t1 := int(op&1), 1-int(op&1)
+			s := &stores[t0]
+			switch (op >> 1) % 5 {
+			case 0, 1:
+				if u == v {
+					continue
+				}
+				active := (op>>1)%5 == 0
+				if got, want := s.set(u, v, active), refs[t0][u][v] != active; got != want {
+					t.Fatalf("set(%d, %d, %v) reported change %v, reference %v", u, v, active, got, want)
+				}
+				refs[t0][u][v], refs[t0][v][u] = active, active
+			case 2:
+				stores[t1] = s.clone()
+				refs[t1] = refs[t0]
+			case 3:
+				stores[t1].copyFrom(s)
+				refs[t1] = refs[t0]
+			case 4:
+				s.reset()
+				refs[t0] = [n][n]bool{}
+			}
+			for i := range stores {
+				checkSparseStore(t, &stores[i], &refs[i])
+			}
+		}
+	})
+}
+
+// checkSparseStore compares s with the reference adjacency matrix ref
+// and checks the pool bookkeeping.
+func checkSparseStore(t *testing.T, s *sparseStore, ref *[6][6]bool) {
+	t.Helper()
+	var want [][2]int
+	inUse := make([]bool, len(s.pool))
+	for u := range ref {
+		var nbrs []int
+		for v := range ref[u] {
+			if s.get(u, v) != ref[u][v] {
+				t.Fatalf("get(%d, %d) = %v, reference %v", u, v, !ref[u][v], ref[u][v])
+			}
+			if ref[u][v] {
+				nbrs = append(nbrs, v)
+				if u < v {
+					want = append(want, [2]int{u, v})
+				}
+			}
+		}
+		if got := s.neighbors(u, nil); !slices.Equal(got, nbrs) {
+			t.Fatalf("neighbors(%d) = %v, reference %v", u, got, nbrs)
+		}
+		if isSpilled := s.rec[u][1] == spilled; isSpilled != (len(nbrs) > 2) {
+			t.Fatalf("node %d of degree %d: spilled = %v", u, len(nbrs), isSpilled)
+		} else if isSpilled {
+			p := s.rec[u][0]
+			if inUse[p] {
+				t.Fatalf("pool row %d serves two nodes", p)
+			}
+			inUse[p] = true
+		}
+	}
+	for _, p := range s.free {
+		if inUse[p] {
+			t.Fatalf("pool row %d is both free and in use", p)
+		}
+		inUse[p] = true
+	}
+	if !slices.Equal(inUse, slices.Repeat([]bool{true}, len(inUse))) {
+		t.Fatalf("pool rows %v neither free nor in use", inUse)
+	}
+	var got [][2]int
+	s.forEach(func(u, v int) { got = append(got, [2]int{u, v}) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("forEach visits %v, reference %v", got, want)
+	}
+}
