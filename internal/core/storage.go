@@ -64,8 +64,12 @@ func (s *sparseStore) find(u, v int) (int, bool) {
 	return lo, lo < len(row) && row[lo] == int32(v)
 }
 
-// get reports whether the edge {u, v} is active.
+// get reports whether the edge {u, v} is active. An inline row
+// answers with two compares: v ≥ 0 never matches the noNbr padding.
 func (s *sparseStore) get(u, v int) bool {
+	if r := &s.rec[u]; r[1] != spilled {
+		return r[0] == int32(v) || r[1] == int32(v)
+	}
 	_, ok := s.find(u, v)
 	return ok
 }
