@@ -107,12 +107,10 @@ type batchIndex struct {
 	// so a line or ring node never looks further. An entry with
 	// other = 0 is empty — a mirrored edge's other endpoint exceeds
 	// u ≥ 0. A node with more listed edges (a star centre) keeps the
-	// rest in mpool[mspill[u]−1]; mspill[u] = 0 flags no spill, and
-	// mfree lists the unused pool rows.
+	// rest in mpool row mspill[u]−1; mspill[u] = 0 flags no spill.
 	mirror []mirrorNode
 	mspill []int32
-	mpool  [][]mirrorEntry
-	mfree  []int32
+	mpool  spillPool[mirrorEntry]
 
 	// Permitted-pair census, populated only under a restricted topology
 	// (topo non-nil) and only for classes with effMask ≠ 0: pairCnt is
@@ -256,10 +254,7 @@ func (bi *batchIndex) reset(cfg *Config) {
 		clear(bi.mirror)
 		clear(bi.mspill)
 	}
-	bi.mfree = bi.mfree[:0]
-	for p := len(bi.mpool) - 1; p >= 0; p-- {
-		bi.mfree = append(bi.mfree, int32(p))
-	}
+	bi.mpool.releaseAll()
 	bi.enabled, bi.edgeEnabled = 0, 0
 	bi.rejections, bi.fallbacks = 0, 0
 	bi.gen, bi.stamp = 0, 0
@@ -447,17 +442,10 @@ func (bi *batchIndex) mirrorAdd(a, b int, slot int32) {
 	default:
 		p := bi.mspill[a] - 1
 		if p < 0 {
-			if k := len(bi.mfree); k > 0 {
-				p = bi.mfree[k-1]
-				bi.mfree = bi.mfree[:k-1]
-				bi.mpool[p] = bi.mpool[p][:0]
-			} else {
-				p = int32(len(bi.mpool))
-				bi.mpool = append(bi.mpool, nil)
-			}
+			p = bi.mpool.take()
 			bi.mspill[a] = p + 1
 		}
-		bi.mpool[p] = append(bi.mpool[p], e)
+		bi.mpool.rows[p] = append(bi.mpool.rows[p], e)
 	}
 }
 
@@ -469,7 +457,7 @@ func (bi *batchIndex) mirrorAt(a, b int) *mirrorEntry {
 			return &m[i]
 		}
 	}
-	sp := bi.mpool[bi.mspill[a]-1]
+	sp := bi.mpool.rows[bi.mspill[a]-1]
 	i := 0
 	for sp[i].other != int32(b) {
 		i++
@@ -490,17 +478,17 @@ func (bi *batchIndex) mirrorTake(a, b int) int32 {
 		}
 	}
 	p := bi.mspill[a] - 1
-	sp := bi.mpool[p]
+	sp := bi.mpool.rows[p]
 	i := 0
 	for sp[i].other != int32(b) {
 		i++
 	}
 	slot := sp[i].slot
 	sp[i] = sp[len(sp)-1]
-	bi.mpool[p] = sp[:len(sp)-1]
+	bi.mpool.rows[p] = sp[:len(sp)-1]
 	if len(sp) == 1 {
 		bi.mspill[a] = 0
-		bi.mfree = append(bi.mfree, p)
+		bi.mpool.release(p)
 	}
 	return slot
 }

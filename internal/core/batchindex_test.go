@@ -139,7 +139,7 @@ func verifyBatchIndex(t *testing.T, bi *batchIndex, cfg *Config) {
 			}
 			entries++
 		}
-		if p := bi.mspill[u]; p != 0 && len(bi.mpool[p-1]) == 0 {
+		if p := bi.mspill[u]; p != 0 && len(bi.mpool.rows[p-1]) == 0 {
 			t.Fatalf("node %d flags an empty mirror spill row", u)
 		}
 	}
@@ -158,7 +158,7 @@ func mirrorEntries(bi *batchIndex, u int) []mirrorEntry {
 		}
 	}
 	if p := bi.mspill[u]; p != 0 {
-		out = append(out, bi.mpool[p-1]...)
+		out = append(out, bi.mpool.rows[p-1]...)
 	}
 	return out
 }

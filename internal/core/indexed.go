@@ -566,7 +566,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		edge := cell&1 == 1
 		var effective, edgeChanged bool
 		u, v, kernel := 0, 0, false
-		if id := int(cell >> 1); runs && cell&1 == 1 && ix.swapCell[id] {
+		if id := int(cell >> 1); runs && edge && ix.swapCell[id] {
 			list := ix.edgeList[id]
 			key := list[rng.IntN(len(list))]
 			u, v, kernel = int(key>>32), int(key&0xffffffff), true

@@ -15,8 +15,7 @@ package core
 // to a separately allocated row. row is the only reader of the format.
 type sparseStore struct {
 	rec  [][2]int32
-	pool [][]int32 // spilled rows, degree ≥ 3
-	free []int32   // pool indices no record uses; their rows keep their capacity
+	pool spillPool[int32] // spilled rows, degree ≥ 3
 }
 
 const (
@@ -38,7 +37,7 @@ func (s *sparseStore) row(u int) []int32 {
 	case r[1] >= 0:
 		return r[:2]
 	case r[1] == spilled:
-		return s.pool[r[0]]
+		return s.pool.rows[r[0]]
 	case r[0] >= 0:
 		return r[:1]
 	default:
@@ -94,7 +93,7 @@ func (s *sparseStore) setHalf(u, v int, active bool) bool {
 	r := &s.rec[u]
 	switch {
 	case r[1] == spilled:
-		row := s.pool[r[0]]
+		row := s.pool.rows[r[0]]
 		if active {
 			row = append(row, 0)
 			copy(row[i+1:], row[i:])
@@ -102,17 +101,17 @@ func (s *sparseStore) setHalf(u, v int, active bool) bool {
 		} else {
 			row = append(row[:i], row[i+1:]...)
 		}
-		s.pool[r[0]] = row
+		s.pool.rows[r[0]] = row
 		if len(row) == 2 {
-			s.free = append(s.free, r[0])
+			s.pool.release(r[0])
 			*r = [2]int32{row[0], row[1]}
 		}
 	case active && r[1] >= 0:
-		p := s.takePool()
-		row := append(s.pool[p][:0], r[0], r[1], 0)
+		p := s.pool.take()
+		row := append(s.pool.rows[p], r[0], r[1], 0)
 		copy(row[i+1:], row[i:])
 		row[i] = int32(v)
-		s.pool[p] = row
+		s.pool.rows[p] = row
 		*r = [2]int32{p, spilled}
 	case active:
 		if i == 0 {
@@ -128,16 +127,39 @@ func (s *sparseStore) setHalf(u, v int, active bool) bool {
 	return true
 }
 
-// takePool returns an unused pool index, reusing a freed row's backing
-// array when one is available.
-func (s *sparseStore) takePool() int32 {
-	if k := len(s.free); k > 0 {
-		p := s.free[k-1]
-		s.free = s.free[:k-1]
-		return p
+// spillPool holds the rows that outgrew a node's inline record —
+// adjacency rows here, batchIndex's mirror entries — indexed by an
+// int32 the record keeps. A released row keeps its capacity for the
+// next take.
+type spillPool[T any] struct {
+	rows [][]T
+	free []int32
+}
+
+// take returns the index of an empty row, reusing a released one when
+// there is one.
+func (p *spillPool[T]) take() int32 {
+	if k := len(p.free); k > 0 {
+		i := p.free[k-1]
+		p.free = p.free[:k-1]
+		p.rows[i] = p.rows[i][:0]
+		return i
 	}
-	s.pool = append(s.pool, nil)
-	return int32(len(s.pool) - 1)
+	p.rows = append(p.rows, nil)
+	return int32(len(p.rows) - 1)
+}
+
+// release returns row i to the free list.
+func (p *spillPool[T]) release(i int32) {
+	p.free = append(p.free, i)
+}
+
+// releaseAll returns every row to the free list, lowest index on top.
+func (p *spillPool[T]) releaseAll() {
+	p.free = p.free[:0]
+	for i := len(p.rows) - 1; i >= 0; i-- {
+		p.free = append(p.free, int32(i))
+	}
 }
 
 // neighbors appends u's active neighbors to dst in ascending order and
@@ -178,13 +200,13 @@ func (s *sparseStore) clone() sparseStore {
 		return c
 	}
 	back := make([]int32, 0, total)
-	c.pool = make([][]int32, 0, rows)
+	c.pool.rows = make([][]int32, 0, rows)
 	for u := range c.rec {
 		if r := &c.rec[u]; r[1] == spilled {
 			start := len(back)
-			back = append(back, s.pool[r[0]]...)
-			r[0] = int32(len(c.pool))
-			c.pool = append(c.pool, back[start:len(back):len(back)])
+			back = append(back, s.pool.rows[r[0]]...)
+			r[0] = int32(len(c.pool.rows))
+			c.pool.rows = append(c.pool.rows, back[start:len(back):len(back)])
 		}
 	}
 	return c
@@ -196,16 +218,7 @@ func (s *sparseStore) reset() {
 	for u := range s.rec {
 		s.rec[u] = [2]int32{noNbr, noNbr}
 	}
-	s.freeAll()
-}
-
-// freeAll returns every pool row to the free list, lowest index on
-// top.
-func (s *sparseStore) freeAll() {
-	s.free = s.free[:0]
-	for p := len(s.pool) - 1; p >= 0; p-- {
-		s.free = append(s.free, int32(p))
-	}
+	s.pool.releaseAll()
 }
 
 // copyFrom replaces the edge set with src's, reusing the backing
@@ -214,12 +227,12 @@ func (s *sparseStore) copyFrom(src *sparseStore) {
 	if src == s {
 		return
 	}
-	s.freeAll()
+	s.pool.releaseAll()
 	copy(s.rec, src.rec)
 	for u := range s.rec {
 		if r := &s.rec[u]; r[1] == spilled {
-			p := s.takePool()
-			s.pool[p] = append(s.pool[p][:0], src.pool[r[0]]...)
+			p := s.pool.take()
+			s.pool.rows[p] = append(s.pool.rows[p], src.pool.rows[r[0]]...)
 			r[0] = p
 		}
 	}

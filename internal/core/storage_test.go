@@ -318,7 +318,7 @@ func FuzzSparseStore(f *testing.F) {
 func checkSparseStore(t *testing.T, s *sparseStore, ref *[6][6]bool) {
 	t.Helper()
 	var want [][2]int
-	inUse := make([]bool, len(s.pool))
+	inUse := make([]bool, len(s.pool.rows))
 	for u := range ref {
 		var nbrs []int
 		for v := range ref[u] {
@@ -345,7 +345,7 @@ func checkSparseStore(t *testing.T, s *sparseStore, ref *[6][6]bool) {
 			inUse[p] = true
 		}
 	}
-	for _, p := range s.free {
+	for _, p := range s.pool.free {
 		if inUse[p] {
 			t.Fatalf("pool row %d is both free and in use", p)
 		}
