@@ -12,7 +12,8 @@ package core
 // noNbr; a longer row spills to a side pool and the record holds
 // {pool index, spilled}. An interior swap thus reads its two rows from
 // two records in one 8n-byte array instead of chasing a slice header
-// to a separately allocated row. row is the only reader of the format.
+// to a separately allocated row. Outside this file every row read goes
+// through row.
 type sparseStore struct {
 	rec  [][2]int32
 	pool spillPool[int32] // spilled rows, degree ≥ 3
@@ -47,8 +48,8 @@ func (s *sparseStore) row(u int) []int32 {
 
 // find locates v in u's sorted adjacency row: a hand-rolled binary
 // search — on protocol graphs the rows are a few entries long and the
-// engines call this on every edge probe, so the sort.Search closure
-// indirection is measurable.
+// engines call this on every edge write and every probe of a spilled
+// row, so the sort.Search closure indirection is measurable.
 func (s *sparseStore) find(u, v int) (int, bool) {
 	row := s.row(u)
 	lo, hi := 0, len(row)
