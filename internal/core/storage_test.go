@@ -360,3 +360,22 @@ func checkSparseStore(t *testing.T, s *sparseStore, ref *[6][6]bool) {
 		t.Fatalf("forEach visits %v, reference %v", got, want)
 	}
 }
+
+// TestSparseStoreInlineWritesAllocateNothing pins the inline path of
+// setHalf: building and tearing down a line, where every row stays at
+// degree ≤ 2, allocates nothing.
+func TestSparseStoreInlineWritesAllocateNothing(t *testing.T) {
+	s := newSparseStore(64)
+	allocs := testing.AllocsPerRun(20, func() {
+		for u := 0; u+1 < 64; u++ {
+			s.set(u, u+1, true)
+		}
+		for u := 0; u+1 < 64; u += 2 {
+			s.set(u, u+1, false)
+		}
+		s.reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("inline writes allocated %.1f times per run, want 0", allocs)
+	}
+}
