@@ -972,32 +972,47 @@ func (bi *batchIndex) runClass() (cell int32, w int64) {
 	return cell, w
 }
 
-// sampleNonEdge draws a uniformly random non-edge pair within class
-// id = {a, b}: rejection from the per-state node lists (or, under a
-// topology, from the class's permitted-pair list), expected O(1) while
-// non-edges dominate the class, falling back to an exact counted walk
-// when active edges saturate it — the walk is O(P(a,b)) =
-// O(A/(1−acceptance)) and A is bounded by the edge count, so the
-// amortized cost stays O(m)-bounded.
+// sampleNonEdge draws a uniformly random non-edge pair of class id =
+// {a, b} by rejection: a uniform pair of the class — from the per-state
+// node lists (distinct indices on the diagonal), or under a topology
+// from the class's permitted-pair list — redrawn until it is not an
+// active edge. Active ⊆ permitted, so the rejection test is exact on
+// either source. With k of the class's P pairs free a draw costs P/k
+// expected tries, P·H(P) ≈ P ln P for a whole fill. A class with no
+// free pair would loop forever, so after 64·P straight rejections —
+// odds below e⁻⁶⁴ while a pair is free — the index is inconsistent and
+// the draw panics.
 func (bi *batchIndex) sampleNonEdge(id int, rng *RNG) (int, int) {
-	if bi.topo != nil {
-		return bi.sampleNonEdgeTopo(id, rng)
-	}
-	a, b := bi.classStates(id)
 	store := bi.cfg.store
+	a, b := bi.classStates(id)
 	la, lb := bi.byState[a], bi.byState[b]
-	diag := a == b
-	const tries = 64
-	for t := 0; t < tries; t++ {
+	topo, diag := bi.topo != nil, a == b
+	var list []uint64
+	var pairs int64
+	switch {
+	case topo:
+		list = bi.pairList[id]
+		pairs = int64(len(list))
+	case diag:
+		k := int64(len(la))
+		pairs = k * (k - 1) / 2
+	default:
+		pairs = int64(len(la)) * int64(len(lb))
+	}
+	for tries := 64 * pairs; tries > 0; tries-- {
 		var u, v int
-		if diag {
+		switch {
+		case topo:
+			key := list[rng.IntN(len(list))]
+			u, v = int(key>>32), int(key&0xffffffff)
+		case diag:
 			i := rng.IntN(len(la))
 			j := rng.IntN(len(la) - 1)
 			if j >= i {
 				j++
 			}
 			u, v = int(la[i]), int(la[j])
-		} else {
+		default:
 			u = int(la[rng.IntN(len(la))])
 			v = int(lb[rng.IntN(len(lb))])
 		}
@@ -1006,65 +1021,7 @@ func (bi *batchIndex) sampleNonEdge(id int, rng *RNG) (int, int) {
 		}
 		bi.rejections++
 	}
-	// Exact fallback: pick the t-th non-edge of the class.
-	bi.fallbacks++
-	var pairs int64
-	if diag {
-		k := int64(len(la))
-		pairs = k * (k - 1) / 2
-	} else {
-		pairs = int64(len(la)) * int64(len(lb))
-	}
-	t := rng.Int64N(pairs - bi.edgeCount[id])
-	for i := 0; i < len(la); i++ {
-		j0 := 0
-		if diag {
-			j0 = i + 1
-		}
-		for j := j0; j < len(lb); j++ {
-			u, v := int(la[i]), int(lb[j])
-			if store.get(u, v) {
-				continue
-			}
-			if t == 0 {
-				return orient(u, v, rng)
-			}
-			t--
-		}
-	}
 	panic("core: class non-edge count inconsistent with class weights")
-}
-
-// sampleNonEdgeTopo is sampleNonEdge under a restricted topology:
-// rejection from class id's permitted-pair list, falling back to an
-// exact counted walk over the list when active edges saturate it.
-// Active ⊆ permitted guarantees the rejection test is exact: every
-// active edge of the class sits in this list.
-func (bi *batchIndex) sampleNonEdgeTopo(id int, rng *RNG) (int, int) {
-	store := bi.cfg.store
-	list := bi.pairList[id]
-	const tries = 64
-	for t := 0; t < tries; t++ {
-		key := list[rng.IntN(len(list))]
-		u, v := int(key>>32), int(key&0xffffffff)
-		if !store.get(u, v) {
-			return orient(u, v, rng)
-		}
-		bi.rejections++
-	}
-	bi.fallbacks++
-	t := rng.Int64N(bi.pairCnt[id] - bi.edgeCount[id])
-	for _, key := range list {
-		u, v := int(key>>32), int(key&0xffffffff)
-		if store.get(u, v) {
-			continue
-		}
-		if t == 0 {
-			return orient(u, v, rng)
-		}
-		t--
-	}
-	panic("core: permitted non-edge count inconsistent with class weights")
 }
 
 // orient returns the pair in uniformly random orientation.

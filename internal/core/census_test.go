@@ -1,16 +1,18 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/stats"
 )
 
 // Brute-force checks of the state-class census (batchIndex) as the
 // sparse engine and batch's exact route drive it: built from arbitrary
 // configurations, updated along random trajectories on both edge
-// stores, restricted to a topology, and sampled — including the
-// exact-walk fallback of a saturated class. The TestClassIndex* names
+// stores, restricted to a topology, and sampled — including classes
+// saturated down to their last non-edges. The TestClassIndex* names
 // refer to that state-class census.
 
 // indexProtocols is a battery of small protocols exercising every
@@ -148,63 +150,141 @@ func TestClassIndexSample(t *testing.T) {
 	}
 }
 
-// TestClassIndexSampleSaturatedClass exercises the exact-walk fallback
-// of sampleNonEdge: in a class where almost every pair already holds an
-// active edge, rejection nearly always fails, yet the draw must remain
-// uniform over the surviving non-edges — on the complete graph and
-// under a topology (whose fallback walks the class's permitted-pair
-// list instead of the state lists).
+// saturatedClassConfig returns a 10-node configuration of protocol p
+// in which every pair except the survivors already holds an active
+// edge, so the survivors are the only enabled non-edges. split puts
+// nodes 0–4 in state 0 (epidemic starts every node in state 1, so its
+// enabled class is then the off-diagonal {0, 1}); restricted attaches
+// a 10-cycle plus its chords of length two (20 permitted pairs) and
+// leaves unpermitted pairs off.
+func saturatedClassConfig(p *Protocol, split, restricted bool, survivors [][2]int) *Config {
+	const n = 10
+	cfg := NewConfig(p, n)
+	if split {
+		for u := 0; u < n/2; u++ {
+			cfg.SetNode(u, 0)
+		}
+	}
+	if restricted {
+		g := graph.New(n)
+		for u := 0; u < n; u++ {
+			g.AddEdge(u, (u+1)%n)
+			g.AddEdge(u, (u+2)%n)
+		}
+		cfg.topo = NewTopology(g)
+	}
+	free := map[[2]int]bool{}
+	for _, pair := range survivors {
+		free[pair] = true
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if free[[2]int{u, v}] || (restricted && !cfg.topo.Contains(u, v)) {
+				continue
+			}
+			cfg.SetEdge(u, v, true)
+		}
+	}
+	return cfg
+}
+
+// saturatedCase is one saturated class: the protocol, its node split
+// and topology (see saturatedClassConfig), and the surviving non-edges.
+type saturatedCase struct {
+	name              string
+	proto             string
+	split, restricted bool
+	survivors         [][2]int
+}
+
+// saturatedClassCases cover each source sampleNonEdge draws from — the
+// diagonal state list, two distinct state lists, a permitted-pair list
+// — with five surviving non-edges and with one.
+func saturatedClassCases() []saturatedCase {
+	diag := [][2]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}}
+	cross := [][2]int{{0, 5}, {1, 6}, {2, 7}, {3, 8}, {4, 9}}
+	return []saturatedCase{
+		{"diagonal", "matching", false, false, diag},
+		{"diagonal/one", "matching", false, false, diag[:1]},
+		{"cross", "epidemic", true, false, cross},
+		{"cross/one", "epidemic", true, false, cross[:1]},
+		{"topology", "matching", false, true, diag},
+		{"topology/one", "matching", false, true, diag[:1]},
+	}
+}
+
+// TestClassIndexSampleSaturatedClass draws from classes where almost
+// every pair already holds an active edge, so nearly every rejection
+// draw fails: the draw must still land only on the surviving non-edges
+// and be uniform over them (chi-square at α = 0.001) — on the complete
+// graph, in an off-diagonal class, and under a topology.
 func TestClassIndexSampleSaturatedClass(t *testing.T) {
 	t.Parallel()
-	p := indexProtocols(t)["matching"] // q0-q0 non-edge pairs are enabled
-	const n = 10
-	for _, restricted := range []bool{false, true} {
-		cfg := NewConfig(p, n)
-		if restricted {
-			// A 10-cycle plus its chords of length two: 20 permitted pairs.
-			g := graph.New(n)
-			for u := 0; u < n; u++ {
-				g.AddEdge(u, (u+1)%n)
-				g.AddEdge(u, (u+2)%n)
-			}
-			cfg.topo = NewTopology(g)
-		}
-		// Activate every permitted edge except {0,1} and {2,3}; the
-		// enabled set is exactly those two non-edges.
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if (u == 0 && v == 1) || (u == 2 && v == 3) || (restricted && !cfg.topo.Contains(u, v)) {
-					continue
-				}
-				cfg.SetEdge(u, v, true)
-			}
-		}
+	protos := indexProtocols(t)
+	for _, tc := range saturatedClassCases() {
+		cfg := saturatedClassConfig(protos[tc.proto], tc.split, tc.restricted, tc.survivors)
 		bi := newBatchIndex(cfg)
 		verifyBatchIndex(t, bi, cfg)
-		if bi.enabled != 2 {
-			t.Fatalf("restricted=%v: want 2 enabled non-edges, got %d", restricted, bi.enabled)
+		k := len(tc.survivors)
+		if bi.enabled != int64(k) {
+			t.Fatalf("%s: want %d enabled non-edges, got %d", tc.name, k, bi.enabled)
 		}
 		rng := NewRNG(5)
-		counts := map[[2]int]int{}
-		const draws = 2000
+		bin := map[[2]int]int{}
+		for i, pair := range tc.survivors {
+			bin[pair] = i
+		}
+		counts := make([]int64, k)
+		const draws = 5000
 		for i := 0; i < draws; i++ {
 			u, v := bi.Sample(rng)
 			if u > v {
 				u, v = v, u
 			}
-			if !(u == 0 && v == 1) && !(u == 2 && v == 3) {
-				t.Fatalf("restricted=%v: sampled pair (%d,%d) outside the enabled set", restricted, u, v)
+			i, ok := bin[[2]int{u, v}]
+			if !ok {
+				t.Fatalf("%s: sampled pair (%d,%d) outside the enabled set", tc.name, u, v)
 			}
-			counts[[2]int{u, v}]++
+			counts[i]++
 		}
-		for pair, c := range counts {
-			if c < draws/4 {
-				t.Fatalf("restricted=%v: pair %v drawn %d of %d times — not uniform", restricted, pair, c, draws)
-			}
+		if k == 1 {
+			continue
 		}
-		if bi.fallbacks == 0 {
-			t.Fatalf("restricted=%v: the saturated class never took the exact walk", restricted)
+		expected := make([]float64, k)
+		for i := range expected {
+			expected[i] = float64(draws) / float64(k)
 		}
+		if stat, crit := stats.ChiSquareStat(counts, expected), stats.ChiSquareCritical(k-1, 0.001); stat > crit {
+			t.Fatalf("%s: counts %v not uniform: chi-square %.2f > %.2f", tc.name, counts, stat, crit)
+		}
+	}
+}
+
+// TestClassIndexSampleInconsistentPanics activates a class's last
+// non-edge behind the index's back: the class keeps a weight no pair
+// can satisfy, and Sample must panic with the descriptive message after
+// its bounded run of rejections instead of redrawing forever.
+func TestClassIndexSampleInconsistentPanics(t *testing.T) {
+	t.Parallel()
+	protos := indexProtocols(t)
+	for _, tc := range saturatedClassCases() {
+		if len(tc.survivors) != 1 {
+			continue
+		}
+		cfg := saturatedClassConfig(protos[tc.proto], tc.split, tc.restricted, tc.survivors)
+		bi := newBatchIndex(cfg)
+		last := tc.survivors[0]
+		cfg.SetEdge(last[0], last[1], true)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "non-edge count inconsistent with class weights") {
+					t.Fatalf("%s: Sample on an inconsistent index recovered %q, want the inconsistency panic", tc.name, msg)
+				}
+			}()
+			u, v := bi.Sample(NewRNG(5))
+			t.Fatalf("%s: Sample returned (%d,%d) from a class with no non-edge", tc.name, u, v)
+		}()
 	}
 }
 
