@@ -297,8 +297,8 @@ func TestEngineEquivalenceTopology(t *testing.T) {
 		// Sparse-vs-batch bit-identity: with a topology attached the
 		// batch engine exact-steps every landing through the same
 		// indexed path as sparse, so the records must agree bit for bit
-		// (engine name, wall clock, and the batch-only fallback counter
-		// are the only legitimate differences).
+		// (engine name, wall clock, and the batch-only exact-fallback
+		// landing counter are the only legitimate differences).
 		sparseRuns, batchRuns := byEngine[core.EngineSparse].Runs, byEngine[core.EngineBatch].Runs
 		if len(sparseRuns) != len(batchRuns) {
 			t.Fatalf("topology=%s: record count mismatch: %d sparse vs %d batch", spec, len(sparseRuns), len(batchRuns))

@@ -52,7 +52,6 @@ type fingerprintRow struct {
 	EdgeChanges      int64  `json:"edge_changes"`
 	Landings         int64  `json:"landings"`
 	SampleRejections int64  `json:"sample_rejections"`
-	SampleFallbacks  int64  `json:"sample_fallbacks"`
 	FaultFirings     int64  `json:"fault_firings"`
 	Final            string `json:"final_sha256"`
 }
@@ -64,8 +63,8 @@ func fingerprintOf(name string, res core.Result) fingerprintRow {
 		Case: name, Converged: res.Converged, Steps: res.Steps,
 		ConvergenceTime: res.ConvergenceTime, EffectiveSteps: res.EffectiveSteps,
 		EdgeChanges: res.EdgeChanges, Landings: m.Landings,
-		SampleRejections: m.SampleRejections, SampleFallbacks: m.SampleFallbacks,
-		FaultFirings: m.FaultFirings, Final: hex.EncodeToString(sum[:]),
+		SampleRejections: m.SampleRejections, FaultFirings: m.FaultFirings,
+		Final: hex.EncodeToString(sum[:]),
 	}
 }
 
@@ -121,7 +120,7 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 		{name: "sgl/complete/n=20/rate-faults", proto: sgl.Proto, det: quiet, n: 20, seed: 20, maxSteps: 300_000, faults: "reset@0.0005,edge@0.001x2"},
 		{name: "sgl/complete/n=5000/faults/budget", proto: sgl.Proto, det: quiet, n: 5000, seed: 16, maxSteps: 60_000, faults: "crash@20000,edge@40000x4"},
 		// Edge-Cover saturates its single class with active edges, so
-		// its last non-edges are drawn by the exact-walk fallback.
+		// its last non-edges are drawn after long runs of rejections.
 		{name: "edge-cover/complete/n=24", proto: cover.Proto, det: cover.Detector, n: 24, seed: 18},
 		{name: "edge-cover/rgg@0.5/n=20", proto: cover.Proto, det: quiet, n: 20, seed: 19, topology: "rgg@0.5"},
 		{name: "graph-replication/initial/n=9", proto: repl.Proto, det: protocols.ReplicationDetector(g1), n: replN, seed: 17,

@@ -286,7 +286,6 @@ type RunRecord struct {
 	SkippedSteps          int64 `json:"skipped_steps,omitempty"`
 	SkipBatches           int64 `json:"skip_batches,omitempty"`
 	SampleRejections      int64 `json:"sample_rejections,omitempty"`
-	SampleFallbacks       int64 `json:"sample_fallbacks,omitempty"`
 	BucketDraws           int64 `json:"bucket_draws,omitempty"`
 	ExactFallbackLandings int64 `json:"exact_fallback_landings,omitempty"`
 	CollapsedLandings     int64 `json:"collapsed_landings,omitempty"`

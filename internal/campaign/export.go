@@ -72,7 +72,7 @@ func WriteRunsCSV(w io.Writer, runs []RunRecord) error {
 		"point", "protocol", "n", "scheduler", "faults", "topology", "trial", "seed",
 		"engine", "converged", "stopped", "steps", "convergence_time",
 		"effective_steps", "edge_changes", "skipped_steps", "skip_batches",
-		"sample_rejections", "sample_fallbacks", "bucket_draws",
+		"sample_rejections", "bucket_draws",
 		"exact_fallback_landings", "collapsed_landings",
 		"fast_forward_epochs", "fault_crashes",
 		"fault_edge_deletions", "fault_resets", "value", "duration_ns",
@@ -100,7 +100,6 @@ func WriteRunsCSV(w io.Writer, runs []RunRecord) error {
 			strconv.FormatInt(r.SkippedSteps, 10),
 			strconv.FormatInt(r.SkipBatches, 10),
 			strconv.FormatInt(r.SampleRejections, 10),
-			strconv.FormatInt(r.SampleFallbacks, 10),
 			strconv.FormatInt(r.BucketDraws, 10),
 			strconv.FormatInt(r.ExactFallbackLandings, 10),
 			strconv.FormatInt(r.CollapsedLandings, 10),

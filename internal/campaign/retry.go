@@ -179,7 +179,6 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 	rec.SkippedSteps = res.Metrics.SkippedSteps
 	rec.SkipBatches = res.Metrics.SkipBatches
 	rec.SampleRejections = res.Metrics.SampleRejections
-	rec.SampleFallbacks = res.Metrics.SampleFallbacks
 	rec.BucketDraws = res.Metrics.BucketDraws
 	rec.ExactFallbackLandings = res.Metrics.ExactFallbackLandings
 	rec.CollapsedLandings = res.Metrics.CollapsedLandings

@@ -155,12 +155,10 @@ type batchIndex struct {
 	// campaign trials stay allocation-free.
 	wpath walkPath
 
-	// Sampling-effort telemetry, zeroed per reset (i.e. per run):
 	// rejections counts candidate non-edge draws discarded for hitting
-	// an active edge; fallbacks counts the exact counted walks taken
-	// when active edges saturated a class.
+	// an active edge — sampling-effort telemetry, zeroed per reset
+	// (i.e. per run).
 	rejections int64
-	fallbacks  int64
 }
 
 // mirrorEntry records one listed-class active edge incident to the
@@ -256,7 +254,7 @@ func (bi *batchIndex) reset(cfg *Config) {
 	}
 	bi.mpool.releaseAll()
 	bi.enabled, bi.edgeEnabled = 0, 0
-	bi.rejections, bi.fallbacks = 0, 0
+	bi.rejections = 0
 	bi.gen, bi.stamp = 0, 0
 	bi.dirty = bi.dirty[:0]
 	bi.wpath.valid = false

@@ -155,7 +155,7 @@ func runIndexed(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, 
 	if mut != nil {
 		mut.fold(&res.Metrics)
 	}
-	res.Metrics.SampleRejections, res.Metrics.SampleFallbacks = ix.rejections, ix.fallbacks
+	res.Metrics.SampleRejections = ix.rejections
 	return res
 }
 
@@ -461,10 +461,10 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 						truncated = true
 						break
 					}
-					// A fallback that kept the census frozen may
-					// still have rewritten the cell's list in place;
-					// its length is pinned while gen is frozen, but
-					// reload the header to be safe.
+					// A generic applySwap that kept the census frozen
+					// may still have rewritten the cell's list in
+					// place; its length is pinned while gen is frozen,
+					// but reload the header to be safe.
 					list = ix.edgeList[id]
 				}
 			}

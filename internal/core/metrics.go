@@ -33,11 +33,9 @@ type Metrics struct {
 	IndexBuilds int64 `json:"index_builds,omitempty"`
 
 	// SampleRejections counts rejected candidate draws in the sparse
-	// engine's class-internal rejection sampling; SampleFallbacks
-	// counts the exact-walk fallbacks taken when active edges saturate
-	// a class. Zero on the baseline path.
+	// engine's class-internal rejection sampling. Zero on the baseline
+	// path.
 	SampleRejections int64 `json:"sample_rejections,omitempty"`
-	SampleFallbacks  int64 `json:"sample_fallbacks,omitempty"`
 
 	// BucketDraws counts the pure-path landings the batch engine drew
 	// inside a census-frozen stretch: run-kernel landings plus landings
