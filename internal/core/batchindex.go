@@ -1277,18 +1277,9 @@ func (bi *batchIndex) collapseMove(d int64) {
 	if from == to {
 		return
 	}
-	ws, bs := wp.ws, wp.bs
-	cfg := bi.cfg
-	cfg.nodes[from] = bs
-	cfg.nodes[to] = ws
-	bi.byState[ws][bi.slot[from]] = int32(to)
-	bi.byState[bs][bi.slot[to]] = int32(from)
-	bi.slot[from], bi.slot[to] = bi.slot[to], bi.slot[from]
-	bi.stamp++
-	// Mutual exclusion mirrors applySwap: when |d| = 1 the {from, to}
-	// edge's unordered class is unchanged and must not be touched; for
-	// larger jumps the exclusion never matches.
-	bi.reclassifyIncident(from, to, ws, bs)
-	bi.reclassifyIncident(to, from, bs, ws)
-	bi.flushDirty()
+	bi.cfg.nodes[from], bi.cfg.nodes[to] = wp.bs, wp.ws
+	// applySwap's mutual exclusion also fits a jump: when |d| = 1 the
+	// {from, to} edge's unordered class is unchanged and must not be
+	// touched; for larger jumps the exclusion never matches.
+	bi.applySwap(from, to, wp.ws, wp.bs)
 }
