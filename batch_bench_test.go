@@ -14,8 +14,8 @@ package netcons_test
 //     same seeds and report the wall-clock ratio as "speedup" — the
 //     n=65536 row is the ratio ARCHITECTURE.md's batch-engine table
 //     quotes — plus both engines' allocated bytes;
-//   - every row reports peak-heap-bytes; run with -benchmem for the
-//     allocator's view.
+//   - every row reports live-heap-bytes (see liveHeapBytes); run with
+//     -benchmem for the allocator's view.
 //
 // Run it with:
 //
@@ -48,18 +48,19 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 			engine := engine
 			b.Run(fmt.Sprintf("Simple-Global-Line/n=%d/engine=%s", tc.n, engine), func(b *testing.B) {
 				var steps, effective, bucketDraws int64
-				var peakHeap float64
+				var liveHeap float64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					runtime.GC()
+					ws := core.NewWorkspace()
 					b.StartTimer()
-					res := runLineBudget(b, tc.n, engine, uint64(i)+1, tc.maxSteps)
+					res := runLineBudget(b, tc.n, engine, uint64(i)+1, tc.maxSteps, ws)
+					b.StopTimer()
+					liveHeap = max(liveHeap, liveHeapBytes(ws))
+					b.StartTimer()
 					steps += res.Steps
 					effective += res.EffectiveSteps
 					bucketDraws += res.Metrics.BucketDraws
-					if h := heapAllocNow(); h > peakHeap {
-						peakHeap = h
-					}
 				}
 				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 				b.ReportMetric(float64(effective)/float64(b.N), "effective/op")
@@ -69,7 +70,7 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 					}
 					b.ReportMetric(float64(bucketDraws)/float64(b.N), "bucket-draws/op")
 				}
-				b.ReportMetric(peakHeap, "peak-heap-bytes")
+				b.ReportMetric(liveHeap, "live-heap-bytes")
 			})
 		}
 
@@ -82,7 +83,7 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&m0)
 				start := time.Now()
-				runLineBudget(b, tc.n, core.EngineSparse, seed, tc.maxSteps)
+				runLineBudget(b, tc.n, core.EngineSparse, seed, tc.maxSteps, nil)
 				sparse += time.Since(start)
 				runtime.ReadMemStats(&m1)
 				sparseAlloc += float64(m1.TotalAlloc - m0.TotalAlloc)
@@ -90,7 +91,7 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&m0)
 				start = time.Now()
-				runLineBudget(b, tc.n, core.EngineBatch, seed, tc.maxSteps)
+				runLineBudget(b, tc.n, core.EngineBatch, seed, tc.maxSteps, nil)
 				batch += time.Since(start)
 				runtime.ReadMemStats(&m1)
 				batchAlloc += float64(m1.TotalAlloc - m0.TotalAlloc)

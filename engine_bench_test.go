@@ -14,10 +14,9 @@ package netcons_test
 //     default step ceiling on any engine, so these rows are fixed-
 //     budget throughput rows (the n=4096 row shares BenchmarkBatchVsSparse's
 //     10⁹-step budget; the larger rows burn the full default ceiling);
-//   - every row reports peak-heap-bytes (runtime.MemStats.HeapAlloc
-//     after the run, before collection) so the perf artifact tracks
-//     memory alongside wall-clock; run with -benchmem for the
-//     allocator's own view;
+//   - every row reports live-heap-bytes (see liveHeapBytes) so the
+//     perf artifact tracks memory alongside wall-clock; run with
+//     -benchmem for the allocator's own view;
 //   - the n=256 speedup row runs baseline and sparse back to back and
 //     reports the wall-clock ratio as "speedup".
 //
@@ -43,10 +42,12 @@ import (
 // skip-dominated tail, while keeping each row to seconds.
 const sparseBudget = int64(1_000_000_000)
 
-func runLineBudget(b *testing.B, n int, engine core.Engine, seed uint64, maxSteps int64) core.Result {
+// runLineBudget runs Simple-Global-Line for at most maxSteps steps, on
+// ws when it is non-nil.
+func runLineBudget(b *testing.B, n int, engine core.Engine, seed uint64, maxSteps int64, ws *core.Workspace) core.Result {
 	b.Helper()
 	c := protocols.SimpleGlobalLine()
-	res, err := core.Run(c.Proto, n, core.Options{Seed: seed, Engine: engine, Detector: c.Detector, MaxSteps: maxSteps})
+	res, err := core.Run(c.Proto, n, core.Options{Seed: seed, Engine: engine, Detector: c.Detector, MaxSteps: maxSteps, Workspace: ws})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,22 +55,26 @@ func runLineBudget(b *testing.B, n int, engine core.Engine, seed uint64, maxStep
 }
 
 // runLine runs to convergence under the default budget and asserts it.
-func runLine(b *testing.B, n int, engine core.Engine, seed uint64) core.Result {
+func runLine(b *testing.B, n int, engine core.Engine, seed uint64, ws *core.Workspace) core.Result {
 	b.Helper()
-	res := runLineBudget(b, n, engine, seed, 0)
+	res := runLineBudget(b, n, engine, seed, 0, ws)
 	if !res.Converged {
 		b.Fatalf("n=%d engine=%s seed=%d did not converge", n, engine, seed)
 	}
 	return res
 }
 
-// heapAllocNow returns the live heap size without forcing a collection
-// — read right after a run it approximates the run's peak footprint
-// (the engines allocate their structures up front and produce little
-// garbage).
-func heapAllocNow() float64 {
+// liveHeapBytes collects garbage and returns the heap still in use
+// while ws, the workspace a run just finished on, stays reachable: the
+// run's resident configuration plus census index. A HeapAlloc read
+// without the collection would also count whatever garbage the
+// collector had not yet reclaimed, and would vary from sample to
+// sample on the same code.
+func liveHeapBytes(ws *core.Workspace) float64 {
+	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
+	runtime.KeepAlive(ws)
 	return float64(m.HeapAlloc)
 }
 
@@ -91,29 +96,29 @@ func BenchmarkSparseVsBaseline(b *testing.B) {
 			engine := engine
 			b.Run(fmt.Sprintf("Simple-Global-Line/n=%d/engine=%s", tc.n, engine), func(b *testing.B) {
 				var steps, effective int64
-				var peakHeap float64
+				var liveHeap float64
 				for i := 0; i < b.N; i++ {
-					// Collect other rows' (and iterations') garbage
-					// outside the timer so peak-heap-bytes reflects this
-					// run's footprint, not GC timing.
+					// Collect other rows' (and iterations') garbage and
+					// measure the trial's live heap outside the timer.
 					b.StopTimer()
 					runtime.GC()
+					ws := core.NewWorkspace()
 					b.StartTimer()
 					var res core.Result
 					if tc.maxSteps == 0 {
-						res = runLine(b, tc.n, engine, uint64(i)+1)
+						res = runLine(b, tc.n, engine, uint64(i)+1, ws)
 					} else {
-						res = runLineBudget(b, tc.n, engine, uint64(i)+1, tc.maxSteps)
+						res = runLineBudget(b, tc.n, engine, uint64(i)+1, tc.maxSteps, ws)
 					}
+					b.StopTimer()
+					liveHeap = max(liveHeap, liveHeapBytes(ws))
+					b.StartTimer()
 					steps += res.Steps
 					effective += res.EffectiveSteps
-					if h := heapAllocNow(); h > peakHeap {
-						peakHeap = h
-					}
 				}
 				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 				b.ReportMetric(float64(effective)/float64(b.N), "effective/op")
-				b.ReportMetric(peakHeap, "peak-heap-bytes")
+				b.ReportMetric(liveHeap, "live-heap-bytes")
 			})
 		}
 	}
@@ -123,10 +128,10 @@ func BenchmarkSparseVsBaseline(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			seed := uint64(i) + 1
 			start := time.Now()
-			runLine(b, 256, core.EngineBaseline, seed)
+			runLine(b, 256, core.EngineBaseline, seed, nil)
 			baseline += time.Since(start)
 			start = time.Now()
-			runLine(b, 256, core.EngineSparse, seed)
+			runLine(b, 256, core.EngineSparse, seed, nil)
 			sparse += time.Since(start)
 		}
 		if sparse > 0 {

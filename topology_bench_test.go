@@ -18,7 +18,7 @@ package netcons_test
 //     (p = 8/(n−1), r = √(8/(π(n−1)))), realized outside the timer, so
 //     the rows price the restricted scheduler/index paths themselves;
 //   - every row reports steps/op, effective/op, permitted pairs/op and
-//     peak-heap-bytes.
+//     live-heap-bytes (see liveHeapBytes).
 //
 // Run it with:
 //
@@ -54,7 +54,7 @@ func BenchmarkTopologyOverhead(b *testing.B) {
 			b.Run(fmt.Sprintf("Cycle-Cover/n=%d/topology=%s", n, tc.label), func(b *testing.B) {
 				c := protocols.CycleCover()
 				var steps, effective, pairs int64
-				var peakHeap float64
+				var liveHeap float64
 				for i := 0; i < b.N; i++ {
 					// Realize the per-iteration topology instance and collect
 					// prior garbage outside the timer: the rows price the
@@ -65,14 +65,19 @@ func BenchmarkTopologyOverhead(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					ws := core.NewWorkspace()
 					b.StartTimer()
 					res, err := core.Run(c.Proto, n, core.Options{
 						Seed: uint64(i) + 1, Engine: core.EngineSparse,
 						Detector: core.QuiescenceDetector(), Topology: topo,
+						Workspace: ws,
 					})
 					if err != nil {
 						b.Fatal(err)
 					}
+					b.StopTimer()
+					liveHeap = max(liveHeap, liveHeapBytes(ws))
+					b.StartTimer()
 					if !res.Converged {
 						b.Fatalf("n=%d topology=%s seed=%d did not converge", n, tc.label, uint64(i)+1)
 					}
@@ -83,14 +88,11 @@ func BenchmarkTopologyOverhead(b *testing.B) {
 					} else {
 						pairs += int64(n) * int64(n-1) / 2
 					}
-					if h := heapAllocNow(); h > peakHeap {
-						peakHeap = h
-					}
 				}
 				b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 				b.ReportMetric(float64(effective)/float64(b.N), "effective/op")
 				b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
-				b.ReportMetric(peakHeap, "peak-heap-bytes")
+				b.ReportMetric(liveHeap, "live-heap-bytes")
 			})
 		}
 	}
