@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -414,4 +415,54 @@ func TestCheckpointGolden(t *testing.T) {
 	if rh != hdr || len(done) != 1 || !reflect.DeepEqual(done[0], sr) {
 		t.Fatalf("golden round trip diverged: %+v / %+v", rh, done)
 	}
+}
+
+// FuzzReadCheckpoint writes arbitrary bytes as a checkpoint file and
+// resumes from it: loadResume, and the ReadCheckpoint under it, must
+// return shards or an error, never panic. The plan is the golden checkpoint's campaign
+// (one cycle-cover point of four trials in two-trial shards), so
+// well-formed records get as far as validateShardResult.
+func FuzzReadCheckpoint(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(golden), "\n")
+	for _, seed := range []string{
+		string(golden),
+		lines[0],
+		lines[0] + lines[1][:len(lines[1])/2],
+		lines[0] + lines[1] + lines[1],
+		strings.Replace(string(golden), `"shard":1`, `"shard":-1`, 1),
+		strings.Replace(string(golden), `"point":0`, `"point":9`, 1),
+		strings.Replace(string(golden), `"trials":2`, `"trials":3`, 1),
+		"",
+		"not json\n",
+		"{}\n{}\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	var hdr CheckpointHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
+		f.Fatal(err)
+	}
+	points := []Point{{Protocol: "cycle-cover", N: 16, Trials: 4, BaseSeed: 1}}
+	shards := planShards(points, hdr.ShardTrials)
+	// One file per fuzzing process, overwritten by each input: inputs
+	// run one at a time within a process.
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := loadResume(path, hdr, shards, points)
+		if err != nil {
+			return
+		}
+		for idx, sr := range resumed {
+			if sr.Shard != shards[idx] {
+				t.Fatalf("resumed shard %d is %+v, want %+v", idx, sr.Shard, shards[idx])
+			}
+		}
+	})
 }

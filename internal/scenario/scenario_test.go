@@ -209,3 +209,37 @@ func TestValidateRejects(t *testing.T) {
 		t.Fatalf("nil plan rejected: %v", err)
 	}
 }
+
+// FuzzParsePlan drives the -faults flag syntax, outside input from
+// spec files and CLIs: a plan that parses must re-parse from its
+// String() to the same string.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"crash@500x2, edge@0.001, reset@1000",
+		"crash@400,crash@800",
+		"reset@0.0005,edge@0.001x2",
+		"crash@20000,edge@40000x4",
+		"edge@1e-3x+2",
+		"reset@+7,,crash@1",
+		"crash@0",
+		"edge@1.5",
+		"crash@5xtwo",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		out := plan.String()
+		again, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) rendered %q, which does not re-parse: %v", s, out, err)
+		}
+		if got := again.String(); got != out {
+			t.Fatalf("ParsePlan(%q) rendered %q, which re-parses to %q", s, out, got)
+		}
+	})
+}
