@@ -155,9 +155,9 @@ type batchIndex struct {
 	// campaign trials stay allocation-free.
 	wpath walkPath
 
+	// Sampling-effort telemetry, zeroed per reset (i.e. per run):
 	// rejections counts candidate non-edge draws discarded for hitting
-	// an active edge — sampling-effort telemetry, zeroed per reset
-	// (i.e. per run).
+	// an active edge.
 	rejections int64
 }
 
@@ -581,23 +581,9 @@ func (bi *batchIndex) movePairsOf(u int, from, to State, skip int) {
 // counts and edge buckets, folding deltas into the totals and bumping
 // gen iff some cached value actually changed. Idempotent.
 func (bi *batchIndex) reweigh(id int) {
-	a, b := bi.classStates(id)
 	mask := bi.effMask[id]
-	var pairs int64
-	switch {
-	case bi.topo != nil:
-		// Restricted topology: the population product over-counts pairs
-		// the scheduler can never draw, so the permitted-pair census is
-		// the class's pair count instead.
-		pairs = bi.pairCnt[id]
-	case a == b:
-		k := int64(bi.cfg.counts[a])
-		pairs = k * (k - 1) / 2
-	default:
-		pairs = int64(bi.cfg.counts[a]) * int64(bi.cfg.counts[b])
-	}
 	act := bi.edgeCount[id]
-	non := pairs - act
+	non := bi.classPairs(id) - act
 	var w0, w1, we0, we1 int64
 	if mask&effNonEdge != 0 {
 		w0 = non
@@ -617,6 +603,23 @@ func (bi *batchIndex) reweigh(id int) {
 		bi.w[2*id], bi.w[2*id+1] = w0, w1
 		bi.edgeEnabled += we0 + we1 - bi.we[2*id] - bi.we[2*id+1]
 		bi.we[2*id], bi.we[2*id+1] = we0, we1
+	}
+}
+
+// classPairs returns the number of pairs in class id the scheduler can
+// draw: the population product, or under a restricted topology —
+// where that product over-counts pairs the scheduler can never draw —
+// the permitted-pair census.
+func (bi *batchIndex) classPairs(id int) int64 {
+	a, b := bi.classStates(id)
+	switch {
+	case bi.topo != nil:
+		return bi.pairCnt[id]
+	case a == b:
+		k := int64(bi.cfg.counts[a])
+		return k * (k - 1) / 2
+	default:
+		return int64(bi.cfg.counts[a]) * int64(bi.cfg.counts[b])
 	}
 }
 
@@ -986,18 +989,10 @@ func (bi *batchIndex) sampleNonEdge(id int, rng *RNG) (int, int) {
 	la, lb := bi.byState[a], bi.byState[b]
 	topo, diag := bi.topo != nil, a == b
 	var list []uint64
-	var pairs int64
-	switch {
-	case topo:
+	if topo {
 		list = bi.pairList[id]
-		pairs = int64(len(list))
-	case diag:
-		k := int64(len(la))
-		pairs = k * (k - 1) / 2
-	default:
-		pairs = int64(len(la)) * int64(len(lb))
 	}
-	for tries := 64 * pairs; tries > 0; tries-- {
+	for tries := 64 * bi.classPairs(id); tries > 0; tries-- {
 		var u, v int
 		switch {
 		case topo:
