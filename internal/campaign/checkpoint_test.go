@@ -419,9 +419,10 @@ func TestCheckpointGolden(t *testing.T) {
 
 // FuzzReadCheckpoint writes arbitrary bytes as a checkpoint file and
 // resumes from it: loadResume, and the ReadCheckpoint under it, must
-// return shards or an error, never panic. The plan is the golden checkpoint's campaign
-// (one cycle-cover point of four trials in two-trial shards), so
-// well-formed records get as far as validateShardResult.
+// return shards or an error, never panic. The plan is the golden
+// checkpoint's campaign (one cycle-cover point of four trials in
+// two-trial shards), so well-formed records get as far as
+// validateShardResult.
 func FuzzReadCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
 	if err != nil {
