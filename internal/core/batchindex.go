@@ -33,8 +33,7 @@ const maxSparseNodes = 1 << 20
 // uniformly random enabled pair — a class is drawn proportionally to
 // its weight, then within the class an active edge is an O(1) list
 // draw and a non-edge is drawn by rejection from the per-state node
-// lists (an exact counted walk takes over only when active edges
-// saturate a class). Nothing scales with n².
+// lists (see sampleNonEdge). Nothing scales with n².
 //
 // The bookkeeping is shaped by what the engines read:
 //
@@ -78,7 +77,7 @@ const maxSparseNodes = 1 << 20
 // permitted-pair list by rejection against the active edges (active ⊆
 // permitted — an invariant Run enforces on the initial configuration
 // and interactions preserve). Only indexedLoop with swap runs off ever
-// sees a topology (runIndexed turns runs off under one), and every
+// sees a topology (Run turns runs off under one), and every
 // topology branch sits behind a nil check outside the swap kernel.
 //
 // The index is bound to the Config it was built from and must be
@@ -790,6 +789,27 @@ func (bi *batchIndex) applySwap(u, v int, beforeU, beforeV State) {
 	// The {u, v} edge's own class is the unordered pair {beforeU,
 	// beforeV}, unchanged by the swap.
 	bi.flushDirty()
+}
+
+// swapLanding lands on a uniform active edge of deterministic-swap
+// class id: the two endpoint states are exchanged in place and the
+// index patched by applySwapFast, or by the generic applySwap where the
+// census-invariant surgery does not apply. A swap is
+// orientation-symmetric and its compiled entry consumes no coins, so
+// this is the law of Config.Apply on that class with the rule lookup,
+// the orientation coin and the edge-store reads removed. It returns the
+// pair and its pre-swap states.
+func (bi *batchIndex) swapLanding(id int, rng *RNG) (u, v int, beforeU, beforeV State) {
+	list := bi.edgeList[id]
+	key := list[rng.IntN(len(list))]
+	u, v = int(key>>32), int(key&0xffffffff)
+	nodes := bi.cfg.nodes
+	beforeU, beforeV = nodes[u], nodes[v]
+	nodes[u], nodes[v] = beforeV, beforeU
+	if !bi.applySwapFast(u, v, beforeU, beforeV) {
+		bi.applySwap(u, v, beforeU, beforeV)
+	}
+	return u, v, beforeU, beforeV
 }
 
 // applySwapFast applies the census-invariant interior-swap surgery:

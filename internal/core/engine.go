@@ -169,13 +169,14 @@ type Options struct {
 	// (no pair ever interacts). Injectors are stateful; supply a fresh
 	// one per run.
 	Injector Injector
-	// Workspace, when non-nil, supplies reusable run state — the
-	// configuration, the engine index, and the RNG are reset in place
-	// instead of freshly allocated, making steady-state repeated runs
-	// allocation-free without changing any result bit (see Workspace).
-	// Nil keeps the fresh-allocation behavior. With a workspace,
-	// Result.Final is borrowed: it is valid only until the workspace's
-	// next run, and callers who retain it must Clone it.
+	// Workspace holds the run's state — the configuration, the census
+	// index and the RNG — which Run rebuilds in place, so repeated runs
+	// on one workspace allocate nothing in the steady state. Nil runs on
+	// a new workspace of the run's own, whose first build allocates
+	// what the run needs. Every result bit is the same either way (see
+	// Workspace). With a caller's workspace, Result.Final is borrowed:
+	// it is valid only until the workspace's next run, and callers who
+	// retain it must Clone it.
 	Workspace *Workspace
 }
 
@@ -202,8 +203,7 @@ type Result struct {
 	Engine Engine
 	// Metrics is the run's engine telemetry: wall time plus the
 	// landing/skip/detector/sampling/fault counters. Every field except
-	// WallNS (and the workspace-dependent setup counters) is
-	// deterministic in the run parameters.
+	// WallNS is deterministic in the run parameters.
 	Metrics Metrics
 	// Final is the final configuration. Runs with Options.Workspace set
 	// borrow it from the workspace: it is valid until the workspace's
@@ -287,19 +287,11 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 			return Result{}, fmt.Errorf("core: initial configuration has %d nodes, want %d", opts.Initial.N(), n)
 		}
 	}
-	var wsResets int64
-	if opts.Workspace != nil {
-		wsResets = opts.Workspace.resets
+	ws := opts.Workspace
+	if ws == nil {
+		ws = new(Workspace)
 	}
-	var cfg *Config
-	switch {
-	case opts.Workspace != nil:
-		cfg = opts.Workspace.config(p, n, opts.Initial)
-	case opts.Initial != nil:
-		cfg = opts.Initial.Clone()
-	default:
-		cfg = NewConfig(p, n)
-	}
+	cfg := ws.config(p, n, opts.Initial)
 
 	sched := opts.Scheduler
 	if sched == nil {
@@ -379,16 +371,12 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 		interval = DefaultCheckInterval(n)
 	}
 
-	var rng *RNG
-	if opts.Workspace != nil {
-		rng = opts.Workspace.rngFor(opts.Seed)
-	} else {
-		rng = NewRNG(opts.Seed)
-	}
+	rng := ws.rngFor(opts.Seed)
 
 	// The run envelope: one EventRunStart before the first draw (Cfg is
 	// the initial configuration), one EventRunEnd after the last (Cfg is
-	// the final one). ev is the scratch record reused for both.
+	// the final one). ev is the run's one scratch record, reused by every
+	// event in between.
 	var ev *Event
 	if opts.Events != nil {
 		ev = &Event{Kind: EventRunStart, Protocol: p.Name(), N: n,
@@ -399,20 +387,46 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 	var res Result
 	if n == 1 {
 		// No pairs exist to ever interact.
-		res = Result{Final: cfg, Engine: engine, Converged: det.Stable(cfg)}
+		res = Result{Final: cfg, Converged: det.Stable(cfg)}
 		res.Metrics.DetectorChecks = 1
 		emitDetect(opts.Events, ev, 0, res.Converged, cfg)
 	} else {
-		switch engine {
-		case EngineSparse, EngineBatch:
-			res = runIndexed(p, cfg, det, opts, maxSteps, interval, rng, engine)
-		default:
-			res = runBaseline(p, cfg, det, opts, sched, maxSteps, interval, rng)
+		var ix *batchIndex
+		if engine != EngineBaseline {
+			ix = ws.batchIndex(cfg)
+		}
+		var mut *Mutator
+		if opts.Injector != nil {
+			mut = &Mutator{cfg: cfg, ix: ix, events: opts.Events, ev: ev}
+		}
+		if ix == nil {
+			res = baselineLoop(p, cfg, det, opts, sched, maxSteps, interval, rng, mut, ev)
+			// Every baseline draw is simulated.
+			res.Metrics.Landings = res.Steps
+		} else {
+			// Swap runs are decided once per run: on for EngineBatch
+			// unless an event sink or fault injector is attached (those
+			// consumers observe individual landings, which the run tiers
+			// do not reproduce draw for draw), a restricted topology is
+			// set (the run tiers' law tests cover the complete graph
+			// only), or the protocol has no census-preserving outcome
+			// (Protocol.Batchable — such runs never freeze the census, so
+			// exact stepping costs nothing). With runs off the loop steps
+			// every landing exactly, so batch's exact route is
+			// bit-identical to EngineSparse and counts every landing as
+			// exact-stepped.
+			runs := engine == EngineBatch && opts.Events == nil && opts.Injector == nil && opts.Topology == nil && p.Batchable()
+			res = indexedLoop(p, cfg, det, opts, maxSteps, interval, rng, ix, runs, mut, ev)
+			if engine == EngineBatch && !runs {
+				res.Metrics.ExactFallbackLandings = res.Metrics.Landings
+			}
+			res.Metrics.SampleRejections = ix.rejections
+		}
+		if mut != nil {
+			mut.fold(&res.Metrics)
 		}
 	}
-	if opts.Workspace != nil {
-		res.Metrics.WorkspaceResets = opts.Workspace.resets - wsResets
-	}
+	res.Engine = engine
 	res.Metrics.WallNS = time.Since(start).Nanoseconds()
 	if opts.Events != nil {
 		*ev = Event{Kind: EventRunEnd, Step: res.Steps, Converged: res.Converged,
@@ -425,7 +439,7 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 }
 
 // recordEffective folds one effective step into the run metrics and
-// emits it to the event sink. runBaseline and runIndexed share it so
+// emits it to the event sink. baselineLoop and indexedLoop share it so
 // neither the output-change rule nor the step-event payload can drift
 // between the engines.
 func recordEffective(res *Result, p *Protocol, cfg *Config, events EventSink, ev *Event, step int64, u, v int, beforeU, beforeV State, edgeChanged bool) {
@@ -456,31 +470,11 @@ func recordEffective(res *Result, p *Protocol, cfg *Config, events EventSink, ev
 	}
 }
 
-// runBaseline simulates every scheduler draw individually. It is the
+// baselineLoop simulates every scheduler draw individually. It is the
 // reference implementation the indexed engines are measured against, and
-// the only path that supports non-uniform schedulers. It wraps
-// baselineLoop to fold the mutator's fault tallies and the
-// Landings = Steps identity (every baseline draw is simulated) into
-// the metrics once, at the single exit.
-func runBaseline(p *Protocol, cfg *Config, det Detector, opts Options, sched Scheduler, maxSteps, interval int64, rng *RNG) Result {
-	var ev *Event
-	if opts.Events != nil {
-		ev = new(Event)
-	}
-	var mut *Mutator
-	if opts.Injector != nil {
-		mut = &Mutator{cfg: cfg, events: opts.Events, ev: ev}
-	}
-	res := baselineLoop(p, cfg, det, opts, sched, maxSteps, interval, rng, mut, ev)
-	res.Metrics.Landings = res.Steps
-	if mut != nil {
-		mut.fold(&res.Metrics)
-	}
-	return res
-}
-
+// the only path that supports non-uniform schedulers.
 func baselineLoop(p *Protocol, cfg *Config, det Detector, opts Options, sched Scheduler, maxSteps, interval int64, rng *RNG, mut *Mutator, ev *Event) Result {
-	res := Result{Final: cfg, Engine: EngineBaseline}
+	res := Result{Final: cfg}
 
 	// Already stable before any step. The indexed paths perform this
 	// check themselves, through their O(1) gates.

@@ -116,49 +116,6 @@ const collapseMin = 8
 // O(kernelPass) on an all-safe cycle, where walkChunk imposes none.
 const kernelPass = 1 << 16
 
-// runIndexed is the engine behind EngineSparse and EngineBatch: one
-// indexedLoop over the census index (O(n + m + |Q|²) memory,
-// O(deg + |Q|) update per effective step, O(1) expected sampling),
-// with swap runs on or off. It decides that once per run: runs are on
-// for EngineBatch unless an EventSink or fault Injector is attached
-// (those consumers observe individual landings, which the run tiers do
-// not reproduce draw for draw), a restricted topology is set (the run
-// tiers' law tests cover the complete graph only), or the protocol has
-// no census-preserving outcome (Protocol.Batchable — such runs never
-// freeze the census, so exact stepping costs nothing). With runs off
-// the loop steps every landing exactly, so batch's exact route is
-// bit-identical to EngineSparse; Result.Engine still reports
-// EngineBatch and Metrics.ExactFallbackLandings counts every landing
-// as exact-stepped.
-//
-// The caller (Run) has already resolved defaults and cloned the
-// initial configuration. runIndexed folds the mutator's fault tallies
-// and the index's sampling effort into the metrics once, at the single
-// exit.
-func runIndexed(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, engine Engine) Result {
-	runs := engine == EngineBatch && opts.Events == nil && opts.Injector == nil && opts.Topology == nil && p.Batchable()
-	ix := opts.Workspace.batchIndex(cfg)
-	var ev *Event
-	if opts.Events != nil {
-		ev = new(Event)
-	}
-	var mut *Mutator
-	if opts.Injector != nil {
-		mut = &Mutator{cfg: cfg, ix: ix, events: opts.Events, ev: ev}
-	}
-	res := indexedLoop(p, cfg, det, opts, maxSteps, interval, rng, ix, runs, mut, ev)
-	res.Engine = engine
-	res.Metrics.IndexBuilds = 1
-	if engine == EngineBatch && !runs {
-		res.Metrics.ExactFallbackLandings = res.Metrics.Landings
-	}
-	if mut != nil {
-		mut.fold(&res.Metrics)
-	}
-	res.Metrics.SampleRejections = ix.rejections
-	return res
-}
-
 // skipRange folds the geometrically skipped draws at positions
 // from+1 … to into the metrics and emits them as one skip-batch event
 // (no-op when the range is empty). Every position a skip batch covers
@@ -197,16 +154,16 @@ func skipRange(res *Result, events EventSink, ev *Event, from, to int64) {
 // pre-loop already-stable check, so an indexed run never pays an O(n²)
 // scan at all.
 //
-// With runs on (see runIndexed) two things change. Inside a
+// With runs on (Run decides once per run) two things change. Inside a
 // census-frozen stretch (the last landing left every sub-bucket weight
 // unchanged) the run of consecutive landings on the heaviest
 // deterministic-swap cell is revealed by one geometric draw and
 // consumed by the collapse or the run kernel below. And any landing on
-// a deterministic-swap edge class skips the rule lookup, the orientation
-// coin and the edge-store reads: the two endpoint states are exchanged
-// in place and the index patched by applySwap (a swap is
-// orientation-symmetric and its compiled entry consumes no coins, so
-// the kernel is the law of Config.Apply with the arithmetic removed).
+// a deterministic-swap edge class, in the kernel or not, goes through
+// batchIndex.swapLanding, which skips the rule lookup, the orientation
+// coin and the edge-store reads (a swap is orientation-symmetric and
+// its compiled entry consumes no coins, so this is the law of
+// Config.Apply with the arithmetic removed).
 // Runs-on makes no bit-identity promise against runs-off, only the
 // exact law: every draw is an exact-distribution transformation of the
 // uniform-scheduler process.
@@ -361,6 +318,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 					if fm := float64(ix.enabled); fm < total {
 						span += rng.NegBinomial(chunk, fm/total)
 					}
+					landed := chunk
 					if rem := maxSteps - step; span > rem {
 						// The step budget ends inside the run. The
 						// span's draw sequence ends with its chunk-th
@@ -368,29 +326,21 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 						// other chunk−1 landings are uniform among the
 						// first span−1 draws, so the landings that fit
 						// the budget are hypergeometric. Displace by
-						// exactly those and the run is over.
-						k := rng.Hypergeometric(rem, chunk-1, span-1)
-						ix.collapseMove(rng.WalkDisplacement(k, 0))
-						res.EffectiveSteps += k
-						res.Metrics.CollapsedLandings += k
-						res.Metrics.SkippedSteps += rem - k
-						if rem > k {
-							res.Metrics.SkipBatches++
-						}
-						res.Metrics.FastForwardEpochs++
-						res.Steps = maxSteps
-						return res
+						// exactly those; the loop then ends at the
+						// budget.
+						landed = rng.Hypergeometric(rem, chunk-1, span-1)
+						span = rem
 					}
-					ix.collapseMove(rng.WalkDisplacement(chunk, 0))
+					ix.collapseMove(rng.WalkDisplacement(landed, 0))
 					step += span
-					res.EffectiveSteps += chunk
-					res.Metrics.CollapsedLandings += chunk
-					res.Metrics.SkippedSteps += span - chunk
-					if span > chunk {
+					res.EffectiveSteps += landed
+					res.Metrics.CollapsedLandings += landed
+					res.Metrics.SkippedSteps += span - landed
+					if span > landed {
 						res.Metrics.SkipBatches++
 					}
 					res.Metrics.FastForwardEpochs++
-					runLeft -= chunk
+					runLeft -= landed
 					breakerPending = runLeft == 0 && breakerAfter
 					continue
 				}
@@ -408,10 +358,11 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			// simulate them in a tight loop — real per-landing gap,
 			// edge and swap draws, identical in law to the outer path,
 			// minus the per-landing cell and detector bookkeeping. A
-			// landing that leaves the uniform interior (applySwapFast
-			// declines) runs the generic index update; if that moves
-			// the census the run ends right there — a stopping time of
-			// the landing sequence, exactly as on the outer path.
+			// landing that leaves the uniform interior runs the generic
+			// index update; if that moves the census the run ends right
+			// there — a stopping time of the landing sequence, exactly
+			// as on the outer path. A pass that reaches the budget ends
+			// the loop.
 			id := int(runCell >> 1)
 			drawGaps := float64(ix.enabled) < total
 			if drawGaps && ix.enabled != memoM {
@@ -421,10 +372,8 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			// Metrics are accumulated in locals and flushed once after
 			// the loop: the per-landing cost is the two RNG draws and
 			// the swap surgery itself.
-			nodes := cfg.nodes
-			list := ix.edgeList[id]
 			var done, skipped, batches int64
-			truncated, budgetOut := false, false
+			truncated := false
 			for done < limit {
 				if drawGaps {
 					skip := rng.GeometricExp(memoInv)
@@ -434,7 +383,6 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 							batches++
 						}
 						step = maxSteps
-						budgetOut = true
 						break
 					}
 					skipped += skip
@@ -444,28 +392,16 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 					step += skip + 1
 				} else {
 					if step >= maxSteps {
-						budgetOut = true
 						break
 					}
 					step++
 				}
 				done++
-				key := list[rng.IntN(len(list))]
-				u, v := int(key>>32), int(key&0xffffffff)
-				beforeU, beforeV := nodes[u], nodes[v]
-				nodes[u], nodes[v] = beforeV, beforeU
-				if !ix.applySwapFast(u, v, beforeU, beforeV) {
-					genBefore := ix.gen
-					ix.applySwap(u, v, beforeU, beforeV)
-					if ix.gen != genBefore {
-						truncated = true
-						break
-					}
-					// A generic applySwap that kept the census frozen
-					// may still have rewritten the cell's list in
-					// place; its length is pinned while gen is frozen,
-					// but reload the header to be safe.
-					list = ix.edgeList[id]
+				genBefore := ix.gen
+				ix.swapLanding(id, rng)
+				if ix.gen != genBefore {
+					truncated = true
+					break
 				}
 			}
 			ix.relocateWalker(runCell, done)
@@ -475,10 +411,6 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			res.Metrics.SkipBatches += batches
 			res.EffectiveSteps += done
 			runLeft -= done
-			if budgetOut {
-				res.Steps = maxSteps
-				return res
-			}
 			if truncated {
 				runLeft = 0
 				frozen = false
@@ -509,48 +441,38 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			}
 		}
 
-		// A pending event before the landing interrupts the skip: the
-		// configuration is frozen up to the event step, so interval
-		// detection on that stretch matches the baseline, and redrawing
-		// the skip from the post-event enabled count is law-preserving
-		// because the geometric distribution is memoryless. Events at or
-		// beyond the budget never fire, exactly as on the baseline.
-		if nextFault > 0 && nextFault < land && nextFault < maxSteps {
-			if det.Trigger == TriggerInterval {
-				if s := nextCheck(step, interval); s <= nextFault && stable(s) {
-					skipRange(&res, events, ev, step, s)
-					res.Converged = true
-					res.Steps = s
-					return res
-				}
-			}
-			skipRange(&res, events, ev, step, nextFault)
-			step = nextFault
-			continue
+		// The configuration is frozen from step to the landing, or to a
+		// pending event before it: the event interrupts the skip, and
+		// redrawing the skip from the post-event enabled count is
+		// law-preserving because the geometric distribution is
+		// memoryless. Events at or beyond the budget never fire, exactly
+		// as on the baseline.
+		cut := nextFault > 0 && nextFault < land && nextFault < maxSteps
+		until := min(maxSteps, land-1)
+		if cut {
+			until = nextFault
 		}
-
-		// Between step and the landing the configuration is frozen: an
-		// interval detector whose predicate holds now fires at the next
-		// check point, exactly as the baseline would. The cheap
-		// check-point guard runs first so an ungated (possibly O(n²))
-		// predicate is only evaluated when a grid point actually
-		// precedes the landing — dense phases never pay for it.
+		// An interval detector whose predicate holds on the frozen
+		// stretch fires at its next check point, exactly as the baseline
+		// would. The cheap check-point guard runs first so an ungated
+		// (possibly O(n²)) predicate is only evaluated when a grid point
+		// falls inside the stretch — dense phases never pay for it.
 		if det.Trigger == TriggerInterval {
-			if s := nextCheck(step, interval); s <= maxSteps && s < land && stable(s) {
+			if s := nextCheck(step, interval); s <= until && stable(s) {
 				skipRange(&res, events, ev, step, s)
 				res.Converged = true
 				res.Steps = s
 				return res
 			}
 		}
-		if land > maxSteps {
-			skipRange(&res, events, ev, step, maxSteps)
-			res.Steps = maxSteps
-			return res
+		skipRange(&res, events, ev, step, until)
+		step = until
+		if cut || land > maxSteps {
+			// Fire the event at the loop head, or end at the budget.
+			continue
 		}
 
-		skipRange(&res, events, ev, step, land-1)
-		step = land
+		step++
 		res.Metrics.Landings++
 		if frozen {
 			res.Metrics.BucketDraws++
@@ -565,26 +487,20 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		// hold active edges only, non-edge cells none.
 		edge := cell&1 == 1
 		var effective, edgeChanged bool
-		u, v, kernel := 0, 0, false
+		var u, v int
+		var beforeU, beforeV State
 		if id := int(cell >> 1); runs && edge && ix.swapCell[id] {
-			list := ix.edgeList[id]
-			key := list[rng.IntN(len(list))]
-			u, v, kernel = int(key>>32), int(key&0xffffffff), true
+			u, v, beforeU, beforeV = ix.swapLanding(id, rng)
+			effective = true
 		} else {
 			u, v = ix.sampleMember(cell, rng)
-		}
-		beforeU, beforeV := cfg.nodes[u], cfg.nodes[v]
-		// An enabled pair can still take an ineffective probabilistic
-		// branch; that matches the baseline, which also counts such
-		// steps as ineffective.
-		if kernel {
-			cfg.nodes[u], cfg.nodes[v] = beforeV, beforeU
-			if !ix.applySwapFast(u, v, beforeU, beforeV) {
-				ix.applySwap(u, v, beforeU, beforeV)
+			beforeU, beforeV = cfg.nodes[u], cfg.nodes[v]
+			// An enabled pair can still take an ineffective probabilistic
+			// branch; that matches the baseline, which also counts such
+			// steps as ineffective.
+			if effective, edgeChanged = cfg.apply(u, v, edge, rng); effective {
+				ix.update(u, v, beforeU, beforeV, edge, edgeChanged)
 			}
-			effective = true
-		} else if effective, edgeChanged = cfg.apply(u, v, edge, rng); effective {
-			ix.update(u, v, beforeU, beforeV, edge, edgeChanged)
 		}
 		if effective {
 			recordEffective(&res, p, cfg, events, ev, step, u, v, beforeU, beforeV, edgeChanged)

@@ -2,11 +2,10 @@ package core
 
 // Metrics is the per-run engine telemetry attached to every Result.
 // All fields except WallNS are deterministic in (protocol, n, seed,
-// scheduler, engine, faults) and independent of workspace reuse —
-// except the setup counters (IndexBuilds, WorkspaceResets), which by design describe how this particular run's
-// state was prepared. The counters are plain increments on paths the
-// engines already execute, so maintaining them costs no extra branches
-// in the hot loops and nothing scales with n.
+// scheduler, engine, faults) and independent of workspace reuse. The
+// counters are plain increments on paths the engines already execute,
+// so maintaining them costs no extra branches in the hot loops and
+// nothing scales with n.
 type Metrics struct {
 	// WallNS is the run's wall-clock time in nanoseconds — the one
 	// nondeterministic field.
@@ -26,11 +25,6 @@ type Metrics struct {
 	// DetectorChecks counts evaluations of the stability predicate
 	// (including O(1) gate evaluations on the indexed paths).
 	DetectorChecks int64 `json:"detector_checks,omitempty"`
-
-	// IndexBuilds counts the O(n + m + |Q|²) state-class census builds
-	// this run paid (fresh or in place in a workspace). Baseline runs
-	// carry no index and report zero.
-	IndexBuilds int64 `json:"index_builds,omitempty"`
 
 	// SampleRejections counts rejected candidate draws in the sparse
 	// engine's class-internal rejection sampling. Zero on the baseline
@@ -57,11 +51,6 @@ type Metrics struct {
 	// hypergeometric jump when the step budget ends inside a run.
 	CollapsedLandings int64 `json:"collapsed_landings,omitempty"`
 	FastForwardEpochs int64 `json:"fast_forward_epochs,omitempty"`
-
-	// WorkspaceResets counts the in-place component resets
-	// (configuration, index, RNG) the run's workspace performed instead
-	// of fresh allocations. Zero without Options.Workspace.
-	WorkspaceResets int64 `json:"workspace_resets,omitempty"`
 
 	// FaultFirings counts scenario fault firings reported through
 	// Mutator.Fired; FaultNodeWrites and FaultEdgeWrites count the

@@ -274,7 +274,7 @@ func (p *Protocol) Randomized() bool {
 // probabilistic rule (whose coin may select an identity or
 // census-preserving branch). The batch engine can only reveal swap
 // runs inside census-frozen stretches, and only batchable protocols
-// ever produce one — so runIndexed turns swap runs off for
+// ever produce one — so Run turns swap runs off for
 // non-batchable protocols and steps them exactly, which keeps them
 // bit-identical to the sparse engine by construction.
 func (p *Protocol) Batchable() bool {

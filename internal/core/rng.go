@@ -25,8 +25,8 @@ func NewRNG(seed uint64) *RNG {
 // Reseed resets the source to the exact state NewRNG(seed) would
 // produce, without allocating — the workspace path's per-run
 // reinitialization. A reseeded RNG emits the same stream as a fresh
-// one, which is what makes workspace-reused runs bit-identical to
-// fresh-allocation runs.
+// one, which is what makes runs on a reused workspace bit-identical to
+// runs on a new one.
 func (r *RNG) Reseed(seed uint64) {
 	r.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
 }

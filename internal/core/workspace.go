@@ -1,25 +1,25 @@
 package core
 
-// Workspace owns the reusable scratch state of repeated runs: the
-// configuration (node states plus adjacency rows), the state-class
-// census index, and the RNG. A campaign worker keeps one workspace for
-// its whole job stream and passes it through Options.Workspace; every
-// trial after the first then runs without per-trial allocation — the
-// backing arrays are reset in place instead of reallocated, which is
-// what lets campaign throughput stop scaling with setup cost (a fresh
-// trial otherwise churns the adjacency rows plus the index's per-node
-// arrays through the allocator).
+// Workspace owns the state every run executes on: the configuration
+// (node states plus adjacency rows), the state-class census index, and
+// the RNG. Run builds each piece on first use and rebuilds it in place
+// on every later run, so a campaign worker that keeps one workspace for
+// its whole job stream, passing it through Options.Workspace, runs
+// every trial after the first without per-trial allocation (a new
+// workspace would churn the adjacency rows plus the index's per-node
+// arrays through the allocator on every trial). A run with no
+// workspace gets a new one of its own.
 //
-// Reuse preserves determinism exactly: every reset path rebuilds the
-// same bytes a fresh build would produce (same scan orders, same RNG
-// stream after Reseed), so a workspace-reused run is bit-identical to
-// a fresh-allocation run with the same (protocol, n, seed, scheduler,
+// Reuse preserves determinism exactly: every in-place rebuild produces
+// the same bytes a first build would (same scan orders, same RNG
+// stream after Reseed), so a run on a reused workspace is bit-identical
+// to a run on a new one with the same (protocol, n, seed, scheduler,
 // engine) — pinned by TestWorkspaceBitIdentical.
 //
-// Ownership: Result.Final returned from a workspace-backed run points
-// into the workspace and is valid only until the workspace's next run
-// begins; callers that retain it across runs must Clone it first.
-// (Passing it back as the next run's Options.Initial on the same
+// Ownership: Result.Final returned from a run on a caller's workspace
+// points into the workspace and is valid only until the workspace's
+// next run begins; callers that retain it across runs must Clone it
+// first. (Passing it back as the next run's Options.Initial on the same
 // workspace is fine — the copy happens before the state is reused.)
 //
 // A Workspace is not safe for concurrent use: one per goroutine.
@@ -27,13 +27,6 @@ type Workspace struct {
 	cfg   *Config
 	batch *batchIndex
 	rng   *RNG
-
-	// resets counts the in-place component reuses (configuration
-	// reset/copy, RNG reseed, index reset) performed so far; Run reports
-	// the per-run delta as Result.Metrics.WorkspaceResets. A fresh build
-	// of a component does not count — the steady state of a campaign
-	// worker is three resets per trial and zero allocations.
-	resets int64
 }
 
 // NewWorkspace returns an empty workspace; every piece is built lazily
@@ -45,18 +38,16 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // configuration otherwise. The backing arrays are reused whenever the
 // population size matches the previous run's.
 func (ws *Workspace) config(p *Protocol, n int, initial *Config) *Config {
-	if ws.cfg == nil || ws.cfg.n != n {
+	switch {
+	case ws.cfg == nil || ws.cfg.n != n:
 		if initial != nil {
 			ws.cfg = initial.Clone()
 		} else {
 			ws.cfg = NewConfig(p, n)
 		}
-		return ws.cfg
-	}
-	ws.resets++
-	if initial != nil {
+	case initial != nil:
 		ws.cfg.copyFrom(initial)
-	} else {
+	default:
 		ws.cfg.resetDefault(p)
 	}
 	return ws.cfg
@@ -67,25 +58,19 @@ func (ws *Workspace) config(p *Protocol, n int, initial *Config) *Config {
 func (ws *Workspace) rngFor(seed uint64) *RNG {
 	if ws.rng == nil {
 		ws.rng = NewRNG(seed)
-		return ws.rng
+	} else {
+		ws.rng.Reseed(seed)
 	}
-	ws.resets++
-	ws.rng.Reseed(seed)
 	return ws.rng
 }
 
 // batchIndex returns the state-class census index the sparse and batch
-// engines run on, rebound to cfg: the workspace's, rebuilt in place,
-// or a fresh one when ws is nil. Either way the build is
-// O(n + m + |Q|²).
+// engines run on, built for cfg on first use and rebuilt in place
+// after that. Either way the build is O(n + m + |Q|²).
 func (ws *Workspace) batchIndex(cfg *Config) *batchIndex {
-	if ws == nil {
-		return newBatchIndex(cfg)
-	}
 	if ws.batch == nil {
 		ws.batch = newBatchIndex(cfg)
 	} else {
-		ws.resets++
 		ws.batch.reset(cfg)
 	}
 	return ws.batch

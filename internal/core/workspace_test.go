@@ -54,10 +54,10 @@ func dirtyWorkspace(t *testing.T, ws *Workspace) {
 
 // TestWorkspaceBitIdentical pins the workspace contract: a run through
 // a reused (and deliberately dirtied) workspace is bit-identical —
-// full Result plus final-configuration fingerprint — to a
-// fresh-allocation run with the same (protocol, n, seed, engine), on
-// every engine, for default and caller-supplied initial
-// configurations, and under an injected fault sequence.
+// full Result plus final-configuration fingerprint — to a run with no
+// workspace (on a new one of its own) with the same (protocol, n,
+// seed, engine), on every engine, for default and caller-supplied
+// initial configurations, and under an injected fault sequence.
 func TestWorkspaceBitIdentical(t *testing.T) {
 	t.Parallel()
 	epi, epiDet := epidemicProtocol()
