@@ -65,23 +65,19 @@ func BenchmarkCampaign(b *testing.B) {
 }
 
 // BenchmarkCampaignThroughput measures the zero-allocation trial
-// pipeline: the same sweep executed with per-worker reusable
-// workspaces (the default) and with Options.FreshAlloc (every trial
-// allocates and rebuilds its Θ(n²) index and edge store from scratch).
+// pipeline: the same trials run through core.Run with no workspace
+// (alloc=fresh: every trial allocates and builds its configuration,
+// census index and RNG from scratch) and through campaign.Execute,
+// whose worker reuses one workspace for every trial (alloc=workspace).
 // The workload is the setup-dominated regime the workspaces target —
 // many short trials of a large point, where the geometric-skip engines
 // make the simulation itself nearly free and per-trial setup is the
-// bill — so the ratio between the alloc=fresh and alloc=workspace rows
-// is the pipeline win. Aggregates are asserted bit-identical across
-// the two modes (the workspace contract). Run with -benchmem to see
-// the allocation collapse:
+// bill — so the ratio between the two rows is the pipeline win. The
+// per-trial values are asserted equal across the two modes (the
+// workspace contract). Run with -benchmem to see the allocation
+// collapse:
 //
 //	go test -bench BenchmarkCampaignThroughput -benchtime 3x -benchmem
-type campaignThroughputMode struct {
-	name  string
-	fresh bool
-}
-
 func BenchmarkCampaignThroughput(b *testing.B) {
 	const trials = 32
 	for _, n := range []int{512, 2048} {
@@ -103,25 +99,41 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 				Metric:             campaign.MetricEffectiveSteps,
 			}}
 		}
-		byMode := map[string][]campaign.Aggregate{}
-		for _, mode := range []campaignThroughputMode{{"fresh", true}, {"workspace", false}} {
-			mode := mode
-			b.Run(fmt.Sprintf("n=%d/alloc=%s", n, mode.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					out, err := campaign.Execute(context.Background(), points(), campaign.Options{
-						Workers:    1, // per-trial cost, undiluted by parallelism
-						FreshAlloc: mode.fresh,
-					})
+		var fresh, reused []float64
+		b.Run(fmt.Sprintf("n=%d/alloc=fresh", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pt := &points()[0]
+				values := make([]float64, trials)
+				for t := range values {
+					_, value, err := runTrialDirect(pt, t)
 					if err != nil {
 						b.Fatal(err)
 					}
-					byMode[mode.name] = out.Aggregates
+					values[t] = value
 				}
-				b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-			})
-		}
-		if f, w := byMode["fresh"], byMode["workspace"]; f != nil && w != nil && !reflect.DeepEqual(f, w) {
-			b.Fatalf("workspace reuse changed the aggregates at n=%d:\n%+v\nvs\n%+v", n, f, w)
+				fresh = values
+			}
+			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+		})
+		b.Run(fmt.Sprintf("n=%d/alloc=workspace", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := campaign.Execute(context.Background(), points(), campaign.Options{
+					Workers:  1, // per-trial cost, undiluted by parallelism
+					KeepRuns: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				values := make([]float64, len(out.Runs))
+				for t, rec := range out.Runs {
+					values[t] = rec.Value
+				}
+				reused = values
+			}
+			b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+		})
+		if fresh != nil && reused != nil && !reflect.DeepEqual(fresh, reused) {
+			b.Fatalf("workspace reuse changed the per-trial values at n=%d:\n%v\nvs\n%v", n, fresh, reused)
 		}
 	}
 }

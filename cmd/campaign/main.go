@@ -68,7 +68,6 @@ func run() error {
 		maxSteps = flag.Int64("max-steps", 0, "per-run step budget (0 = per-n default)")
 		workers  = flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "per-run wall-clock cap (0 = none)")
-		freshAlc = flag.Bool("fresh-alloc", false, "disable per-worker run workspaces (every trial allocates fresh state; results are identical, only slower)")
 		shardTr  = flag.Int("shard-trials", 0, "trials per checkpoint shard (0 = 32); affects the reduction order, so resumed runs must use the value the checkpoint records")
 		ckPath   = flag.String("checkpoint", "", "persist completed work to this file (atomic NDJSON) so an interrupted campaign can continue with -resume")
 		ckEvery  = flag.Duration("checkpoint-every", 0, "checkpoint persistence interval (0 = 30s)")
@@ -140,7 +139,6 @@ func run() error {
 		Workers:     *workers,
 		Timeout:     *timeout,
 		KeepRuns:    *runsOut != "",
-		FreshAlloc:  *freshAlc,
 		ShardTrials: *shardTr,
 		Checkpoint:  *ckPath,
 		Resume:      *resume,

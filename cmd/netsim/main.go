@@ -55,7 +55,6 @@ func run() error {
 		tracePth = flag.String("trace", "", "write an NDJSON event trace of a replayed trial to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		freshAlc = flag.Bool("fresh-alloc", false, "disable per-worker run workspaces (every trial allocates fresh state; results are identical, only slower)")
 		list     = flag.Bool("list", false, "list the registry names and exit")
 	)
 	flag.Parse()
@@ -134,8 +133,7 @@ func run() error {
 	var firstTrial, lastConverged campaign.RunRecord
 	haveConverged := false
 	out, err := campaign.Execute(ctx, points, campaign.Options{
-		Workers:    *workers,
-		FreshAlloc: *freshAlc,
+		Workers: *workers,
 		OnRun: func(rec campaign.RunRecord) {
 			if rec.Trial == 0 {
 				firstTrial = rec

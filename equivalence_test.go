@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/campaign"
@@ -317,54 +318,116 @@ func TestEngineEquivalenceTopology(t *testing.T) {
 
 // TestWorkspaceCampaignEquivalence extends the equivalence net to the
 // zero-allocation trial pipeline: the full protocol/process grid run
-// through the campaign engine with its default per-worker reusable
-// workspaces must produce per-run records bit-identical — not merely
-// equal in distribution — to the same campaign with workspaces
-// disabled (Options.FreshAlloc), on every engine. This is the
-// workspace contract (reuse changes no result bit) asserted end to
-// end through the worker pool, where job-stream order — and therefore
-// which trial inherits which dirty workspace state — is scheduling-
-// dependent.
+// through the default campaign worker pool, where every worker reuses
+// one workspace across its job stream, must produce per-run records
+// bit-identical — not merely equal in distribution — to core.Run on
+// the same trials with no workspace, on every engine. This is the
+// workspace contract (reuse changes no result bit) asserted end to end
+// through a pool of at least two workers, where job-stream order — and
+// therefore which trial inherits which dirty workspace state — is
+// scheduling-dependent.
 func TestWorkspaceCampaignEquivalence(t *testing.T) {
 	t.Parallel()
 	trials := 24
 	if testing.Short() {
 		trials = 8
 	}
-	execute := func(engine core.Engine, fresh bool) []campaign.RunRecord {
-		t.Helper()
-		points := equivalencePoints(t, trials)
-		for i := range points {
-			points[i].Engine = engine
-		}
-		out, err := campaign.Execute(context.Background(), points, campaign.Options{
-			KeepRuns:   true,
-			FreshAlloc: fresh,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.Runs
-	}
 	for _, engine := range []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineBatch} {
 		engine := engine
 		t.Run(fmt.Sprintf("engine=%s", engine), func(t *testing.T) {
 			t.Parallel()
-			freshRuns := execute(engine, true)
-			reusedRuns := execute(engine, false)
-			if len(freshRuns) != len(reusedRuns) {
-				t.Fatalf("record count mismatch: %d fresh vs %d reused", len(freshRuns), len(reusedRuns))
+			points := equivalencePoints(t, trials)
+			for i := range points {
+				points[i].Engine = engine
 			}
-			for i := range freshRuns {
-				a, b := freshRuns[i], reusedRuns[i]
-				// Wall clock is the one nondeterministic record field.
-				a.DurationNS, b.DurationNS = 0, 0
-				if a != b {
-					t.Fatalf("record %d diverged:\nfresh  %+v\nreused %+v", i, a, b)
+			out, err := campaign.Execute(context.Background(), points, campaign.Options{
+				Workers:  max(2, runtime.GOMAXPROCS(0)),
+				KeepRuns: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range out.Runs {
+				pt := &points[rec.Point]
+				if rec.Seed != pt.BaseSeed+uint64(rec.Trial) {
+					t.Fatalf("record %d: seed %d, want %d", i, rec.Seed, pt.BaseSeed+uint64(rec.Trial))
+				}
+				res, value, err := runTrialDirect(pt, rec.Trial)
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if got, want := outcomeOfRecord(rec), outcomeOfRun(res, value); got != want {
+					t.Fatalf("record %d (%s n=%d trial %d) diverged from core.Run with no workspace:\npooled %+v\ndirect %+v",
+						i, rec.Protocol, rec.N, rec.Trial, got, want)
 				}
 			}
 		})
 	}
+}
+
+// trialOutcome is the part of a campaign record that the run itself
+// determines: everything but the bookkeeping (point, trial, labels) and
+// the wall clock.
+type trialOutcome struct {
+	Engine                string
+	Converged, Stopped    bool
+	Steps                 int64
+	ConvergenceTime       int64
+	EffectiveSteps        int64
+	EdgeChanges           int64
+	Value                 float64
+	SkippedSteps          int64
+	SkipBatches           int64
+	SampleRejections      int64
+	BucketDraws           int64
+	ExactFallbackLandings int64
+	CollapsedLandings     int64
+	FastForwardEpochs     int64
+	Err                   string
+}
+
+func outcomeOfRecord(rec campaign.RunRecord) trialOutcome {
+	return trialOutcome{
+		Engine: rec.Engine, Converged: rec.Converged, Stopped: rec.Stopped,
+		Steps: rec.Steps, ConvergenceTime: rec.ConvergenceTime,
+		EffectiveSteps: rec.EffectiveSteps, EdgeChanges: rec.EdgeChanges,
+		Value: rec.Value, SkippedSteps: rec.SkippedSteps, SkipBatches: rec.SkipBatches,
+		SampleRejections: rec.SampleRejections, BucketDraws: rec.BucketDraws,
+		ExactFallbackLandings: rec.ExactFallbackLandings,
+		CollapsedLandings:     rec.CollapsedLandings, FastForwardEpochs: rec.FastForwardEpochs,
+		Err: rec.Err,
+	}
+}
+
+func outcomeOfRun(res core.Result, value float64) trialOutcome {
+	m := res.Metrics
+	return trialOutcome{
+		Engine: res.Engine.String(), Converged: res.Converged, Stopped: res.Stopped,
+		Steps: res.Steps, ConvergenceTime: res.ConvergenceTime,
+		EffectiveSteps: res.EffectiveSteps, EdgeChanges: res.EdgeChanges,
+		Value: value, SkippedSteps: m.SkippedSteps, SkipBatches: m.SkipBatches,
+		SampleRejections: m.SampleRejections, BucketDraws: m.BucketDraws,
+		ExactFallbackLandings: m.ExactFallbackLandings,
+		CollapsedLandings:     m.CollapsedLandings, FastForwardEpochs: m.FastForwardEpochs,
+	}
+}
+
+// runTrialDirect runs trial t of pt through core.Run with no workspace
+// and returns the result with the point's metric value.
+func runTrialDirect(pt *campaign.Point, t int) (core.Result, float64, error) {
+	proto, opts, err := pt.Trial(t)
+	if err != nil {
+		return core.Result{}, 0, err
+	}
+	res, err := core.Run(proto, pt.N, opts)
+	if err != nil {
+		return core.Result{}, 0, err
+	}
+	metric := pt.Metric
+	if metric == nil {
+		metric = campaign.MetricConvergenceTime
+	}
+	return res, metric(res, pt.N), nil
 }
 
 // TestEngineEquivalenceSecondaryMetrics repeats the comparison for the

@@ -367,15 +367,6 @@ type Options struct {
 	// the aggregates — in deterministic global order, so a record may
 	// be delivered a little after its run finished.
 	OnRun func(RunRecord)
-	// FreshAlloc disables the per-worker run workspaces, making every
-	// trial allocate and initialize its simulation state from scratch.
-	// By default each worker goroutine owns one core.Workspace reused
-	// across its whole job stream, which makes steady-state trials
-	// allocation-free; per-trial results are bit-identical either way
-	// (the workspace contract), so this knob exists only to measure the
-	// workspace win (BenchmarkCampaignThroughput) and to simplify
-	// allocation debugging.
-	FreshAlloc bool
 	// OnProgress, when non-nil, receives periodic Progress records while
 	// the campaign runs — every ProgressInterval from a dedicated
 	// goroutine (so it must be safe to call concurrently with OnRun),
@@ -595,14 +586,11 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			// (configuration, engine index, RNG) instead of reallocating
 			// them, so steady-state campaign throughput is bounded by the
 			// simulation, not the allocator. Workspaces never change a
-			// result bit, so aggregates stay independent of Workers and
-			// of this optimization. runTrial may replace the workspace
-			// behind the pointer: a panicking trial poisons it, and
-			// poisoned state is never reused.
-			var ws *core.Workspace
-			if !opts.FreshAlloc {
-				ws = core.NewWorkspace()
-			}
+			// result bit, so aggregates stay independent of Workers.
+			// runTrial may replace the workspace behind the pointer: a
+			// panicking trial poisons it, and poisoned state is never
+			// reused.
+			ws := core.NewWorkspace()
 			for gid := range jobs {
 				if runCtx.Err() != nil {
 					continue // drain without running

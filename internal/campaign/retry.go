@@ -125,9 +125,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 			// The panic may have unwound mid-mutation, leaving the
 			// workspace's configuration and indexes inconsistent: discard
 			// it so nothing downstream ever reuses poisoned state.
-			if wsp != nil && *wsp != nil {
-				*wsp = core.NewWorkspace()
-			}
+			*wsp = core.NewWorkspace()
 		}
 	}()
 
@@ -150,9 +148,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		return rec, false
 	}
 	opts.Stop = stop
-	if wsp != nil {
-		opts.Workspace = *wsp
-	}
+	opts.Workspace = *wsp
 	rec.Topology = pt.Topology.Label()
 	rec.Faults = pt.Faults.String()
 

@@ -26,7 +26,9 @@ for suite in $suites; do
       go test -run '^$' -bench BenchmarkSparseVsBaseline -benchtime 1x -count 5 -benchmem -json . | tee BENCH_engine.json
       ;;
     campaign)
-      go test -run '^$' -bench BenchmarkCampaignThroughput -benchtime 3x -benchmem -json . | tee BENCH_campaign.json
+      # Five samples per row: README and EXPERIMENTS.md quote the
+      # medians of the alloc=fresh / alloc=workspace ratio.
+      go test -run '^$' -bench BenchmarkCampaignThroughput -benchtime 3x -count 5 -benchmem -json . | tee BENCH_campaign.json
       ;;
     topology)
       go test -run '^$' -bench BenchmarkTopologyOverhead -benchtime 1x -benchmem -json . | tee BENCH_topology.json
