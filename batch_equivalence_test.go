@@ -45,7 +45,7 @@ func batchKeyOf(res core.Result) batchResultKey {
 
 // TestBatchExactStepping pins the first half of the batch contract: a
 // protocol with no census-preserving transition gives the batch engine
-// nothing to amortize, so runIndexed turns swap runs off and steps
+// nothing to amortize, so core.Run turns swap runs off and steps
 // every landing exactly — bit-identical to EngineSparse, with the
 // batch metrics reporting every landing as exact-stepped.
 func TestBatchExactStepping(t *testing.T) {

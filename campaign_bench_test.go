@@ -117,16 +117,13 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/alloc=workspace", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := campaign.Execute(context.Background(), points(), campaign.Options{
-					Workers:  1, // per-trial cost, undiluted by parallelism
-					KeepRuns: true,
+				values := make([]float64, trials)
+				_, err := campaign.Execute(context.Background(), points(), campaign.Options{
+					Workers: 1, // per-trial cost, undiluted by parallelism
+					OnRun:   func(rec campaign.RunRecord) { values[rec.Trial] = rec.Value },
 				})
 				if err != nil {
 					b.Fatal(err)
-				}
-				values := make([]float64, len(out.Runs))
-				for t, rec := range out.Runs {
-					values[t] = rec.Value
 				}
 				reused = values
 			}

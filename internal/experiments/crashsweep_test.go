@@ -32,13 +32,13 @@ const faultSweepSpec = `{
   "max_steps": 2097152
 }`
 
-// TestFaultSweep checks the qualitative fault-tolerance prediction end
+// TestCrashSweepPartitionsLine checks the qualitative fault-tolerance prediction end
 // to end, from the same kind of spec cmd/campaign runs: with no crashes
 // Simple-Global-Line builds one spanning line; with crashes it
 // partitions into smaller lines — the largest surviving component
 // shrinks (at most n−k nodes remain in Qout) and the component count
 // grows.
-func TestFaultSweep(t *testing.T) {
+func TestCrashSweepPartitionsLine(t *testing.T) {
 	t.Parallel()
 	const n = 16
 	spec, err := campaign.ParseSpec(strings.NewReader(faultSweepSpec))
