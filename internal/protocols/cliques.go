@@ -156,7 +156,7 @@ func CCliques(c int) (Constructor, error) {
 //
 // It runs after every effective step, so it rejects on O(1) and O(n)
 // counters before it looks at the edges, and allocates only when a
-// configuration passes them:
+// configuration of more than 64 nodes passes them:
 //
 //  1. every absorbed state's count is zero;
 //  2. ActiveEdges = ⌊n/c⌋·c(c−1)/2 + max(r−1, 0), the edges of the
@@ -200,7 +200,16 @@ func cliquesStable(cfg *core.Config, c int, absorbed []core.State) bool {
 		return false
 	}
 	// Union-find over the active edges; a root holds −(component size).
-	parent := make([]int32, n)
+	// The scratch belongs to the call, since runs share the detector; up
+	// to 64 nodes it sits on the stack, so the full check allocates
+	// nothing at the paper-table sizes.
+	var small [64]int32
+	var parent []int32
+	if n <= len(small) {
+		parent = small[:n]
+	} else {
+		parent = make([]int32, n)
+	}
 	for u := range parent {
 		parent[u] = -1
 	}

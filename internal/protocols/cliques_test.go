@@ -306,7 +306,9 @@ func TestCCliquesStableOnTrajectories(t *testing.T) {
 // TestCCliquesStableRejectsWithoutAllocating: configurations rejected
 // by the counter gates — an absorbed leader, a wrong edge count, a
 // wrong degree profile — cost no allocation, since the predicate runs
-// after every effective step.
+// after every effective step. Up to 64 nodes the full check allocates
+// nothing either: an accepted configuration, and one that passes every
+// counter gate but fails the component sizes.
 func TestCCliquesStableRejectsWithoutAllocating(t *testing.T) {
 	cons, err := CCliques(3)
 	if err != nil {
@@ -337,6 +339,20 @@ func TestCCliquesStableRejectsWithoutAllocating(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { cons.Detector.Stable(cfg) }); allocs != 0 {
 			t.Fatalf("%s: %v allocations per rejected call", name, allocs)
+		}
+	}
+	// A 6-cycle plus the leftover edge: seven edges, six nodes at
+	// degree 2 and two at degree 1, but components of 6 and 2 nodes.
+	cycle := core.NewConfig(cons.Proto, n)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {6, 7}} {
+		cycle.SetEdge(e[0], e[1], true)
+	}
+	if cons.Detector.Stable(cycle) {
+		t.Fatal("a 6-cycle and an edge accepted")
+	}
+	for name, cfg := range map[string]*core.Config{"accepted": stable(), "components": cycle} {
+		if allocs := testing.AllocsPerRun(100, func() { cons.Detector.Stable(cfg) }); allocs != 0 {
+			t.Fatalf("%s: %v allocations per full check", name, allocs)
 		}
 	}
 }
