@@ -104,6 +104,68 @@ func TestBatchExactStepping(t *testing.T) {
 	}
 }
 
+// TestBatchBitRowsBitIdentical pins the batch engine below the 64-node
+// cut: there the bit-row index serves the run, the swap-run tiers (which
+// read the census) stay off, and batch steps every landing exactly —
+// bit-identical to EngineSparse with no sink attached, for every
+// registry entry, and for Simple-Global-Line's last merge at n = 64,
+// the collapse regime above the cut.
+func TestBatchBitRowsBitIdentical(t *testing.T) {
+	t.Parallel()
+	type subject struct {
+		name    string
+		c       protocols.Constructor
+		n       int
+		initial func() (*core.Config, error)
+	}
+	var subjects []subject
+	for _, name := range protocols.Names() {
+		c, err := protocols.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := subject{name: name, c: c, n: 12}
+		if c.Initial != nil {
+			build := c.Initial
+			sub.initial = func() (*core.Config, error) { return build(12) }
+		}
+		subjects = append(subjects, sub)
+	}
+	sgl := protocols.SimpleGlobalLine()
+	subjects = append(subjects, subject{name: "simple-global-line/two-lines", c: sgl, n: 64,
+		initial: func() (*core.Config, error) { return twoLinesInitial(sgl.Proto, 64) }})
+	for _, sub := range subjects {
+		sub := sub
+		t.Run(fmt.Sprintf("%s/n=%d", sub.name, sub.n), func(t *testing.T) {
+			t.Parallel()
+			run := func(engine core.Engine) core.Result {
+				opts := core.Options{Seed: 5, Engine: engine, Detector: sub.c.Detector, MaxSteps: 1 << 20}
+				if sub.initial != nil {
+					initial, err := sub.initial()
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Initial = initial
+				}
+				res, err := core.Run(sub.c.Proto, sub.n, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			sparse, batch := run(core.EngineSparse), run(core.EngineBatch)
+			if batchKeyOf(sparse) != batchKeyOf(batch) {
+				t.Fatalf("batch diverged from sparse:\nsparse %+v\nbatch  %+v", batchKeyOf(sparse), batchKeyOf(batch))
+			}
+			m := batch.Metrics
+			if m.BucketDraws != 0 || m.CollapsedLandings != 0 || m.ExactFallbackLandings != m.Landings {
+				t.Fatalf("batch left the exact route: %d of %d landings exact, %d bucket draws, %d collapsed",
+					m.ExactFallbackLandings, m.Landings, m.BucketDraws, m.CollapsedLandings)
+			}
+		})
+	}
+}
+
 // TestBatchDistributionalEquivalence pins the second half of the
 // contract on the engine's motivating workload, Simple-Global-Line
 // (its walker swap is the one batched, kernel-applied transition):
@@ -122,7 +184,9 @@ func TestBatchExactStepping(t *testing.T) {
 // Seeds are fixed, so failures are law changes, not noise. The batch
 // runs must actually exercise the pure path (BucketDraws > 0) — a
 // silent reroute to the exact path would pass any equivalence test
-// while benchmarking nothing.
+// while benchmarking nothing. The populations sit above the 64-node
+// cut, since below it the bit-row index serves the run and batch steps
+// every landing exactly (TestBatchBitRowsBitIdentical).
 func TestBatchDistributionalEquivalence(t *testing.T) {
 	t.Parallel()
 	c, err := protocols.Lookup("simple-global-line")
@@ -139,7 +203,7 @@ func TestBatchDistributionalEquivalence(t *testing.T) {
 		if testing.Short() {
 			trials = 60
 		}
-		const n = 10
+		const n = 66
 		sample := func(engine core.Engine) []float64 {
 			out := make([]float64, trials)
 			var bucketDraws int64
@@ -176,8 +240,8 @@ func TestBatchDistributionalEquivalence(t *testing.T) {
 			trials = 100
 		}
 		const (
-			n       = 24
-			horizon = 5000
+			n       = 72
+			horizon = 45000
 		)
 		never := core.Detector{Trigger: core.TriggerInterval, Stable: func(*core.Config) bool { return false }}
 		hist := func(engine core.Engine) []int64 {
@@ -205,8 +269,8 @@ func TestBatchDistributionalEquivalence(t *testing.T) {
 			trials = 100
 		}
 		const (
-			n       = 24
-			horizon = 2000
+			n       = 72
+			horizon = 18000
 		)
 		hist := func(engine core.Engine) []int64 {
 			h := make([]int64, n)

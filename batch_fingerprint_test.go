@@ -3,7 +3,8 @@ package netcons_test
 // TestBatchPathFingerprints pins the batch engine's pure path — swap
 // runs on: run reveals, the analytic collapse (including the budget
 // cut inside a collapsed run), the run kernel and the breaker landing
-// — to a committed table of run fingerprints. The pure path promises
+// — to a committed table of run fingerprints, together with its exact
+// route on the bit-row index at 64 nodes and below. The pure path promises
 // equality in law, not bit-identity with any other engine, so this
 // table is its own reference: a refactor of the batch loop that keeps
 // every draw in the same order must reproduce every row exactly. Each
@@ -81,10 +82,13 @@ type batchCase struct {
 	initial  func() (*core.Config, error)
 }
 
-// batchCases lists the pure-path rows: Simple-Global-Line's last merge
-// (one walker crossing the merged line, the collapse regime) at three
-// budgets, the many-walker run-kernel regime from all-q0, and every
-// batchable registry entry at a paper-table population.
+// batchCases lists the batch engine's rows: Simple-Global-Line's last
+// merge (one walker crossing the merged line, the collapse regime) at
+// three budgets, the many-walker run-kernel regime from all-q0, and
+// every batchable registry entry at a paper-table population and,
+// to a fixed budget, at n = 72. Rows of at most 64 nodes pin the
+// bit-row index's exact route, which batch takes there; the larger
+// rows pin the pure path.
 func batchCases(t *testing.T) []batchCase {
 	t.Helper()
 	sgl := protocols.SimpleGlobalLine()
@@ -106,7 +110,7 @@ func batchCases(t *testing.T) []batchCase {
 		name: "sgl/all-q0/n=4096/budget=20000000", proto: sgl.Proto, det: sgl.Detector,
 		n: 4096, seed: 1, maxSteps: 20_000_000,
 	})
-	const registryN = 12
+	const registryN, censusN, censusBudget = 12, 72, 200_000
 	for i, name := range protocols.Names() {
 		c, err := protocols.Lookup(name)
 		if err != nil {
@@ -115,18 +119,24 @@ func batchCases(t *testing.T) []batchCase {
 		if !c.Proto.Batchable() {
 			continue
 		}
-		bc := batchCase{
-			name:  fmt.Sprintf("%s/n=%d", name, registryN),
-			proto: c.Proto, det: c.Detector, n: registryN, seed: uint64(200 + i),
+		for _, bc := range []batchCase{
+			{name: fmt.Sprintf("%s/n=%d", name, registryN), n: registryN, seed: uint64(200 + i)},
+			{name: fmt.Sprintf("%s/n=%d/budget=%d", name, censusN, censusBudget), n: censusN, seed: uint64(300 + i), maxSteps: censusBudget},
+		} {
+			bc.proto, bc.det = c.Proto, c.Detector
+			if c.Initial != nil {
+				build, n := c.Initial, bc.n
+				bc.initial = func() (*core.Config, error) { return build(n) }
+			}
+			cases = append(cases, bc)
 		}
-		if c.Initial != nil {
-			build := c.Initial
-			bc.initial = func() (*core.Config, error) { return build(registryN) }
-		}
-		cases = append(cases, bc)
 	}
 	return cases
 }
+
+// bitRowCut is the largest population core's bit-row index serves; the
+// batch engine steps every landing exactly up to it.
+const bitRowCut = 64
 
 // twoLinesInitial is Simple-Global-Line's configuration just before its
 // last merge, as perfbench's sgl-merge workload builds it: nodes
@@ -174,8 +184,14 @@ func batchRun(t *testing.T, c batchCase, ws *core.Workspace) core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.ExactFallbackLandings != 0 {
-		t.Fatalf("%s: pure batch run stepped %d landings on the exact route", c.name, res.Metrics.ExactFallbackLandings)
+	m := res.Metrics
+	if c.n <= bitRowCut {
+		if m.ExactFallbackLandings != m.Landings || m.BucketDraws != 0 || m.CollapsedLandings != 0 {
+			t.Fatalf("%s: batch run on the bit-row index left the exact route: %d of %d landings exact, %d bucket draws, %d collapsed",
+				c.name, m.ExactFallbackLandings, m.Landings, m.BucketDraws, m.CollapsedLandings)
+		}
+	} else if m.ExactFallbackLandings != 0 {
+		t.Fatalf("%s: pure batch run stepped %d landings on the exact route", c.name, m.ExactFallbackLandings)
 	}
 	return res
 }

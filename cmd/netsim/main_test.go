@@ -15,9 +15,11 @@ import (
 // netsim -trace does: under -engine auto the measured trial runs the
 // batch engine's batched path, while the replay's NDJSON sink makes
 // auto pick sparse. The note must name the measured trial's engine.
+// The trial runs at n = 80: up to 64 nodes the bit-row index serves
+// the run and batch steps exactly, so the replay would match it.
 func TestReplayNoteNamesMeasuredEngine(t *testing.T) {
 	points, err := campaign.Spec{
-		Items:  []campaign.Item{{Name: "simple-global-line", Sizes: []int{48}}},
+		Items:  []campaign.Item{{Name: "simple-global-line", Sizes: []int{80}}},
 		Trials: 1,
 		Seed:   1,
 		Engine: "auto",

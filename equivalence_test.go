@@ -39,10 +39,41 @@ import (
 // baseline by the equivalence suites.
 var indexedEngines = []core.Engine{core.EngineSparse, core.EngineBatch}
 
+// censusSizes adds a second population above the 64-node cut for the
+// entries whose baseline runs stay cheap there: up to 64 nodes the
+// bit-row index serves the indexed engines, above it the state-class
+// census, so the net covers both indexes.
+var censusSizes = map[string]int{
+	"simple-global-line":     72,
+	"fast-global-line":       72,
+	"faster-global-line":     72,
+	"spanning-net":           72,
+	"cycle-cover":            72,
+	"global-star":            72,
+	"degree-doubling":        72,
+	"One-Way-Epidemic":       72,
+	"One-To-One-Elimination": 72,
+	"Maximum-Matching":       72,
+	"One-To-All-Elimination": 72,
+	"Meet-Everybody":         72,
+	"Node-Cover":             72,
+	"Edge-Cover":             72,
+}
+
+// censusLabel names an aggregate's subject in a subtest name: the
+// protocol, with its population when the census index serves it.
+func censusLabel(a campaign.Aggregate) string {
+	if a.N > 64 {
+		return fmt.Sprintf("%s/n=%d", a.Protocol, a.N)
+	}
+	return a.Protocol
+}
+
 // equivalencePoints returns the grid the suite sweeps: every registry
-// entry at a small-but-nontrivial population, compiled from a spec so
-// each starts from its own configuration and measures its default
-// metric (the detection step for the Table 1 processes).
+// entry at a small-but-nontrivial population, plus censusSizes,
+// compiled from a spec so each starts from its own configuration and
+// measures its default metric (the detection step for the Table 1
+// processes).
 func equivalencePoints(t *testing.T, trials int) []campaign.Point {
 	t.Helper()
 	sizes := map[string]int{
@@ -74,7 +105,11 @@ func equivalencePoints(t *testing.T, trials int) []campaign.Point {
 		if !ok {
 			n = 8 // new registry entries get a conservative default
 		}
-		spec.Items = append(spec.Items, campaign.Item{Name: name, Sizes: []int{n}})
+		sizes := []int{n}
+		if big, ok := censusSizes[name]; ok {
+			sizes = append(sizes, big)
+		}
+		spec.Items = append(spec.Items, campaign.Item{Name: name, Sizes: sizes})
 	}
 	points, err := spec.Compile()
 	if err != nil {
@@ -164,6 +199,9 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 		{"cycle-cover", protocols.CycleCover(), 16},
 		{"global-star", protocols.GlobalStar(), 16},
 		{"spanning-net", protocols.SpanningNet(), 16},
+		// Above the 64-node cut the census index serves the run.
+		{"cycle-cover", protocols.CycleCover(), 72},
+		{"global-star", protocols.GlobalStar(), 72},
 	}
 
 	execute := func(engine core.Engine) campaign.Outcome {
@@ -189,7 +227,7 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 		subject := execute(engine)
 		for i := range base.Aggregates {
 			b, f := base.Aggregates[i], subject.Aggregates[i]
-			name := fmt.Sprintf("faults=%s/%s/engine=%s", plan, b.Protocol, engine)
+			name := fmt.Sprintf("faults=%s/%s/engine=%s", plan, censusLabel(b), engine)
 			t.Run(name, func(t *testing.T) {
 				if b.Converged != b.Trials || b.Failures != 0 {
 					t.Fatalf("baseline convergence semantics under faults: %+v", b)
@@ -243,6 +281,8 @@ func TestEngineEquivalenceTopology(t *testing.T) {
 	}{
 		{"cycle-cover", protocols.CycleCover(), 16},
 		{"spanning-net", protocols.SpanningNet(), 16},
+		// Above the 64-node cut the census index serves the run.
+		{"cycle-cover", protocols.CycleCover(), 72},
 	}
 
 	execute := func(engine core.Engine, spec *core.TopologySpec) campaign.Outcome {
@@ -275,7 +315,7 @@ func TestEngineEquivalenceTopology(t *testing.T) {
 			byEngine[engine] = subject
 			for i := range base.Aggregates {
 				b, f := base.Aggregates[i], subject.Aggregates[i]
-				name := fmt.Sprintf("topology=%s/%s/engine=%s", spec, b.Protocol, engine)
+				name := fmt.Sprintf("topology=%s/%s/engine=%s", spec, censusLabel(b), engine)
 				t.Run(name, func(t *testing.T) {
 					if b.Topology != spec.Label() || f.Topology != spec.Label() {
 						t.Fatalf("aggregate topology label: baseline %q, %s %q, want %q", b.Topology, engine, f.Topology, spec.Label())

@@ -36,18 +36,25 @@ func resumePoints(eng core.Engine, metric Metric) []Point {
 // checkpointed campaign mid-flight, resume it in a fresh Execute, and
 // the merged outcome must be bit-identical to an uninterrupted run —
 // for every engine name a spec or checkpoint may carry ("fast", the
-// retired dense-index engine's, parses as sparse).
+// retired dense-index engine's, parses as sparse). A third point at
+// n = 72 puts the census index under the indexed engines next to the
+// bit rows that serve the two small points.
 func TestResumeBitIdentical(t *testing.T) {
 	t.Parallel()
+	cc := protocols.CycleCover()
 	for _, name := range []string{"baseline", "fast", "sparse", "batch"} {
 		eng, err := core.ParseEngine(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		grid := func() []Point {
+			return append(resumePoints(eng, nil), Point{Protocol: "cycle-cover", N: 72, Trials: 4, BaseSeed: 9,
+				Proto: cc.Proto, Detector: cc.Detector, Engine: eng})
+		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			base := Options{Workers: 3, KeepRuns: true, ShardTrials: 3}
-			ref, err := Execute(context.Background(), resumePoints(eng, nil), base)
+			ref, err := Execute(context.Background(), grid(), base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +71,7 @@ func TestResumeBitIdentical(t *testing.T) {
 					cancel()
 				}
 			}
-			if _, err := Execute(ctx, resumePoints(eng, nil), interrupted); err != context.Canceled {
+			if _, err := Execute(ctx, grid(), interrupted); err != context.Canceled {
 				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 			}
 			if _, err := os.Stat(ckpt); err != nil {
@@ -76,7 +83,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			resumed.Resume = true
 			var order []int
 			resumed.OnRun = func(rec RunRecord) { order = append(order, rec.Point*100+rec.Trial) }
-			got, err := Execute(context.Background(), resumePoints(eng, nil), resumed)
+			got, err := Execute(context.Background(), grid(), resumed)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -101,7 +108,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards := planShards(resumePoints(eng, nil), 3)
+			shards := planShards(grid(), 3)
 			if len(done) != len(shards) {
 				t.Fatalf("final checkpoint holds %d shards, want %d", len(done), len(shards))
 			}

@@ -7,17 +7,19 @@ import (
 	"repro/internal/protocols"
 )
 
-// TestBatchCollapseTwoLinesSmallN pins the swap-run collapse at a
-// paper-table population: pure batch from Simple-Global-Line's last
-// merge at n = 64 — two 32-node lines whose leaders are about to meet
-// — run to quiescence must collapse part of the walker's crossing and
-// end on a spanning line. The walker's interior swaps are collapsible
-// at every n, so a run that reports no collapsed landing here means
-// the collapse tier has been walled off from small populations.
+// TestBatchCollapseTwoLinesSmallN pins the swap-run collapse at the
+// smallest populations the census index serves: pure batch from
+// Simple-Global-Line's last merge at n = 66 — two 33-node lines whose
+// leaders are about to meet — run to quiescence must collapse part of
+// the walker's crossing and end on a spanning line. The walker's
+// interior swaps are collapsible at every census-served n (up to 64
+// nodes the bit-row index serves the run, which steps every landing),
+// so a run that reports no collapsed landing here means the collapse
+// tier has been walled off from small census populations.
 func TestBatchCollapseTwoLinesSmallN(t *testing.T) {
 	t.Parallel()
 	sgl := protocols.SimpleGlobalLine()
-	const n = 64
+	const n = 66
 	for seed := uint64(1); seed <= 5; seed++ {
 		initial := twoLines(t, sgl.Proto, n)
 		res, err := core.Run(sgl.Proto, n, core.Options{

@@ -44,7 +44,7 @@ func TestBatchIndexApplySwapFast(t *testing.T) {
 	rng := NewRNG(11)
 	fast, declined := 0, 0
 	for step := 0; step < 3000; step++ {
-		u, v := bi.Sample(rng)
+		u, v, _ := bi.sample(rng)
 		a, b := cfg.Node(u), cfg.Node(v)
 		if !cfg.Edge(u, v) || !bi.swapCell[bi.classID(a, b)] {
 			t.Fatalf("step %d: sampled pair (%d,%d) is not a swap-cell edge", step, u, v)

@@ -133,7 +133,7 @@ type batchIndex struct {
 	// classRow[id] is the first state of class id (id / |Q|).
 	classRow []int32
 	// live lists, ascending, the class ids with effMask ≠ 0 — the only
-	// classes whose weights can be nonzero, so the only ones Sample
+	// classes whose weights can be nonzero, so the only ones sample
 	// needs to walk.
 	live     []int32
 	listed   []bool
@@ -369,7 +369,7 @@ func (bi *batchIndex) rebuildMasks() {
 }
 
 // classStates inverts classID through the classRow table: reweigh and
-// Sample run it per landing, where a division would dominate them.
+// sample run it per landing, where a division would dominate them.
 func (bi *batchIndex) classStates(id int) (a, b int) {
 	a = int(bi.classRow[id])
 	return a, id - a*bi.q
@@ -649,19 +649,8 @@ func (bi *batchIndex) flushDirty() {
 	bi.dirty = bi.dirty[:0]
 }
 
-// stable evaluates det against cfg, the configuration the index is
-// bound to: a gated detector is answered from the enabled-pair
-// counters in O(1), any other through its Stable predicate.
-func (bi *batchIndex) stable(det *Detector, cfg *Config) bool {
-	switch det.Gate {
-	case GateQuiescence:
-		return bi.enabled == 0
-	case GateEdgeQuiescence:
-		return bi.edgeEnabled == 0
-	default:
-		return det.Stable(cfg)
-	}
-}
+func (bi *batchIndex) enabledPairs() int64     { return bi.enabled }
+func (bi *batchIndex) edgeEnabledPairs() int64 { return bi.edgeEnabled }
 
 // Update refreshes the index after an interaction was applied to the
 // pair {u, v}. beforeU and beforeV are the node states before the
@@ -929,12 +918,14 @@ func (bi *batchIndex) classIDs(sx, before, after State) (from, to int) {
 	return from, to
 }
 
-// Sample returns a uniformly random enabled pair in random orientation
-// (matching the orientation law of RNG.Pair): a class sub-bucket drawn
-// proportionally to its weight, then a member of it. It must not be
-// called when no pair is enabled.
-func (bi *batchIndex) Sample(rng *RNG) (u, v int) {
-	return bi.sampleMember(bi.sampleCell(rng, -1), rng)
+// sample returns a uniformly random enabled pair in random orientation
+// (matching the orientation law of RNG.Pair) and its edge bit: a class
+// sub-bucket drawn proportionally to its weight, then a member of it.
+// It must not be called when no pair is enabled.
+func (bi *batchIndex) sample(rng *RNG) (u, v int, edge bool) {
+	cell := bi.sampleCell(rng, -1)
+	u, v = bi.sampleMember(cell, rng)
+	return u, v, cell&1 == 1
 }
 
 // sampleCell draws a sub-bucket key 2·id + edgeBit proportionally to

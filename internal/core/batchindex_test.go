@@ -265,7 +265,7 @@ func TestBatchIndexApplySwap(t *testing.T) {
 		if bi.enabled == 0 {
 			break
 		}
-		u, v := bi.Sample(rng)
+		u, v, _ := bi.sample(rng)
 		a, b := cfg.Node(u), cfg.Node(v)
 		if cfg.Edge(u, v) && bi.swapCell[bi.classID(a, b)] {
 			// The kernel path: exchange states, patch the index.

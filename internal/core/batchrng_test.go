@@ -93,7 +93,7 @@ func TestGeometricExpLawMatch(t *testing.T) {
 // TestSampleCellExcluding pins the batch engine's cell draw: with a
 // sub-bucket excluded (the landing right after a completed swap run)
 // it never returns that sub-bucket, and its law is the categorical law
-// of the remaining weights; with none excluded it is Sample's own walk.
+// of the remaining weights; with none excluded it is sample's own walk.
 // The configuration is the walker protocol's mid-growth census, several
 // enabled sub-buckets of unequal weight.
 func TestSampleCellExcluding(t *testing.T) {

@@ -120,7 +120,7 @@ func TestClassIndexBuildFromArbitraryConfig(t *testing.T) {
 	}
 }
 
-// TestClassIndexSample checks that Sample only returns enabled pairs
+// TestClassIndexSample checks that sample only returns enabled pairs
 // and visits the whole enabled set in both orientations, including
 // through the rejection path (active edges mixed into enabled classes).
 func TestClassIndexSample(t *testing.T) {
@@ -135,7 +135,7 @@ func TestClassIndexSample(t *testing.T) {
 	rng := NewRNG(3)
 	seen := make(map[[2]int]bool)
 	for i := 0; i < 4000; i++ {
-		u, v := bi.Sample(rng)
+		u, v, _ := bi.sample(rng)
 		if u == v || u < 0 || v < 0 || u >= n || v >= n {
 			t.Fatalf("bad pair (%d,%d)", u, v)
 		}
@@ -237,7 +237,7 @@ func TestClassIndexSampleSaturatedClass(t *testing.T) {
 		counts := make([]int64, k)
 		const draws = 5000
 		for i := 0; i < draws; i++ {
-			u, v := bi.Sample(rng)
+			u, v, _ := bi.sample(rng)
 			if u > v {
 				u, v = v, u
 			}
@@ -282,7 +282,7 @@ func TestClassIndexSampleInconsistentPanics(t *testing.T) {
 					t.Fatalf("%s: Sample on an inconsistent index recovered %q, want the inconsistency panic", tc.name, msg)
 				}
 			}()
-			u, v := bi.Sample(NewRNG(5))
+			u, v, _ := bi.sample(NewRNG(5))
 			t.Fatalf("%s: Sample returned (%d,%d) from a class with no non-edge", tc.name, u, v)
 		}()
 	}
@@ -336,7 +336,7 @@ func TestBatchIndexTopologyCensus(t *testing.T) {
 							u, v := topo.SamplePair(rng)
 							mut.SetEdge(u, v, rng.Coin())
 						case bi.enabled > 0 && r < 5:
-							u, v := bi.Sample(rng)
+							u, v, _ := bi.sample(rng)
 							if !topo.Contains(u, v) || !p.EffectiveOn(cfg.Node(u), cfg.Node(v), cfg.Edge(u, v)) {
 								t.Fatalf("step %d: sampled (%d,%d), not a permitted enabled pair", step, u, v)
 							}

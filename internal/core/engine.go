@@ -77,6 +77,20 @@ func (d *Detector) due(step, interval int64, effective, edgeChanged bool) bool {
 	}
 }
 
+// stableOn evaluates the detector against cfg, the configuration ix is
+// bound to: a gated detector is answered from the index's enabled-pair
+// counts, any other through its Stable predicate.
+func (d *Detector) stableOn(ix enabledIndex, cfg *Config) bool {
+	switch d.Gate {
+	case GateQuiescence:
+		return ix.enabledPairs() == 0
+	case GateEdgeQuiescence:
+		return ix.edgeEnabledPairs() == 0
+	default:
+		return d.Stable(cfg)
+	}
+}
+
 // QuiescenceDetector detects full quiescence: no effective transition
 // applies to any pair. Sufficient for protocols whose stable
 // configurations are completely silent (Global-Star, Cycle-Cover, all
@@ -391,9 +405,9 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 		res.Metrics.DetectorChecks = 1
 		emitDetect(opts.Events, ev, 0, res.Converged, cfg)
 	} else {
-		var ix *batchIndex
+		var ix enabledIndex
 		if engine != EngineBaseline {
-			ix = ws.batchIndex(cfg)
+			ix = ws.index(cfg)
 		}
 		var mut *Mutator
 		if opts.Injector != nil {
@@ -405,22 +419,26 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 			res.Metrics.Landings = res.Steps
 		} else {
 			// Swap runs are decided once per run: on for EngineBatch
-			// unless an event sink or fault injector is attached (those
-			// consumers observe individual landings, which the run tiers
-			// do not reproduce draw for draw), a restricted topology is
-			// set (the run tiers' law tests cover the complete graph
-			// only), or the protocol has no census-preserving outcome
-			// (Protocol.Batchable — such runs never freeze the census, so
-			// exact stepping costs nothing). With runs off the loop steps
-			// every landing exactly, so batch's exact route is
-			// bit-identical to EngineSparse and counts every landing as
-			// exact-stepped.
-			runs := engine == EngineBatch && opts.Events == nil && opts.Injector == nil && opts.Topology == nil && p.Batchable()
+			// unless the bit-row index serves the run (the run tiers
+			// read the census), an event sink or fault injector is
+			// attached (those consumers observe individual landings,
+			// which the run tiers do not reproduce draw for draw), a
+			// restricted topology is set (the run tiers' law tests cover
+			// the complete graph only), or the protocol has no
+			// census-preserving outcome (Protocol.Batchable — such runs
+			// never freeze the census, so exact stepping costs nothing).
+			// With runs off the loop steps every landing exactly, so
+			// batch's exact route is bit-identical to EngineSparse and
+			// counts every landing as exact-stepped.
+			census, _ := ix.(*batchIndex)
+			runs := engine == EngineBatch && census != nil && opts.Events == nil && opts.Injector == nil && opts.Topology == nil && p.Batchable()
 			res = indexedLoop(p, cfg, det, opts, maxSteps, interval, rng, ix, runs, mut, ev)
 			if engine == EngineBatch && !runs {
 				res.Metrics.ExactFallbackLandings = res.Metrics.Landings
 			}
-			res.Metrics.SampleRejections = ix.rejections
+			if census != nil {
+				res.Metrics.SampleRejections = census.rejections
+			}
 		}
 		if mut != nil {
 			mut.fold(&res.Metrics)

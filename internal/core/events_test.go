@@ -38,45 +38,50 @@ var engines = []core.Engine{core.EngineBaseline, core.EngineSparse, core.EngineB
 
 // TestEventSinkDoesNotPerturbRuns is the zero-cost-when-on law: a run
 // with a sink attached is bit-identical to the same run without one, on
-// every engine — emission draws no randomness and mutates nothing.
+// every engine and on both enabled-pair indexes — the bit rows at
+// n = 20, the census at n = 80 — since emission draws no randomness
+// and mutates nothing.
 func TestEventSinkDoesNotPerturbRuns(t *testing.T) {
 	t.Parallel()
 	for _, c := range []protocols.Constructor{protocols.GlobalStar(), protocols.SimpleGlobalLine()} {
-		for _, eng := range engines {
-			if eng == core.EngineBatch && c.Proto.Batchable() {
-				// The batch engine's pure path only runs sink-free: a sink
-				// reroutes the whole run to exact stepping, so bare and
-				// observed are different (equal-law) runs, not the same
-				// bits. That contract is pinned by
-				// TestBatchExactFallbackBitIdentical instead.
-				continue
-			}
-			bare, err := core.Run(c.Proto, 20, core.Options{Seed: 11, Engine: eng, Detector: c.Detector})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink := &collectSink{}
-			observed, err := core.Run(c.Proto, 20, core.Options{Seed: 11, Engine: eng, Detector: c.Detector, Events: sink})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sink.events) == 0 {
-				t.Fatalf("%s/%s: sink saw no events", c.Proto.Name(), eng)
-			}
-			if bare.Steps != observed.Steps || bare.EffectiveSteps != observed.EffectiveSteps ||
-				bare.EdgeChanges != observed.EdgeChanges || bare.ConvergenceTime != observed.ConvergenceTime ||
-				bare.Converged != observed.Converged || bare.Engine != observed.Engine {
-				t.Fatalf("%s/%s: results diverge with a sink attached:\nbare     %+v\nobserved %+v",
-					c.Proto.Name(), eng, bare, observed)
-			}
-			if bare.Final.Fingerprint() != observed.Final.Fingerprint() {
-				t.Fatalf("%s/%s: final configurations diverge with a sink attached", c.Proto.Name(), eng)
-			}
-			bm, om := bare.Metrics, observed.Metrics
-			bm.WallNS, om.WallNS = 0, 0
-			if bm != om {
-				t.Fatalf("%s/%s: metrics diverge with a sink attached:\nbare     %+v\nobserved %+v",
-					c.Proto.Name(), eng, bm, om)
+		for _, n := range []int{20, 80} {
+			for _, eng := range engines {
+				if eng == core.EngineBatch && c.Proto.Batchable() && n > 64 {
+					// The batch engine's pure path only runs sink-free: a
+					// sink reroutes the whole run to exact stepping, so bare
+					// and observed are different (equal-law) runs, not the
+					// same bits. That contract is pinned by
+					// TestBatchExactFallbackBitIdentical instead. Up to 64
+					// nodes batch steps exactly either way.
+					continue
+				}
+				bare, err := core.Run(c.Proto, n, core.Options{Seed: 11, Engine: eng, Detector: c.Detector})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink := &collectSink{}
+				observed, err := core.Run(c.Proto, n, core.Options{Seed: 11, Engine: eng, Detector: c.Detector, Events: sink})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(sink.events) == 0 {
+					t.Fatalf("%s/%s/n=%d: sink saw no events", c.Proto.Name(), eng, n)
+				}
+				if bare.Steps != observed.Steps || bare.EffectiveSteps != observed.EffectiveSteps ||
+					bare.EdgeChanges != observed.EdgeChanges || bare.ConvergenceTime != observed.ConvergenceTime ||
+					bare.Converged != observed.Converged || bare.Engine != observed.Engine {
+					t.Fatalf("%s/%s/n=%d: results diverge with a sink attached:\nbare     %+v\nobserved %+v",
+						c.Proto.Name(), eng, n, bare, observed)
+				}
+				if bare.Final.Fingerprint() != observed.Final.Fingerprint() {
+					t.Fatalf("%s/%s/n=%d: final configurations diverge with a sink attached", c.Proto.Name(), eng, n)
+				}
+				bm, om := bare.Metrics, observed.Metrics
+				bm.WallNS, om.WallNS = 0, 0
+				if bm != om {
+					t.Fatalf("%s/%s/n=%d: metrics diverge with a sink attached:\nbare     %+v\nobserved %+v",
+						c.Proto.Name(), eng, n, bm, om)
+				}
 			}
 		}
 	}

@@ -131,6 +131,23 @@ func skipRange(res *Result, events EventSink, ev *Event, from, to int64) {
 	emitSkip(events, ev, from+1, count)
 }
 
+// enabledIndex is what indexedLoop's per-landing path and the Mutator
+// read and maintain: the enabled and edge-enabled pair counts, a
+// uniformly random enabled pair in uniform orientation with its edge
+// bit, and incremental upkeep after every effective interaction and
+// every out-of-band write. Workspace.index serves runs of at most
+// bitRowNodes nodes from the bit-row index (bitIndex) and larger runs
+// from the state-class census (batchIndex), which alone carries the
+// swap-run tiers.
+type enabledIndex interface {
+	enabledPairs() int64
+	edgeEnabledPairs() int64
+	sample(rng *RNG) (u, v int, edge bool)
+	update(u, v int, beforeU, beforeV State, edgeBefore, edgeChanged bool)
+	nodeChanged(u int, before State)
+	edgeChanged(u, v int)
+}
+
 // indexedLoop reproduces the law of the baseline loop under the
 // uniform scheduler without simulating the ineffective steps:
 //
@@ -154,21 +171,29 @@ func skipRange(res *Result, events EventSink, ev *Event, from, to int64) {
 // pre-loop already-stable check, so an indexed run never pays an O(n²)
 // scan at all.
 //
-// With runs on (Run decides once per run) two things change. Inside a
-// census-frozen stretch (the last landing left every sub-bucket weight
-// unchanged) the run of consecutive landings on the heaviest
-// deterministic-swap cell is revealed by one geometric draw and
-// consumed by the collapse or the run kernel below. And any landing on
-// a deterministic-swap edge class, in the kernel or not, goes through
-// batchIndex.swapLanding, which skips the rule lookup, the orientation
-// coin and the edge-store reads (a swap is orientation-symmetric and
-// its compiled entry consumes no coins, so this is the law of
-// Config.Apply with the arithmetic removed).
+// The loop runs on either enabled-pair index; with runs off every
+// landing is one sample, one Config.apply and one update. With runs on
+// (Run decides once per run, and only for a census-served run) two
+// things change. Inside a census-frozen stretch (the last landing left
+// every sub-bucket weight unchanged) the run of consecutive landings
+// on the heaviest deterministic-swap cell is revealed by one geometric
+// draw and consumed by the collapse or the run kernel below. And any
+// landing on a deterministic-swap edge class, in the kernel or not,
+// goes through batchIndex.swapLanding, which skips the rule lookup,
+// the orientation coin and the edge-store reads (a swap is
+// orientation-symmetric and its compiled entry consumes no coins, so
+// this is the law of Config.Apply with the arithmetic removed).
 // Runs-on makes no bit-identity promise against runs-off, only the
 // exact law: every draw is an exact-distribution transformation of the
 // uniform-scheduler process.
-func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix *batchIndex, runs bool, mut *Mutator, ev *Event) Result {
+func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix enabledIndex, runs bool, mut *Mutator, ev *Event) Result {
 	n := cfg.n
+	// The swap-run tiers read the census directly; Run turns runs on
+	// only when the census index serves the run.
+	var ci *batchIndex
+	if runs {
+		ci = ix.(*batchIndex)
+	}
 	res := Result{Final: cfg}
 	// total is the scheduler's per-draw pair universe: n(n−1)/2 on the
 	// complete interaction graph, the permitted-pair count under a
@@ -190,7 +215,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 	// events' Step fields keep the per-position timeline unambiguous.
 	stable := func(at int64) bool {
 		res.Metrics.DetectorChecks++
-		st := ix.stable(&det, cfg)
+		st := det.stableOn(ix, cfg)
 		emitDetect(events, ev, at, st, cfg)
 		return st
 	}
@@ -291,16 +316,16 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		}
 
 		if collapseGate && frozen && runLeft == 0 && !breakerPending &&
-			(det.Gate != GateEdgeQuiescence || ix.edgeEnabled > 0) {
+			(det.Gate != GateEdgeQuiescence || ci.edgeEnabled > 0) {
 			// Runs of every length pay: the analytic tier needs long
 			// single-walker runs, but even a length-1 run routes
 			// through the run kernel at no extra cost over a
 			// per-landing cell draw. The budget caps J: a run cannot
 			// outlast it.
-			if cell, w := ix.runClass(); w > 0 {
+			if cell, w := ci.runClass(); w > 0 {
 				runCell = cell
-				runLeft = min(rng.GeometricExp(1/math.Log(float64(ix.enabled)/float64(w))), maxSteps-step)
-				breakerAfter = w < ix.enabled
+				runLeft = min(rng.GeometricExp(1/math.Log(float64(ci.enabled)/float64(w))), maxSteps-step)
+				breakerAfter = w < ci.enabled
 				breakerPending = runLeft == 0
 			}
 		}
@@ -308,14 +333,14 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		if runLeft > 0 {
 			limit := min(runLeft, kernelPass)
 			if limit >= collapseMin {
-				chunk := ix.walkChunk(runCell, limit)
+				chunk := ci.walkChunk(runCell, limit)
 				if chunk >= collapseMin {
 					// The chunk's landings interleave with iid
 					// Geometric(m/total) scheduler misses, independent
 					// of the cell sequence: their total is one
 					// negative-binomial draw.
 					span := chunk
-					if fm := float64(ix.enabled); fm < total {
+					if fm := float64(ci.enabled); fm < total {
 						span += rng.NegBinomial(chunk, fm/total)
 					}
 					landed := chunk
@@ -331,7 +356,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 						landed = rng.Hypergeometric(rem, chunk-1, span-1)
 						span = rem
 					}
-					ix.collapseMove(rng.WalkDisplacement(landed, 0))
+					ci.collapseMove(rng.WalkDisplacement(landed, 0))
 					step += span
 					res.EffectiveSteps += landed
 					res.Metrics.CollapsedLandings += landed
@@ -364,10 +389,10 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			// as on the outer path. A pass that reaches the budget ends
 			// the loop.
 			id := int(runCell >> 1)
-			drawGaps := float64(ix.enabled) < total
-			if drawGaps && ix.enabled != memoM {
-				memoM = ix.enabled
-				memoInv = -1 / math.Log1p(-float64(ix.enabled)/total)
+			drawGaps := float64(ci.enabled) < total
+			if drawGaps && ci.enabled != memoM {
+				memoM = ci.enabled
+				memoInv = -1 / math.Log1p(-float64(ci.enabled)/total)
 			}
 			// Metrics are accumulated in locals and flushed once after
 			// the loop: the per-landing cost is the two RNG draws and
@@ -397,14 +422,14 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 					step++
 				}
 				done++
-				genBefore := ix.gen
-				ix.swapLanding(id, rng)
-				if ix.gen != genBefore {
+				genBefore := ci.gen
+				ci.swapLanding(id, rng)
+				if ci.gen != genBefore {
 					truncated = true
 					break
 				}
 			}
-			ix.relocateWalker(runCell, done)
+			ci.relocateWalker(runCell, done)
 			res.Metrics.Landings += done
 			res.Metrics.BucketDraws += done
 			res.Metrics.SkippedSteps += skipped
@@ -425,7 +450,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		// budget" (also the enabled == 0 case: nothing can ever change
 		// again).
 		land := maxSteps + 1
-		if m := ix.enabled; m > 0 {
+		if m := ix.enabledPairs(); m > 0 {
 			var skip int64
 			if fm := float64(m); fm >= total {
 				skip = 0 // every draw lands; Geometric(p ≥ 1) draws nothing
@@ -474,26 +499,33 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 
 		step++
 		res.Metrics.Landings++
-		if frozen {
-			res.Metrics.BucketDraws++
-		}
-		genBefore := ix.gen
-		skip := int32(-1)
-		if breakerPending {
-			skip, breakerPending = runCell, false
-		}
-		cell := ix.sampleCell(rng, skip)
-		// The cell's low bit is the drawn pair's edge state: edge cells
-		// hold active edges only, non-edge cells none.
-		edge := cell&1 == 1
-		var effective, edgeChanged bool
 		var u, v int
+		var edge, effective, edgeChanged bool
 		var beforeU, beforeV State
-		if id := int(cell >> 1); runs && edge && ix.swapCell[id] {
-			u, v, beforeU, beforeV = ix.swapLanding(id, rng)
-			effective = true
+		var genBefore uint64
+		if runs {
+			if frozen {
+				res.Metrics.BucketDraws++
+			}
+			genBefore = ci.gen
+			skip := int32(-1)
+			if breakerPending {
+				skip, breakerPending = runCell, false
+			}
+			cell := ci.sampleCell(rng, skip)
+			// The cell's low bit is the drawn pair's edge state: edge
+			// cells hold active edges only, non-edge cells none.
+			edge = cell&1 == 1
+			if id := int(cell >> 1); edge && ci.swapCell[id] {
+				u, v, beforeU, beforeV = ci.swapLanding(id, rng)
+				effective = true
+			} else {
+				u, v = ci.sampleMember(cell, rng)
+			}
 		} else {
-			u, v = ix.sampleMember(cell, rng)
+			u, v, edge = ix.sample(rng)
+		}
+		if !effective {
 			beforeU, beforeV = cfg.nodes[u], cfg.nodes[v]
 			// An enabled pair can still take an ineffective probabilistic
 			// branch; that matches the baseline, which also counts such
@@ -504,12 +536,16 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		}
 		if effective {
 			recordEffective(&res, p, cfg, events, ev, step, u, v, beforeU, beforeV, edgeChanged)
-			// A manually applied landing may have moved the walker (or
-			// restructured its segment) without bumping gen: the
-			// cached walk path no longer knows the walker's position.
-			ix.wpath.valid = false
 		}
-		frozen = runs && ix.gen == genBefore
+		if runs {
+			if effective {
+				// A manually applied landing may have moved the walker
+				// (or restructured its segment) without bumping gen: the
+				// cached walk path no longer knows the walker's position.
+				ci.wpath.valid = false
+			}
+			frozen = ci.gen == genBefore
+		}
 
 		if det.due(step, interval, effective, edgeChanged) && stable(step) {
 			res.Converged = true

@@ -56,20 +56,23 @@ func TestParseEngine(t *testing.T) {
 
 // TestIndexedInvariantMetrics checks metrics that are invariant across
 // engines (not merely equal in distribution): the epidemic needs
-// exactly n−1 effective steps and no edge changes on any path.
+// exactly n−1 effective steps and no edge changes on any path, on both
+// enabled-pair indexes.
 func TestIndexedInvariantMetrics(t *testing.T) {
 	t.Parallel()
 	p, det := epidemicProtocol()
-	for _, eng := range []Engine{EngineBaseline, EngineSparse} {
-		res, err := Run(p, 20, Options{Seed: 5, Engine: eng, Detector: det, Initial: seededInitial(p, 20)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged || res.EffectiveSteps != 19 || res.EdgeChanges != 0 {
-			t.Fatalf("%v engine: %+v", eng, res)
-		}
-		if res.ConvergenceTime != 0 {
-			t.Fatalf("%v engine: epidemic with all-output states never changes the output graph, ConvergenceTime=%d", eng, res.ConvergenceTime)
+	for _, ix := range indexCases {
+		for _, eng := range []Engine{EngineBaseline, EngineSparse} {
+			res, err := Run(p, 20, Options{Seed: 5, Engine: eng, Detector: det, Initial: seededInitial(p, 20), Workspace: freshWorkspace(ix.census)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged || res.EffectiveSteps != 19 || res.EdgeChanges != 0 {
+				t.Fatalf("index=%s %v engine: %+v", ix.name, eng, res)
+			}
+			if res.ConvergenceTime != 0 {
+				t.Fatalf("index=%s %v engine: epidemic with all-output states never changes the output graph, ConvergenceTime=%d", ix.name, eng, res.ConvergenceTime)
+			}
 		}
 	}
 }
@@ -77,28 +80,31 @@ func TestIndexedInvariantMetrics(t *testing.T) {
 // TestIndexedIntervalDetectionRounding verifies the computed interval
 // detection: maximal matching quiesces long before the huge check
 // interval, and the indexed path must report detection at the first check
-// point — exactly where the baseline's periodic scan would fire.
+// point — exactly where the baseline's periodic scan would fire — on
+// both enabled-pair indexes.
 func TestIndexedIntervalDetectionRounding(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("mm", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
 	const interval = 50_000
-	res, err := Run(p, 10, Options{Seed: 3, Engine: EngineSparse, CheckInterval: interval})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("matching did not converge")
-	}
-	if res.Steps != interval {
-		t.Fatalf("Steps = %d, want detection at the first check point %d", res.Steps, interval)
-	}
-	if res.ConvergenceTime >= interval {
-		t.Fatalf("quiescence this late (%d) makes the test vacuous", res.ConvergenceTime)
-	}
-	if !res.Final.Quiescent() {
-		t.Fatal("final configuration not quiescent")
+	for _, ix := range indexCases {
+		res, err := Run(p, 10, Options{Seed: 3, Engine: EngineSparse, CheckInterval: interval, Workspace: freshWorkspace(ix.census)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("index=%s: matching did not converge", ix.name)
+		}
+		if res.Steps != interval {
+			t.Fatalf("index=%s: Steps = %d, want detection at the first check point %d", ix.name, res.Steps, interval)
+		}
+		if res.ConvergenceTime >= interval {
+			t.Fatalf("index=%s: quiescence this late (%d) makes the test vacuous", ix.name, res.ConvergenceTime)
+		}
+		if !res.Final.Quiescent() {
+			t.Fatalf("index=%s: final configuration not quiescent", ix.name)
+		}
 	}
 }
 
@@ -113,12 +119,14 @@ func TestIndexedQuiescentTailExhaustsBudget(t *testing.T) {
 	})
 	det := Detector{Trigger: TriggerEffective, Stable: func(*Config) bool { return false }}
 	const budget = 1 << 40 // would take hours to simulate step by step
-	res, err := Run(p, 10, Options{Seed: 3, Engine: EngineSparse, Detector: det, MaxSteps: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged || res.Steps != budget {
-		t.Fatalf("want budget exhaustion at %d, got %+v", budget, res)
+	for _, ix := range indexCases {
+		res, err := Run(p, 10, Options{Seed: 3, Engine: EngineSparse, Detector: det, MaxSteps: budget, Workspace: freshWorkspace(ix.census)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Converged || res.Steps != budget {
+			t.Fatalf("index=%s: want budget exhaustion at %d, got %+v", ix.name, budget, res)
+		}
 	}
 }
 
@@ -183,15 +191,17 @@ func TestIndexedEdgeQuiescenceGate(t *testing.T) {
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 2, OutEdge: true},
 		{A: 1, B: 2, Edge: true, OutA: 2, OutB: 1, OutEdge: true},
 	})
-	res, err := Run(p, 8, Options{Seed: 9, Engine: EngineSparse, Detector: EdgeQuiescenceDetector(), MaxSteps: 1 << 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("edge quiescence not detected: %+v", res)
-	}
-	if !res.Final.EdgeQuiescent() {
-		t.Fatal("final configuration not edge-quiescent")
+	for _, ix := range indexCases {
+		res, err := Run(p, 8, Options{Seed: 9, Engine: EngineSparse, Detector: EdgeQuiescenceDetector(), MaxSteps: 1 << 22, Workspace: freshWorkspace(ix.census)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("index=%s: edge quiescence not detected: %+v", ix.name, res)
+		}
+		if !res.Final.EdgeQuiescent() {
+			t.Fatalf("index=%s: final configuration not edge-quiescent", ix.name)
+		}
 	}
 }
 
@@ -199,15 +209,17 @@ func TestIndexedEdgeQuiescenceGate(t *testing.T) {
 // detection step across many seeds on a workload with a non-trivial
 // ineffective fraction: the two engines must agree in the mean within
 // standard-error bounds (they are deterministic per seed but follow
-// different sample paths, so only the law is comparable).
+// different sample paths, so only the law is comparable). The sparse
+// engine runs on both enabled-pair indexes.
 func TestIndexedStepsLawMatchesBaseline(t *testing.T) {
 	t.Parallel()
 	p, det := epidemicProtocol()
 	const n, trials = 16, 300
-	moments := func(eng Engine) (mean, se float64) {
+	moments := func(eng Engine, census bool) (mean, se float64) {
 		var sum, sumSq float64
+		ws := freshWorkspace(census)
 		for seed := uint64(1); seed <= trials; seed++ {
-			res, err := Run(p, n, Options{Seed: seed, Engine: eng, Detector: det, Initial: seededInitial(p, n)})
+			res, err := Run(p, n, Options{Seed: seed, Engine: eng, Detector: det, Initial: seededInitial(p, n), Workspace: ws})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,11 +234,13 @@ func TestIndexedStepsLawMatchesBaseline(t *testing.T) {
 		variance := (sumSq - sum*sum/trials) / (trials - 1)
 		return mean, math.Sqrt(variance / trials)
 	}
-	mb, sb := moments(EngineBaseline)
-	ms, ss := moments(EngineSparse)
-	if diff, bound := math.Abs(mb-ms), 5*math.Hypot(sb, ss); diff > bound {
-		t.Fatalf("mean detection step diverged: baseline %.1f±%.1f vs sparse %.1f±%.1f (|Δ|=%.1f > %.1f)",
-			mb, sb, ms, ss, diff, bound)
+	mb, sb := moments(EngineBaseline, false)
+	for _, ix := range indexCases {
+		ms, ss := moments(EngineSparse, ix.census)
+		if diff, bound := math.Abs(mb-ms), 5*math.Hypot(sb, ss); diff > bound {
+			t.Fatalf("mean detection step diverged: baseline %.1f±%.1f vs sparse on %s %.1f±%.1f (|Δ|=%.1f > %.1f)",
+				mb, sb, ix.name, ms, ss, diff, bound)
+		}
 	}
 }
 

@@ -30,15 +30,16 @@ type Injector interface {
 }
 
 // Mutator applies out-of-band configuration mutations on behalf of an
-// Injector, keeping the running engine's index synchronized: the
-// state-class census index that the sparse engine and the batch
-// engine's exact route share (a batch run with an injector always
-// takes the exact route). Updates are incremental, never rebuilds: a
-// node write costs O(deg + |Q|), an edge write O(1); the baseline path
-// carries no index and pays nothing.
+// Injector, keeping the running engine's enabled-pair index
+// synchronized: the bit-row index up to 64 nodes, the state-class
+// census above (a batch run with an injector always takes the exact
+// route). Updates are incremental, never rebuilds: a node write costs
+// O(deg + |Q|) on the census and O(|Q|) word operations on bit rows,
+// an edge write O(1); the baseline path carries no index and pays
+// nothing.
 type Mutator struct {
 	cfg *Config
-	ix  *batchIndex // nil on the baseline path
+	ix  enabledIndex // nil on the baseline path
 
 	// events and ev are the run's event sink and scratch record (both
 	// nil when no sink is attached); step is the engine's current step,

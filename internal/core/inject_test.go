@@ -64,10 +64,17 @@ func (s *scriptInjector) Inject(step int64, m *Mutator) {
 	}
 }
 
+// injectorRoutes are the paths an injector test runs on: the baseline,
+// and the sparse engine on each enabled-pair index.
+var injectorRoutes = []struct {
+	engine Engine
+	census bool
+}{{EngineBaseline, false}, {EngineSparse, false}, {EngineSparse, true}}
+
 // TestInjectorFiresAtSameStepsOnEveryEngine pins the step-positional
 // contract: a fixed event schedule fires at identical steps on the
-// baseline and sparse paths, and events at or beyond MaxSteps
-// never fire.
+// baseline and sparse paths (on both enabled-pair indexes), and events
+// at or beyond MaxSteps never fire.
 func TestInjectorFiresAtSameStepsOnEveryEngine(t *testing.T) {
 	t.Parallel()
 	// Every pair is always enabled, so the indexed engines land on
@@ -79,7 +86,8 @@ func TestInjectorFiresAtSameStepsOnEveryEngine(t *testing.T) {
 	})
 	never := Detector{Trigger: TriggerInterval, Stable: func(*Config) bool { return false }}
 	const maxSteps = 500
-	for _, engine := range []Engine{EngineBaseline, EngineSparse} {
+	for _, route := range injectorRoutes {
+		engine := route.engine
 		inj := &scriptInjector{
 			events: []int64{10, 100, 499, 500, 600},
 			act: func(step int64, m *Mutator) {
@@ -88,11 +96,12 @@ func TestInjectorFiresAtSameStepsOnEveryEngine(t *testing.T) {
 			},
 		}
 		res, err := Run(p, 16, Options{
-			Seed:     7,
-			Engine:   engine,
-			Detector: never,
-			MaxSteps: maxSteps,
-			Injector: inj,
+			Seed:      7,
+			Engine:    engine,
+			Detector:  never,
+			MaxSteps:  maxSteps,
+			Injector:  inj,
+			Workspace: freshWorkspace(route.census),
 		})
 		if err != nil {
 			t.Fatalf("engine=%s: %v", engine, err)
@@ -122,7 +131,8 @@ func TestInjectorMutationsVisibleToRun(t *testing.T) {
 	p := MustProtocol("oneshot", []string{"a", "b"}, 0, nil, []Rule{
 		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
 	})
-	for _, engine := range []Engine{EngineBaseline, EngineSparse} {
+	for _, route := range injectorRoutes {
+		engine := route.engine
 		resurrected := false
 		inj := &scriptInjector{events: []int64{25}}
 		inj.act = func(_ int64, m *Mutator) {
@@ -135,7 +145,7 @@ func TestInjectorMutationsVisibleToRun(t *testing.T) {
 				resurrected = true
 			}
 		}
-		res, err := Run(p, 8, Options{Seed: 3, Engine: engine, MaxSteps: 1 << 16, Injector: inj})
+		res, err := Run(p, 8, Options{Seed: 3, Engine: engine, MaxSteps: 1 << 16, Injector: inj, Workspace: freshWorkspace(route.census)})
 		if err != nil {
 			t.Fatalf("engine=%s: %v", engine, err)
 		}

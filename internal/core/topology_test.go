@@ -252,7 +252,7 @@ func TestTopologySpecBuildAndRealize(t *testing.T) {
 // contract: a run whose topology came from the "complete" spec is
 // bit-identical to a run with no topology at all, on every engine —
 // complete builds to a nil *Topology, so the engines execute the exact
-// pre-topology code path.
+// pre-topology code path, on both enabled-pair indexes.
 func TestCompleteTopologyBitIdentical(t *testing.T) {
 	t.Parallel()
 	p := matchingProtocol()
@@ -260,25 +260,27 @@ func TestCompleteTopologyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
-		topo, err := spec.Realize(24, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := Run(p, 24, Options{Seed: 5, Engine: eng, Detector: QuiescenceDetector()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		withSpec, err := Run(p, 24, Options{Seed: 5, Engine: eng, Detector: QuiescenceDetector(), Topology: topo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Steps != withSpec.Steps || base.ConvergenceTime != withSpec.ConvergenceTime ||
-			base.EffectiveSteps != withSpec.EffectiveSteps || base.EdgeChanges != withSpec.EdgeChanges {
-			t.Fatalf("%s: complete-spec run diverged from plain run: %+v vs %+v", eng, base, withSpec)
-		}
-		if base.Final.Fingerprint() != withSpec.Final.Fingerprint() {
-			t.Fatalf("%s: complete-spec final configuration differs", eng)
+	for _, ix := range indexCases {
+		for _, eng := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
+			topo, err := spec.Realize(24, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := Run(p, 24, Options{Seed: 5, Engine: eng, Detector: QuiescenceDetector(), Workspace: freshWorkspace(ix.census)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			withSpec, err := Run(p, 24, Options{Seed: 5, Engine: eng, Detector: QuiescenceDetector(), Topology: topo, Workspace: freshWorkspace(ix.census)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.Steps != withSpec.Steps || base.ConvergenceTime != withSpec.ConvergenceTime ||
+				base.EffectiveSteps != withSpec.EffectiveSteps || base.EdgeChanges != withSpec.EdgeChanges {
+				t.Fatalf("index=%s %s: complete-spec run diverged from plain run: %+v vs %+v", ix.name, eng, base, withSpec)
+			}
+			if base.Final.Fingerprint() != withSpec.Final.Fingerprint() {
+				t.Fatalf("index=%s %s: complete-spec final configuration differs", ix.name, eng)
+			}
 		}
 	}
 }
@@ -361,12 +363,14 @@ func TestRestrictedRunsKeepActiveWithinTopology(t *testing.T) {
 
 // TestSparseBatchBitIdenticalUnderTopology pins the batch engine's
 // exact-fallback contract: with a restricted topology attached, a
-// batch run is bit-identical to the sparse run with the same seed.
+// batch run is bit-identical to the sparse run with the same seed, on
+// both enabled-pair indexes.
 func TestSparseBatchBitIdenticalUnderTopology(t *testing.T) {
 	t.Parallel()
 	p := matchingProtocol()
 	spec := &TopologySpec{Kind: TopoRGG, Param: 0.25}
 	for seed := uint64(1); seed <= 4; seed++ {
+		census := seed%2 == 0
 		topoA, err := spec.Realize(48, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -375,11 +379,11 @@ func TestSparseBatchBitIdenticalUnderTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := Run(p, 48, Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topoA})
+		sparse, err := Run(p, 48, Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topoA, Workspace: freshWorkspace(census)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := Run(p, 48, Options{Seed: seed, Engine: EngineBatch, Detector: QuiescenceDetector(), Topology: topoB})
+		batch, err := Run(p, 48, Options{Seed: seed, Engine: EngineBatch, Detector: QuiescenceDetector(), Topology: topoB, Workspace: freshWorkspace(census)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,21 +445,29 @@ func TestQuiescentScanHonorsTopology(t *testing.T) {
 	}
 }
 
-// TestWorkspaceAcrossTopologies checks that the workspace's census
-// index rebuilds its permitted-pair census per run: alternating
-// topologies through one workspace must not leak one run's index into
-// the next.
+// TestWorkspaceAcrossTopologies checks that the workspace's index
+// rebuilds its permitted pairs per run — the census's permitted-pair
+// lists, the bit rows' permitted masks: alternating topologies through
+// one workspace must not leak one run's index into the next.
 func TestWorkspaceAcrossTopologies(t *testing.T) {
 	t.Parallel()
 	p := matchingProtocol()
+	for _, ix := range indexCases {
+		testWorkspaceAcrossTopologies(t, p, ix.census)
+	}
+}
+
+func testWorkspaceAcrossTopologies(t *testing.T, p *Protocol, census bool) {
+	t.Helper()
 	ws := NewWorkspace()
+	ws.censusOnly = census
 	spec := &TopologySpec{Kind: TopoGnp, Param: 0.3}
 	for seed := uint64(1); seed <= 3; seed++ {
 		topo, err := spec.Realize(16, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(p, 16, Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topo})
+		fresh, err := Run(p, 16, Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topo, Workspace: freshWorkspace(census)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +481,7 @@ func TestWorkspaceAcrossTopologies(t *testing.T) {
 		}
 		if fresh.Steps != reused.Steps || fresh.EffectiveSteps != reused.EffectiveSteps ||
 			fresh.EdgeChanges != reused.EdgeChanges || fresh.Final.Fingerprint() != reused.Final.Fingerprint() {
-			t.Fatalf("seed %d: workspace run diverged from fresh run under per-trial topologies", seed)
+			t.Fatalf("census=%v seed %d: workspace run diverged from fresh run under per-trial topologies", census, seed)
 		}
 	}
 }

@@ -24,9 +24,15 @@ package core
 //
 // A Workspace is not safe for concurrent use: one per goroutine.
 type Workspace struct {
-	cfg   *Config
-	batch *batchIndex
-	rng   *RNG
+	cfg    *Config
+	census *batchIndex
+	bits   *bitIndex
+	rng    *RNG
+
+	// censusOnly serves every run from the census index, whatever its
+	// population: the seam through which this package's tests and
+	// benchmarks compare the two indexes at the same n.
+	censusOnly bool
 }
 
 // NewWorkspace returns an empty workspace; every piece is built lazily
@@ -64,14 +70,24 @@ func (ws *Workspace) rngFor(seed uint64) *RNG {
 	return ws.rng
 }
 
-// batchIndex returns the state-class census index the sparse and batch
-// engines run on, built for cfg on first use and rebuilt in place
-// after that. Either way the build is O(n + m + |Q|²).
-func (ws *Workspace) batchIndex(cfg *Config) *batchIndex {
-	if ws.batch == nil {
-		ws.batch = newBatchIndex(cfg)
-	} else {
-		ws.batch.reset(cfg)
+// index returns the enabled-pair index the sparse and batch engines
+// run on, built for cfg on first use and rebuilt in place after that:
+// the bit-row index for populations of at most bitRowNodes nodes —
+// the one place a run's population picks its index — and the
+// state-class census above, or at every n on a census-only workspace.
+// Only the index the run uses is built.
+func (ws *Workspace) index(cfg *Config) enabledIndex {
+	if cfg.n <= bitRowNodes && !ws.censusOnly {
+		if ws.bits == nil {
+			ws.bits = new(bitIndex)
+		}
+		ws.bits.reset(cfg)
+		return ws.bits
 	}
-	return ws.batch
+	if ws.census == nil {
+		ws.census = newBatchIndex(cfg)
+	} else {
+		ws.census.reset(cfg)
+	}
+	return ws.census
 }

@@ -31,6 +31,23 @@ func keyOf(res Result) wsResultKey {
 	}
 }
 
+// indexCases are the two enabled-pair indexes an indexed run at most
+// 64 nodes can take: the bit rows Run picks there, and the census
+// through a census-only workspace (the package's seam).
+// freshWorkspace returns what Options.Workspace gets for a run with no
+// workspace of the caller's: nil, or a new census-only one.
+var indexCases = []struct {
+	name   string
+	census bool
+}{{"bits", false}, {"census", true}}
+
+func freshWorkspace(census bool) *Workspace {
+	if !census {
+		return nil
+	}
+	return &Workspace{censusOnly: true}
+}
+
 // dirtyWorkspace runs a throwaway workload through ws so the measured
 // run that follows starts from a thoroughly used workspace — different
 // protocol, different population, an indexed engine — rather than a
@@ -56,8 +73,9 @@ func dirtyWorkspace(t *testing.T, ws *Workspace) {
 // a reused (and deliberately dirtied) workspace is bit-identical —
 // full Result plus final-configuration fingerprint — to a run with no
 // workspace (on a new one of its own) with the same (protocol, n,
-// seed, engine), on every engine, for default and caller-supplied
-// initial configurations, and under an injected fault sequence.
+// seed, engine), on every engine and both enabled-pair indexes, for
+// default and caller-supplied initial configurations, and under an
+// injected fault sequence.
 func TestWorkspaceBitIdentical(t *testing.T) {
 	t.Parallel()
 	epi, epiDet := epidemicProtocol()
@@ -94,37 +112,41 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			for _, engine := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
-				opts := Options{Seed: 7, Engine: engine, Detector: tc.det, MaxSteps: tc.maxSteps}
-				if tc.initial != nil {
-					opts.Initial = tc.initial(tc.proto, tc.n)
-				}
-				if tc.injector != nil {
-					opts.Injector = tc.injector()
-				}
-				fresh, err := Run(tc.proto, tc.n, opts)
-				if err != nil {
-					t.Fatalf("engine=%s fresh: %v", engine, err)
-				}
-				want := keyOf(fresh)
-
-				ws := NewWorkspace()
-				dirtyWorkspace(t, ws)
-				opts.Workspace = ws
-				// Two reused runs: the first resets the dirtied
-				// workspace, the second resets it after a run of the same
-				// case.
-				for round := 1; round <= 2; round++ {
+			for _, ix := range indexCases {
+				for _, engine := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
+					opts := Options{Seed: 7, Engine: engine, Detector: tc.det, MaxSteps: tc.maxSteps}
+					if tc.initial != nil {
+						opts.Initial = tc.initial(tc.proto, tc.n)
+					}
 					if tc.injector != nil {
-						opts.Injector = tc.injector() // injectors are stateful: fresh per run
+						opts.Injector = tc.injector()
 					}
-					got, err := Run(tc.proto, tc.n, opts)
+					opts.Workspace = freshWorkspace(ix.census)
+					fresh, err := Run(tc.proto, tc.n, opts)
 					if err != nil {
-						t.Fatalf("engine=%s workspace round %d: %v", engine, round, err)
+						t.Fatalf("index=%s engine=%s fresh: %v", ix.name, engine, err)
 					}
-					if keyOf(got) != want {
-						t.Fatalf("engine=%s round %d: workspace run diverged from fresh run:\n got %+v\nwant %+v",
-							engine, round, keyOf(got), want)
+					want := keyOf(fresh)
+
+					ws := NewWorkspace()
+					ws.censusOnly = ix.census
+					dirtyWorkspace(t, ws)
+					opts.Workspace = ws
+					// Two reused runs: the first resets the dirtied
+					// workspace, the second resets it after a run of the same
+					// case.
+					for round := 1; round <= 2; round++ {
+						if tc.injector != nil {
+							opts.Injector = tc.injector() // injectors are stateful: fresh per run
+						}
+						got, err := Run(tc.proto, tc.n, opts)
+						if err != nil {
+							t.Fatalf("index=%s engine=%s workspace round %d: %v", ix.name, engine, round, err)
+						}
+						if keyOf(got) != want {
+							t.Fatalf("index=%s engine=%s round %d: workspace run diverged from fresh run:\n got %+v\nwant %+v",
+								ix.name, engine, round, keyOf(got), want)
+						}
 					}
 				}
 			}
