@@ -50,7 +50,6 @@ const bitRowNodes = 64
 type bitIndex struct {
 	cfg   *Config
 	proto *Protocol
-	n     int
 
 	// effOn[a] and effOff[a] list the states t with EffectiveOn(a, t,
 	// edge) for edge = true and false; edgeOn and edgeOff do the same
@@ -72,7 +71,7 @@ func (bx *bitIndex) reset(cfg *Config) {
 	if n > bitRowNodes {
 		panic(fmt.Sprintf("core: the bit-row index supports populations up to %d, got %d", bitRowNodes, n))
 	}
-	bx.cfg, bx.n = cfg, n
+	bx.cfg = cfg
 	if bx.proto != cfg.proto {
 		bx.rebuildLists(cfg.proto)
 	}

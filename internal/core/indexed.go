@@ -525,7 +525,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		} else {
 			u, v, edge = ix.sample(rng)
 		}
-		if !effective {
+		if !effective { // a swap landing has already applied itself
 			beforeU, beforeV = cfg.nodes[u], cfg.nodes[v]
 			// An enabled pair can still take an ineffective probabilistic
 			// branch; that matches the baseline, which also counts such
