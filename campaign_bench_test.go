@@ -77,7 +77,7 @@ func BenchmarkCampaign(b *testing.B) {
 // workspace contract). Run with -benchmem to see the allocation
 // collapse:
 //
-//	go test -bench BenchmarkCampaignThroughput -benchtime 3x -benchmem
+//	go test -bench BenchmarkCampaignThroughput -benchtime 1000x -benchmem
 func BenchmarkCampaignThroughput(b *testing.B) {
 	const trials = 32
 	for _, n := range []int{512, 2048} {

@@ -13,7 +13,7 @@ package netcons_test
 // with no sink, a bounded in-memory ring, and NDJSON encoding to
 // io.Discard.
 //
-//	go test -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 3x -benchmem
+//	go test -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 1000x -benchmem
 
 import (
 	"context"

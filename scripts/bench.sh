@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates the tracked benchmark artifacts — BENCH_batch.json,
 # BENCH_engine.json, BENCH_campaign.json, BENCH_topology.json,
-# BENCH_observer.json, BENCH_detector.json, BENCH_stats.json — with the pinned -benchtime
+# BENCH_observer.json, BENCH_detector.json, BENCH_stats.json,
+# BENCH_index.json — with the pinned -benchtime
 # (and, for the repeated-sample suites, -count) each suite is
 # calibrated for. CI runs this script per suite and uploads the files;
 # run it locally (optionally with a subset of suite names) to reproduce
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 suites="$*"
 if [ -z "$suites" ]; then
-  suites="batch engine campaign topology observer detector stats"
+  suites="batch engine campaign topology observer detector stats index"
 fi
 
 for suite in $suites; do
@@ -27,14 +28,18 @@ for suite in $suites; do
       ;;
     campaign)
       # Five samples per row: README and EXPERIMENTS.md quote the
-      # medians of the alloc=fresh / alloc=workspace ratio.
-      go test -run '^$' -bench BenchmarkCampaignThroughput -benchtime 3x -count 5 -benchmem -json . | tee BENCH_campaign.json
+      # medians of the alloc=fresh / alloc=workspace ratio. 1000 ops of
+      # 32 trials make a sample last about a second; at 3 ops (~3 ms)
+      # the medians moved by 1.8x between regenerations.
+      go test -run '^$' -bench BenchmarkCampaignThroughput -benchtime 1000x -count 5 -benchmem -json . | tee BENCH_campaign.json
       ;;
     topology)
       go test -run '^$' -bench BenchmarkTopologyOverhead -benchtime 1x -benchmem -json . | tee BENCH_topology.json
       ;;
     observer)
-      go test -run '^$' -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 3x -benchmem -json . | tee BENCH_observer.json
+      # The same pin as the campaign suite: the events=off rows are
+      # compared with BENCH_campaign.json's alloc=workspace rows.
+      go test -run '^$' -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 1000x -benchmem -json . | tee BENCH_observer.json
       ;;
     detector)
       # Repeated samples: the per-call rows run from a few ns to tens of
@@ -46,8 +51,14 @@ for suite in $suites; do
       # per row, from ~10 ns displacements to ~10 µs budget cuts.
       go test -run '^$' -bench BenchmarkSamplers -benchtime 20000x -count 5 -benchmem -json ./internal/stats | tee BENCH_stats.json
       ;;
+    index)
+      # The two enabled-pair indexes in ns per landing, five counts per
+      # row: bit rows and census at n = 16, 32, 64, census at 128 — the
+      # rows behind the 64-node cut. Each op resolves >= 10^5 landings.
+      go test -run '^$' -bench BenchmarkIndex -benchtime 5x -count 5 -benchmem -json ./internal/core | tee BENCH_index.json
+      ;;
     *)
-      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector, stats)" >&2
+      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector, stats, index)" >&2
       exit 2
       ;;
   esac
