@@ -24,9 +24,11 @@ const (
 )
 
 // Gate declares that a detector's Stable predicate is equivalent to a
-// counter condition the census index maintains incrementally, letting
-// the indexed engines answer it in O(1) instead of running the O(n²)
-// scan. The baseline engine ignores gates and always calls Stable.
+// counter condition the enabled-pair index answers, letting the
+// indexed engines skip the O(n²) scan: the census keeps both counts,
+// and the bit-row index keeps the enabled count and counts the
+// edge-enabled pairs from its state masks when asked. The baseline
+// engine ignores gates and always calls Stable.
 type Gate int
 
 // Gate values.
@@ -58,7 +60,7 @@ type Detector struct {
 	Stable  func(cfg *Config) bool
 	Trigger Trigger
 	// Gate, when non-zero, lets the indexed engines replace Stable with
-	// an equivalent O(1) counter check. Set it only when the equivalence is
+	// an equivalent counter check. Set it only when the equivalence is
 	// exact; the prebuilt quiescence detectors do.
 	Gate Gate
 }
@@ -109,7 +111,8 @@ func QuiescenceDetector() Detector {
 // transition changes an edge. This is not sufficient for stability in
 // general (later node-state changes may re-enable edge changes), so use
 // it only for protocols where edge quiescence is known to be absorbing.
-// Like QuiescenceDetector it is an O(1) gate on the indexed paths.
+// Like QuiescenceDetector it is a gate on the indexed paths: O(1) on
+// the census, O(n + |Q|²) word operations on the bit-row index.
 func EdgeQuiescenceDetector() Detector {
 	return Detector{
 		Stable:  func(cfg *Config) bool { return cfg.EdgeQuiescent() },
@@ -183,11 +186,11 @@ type Options struct {
 	// (no pair ever interacts). Injectors are stateful; supply a fresh
 	// one per run.
 	Injector Injector
-	// Workspace holds the run's state — the configuration, the census
-	// index and the RNG — which Run rebuilds in place, so repeated runs
-	// on one workspace allocate nothing in the steady state. Nil runs on
-	// a new workspace of the run's own, whose first build allocates
-	// what the run needs. Every result bit is the same either way (see
+	// Workspace holds the run's state — the configuration, the
+	// enabled-pair index and the RNG — which Run rebuilds in place, so
+	// repeated runs on one workspace allocate nothing in the steady
+	// state. Nil runs on a new workspace of the run's own, whose first
+	// build allocates what the run needs. Every result bit is the same either way (see
 	// Workspace). With a caller's workspace, Result.Final is borrowed:
 	// it is valid only until the workspace's next run, and callers who
 	// retain it must Clone it.

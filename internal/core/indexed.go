@@ -166,10 +166,10 @@ type enabledIndex interface {
 //     next multiple of the check interval — computed, not simulated —
 //     which preserves the law of Result.Steps as well.
 //
-// Detectors carrying a Gate are evaluated from the index's O(1)
-// counters instead of their O(n²) scan predicate; that includes the
-// pre-loop already-stable check, so an indexed run never pays an O(n²)
-// scan at all.
+// Detectors carrying a Gate are evaluated from the index's counts
+// (Detector.stableOn) instead of their O(n²) scan predicate; that
+// includes the pre-loop already-stable check, so an indexed run never
+// pays an O(n²) scan at all.
 //
 // The loop runs on either enabled-pair index; with runs off every
 // landing is one sample, one Config.apply and one update. With runs on
@@ -207,8 +207,8 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 	}
 	events := opts.Events
 
-	// stable evaluates the detector (through its O(1) gate when it has
-	// one) against the configuration frozen at step `at`, counting the
+	// stable evaluates the detector (through its gate when it has one)
+	// against the configuration frozen at step `at`, counting the
 	// check and emitting the verdict. Detect events are emitted at
 	// evaluation time, which for interval checks inside a frozen
 	// stretch is before the skip batch covering that stretch — the

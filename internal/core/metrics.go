@@ -26,9 +26,9 @@ type Metrics struct {
 	// (including O(1) gate evaluations on the indexed paths).
 	DetectorChecks int64 `json:"detector_checks,omitempty"`
 
-	// SampleRejections counts rejected candidate draws in the sparse
-	// engine's class-internal rejection sampling. Zero on the baseline
-	// path.
+	// SampleRejections counts rejected candidate draws in the census
+	// index's class-internal rejection sampling. Zero on the baseline
+	// path and on the bit-row index, which draws without rejection.
 	SampleRejections int64 `json:"sample_rejections,omitempty"`
 
 	// BucketDraws counts the pure-path landings the batch engine drew

@@ -1,8 +1,8 @@
 package core
 
 // Workspace owns the state every run executes on: the configuration
-// (node states plus adjacency rows), the state-class census index, and
-// the RNG. Run builds each piece on first use and rebuilds it in place
+// (node states plus adjacency rows), the enabled-pair index (bit rows
+// up to 64 nodes, the state-class census above), and the RNG. Run builds each piece on first use and rebuilds it in place
 // on every later run, so a campaign worker that keeps one workspace for
 // its whole job stream, passing it through Options.Workspace, runs
 // every trial after the first without per-trial allocation (a new
