@@ -226,3 +226,25 @@ func TestSelectBit(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexSelectionCut pins where Workspace.index cuts: bit rows up to
+// 64 nodes, the census from 65 on and on a census-only workspace, and
+// a run builds only the index it uses.
+func TestIndexSelectionCut(t *testing.T) {
+	t.Parallel()
+	p := injProtocol()
+	for _, tc := range []struct {
+		n          int
+		censusOnly bool
+		wantBits   bool
+	}{{2, false, true}, {64, false, true}, {65, false, false}, {64, true, false}} {
+		ws := &Workspace{censusOnly: tc.censusOnly}
+		if _, err := Run(p, tc.n, Options{Seed: 1, Engine: EngineSparse, MaxSteps: 100, Workspace: ws}); err != nil {
+			t.Fatal(err)
+		}
+		if gotBits := ws.bits != nil; gotBits != tc.wantBits || (ws.census != nil) == tc.wantBits {
+			t.Fatalf("n=%d censusOnly=%v: built bit rows %v, census %v; want bit rows %v only",
+				tc.n, tc.censusOnly, ws.bits != nil, ws.census != nil, tc.wantBits)
+		}
+	}
+}
