@@ -356,7 +356,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 						landed = rng.Hypergeometric(rem, chunk-1, span-1)
 						span = rem
 					}
-					ci.collapseMove(rng.WalkDisplacement(landed, 0))
+					ci.collapseMove(rng.WalkDisplacement(landed))
 					step += span
 					res.EffectiveSteps += landed
 					res.Metrics.CollapsedLandings += landed

@@ -44,15 +44,8 @@ func (r *RNG) Coin() bool { return r.src.Uint64()&1 == 1 }
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 
-// Uint64 returns a uniform 64-bit word. Together with Float64,
-// ExpFloat64 and NormFloat64 this makes RNG satisfy stats.Source.
+// Uint64 returns a uniform 64-bit word.
 func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
-
-// ExpFloat64 returns an Exponential(1) variate.
-func (r *RNG) ExpFloat64() float64 { return r.src.ExpFloat64() }
-
-// NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
@@ -110,11 +103,10 @@ func (r *RNG) NegBinomial(n int64, p float64) int64 {
 }
 
 // WalkDisplacement returns the exact net displacement of a
-// `steps`-step lazy random walk (hold probability `stay`) in one draw
-// — the swap-run collapse kernel's single sample. See
-// stats.WalkDisplacement.
-func (r *RNG) WalkDisplacement(steps int64, stay float64) int64 {
-	return stats.WalkDisplacement(r.src, steps, stay)
+// `steps`-step simple random walk in one draw — the swap-run
+// collapse's single displacement sample. See stats.WalkDisplacement.
+func (r *RNG) WalkDisplacement(steps int64) int64 {
+	return stats.WalkDisplacement(r.src, steps)
 }
 
 // Pair returns a uniform unordered pair {u, v}, u ≠ v, over n nodes —

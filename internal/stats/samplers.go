@@ -7,10 +7,10 @@ import (
 
 // This file holds the exact discrete samplers behind the batch
 // engine's swap-run collapse (see indexedLoop in
-// internal/core/indexed.go and ARCHITECTURE.md): binomial and
+// internal/core/indexed.go and ARCHITECTURE.md): fair-coin and
 // hypergeometric counts, gamma/Poisson variates feeding the
 // negative-binomial gap collapse, and the net displacement of a k-step
-// lazy random walk. The displacement and the gap total cost O(1)
+// simple random walk. The displacement and the gap total cost O(1)
 // expected uniforms at any chunk length — the displacement's fair
 // binomial goes through BTRS once popcounting stops paying — while the
 // hypergeometric budget cut, drawn once where the step budget ends,
@@ -19,12 +19,12 @@ import (
 // pinned against literal urn and coin simulations and exact pmfs
 // without importing the engine, and so non-engine consumers can draw
 // from any uniform source. Every sampler is exact up to float64
-// rounding: CDF inversions walk the true probability mass, and the
-// BTRS binomial and the gamma/Poisson pair are rejection samplers, not
-// approximations.
+// rounding: the hypergeometric CDF inversion walks the true
+// probability mass, and the BTRS binomial and the gamma/Poisson pair
+// are rejection samplers, not approximations.
 
 // Source is the uniform-randomness interface the samplers consume.
-// *math/rand/v2.Rand satisfies it, as does core.RNG.
+// *math/rand/v2.Rand satisfies it; core.RNG passes its own.
 type Source interface {
 	// Float64 returns a uniform float in [0, 1).
 	Float64() float64
@@ -41,55 +41,24 @@ type Source interface {
 // callers bound the result by their remaining step budget anyway.
 const sampleClamp = int64(1) << 62
 
-// popcountMax is the fair-coin count below which Binomial counts
+// popcountMax is the fair-coin count below which fairBinomial counts
 // popcounts: ⌈n/64⌉ uniform words beat one BTRS draw up to about a
 // thousand coins (BENCH_stats.json's fair-coins medians: popcount 41,
 // 62 and 120 ns at 512, 768 and 1,024 coins, BTRS 71, 94 and 68 ns).
 const popcountMax = 1024
 
-// Binomial returns the number of successes in n independent
-// Bernoulli(p) trials, by one of three exact methods:
-//   - fair coins (p = 1/2) below popcountMax are counted by popcount
-//     over ⌈n/64⌉ uniform words;
-//   - n·min(p, 1−p) ≥ 10 runs Hörmann's BTRS transformed rejection
-//     (binomialBTRS), O(1) expected uniform pairs at any n;
-//   - smaller means invert the CDF on a single uniform, walking
-//     O(n·min(p, 1−p)) expected terms from the mass (1−p)ⁿ > e⁻²⁰.
-//
-// p > 1/2 draws the failures instead (the complement branch), so the
-// rejection and inversion paths always see p ≤ 1/2.
-func Binomial(src Source, n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
+// fairBinomial returns the number of heads among n fair coins: by
+// popcount over ⌈n/64⌉ uniform words below popcountMax, by BTRS
+// rejection (binomialBTRS at p = 1/2, O(1) expected uniform pairs)
+// from there up.
+func fairBinomial(src Source, n int64) int64 {
+	if n <= 0 {
 		return 0
 	}
-	if p >= 1 {
-		return n
-	}
-	if p == 0.5 && n < popcountMax {
+	if n < popcountMax {
 		return fairCoins(src, n)
 	}
-	if p > 0.5 {
-		return n - Binomial(src, n, 1-p)
-	}
-	if float64(n)*p >= 10 {
-		return binomialBTRS(src, n, p)
-	}
-	// The starting mass (1−p)ⁿ goes through log1p: pow(1−p, n) would
-	// carry the rounding of 1−p to the n-th power (relative error ~10⁻⁷
-	// at n = 2³⁰).
-	u := src.Float64()
-	pmf := math.Exp(float64(n) * math.Log1p(-p))
-	cdf := pmf
-	ratio := p / (1 - p)
-	var k int64
-	// pmf > 0 ends the walk where the upper tail underflows: a u above
-	// the rounded total mass would otherwise walk on to k = n.
-	for u > cdf && k < n && pmf > 0 {
-		k++
-		pmf *= ratio * float64(n-k+1) / float64(k)
-		cdf += pmf
-	}
-	return k
+	return binomialBTRS(src, n, 0.5)
 }
 
 // fairCoins counts the heads among n fair coins by popcount over
@@ -152,9 +121,9 @@ func binomialBTRS(src Source, n int64, p float64) int64 {
 
 // Hypergeometric returns how many of `draws` draws without
 // replacement, from a population of `total` items of which `marked`
-// are marked, hit marked items. CDF inversion like Binomial, on one
-// uniform: the walk starts from pmf(0), computed without cancellation
-// by lnHyperZero. A pmf(0) below e⁻⁷⁰⁰ is carried in scaled form up to
+// are marked, hit marked items. CDF inversion on one uniform: the
+// walk starts from pmf(0), computed without cancellation by
+// lnHyperZero. A pmf(0) below e⁻⁷⁰⁰ is carried in scaled form up to
 // the first term above 2⁻⁹⁰⁰ (hyperHead); the terms skipped sum to
 // less than any positive Float64 uniform. The walk ends where the next
 // term no longer moves the rounded cdf, so a u above the rounded total
@@ -263,15 +232,11 @@ func lnGammaTail(x float64) float64 {
 }
 
 // Gamma returns a Gamma(shape, 1) variate by the Marsaglia–Tsang
-// squeeze-rejection method — exact, O(1) expected draws — with the
-// shape < 1 case boosted through Gamma(shape+1)·U^{1/shape}.
+// squeeze-rejection method — exact, O(1) expected draws. It requires
+// shape ≥ 1: NegBinomial, its one caller, passes an integer r ≥ 1.
 func Gamma(src Source, shape float64) float64 {
-	if shape <= 0 {
-		panic("stats: Gamma requires positive shape")
-	}
 	if shape < 1 {
-		u := 1 - src.Float64() // (0, 1]: avoids a zero boost
-		return Gamma(src, shape+1) * math.Pow(u, 1/shape)
+		panic("stats: Gamma requires shape ≥ 1")
 	}
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
@@ -359,24 +324,19 @@ func NegBinomial(src Source, r int64, p float64) int64 {
 	return Poisson(src, lambda)
 }
 
-// WalkDisplacement returns the net displacement of a `steps`-step lazy
-// simple random walk on ℤ: each step holds with probability `stay`,
-// otherwise moves ±1 with equal probability. With M the number of
-// moving steps (binomial) and R the rightward moves among them (a fair
-// binomial: popcount for short walks, BTRS above popcountMax), the
-// displacement 2R − M carries the exact k-step law — one draw
-// replacing k per-step simulations, at O(1) expected cost for any k.
-// The batch engine uses stay = 0: a revealed swap run moves its walker
-// on every landing.
-func WalkDisplacement(src Source, steps int64, stay float64) int64 {
+// WalkDisplacement returns the net displacement of a `steps`-step
+// simple random walk on ℤ, each step ±1 with equal probability: with R
+// the rightward steps (a fair binomial, by popcount for short walks and
+// BTRS above popcountMax), the displacement 2R − steps carries the
+// exact k-step law — one draw replacing k per-step simulations, at
+// O(1) expected cost for any k. The batch engine's swap-run collapse
+// draws its walker's displacement here: a revealed swap run moves its
+// walker on every landing.
+func WalkDisplacement(src Source, steps int64) int64 {
 	if steps <= 0 {
 		return 0
 	}
-	moves := steps
-	if stay > 0 {
-		moves = steps - Binomial(src, steps, stay)
-	}
-	return 2*Binomial(src, moves, 0.5) - moves
+	return 2*fairBinomial(src, steps) - steps
 }
 
 // LnChoose returns ln C(n, k) via lgamma.

@@ -21,7 +21,7 @@ func BenchmarkSamplers(b *testing.B) {
 		b.Run(fmt.Sprintf("WalkDisplacement/steps=%d", steps), func(b *testing.B) {
 			src := newSource(1)
 			for i := 0; i < b.N; i++ {
-				samplerDraw = WalkDisplacement(src, steps, 0)
+				samplerDraw = WalkDisplacement(src, steps)
 			}
 		})
 	}

@@ -33,44 +33,38 @@ func samplerChiSquare(t *testing.T, label string, a, b []int64) {
 	}
 }
 
-// TestBinomialLawMatch pins every Binomial code path against literally
-// flipped coins: the fair-coin popcount counter, the CDF-inversion
-// walk, the complement branch, and BTRS rejection (n·min(p, 1−p) ≥ 10,
-// fair coins from popcountMax up). TestBinomialExactPMF covers the
-// populations too large to flip.
+// TestBinomialLawMatch pins both fairBinomial paths against literally
+// flipped coins: the popcount counter below popcountMax and BTRS
+// rejection from there up. TestBinomialExactPMF covers the populations
+// too large to flip.
 func TestBinomialLawMatch(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		branch string
 		n      int64
-		p      float64
+		seed   uint64
 	}{
-		{"inversion", 10, 0.3},
-		{"inversion/sparse", 20, 0.05},
-		{"complement/inversion", 10, 0.7},
-		{"popcount/word+remainder", 100, 0.5},
-		{"popcount/one-word", 64, 0.5},
-		{"popcount/sub-word", 3, 0.5},
-		{"btrs", 40, 0.3},
-		{"complement/btrs", 60, 0.8},
-		{"btrs/fair", popcountMax + 100, 0.5},
+		{"popcount/word+remainder", 100, 3},
+		{"popcount/one-word", 64, 4},
+		{"popcount/sub-word", 3, 5},
+		{"btrs", popcountMax + 100, 8},
 	}
-	for i, tc := range cases {
-		srcA := newSource(uint64(100 + i))
-		srcB := newSource(uint64(200 + i))
+	for _, tc := range cases {
+		srcA := newSource(100 + tc.seed)
+		srcB := newSource(200 + tc.seed)
 		histA := make([]int64, tc.n+1)
 		histB := make([]int64, tc.n+1)
 		for trial := 0; trial < samplerLawTrials; trial++ {
-			histA[Binomial(srcA, tc.n, tc.p)]++
+			histA[fairBinomial(srcA, tc.n)]++
 			var brute int64
 			for j := int64(0); j < tc.n; j++ {
-				if srcB.Float64() < tc.p {
+				if srcB.Float64() < 0.5 {
 					brute++
 				}
 			}
 			histB[brute]++
 		}
-		samplerChiSquare(t, "Binomial/"+tc.branch, histA, histB)
+		samplerChiSquare(t, "fairBinomial/"+tc.branch, histA, histB)
 	}
 }
 
@@ -114,48 +108,29 @@ func binomialPMFChiSquare(t *testing.T, label string, n int64, p float64, draw f
 	}
 }
 
-// TestBinomialExactPMF pins Binomial against its exact pmf at
-// populations no literal coin simulation reaches, up to n = 2²⁸: BTRS
-// at every mean from 1 to 2²⁷, the inversion walk and the popcount
-// counter at n = 10³, and the complement branch in front of both the
-// rejection and the inversion path.
+// TestBinomialExactPMF pins fairBinomial against its exact pmf at
+// populations no literal coin simulation reaches, up to n = 2²⁸: the
+// popcount counter at n = 10³ and BTRS at 2¹⁶ and 2²⁸.
 func TestBinomialExactPMF(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		n int64
-		p float64
-	}{
-		{1000, 0.5},     // popcount
-		{1000, 0.3},     // BTRS
-		{1000, 1e-3},    // inversion
-		{1 << 16, 0.5},  // BTRS, fair coins
-		{1 << 16, 0.3},  // BTRS
-		{1 << 16, 1e-3}, // BTRS at n·p = 65.5
-		{1 << 28, 0.5},  // BTRS
-		{1 << 28, 0.3},  // BTRS
-		{1 << 28, 1e-3}, // BTRS
-		{1 << 16, 0.7},  // complement → BTRS
-		{1000, 0.999},   // complement → inversion
-	}
-	for i, tc := range cases {
-		src := newSource(uint64(1300 + i))
-		label := fmt.Sprintf("Binomial(n=%d, p=%g)", tc.n, tc.p)
-		binomialPMFChiSquare(t, label, tc.n, tc.p, func() int64 { return Binomial(src, tc.n, tc.p) })
+	for i, n := range []int64{1000, 1 << 16, 1 << 28} {
+		src := newSource(uint64(1300 + 3*i))
+		label := fmt.Sprintf("fairBinomial(n=%d)", n)
+		binomialPMFChiSquare(t, label, n, 0.5, func() int64 { return fairBinomial(src, n) })
 	}
 }
 
 // TestWalkDisplacementExactLaw pins the swap-run collapse's
 // displacement draw at chunk lengths past popcountMax, up to the
-// engine's kernelPass cap of 2¹⁶ steps: with stay = 0 the displacement
-// is 2R − J, R ~ Binomial(J, 1/2), so R = (d + J)/2 must be an integer
+// engine's kernelPass cap of 2¹⁶ steps: the displacement is 2R − J, R ~ Binomial(J, 1/2), so R = (d + J)/2 must be an integer
 // with the exact binomial law.
 func TestWalkDisplacementExactLaw(t *testing.T) {
 	t.Parallel()
 	for i, steps := range []int64{1 << 12, 1 << 16} {
 		src := newSource(uint64(1400 + i))
-		label := fmt.Sprintf("WalkDisplacement(%d, 0)", steps)
+		label := fmt.Sprintf("WalkDisplacement(%d)", steps)
 		binomialPMFChiSquare(t, label, steps, 0.5, func() int64 {
-			d := WalkDisplacement(src, steps, 0)
+			d := WalkDisplacement(src, steps)
 			if (d+steps)%2 != 0 {
 				t.Fatalf("%s: displacement %d has the wrong parity", label, d)
 			}
@@ -204,53 +179,43 @@ func TestHypergeometricLawMatch(t *testing.T) {
 }
 
 // TestWalkDisplacementLawMatch pins the one-draw displacement against
-// a literally stepped lazy walk, including the stay = 0 swap-run case
-// the batch engine uses and a genuinely lazy walk.
+// a literally stepped walk.
 func TestWalkDisplacementLawMatch(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		steps int64
-		stay  float64
-	}{
-		{17, 0},   // swap-run collapse parameters
-		{96, 0},   // popcount across a word boundary
-		{24, 0.4}, // lazy walk
-	}
-	for i, tc := range cases {
+	for i, steps := range []int64{
+		17, // swap-run collapse parameters
+		96, // popcount across a word boundary
+	} {
 		srcA := newSource(uint64(500 + i))
 		srcB := newSource(uint64(600 + i))
 		// Displacement lives in [−steps, steps]; shift into histogram
 		// indices.
-		histA := make([]int64, 2*tc.steps+1)
-		histB := make([]int64, 2*tc.steps+1)
+		histA := make([]int64, 2*steps+1)
+		histB := make([]int64, 2*steps+1)
 		for trial := 0; trial < samplerLawTrials; trial++ {
-			histA[WalkDisplacement(srcA, tc.steps, tc.stay)+tc.steps]++
+			histA[WalkDisplacement(srcA, steps)+steps]++
 			var pos int64
-			for j := int64(0); j < tc.steps; j++ {
-				if tc.stay > 0 && srcB.Float64() < tc.stay {
-					continue
-				}
+			for j := int64(0); j < steps; j++ {
 				if srcB.Uint64()&1 == 0 {
 					pos--
 				} else {
 					pos++
 				}
 			}
-			histB[pos+tc.steps]++
+			histB[pos+steps]++
 		}
 		samplerChiSquare(t, "WalkDisplacement", histA, histB)
 	}
 }
 
-// TestWalkDisplacementParity: with stay = 0 the displacement must have
-// the parity of the step count — the batch engine relies on this to
+// TestWalkDisplacementParity: the displacement must have the parity of the step count — the batch engine relies on this to
 // land the walker on a path node.
 func TestWalkDisplacementParity(t *testing.T) {
 	t.Parallel()
 	src := newSource(42)
 	for steps := int64(1); steps <= 65; steps++ {
 		for trial := 0; trial < 50; trial++ {
-			d := WalkDisplacement(src, steps, 0)
+			d := WalkDisplacement(src, steps)
 			if d < -steps || d > steps {
 				t.Fatalf("steps=%d: displacement %d out of range", steps, d)
 			}
@@ -375,12 +340,12 @@ func poolBins(obs []int64, exp []float64, minExp float64) ([]int64, []float64) {
 	return pooledObs, pooledExp
 }
 
-// TestGammaMoments sanity-checks the Marsaglia–Tsang sampler on both
-// shape regimes: Gamma(shape, 1) has mean = variance = shape.
+// TestGammaMoments sanity-checks the Marsaglia–Tsang sampler from its
+// shape-1 floor up: Gamma(shape, 1) has mean = variance = shape.
 func TestGammaMoments(t *testing.T) {
 	t.Parallel()
-	for i, shape := range []float64{0.4, 1, 2.5, 40} {
-		src := newSource(uint64(1200 + i))
+	for i, shape := range []float64{1, 2.5, 40} {
+		src := newSource(uint64(1201 + i))
 		const trials = 20000
 		var sum, sumSq float64
 		for trial := 0; trial < trials; trial++ {
@@ -401,6 +366,12 @@ func TestGammaMoments(t *testing.T) {
 			t.Errorf("Gamma(%g): sample variance %.3f, want %.3f", shape, variance, shape)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Gamma(0.5) did not panic; shapes below 1 are outside its domain")
+		}
+	}()
+	Gamma(newSource(1200), 0.5)
 }
 
 // FuzzHypergeometric fuzzes the support invariant of the scalar
@@ -448,39 +419,33 @@ func FuzzHypergeometric(f *testing.F) {
 	})
 }
 
-// FuzzBinomial fuzzes the support invariants of Binomial and of the
-// swap-run displacement built on it, over every path's parameters:
-// 0 ≤ k ≤ n for n up to 2⁶² and p ∈ [0, 1], and WalkDisplacement(J, 0)
-// inside [−J, J] with the parity of J. Each call must also return:
-// every path is O(1) expected draws or O(n·min(p, 1−p)) < O(10) terms,
-// so a hang shows as the fuzzer's per-input timeout.
+// FuzzBinomial fuzzes the support invariants of fairBinomial and of
+// the swap-run displacement built on it, over both paths: 0 ≤ k ≤ n
+// for n up to 2⁶², and WalkDisplacement(J) inside [−J, J] with the
+// parity of J. Each call must also return: both paths are O(1)
+// expected draws past popcountMax, so a hang shows as the fuzzer's
+// per-input timeout.
 func FuzzBinomial(f *testing.F) {
-	f.Add(uint64(1), int64(10), 0.3)
-	f.Add(uint64(2), int64(popcountMax-1), 0.5)
-	f.Add(uint64(3), int64(popcountMax), 0.5)
-	f.Add(uint64(4), int64(1<<16), 0.5)
-	f.Add(uint64(5), int64(1)<<62, 0.5)
-	f.Add(uint64(6), int64(1)<<62, 1e-18)
-	f.Add(uint64(7), int64(1)<<62, 1-1e-12)
-	f.Add(uint64(8), int64(1000), 0.01)
-	f.Add(uint64(9), int64(0), 1.0)
-	f.Fuzz(func(t *testing.T, seed uint64, n int64, p float64) {
+	f.Add(uint64(1), int64(10))
+	f.Add(uint64(2), int64(popcountMax-1))
+	f.Add(uint64(3), int64(popcountMax))
+	f.Add(uint64(4), int64(1<<16))
+	f.Add(uint64(5), int64(1)<<62)
+	f.Add(uint64(6), int64(1<<28))
+	f.Add(uint64(7), int64(64))
+	f.Add(uint64(8), int64(1))
+	f.Add(uint64(9), int64(0))
+	f.Fuzz(func(t *testing.T, seed uint64, n int64) {
 		if n < 0 {
 			n = -(n + 1)
 		}
 		n %= 1<<62 + 1
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return
-		}
-		if p < 0 || p > 1 {
-			p = math.Abs(math.Mod(p, 1))
-		}
 		src := newSource(seed)
-		if k := Binomial(src, n, p); k < 0 || k > n {
-			t.Fatalf("Binomial(%d, %g) = %d outside [0, %d]", n, p, k, n)
+		if k := fairBinomial(src, n); k < 0 || k > n {
+			t.Fatalf("fairBinomial(%d) = %d outside [0, %d]", n, k, n)
 		}
-		if d := WalkDisplacement(src, n, 0); d < -n || d > n || (d+n)%2 != 0 {
-			t.Fatalf("WalkDisplacement(%d, 0) = %d: outside [−J, J] or wrong parity", n, d)
+		if d := WalkDisplacement(src, n); d < -n || d > n || (d+n)%2 != 0 {
+			t.Fatalf("WalkDisplacement(%d) = %d: outside [−J, J] or wrong parity", n, d)
 		}
 	})
 }
@@ -495,7 +460,7 @@ func FuzzBinomial(f *testing.F) {
 func TestWalkDisplacementDrawCost(t *testing.T) {
 	t.Parallel()
 	src := &countingSource{Rand: newSource(9)}
-	if d := WalkDisplacement(src, 512, 0); d < -512 || d > 512 {
+	if d := WalkDisplacement(src, 512); d < -512 || d > 512 {
 		t.Fatalf("displacement %d out of range", d)
 	}
 	if src.uint64s != 8 || src.float64s != 0 {
@@ -505,26 +470,13 @@ func TestWalkDisplacementDrawCost(t *testing.T) {
 	src = &countingSource{Rand: newSource(10)}
 	const steps, draws = int64(1 << 16), 10_000
 	for i := 0; i < draws; i++ {
-		if d := WalkDisplacement(src, steps, 0); d < -steps || d > steps {
+		if d := WalkDisplacement(src, steps); d < -steps || d > steps {
 			t.Fatalf("displacement %d out of range", d)
 		}
 	}
 	if perDraw := float64(src.float64s) / draws; src.uint64s != 0 || perDraw > 3 {
 		t.Errorf("%d-step displacements consumed %d words and %.2f floats per draw; want 0 words, ≤ 3 floats",
 			steps, src.uint64s, perDraw)
-	}
-}
-
-// TestBinomialInversionTopUniform pins the inversion walk's end at the
-// top of the uniform range: with u = 1 − 2⁻⁵³ above the rounded total
-// mass, the walk must stop in the upper tail, not walk on to k = n
-// (2³⁰ terms here, and a hang at n = 2⁶²).
-func TestBinomialInversionTopUniform(t *testing.T) {
-	t.Parallel()
-	src := &topSource{Rand: newSource(11)}
-	const n, p = int64(1 << 30), 3e-9 // n·p ≈ 3.2: the inversion path
-	if k := Binomial(src, n, p); k > 1000 {
-		t.Fatalf("Binomial(%d, %g) at the top uniform = %d; want the walk to end in the tail", n, p, k)
 	}
 }
 
