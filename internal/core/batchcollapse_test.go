@@ -422,3 +422,60 @@ func TestBatchWalkPathSurvivesNearEndPass(t *testing.T) {
 		t.Fatalf("%d passes kept the path and %d dropped it; want both > 0", kept, dropped)
 	}
 }
+
+// TestBatchKernelLandingChecksDetector pins the detector check after a
+// run-kernel landing that moves the census. On a line, x sits at node 0
+// and a walker w at node 4 over blank b nodes; the walker swaps along
+// the line, and the b-x edge {0, 1} deactivates when its pair lands.
+// All states are output, so the walker's swaps run through the run
+// kernel. The edge-quiescence gate opens either when edge {0, 1} dies
+// or when the walker arrives at node 1 while it still lives, blocking
+// the only edge-changing pair — an arrival landing that leaves the
+// walker's uniform interior and so moves the census, ending the
+// kernel pass. The detector is checked after every effective landing,
+// so the run must end on that arrival. The share of runs that end with edge {0, 1} still
+// active is compared between the batch engine and the exact sparse
+// engine by a two-proportion test (a 2×2 chi-square) at α = 0.001: a
+// kernel landing that skips the check misses most arrivals.
+func TestBatchKernelLandingChecksDetector(t *testing.T) {
+	t.Parallel()
+	p := MustProtocol("walker-to-x", []string{"b", "w", "x"}, 0, nil, []Rule{
+		{A: 1, B: 0, Edge: true, OutA: 0, OutB: 1, OutEdge: true},
+		{A: 0, B: 2, Edge: true, OutA: 0, OutB: 2, OutEdge: false},
+	})
+	trials := 3000
+	if testing.Short() {
+		trials = 1500
+	}
+	const n = 70
+	initial := NewConfig(p, n)
+	initial.SetNode(0, 2) // x
+	initial.SetNode(4, 1) // w
+	for u := 0; u+1 < n; u++ {
+		initial.SetEdge(u, u+1, true)
+	}
+	det := Detector{Stable: func(cfg *Config) bool { return cfg.EdgeQuiescent() },
+		Trigger: TriggerEffective, Gate: GateEdgeQuiescence}
+	arrivals := func(engine Engine) []int64 {
+		var hits, kernel int64
+		for seed := 1; seed <= trials; seed++ {
+			res, err := Run(p, n, Options{Seed: uint64(seed), Engine: engine, Detector: det,
+				MaxSteps: 1 << 40, Initial: initial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("%s seed %d: not converged after %d steps", engine, seed, res.Steps)
+			}
+			if res.Final.Edge(0, 1) {
+				hits++
+			}
+			kernel += res.Metrics.BucketDraws
+		}
+		if engine == EngineBatch && kernel == 0 {
+			t.Fatal("batch arm never drew inside a census-frozen stretch")
+		}
+		return []int64{hits, int64(trials) - hits}
+	}
+	chiSquareCompare(t, "arrival firings (sparse vs batch)", arrivals(EngineSparse), arrivals(EngineBatch))
+}

@@ -148,6 +148,30 @@ type enabledIndex interface {
 	edgeChanged(u, v int)
 }
 
+// gapLaw is the scheduler-gap law: with m of the total pairs enabled,
+// the misses before the next landing are Geometric(m/total), one
+// GeometricExp draw at rate −1/ln(1 − m/total). m repeats heavily
+// between landings, so the rate is memoised for the last m.
+type gapLaw struct {
+	total float64 // the per-draw pair universe
+	m     int64   // the enabled count inv belongs to; −1 before any
+	inv   float64
+}
+
+// skip draws the misses before the next landing among m enabled pairs:
+// none when m ≥ total, where every draw lands.
+func (g *gapLaw) skip(rng *RNG, m int64) int64 {
+	fm := float64(m)
+	if fm >= g.total {
+		return 0
+	}
+	if m != g.m {
+		g.m = m
+		g.inv = -1 / math.Log1p(-fm/g.total)
+	}
+	return rng.GeometricExp(g.inv)
+}
+
 // indexedLoop reproduces the law of the baseline loop under the
 // uniform scheduler without simulating the ineffective steps:
 //
@@ -237,13 +261,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		nextFault = inj.NextEvent(0)
 	}
 
-	// Geometric-skip memo: the gap rate −1/ln(1 − m/total) is a pure
-	// function of the enabled-pair count m, and m repeats heavily
-	// between effective steps (most landings change it by at most a few
-	// units, and phases often hold it constant), so the rate from the
-	// previous landing is reused whenever m is unchanged.
-	memoM := int64(-1)
-	var memoInv float64
+	gaps := gapLaw{total: total, m: -1}
 
 	// Swap runs. While the census is frozen the landing cells are iid
 	// categorical(w/m), so the number of consecutive landings on one
@@ -378,56 +396,36 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 					limit = collapseMin
 				}
 			}
-			// Run kernel: the run's landings cannot fire the detector
-			// (collapseGate) and their cell is already revealed, so
-			// simulate them in a tight loop — real per-landing gap,
-			// edge and swap draws, identical in law to the outer path,
-			// minus the per-landing cell and detector bookkeeping. A
-			// landing that leaves the uniform interior runs the generic
-			// index update; if that moves the census the run ends right
-			// there — a stopping time of the landing sequence, exactly
-			// as on the outer path. A pass that reaches the budget ends
-			// the loop.
+			// Run kernel: landings that leave the census frozen cannot
+			// fire the detector (collapseGate) and their cell is already
+			// revealed, so simulate them in a tight loop — real
+			// per-landing gap, edge and swap draws, identical in law to
+			// the outer path, minus the per-landing cell and detector
+			// bookkeeping. A landing that leaves the uniform interior
+			// runs the generic index update; if that moves the census
+			// the run ends right there — a stopping time of the landing
+			// sequence, exactly as on the outer path — and the detector
+			// is checked as after an outer swap landing (effective, no
+			// edge change), since the new census may open its gate. A
+			// pass that reaches the budget ends the loop.
 			id := int(runCell >> 1)
-			drawGaps := float64(ci.enabled) < total
-			if drawGaps && ci.enabled != memoM {
-				memoM = ci.enabled
-				memoInv = -1 / math.Log1p(-float64(ci.enabled)/total)
-			}
+			genBefore := ci.gen
 			// Metrics are accumulated in locals and flushed once after
 			// the loop: the per-landing cost is the two RNG draws and
 			// the swap surgery itself.
 			var done, skipped, batches int64
-			truncated := false
-			for done < limit {
-				if drawGaps {
-					skip := rng.GeometricExp(memoInv)
-					if skip >= maxSteps-step {
-						skipped += maxSteps - step
-						if maxSteps > step {
-							batches++
-						}
-						step = maxSteps
-						break
-					}
-					skipped += skip
-					if skip > 0 {
-						batches++
-					}
-					step += skip + 1
-				} else {
-					if step >= maxSteps {
-						break
-					}
-					step++
+			for done < limit && ci.gen == genBefore {
+				skip := min(gaps.skip(rng, ci.enabled), maxSteps-step)
+				skipped += skip
+				if skip > 0 {
+					batches++
 				}
-				done++
-				genBefore := ci.gen
-				ci.swapLanding(id, rng)
-				if ci.gen != genBefore {
-					truncated = true
+				if step += skip; step == maxSteps {
 					break
 				}
+				step++
+				done++
+				ci.swapLanding(id, rng)
 			}
 			ci.relocateWalker(runCell, done)
 			res.Metrics.Landings += done
@@ -436,11 +434,15 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 			res.Metrics.SkipBatches += batches
 			res.EffectiveSteps += done
 			runLeft -= done
-			if truncated {
-				runLeft = 0
-				frozen = false
-			} else {
+			if ci.gen == genBefore {
 				breakerPending = runLeft == 0 && breakerAfter
+				continue
+			}
+			runLeft, frozen = 0, false
+			if det.due(step, interval, true, false) && stable(step) {
+				res.Converged = true
+				res.Steps = step
+				return res
 			}
 			continue
 		}
@@ -451,17 +453,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		// again).
 		land := maxSteps + 1
 		if m := ix.enabledPairs(); m > 0 {
-			var skip int64
-			if fm := float64(m); fm >= total {
-				skip = 0 // every draw lands; Geometric(p ≥ 1) draws nothing
-			} else {
-				if m != memoM {
-					memoM = m
-					memoInv = -1 / math.Log1p(-fm/total)
-				}
-				skip = rng.GeometricExp(memoInv)
-			}
-			if skip < maxSteps-step {
+			if skip := gaps.skip(rng, m); skip < maxSteps-step {
 				land = step + skip + 1
 			}
 		}
