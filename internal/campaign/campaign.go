@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/protocols"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -66,58 +67,26 @@ func MetricParallelTime(res core.Result, n int) float64 { return res.ParallelTim
 // structure the protocol salvaged. NaN when the result carries no final
 // configuration (a zero Result).
 func MetricLargestComponent(res core.Result, _ int) float64 {
-	largest, _ := outputComponents(res.Final)
-	return largest
+	if res.Final == nil {
+		return math.NaN()
+	}
+	g, _ := protocols.OutputGraph(res.Final)
+	size, _ := g.LargestComponent()
+	return float64(size)
 }
 
 // MetricComponents returns the number of connected components of the
 // final output graph (isolated output nodes count as singletons) —
 // under crash faults on a line builder this is the "partition into
-// smaller lines" count the fault-tolerance literature predicts.
+// smaller lines" count the fault-tolerance literature predicts. NaN
+// without a final configuration, like MetricLargestComponent.
 func MetricComponents(res core.Result, _ int) float64 {
-	_, count := outputComponents(res.Final)
-	return count
-}
-
-// outputComponents measures the final output graph with a union-find
-// over the active edges whose endpoints are both in Qout: O(n + m α).
-func outputComponents(cfg *core.Config) (largest, count float64) {
-	if cfg == nil {
-		return math.NaN(), math.NaN()
+	if res.Final == nil {
+		return math.NaN()
 	}
-	n := cfg.N()
-	p := cfg.Protocol()
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	cfg.ForEachActiveEdge(func(u, v int) {
-		if p.IsOutput(cfg.Node(u)) && p.IsOutput(cfg.Node(v)) {
-			if ru, rv := find(u), find(v); ru != rv {
-				parent[ru] = rv
-			}
-		}
-	})
-	size := make(map[int]int)
-	for u := 0; u < n; u++ {
-		if p.IsOutput(cfg.Node(u)) {
-			size[find(u)]++
-		}
-	}
-	maxSize := 0
-	for _, s := range size {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	return float64(maxSize), float64(len(size))
+	g, _ := protocols.OutputGraph(res.Final)
+	_, count := g.LargestComponent()
+	return float64(count)
 }
 
 // Point is one fully-resolved cell of a campaign grid: a protocol on a

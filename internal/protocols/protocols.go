@@ -52,22 +52,24 @@ func ActiveGraph(cfg *core.Config) *graph.Graph {
 // OutputGraph returns the paper's output graph: the subgraph induced by
 // nodes in output states together with the active edges joining them.
 // The returned mapping translates output-graph vertices back to
-// population node indices.
+// population node indices. Like ActiveGraph it streams the
+// configuration's edge set through a node→vertex map, in O(n + m).
 func OutputGraph(cfg *core.Config) (*graph.Graph, []int) {
 	p := cfg.Protocol()
 	var members []int
-	for u := 0; u < cfg.N(); u++ {
+	vertex := make([]int, cfg.N())
+	for u := range vertex {
+		vertex[u] = -1
 		if p.IsOutput(cfg.Node(u)) {
+			vertex[u] = len(members)
 			members = append(members, u)
 		}
 	}
 	g := graph.New(len(members))
-	for i, u := range members {
-		for j := i + 1; j < len(members); j++ {
-			if cfg.Edge(u, members[j]) {
-				g.AddEdge(i, j)
-			}
+	cfg.ForEachActiveEdge(func(u, v int) {
+		if vertex[u] >= 0 && vertex[v] >= 0 {
+			g.AddEdgeUnchecked(vertex[u], vertex[v])
 		}
-	}
+	})
 	return g, members
 }
