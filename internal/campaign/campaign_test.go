@@ -466,6 +466,16 @@ func TestSpecCompileSchedulers(t *testing.T) {
 	if _, err := spec.Compile(); err == nil {
 		t.Fatal("sparse engine with a weighted scheduler accepted")
 	}
+	// A restricted topology takes the schedulers core.Run takes.
+	spec.Engine = ""
+	spec.Topology = &core.TopologySpec{Kind: core.TopoGnp, Param: 0.5}
+	if _, err := spec.Compile(); err == nil || !strings.Contains(err.Error(), "does not support a restricted topology") {
+		t.Fatalf("weighted scheduler on a restricted topology: err = %v", err)
+	}
+	spec.Schedulers = []string{"uniform", "round-robin", "permutation"}
+	if _, err := spec.Compile(); err != nil {
+		t.Fatalf("restricted-topology schedulers refused: %v", err)
+	}
 }
 
 // TestSpecCompileSparseEngine checks the sparse engine flows through a

@@ -269,10 +269,7 @@ func (s Spec) Compile() ([]Point, error) {
 				if err := topology.Validate(n); err != nil {
 					return nil, fmt.Errorf("campaign: item %d (%q): %w", i, name, err)
 				}
-				if topology != nil && (schedName == "weighted" || schedName == "biased") {
-					// Mirrors core.Run's whitelist: the rate- and
-					// bias-weighted schedulers draw over the full pair space
-					// and have no restricted form.
+				if topology != nil && factory != nil && !core.SupportsTopology(factory()) {
 					return nil, fmt.Errorf("campaign: item %d (%q): the %q scheduler does not support a restricted topology", i, name, schedName)
 				}
 				pt := Point{

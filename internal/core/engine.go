@@ -328,9 +328,7 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 		if n > 1 && t.PairCount() == 0 {
 			return Result{}, errors.New("core: topology permits no pairs; no interaction can ever be scheduled")
 		}
-		switch sched.(type) {
-		case UniformScheduler, *UniformScheduler, *RoundRobinScheduler, *PermutationScheduler:
-		default:
+		if !SupportsTopology(sched) {
 			return Result{}, fmt.Errorf("core: the %s scheduler does not support a restricted topology", sched.Name())
 		}
 		if opts.Initial != nil && cfg.activeEdges > 0 {

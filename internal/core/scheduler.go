@@ -13,6 +13,18 @@ type Scheduler interface {
 	Name() string
 }
 
+// SupportsTopology reports whether sched can restrict its draws to a
+// Topology's permitted pairs, the condition Run puts on a restricted
+// topology: the rate- and bias-weighted schedulers draw over the full
+// pair space and have no restricted form.
+func SupportsTopology(sched Scheduler) bool {
+	switch sched.(type) {
+	case UniformScheduler, *UniformScheduler, *RoundRobinScheduler, *PermutationScheduler:
+		return true
+	}
+	return false
+}
+
 // UniformScheduler is the paper's uniform random scheduler: every one
 // of the n(n−1)/2 pairs is selected independently and uniformly at
 // random each step. It is fair with probability 1. Under a restricted
