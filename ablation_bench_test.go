@@ -1,6 +1,7 @@
 package netcons_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the simulator's and the paper's main design
+// choices:
 //
 //   - BenchmarkAblationScheduler — convergence under the uniform
 //     scheduler vs the permutation and round-robin fair schedulers

@@ -33,7 +33,8 @@ const (
 // For stabilization detection we treat r′ as an output state alongside
 // {r, rₐ, r_d}: with the paper's literal Qout the perpetual copy loop
 // keeps toggling nodes through the non-output r′ and the literal
-// output never stabilizes (see DESIGN.md §5.2).
+// output never stabilizes, while with r′ in Qout the toggling leaves
+// the output graph unchanged once every edge of G1 is copied.
 func GraphReplication() Constructor {
 	rules := []core.Rule{
 		// Matching every u ∈ V1 to a distinct v ∈ V2.

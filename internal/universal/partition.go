@@ -12,7 +12,12 @@
 // every head move, counter walk and edge probe pays the
 // geometrically-distributed number of global interactions the uniform
 // random scheduler needs to deliver the one pair that makes progress.
-// See DESIGN.md §5.3 for the fidelity argument.
+// The charge has the law of the real schedule while TM control is
+// sequential: exactly one pair of the n(n−1)/2 can advance the
+// machine, every other draw changes nothing the phase reads, and the
+// scheduler picks that pair with probability 2/(n(n−1)) independently
+// per step, so the wait for it is geometric — the variate chargeModel
+// draws.
 package universal
 
 import (

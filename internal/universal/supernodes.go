@@ -47,8 +47,9 @@ const (
 // (l,q0,0); surviving l leaders also eliminate each other and absorb
 // stray candidates, leaving one l and n−1 free q0 nodes. (The paper's
 // full construction reverts a defeated leader's partial component
-// node-by-node; at phase level the reversion cost is dominated by the
-// Θ(n²) election itself — see DESIGN.md §5.3.)
+// node-by-node; this phase-level model omits the reversion, whose cost
+// is dominated by the Θ(n²) election itself: the last two leaders alone
+// meet after C(n, 2) expected steps.)
 func electionProtocol() (*core.Protocol, core.Detector) {
 	p := core.MustProtocol(
 		"Supernode-Election",
