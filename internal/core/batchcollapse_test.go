@@ -433,10 +433,11 @@ func TestBatchWalkPathSurvivesNearEndPass(t *testing.T) {
 // the only edge-changing pair — an arrival landing that leaves the
 // walker's uniform interior and so moves the census, ending the
 // kernel pass. The detector is checked after every effective landing,
-// so the run must end on that arrival. The share of runs that end with edge {0, 1} still
-// active is compared between the batch engine and the exact sparse
-// engine by a two-proportion test (a 2×2 chi-square) at α = 0.001: a
-// kernel landing that skips the check misses most arrivals.
+// so the run must end on that arrival. The share of runs that end with
+// edge {0, 1} still active is compared between the batch engine and
+// the exact sparse engine by a two-proportion test (a 2×2 chi-square)
+// at α = 0.001: a kernel landing that skips the check misses most
+// arrivals.
 func TestBatchKernelLandingChecksDetector(t *testing.T) {
 	t.Parallel()
 	p := MustProtocol("walker-to-x", []string{"b", "w", "x"}, 0, nil, []Rule{
@@ -457,7 +458,7 @@ func TestBatchKernelLandingChecksDetector(t *testing.T) {
 	det := Detector{Stable: func(cfg *Config) bool { return cfg.EdgeQuiescent() },
 		Trigger: TriggerEffective, Gate: GateEdgeQuiescence}
 	arrivals := func(engine Engine) []int64 {
-		var hits, kernel int64
+		var hits, frozenDraws int64
 		for seed := 1; seed <= trials; seed++ {
 			res, err := Run(p, n, Options{Seed: uint64(seed), Engine: engine, Detector: det,
 				MaxSteps: 1 << 40, Initial: initial})
@@ -470,9 +471,9 @@ func TestBatchKernelLandingChecksDetector(t *testing.T) {
 			if res.Final.Edge(0, 1) {
 				hits++
 			}
-			kernel += res.Metrics.BucketDraws
+			frozenDraws += res.Metrics.BucketDraws
 		}
-		if engine == EngineBatch && kernel == 0 {
+		if engine == EngineBatch && frozenDraws == 0 {
 			t.Fatal("batch arm never drew inside a census-frozen stretch")
 		}
 		return []int64{hits, int64(trials) - hits}

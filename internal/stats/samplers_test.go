@@ -422,9 +422,9 @@ func FuzzHypergeometric(f *testing.F) {
 // FuzzBinomial fuzzes the support invariants of fairBinomial and of
 // the swap-run displacement built on it, over both paths: 0 ≤ k ≤ n
 // for n up to 2⁶², and WalkDisplacement(J) inside [−J, J] with the
-// parity of J. Each call must also return: both paths are O(1)
-// expected draws past popcountMax, so a hang shows as the fuzzer's
-// per-input timeout.
+// parity of J. Each call must also return: popcount takes at most 16
+// words and BTRS O(1) expected uniform pairs, so a hang shows as the
+// fuzzer's per-input timeout.
 func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(1), int64(10))
 	f.Add(uint64(2), int64(popcountMax-1))
