@@ -14,10 +14,7 @@ package netcons_test
 //     against Fast-Global-Line's node stealing at equal sizes, the
 //     paper's own Section 4 design discussion;
 //   - BenchmarkGeometric — the Section 7 geometric variant
-//     (square self-assembly), measuring interactions to completion;
-//   - BenchmarkDeterministicConstruct — Remark 2's randomness-free
-//     constructor against the randomized half-waste pipeline on the
-//     same target family.
+//     (square self-assembly), measuring interactions to completion.
 
 import (
 	"fmt"
@@ -26,8 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geometric"
 	"repro/internal/protocols"
-	"repro/internal/tm"
-	"repro/internal/universal"
 )
 
 func BenchmarkAblationScheduler(b *testing.B) {
@@ -125,25 +120,4 @@ func BenchmarkGeometric(b *testing.B) {
 			})
 		})
 	}
-}
-
-func BenchmarkDeterministicConstruct(b *testing.B) {
-	b.Run("remark2-ring/n=16", func(b *testing.B) {
-		reportRun(b, func(seed uint64) float64 {
-			res, err := universal.DeterministicConstruct(universal.RingBuilder(), 16, seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return float64(res.Steps)
-		})
-	})
-	b.Run("randomized-connected/n=16", func(b *testing.B) {
-		reportRun(b, func(seed uint64) float64 {
-			res, err := universal.LinearWasteHalf(tm.Connected(), 16, seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return float64(res.Steps)
-		})
-	})
 }

@@ -3,7 +3,10 @@ package netcons_test
 // The benchmark harness (the paper's tables themselves come from
 // cmd/tables):
 //
-//   - BenchmarkUniversal/*    — the Section 6 generic constructors;
+//   - BenchmarkUniversal/*    — the Section 6 generic constructors,
+//     Remark 2's deterministic constructor and Theorem 18's
+//     supernodes (the universal suite of scripts/bench.sh, tracked in
+//     BENCH_universal.json);
 //   - BenchmarkEngine/*       — raw simulator throughput
 //     (interactions/sec);
 //   - BenchmarkSparseVsBaseline — sparse-engine vs baseline-loop wall
@@ -77,6 +80,18 @@ func BenchmarkUniversal(b *testing.B) {
 		if runs > 0 {
 			b.ReportMetric(attempts/float64(runs), "attempts/op")
 		}
+	})
+	b.Run("DeterministicConstruct/ring/n=16", func(b *testing.B) {
+		// Remark 2: the same half-waste pipeline as LinearWasteHalf
+		// with the random draw and the retry loop replaced by one
+		// write pass of the target.
+		reportRun(b, func(seed uint64) float64 {
+			res, err := universal.DeterministicConstruct(universal.RingBuilder(), 16, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return float64(res.Steps)
+		})
 	})
 	b.Run("Supernodes/n=256", func(b *testing.B) {
 		reportRun(b, func(seed uint64) float64 {

@@ -15,8 +15,9 @@ func pairIndex(n, u, v int) int {
 	return u*(2*n-u-1)/2 + (v - u - 1)
 }
 
-// pairFromIndex inverts pairIndex. O(√n) via row scan is avoided with a
-// closed form; used by exhaustive enumeration and tests.
+// pairFromIndex inverts pairIndex by scanning the rows, in O(n): the
+// round-robin and permutation schedulers map their pair index to a
+// pair through it.
 func pairFromIndex(n, idx int) (u, v int) {
 	u = 0
 	rowLen := n - 1

@@ -21,14 +21,14 @@ func Gnp(n int, p float64, rng *rand.Rand) *Graph {
 
 // GnHalf samples a uniformly random graph on n vertices (G(n, 1/2))
 // using single fair-coin flips per edge — exactly the experiment the
-// paper's constructors perform with the PREL coin.
+// paper's constructors perform with the PREL coin. Each pair is
+// flipped once, so no edge can repeat.
 func GnHalf(n int, coin func() bool) *Graph {
 	g := New(n)
-	eg := newEdgeGuard(g)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if coin() {
-				eg.add(u, v)
+				g.AddEdgeUnchecked(u, v)
 			}
 		}
 	}

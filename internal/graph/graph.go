@@ -172,21 +172,6 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
-// FromPairs builds a graph on n vertices from an edge oracle, querying
-// every unordered pair once. It adapts simulator configurations (or any
-// other adjacency source) without coupling this package to them.
-func FromPairs(n int, hasEdge func(u, v int) bool) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if hasEdge(u, v) {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
-
 // Line returns the path graph on n vertices (0−1−2−…).
 func Line(n int) *Graph {
 	g := New(n)

@@ -95,15 +95,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
-func TestFromPairs(t *testing.T) {
-	t.Parallel()
-	ref := Ring(7)
-	got := FromPairs(7, ref.HasEdge)
-	if !ref.Equal(got) {
-		t.Fatalf("FromPairs: %v vs %v", ref, got)
-	}
-}
-
 func TestFamilies(t *testing.T) {
 	t.Parallel()
 	if !Line(6).IsSpanningLine() {

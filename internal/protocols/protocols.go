@@ -41,8 +41,8 @@ type Constructor struct {
 // ActiveGraph returns the graph induced by all nodes and the active
 // edges — the output graph for protocols whose every state is an
 // output state. It streams the configuration's edge set, so it costs
-// O(n + m) on adjacency-backed configurations instead of the n²
-// edge-oracle probes of graph.FromPairs.
+// O(n + m) on adjacency-backed configurations instead of an edge
+// probe for each of the n(n−1)/2 pairs.
 func ActiveGraph(cfg *core.Config) *graph.Graph {
 	g := graph.New(cfg.N())
 	cfg.ForEachActiveEdge(g.AddEdgeUnchecked)

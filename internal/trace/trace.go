@@ -95,11 +95,9 @@ func snapshotOf(step int64, cfg *core.Config) Snapshot {
 	for u := 0; u < cfg.N(); u++ {
 		labels[u] = p.StateName(cfg.Node(u))
 	}
-	return Snapshot{
-		Step:   step,
-		Labels: labels,
-		Graph:  graph.FromPairs(cfg.N(), cfg.Edge),
-	}
+	g := graph.New(cfg.N())
+	cfg.ForEachActiveEdge(g.AddEdgeUnchecked)
+	return Snapshot{Step: step, Labels: labels, Graph: g}
 }
 
 // Final records the terminal configuration; the run-end event calls it,

@@ -145,15 +145,10 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 		// spanning-line constructor.
 		lineBase = protocols.FastGlobalLine()
 	}
-	var carry *core.Config
-	if partCfg != nil {
-		carry = partCfg
-	}
-	lineCfg, lineOrdered, lineRes, err := linePhase(lineBase, n, part.u, carry, seed+1, 0)
+	_, lineOrdered, lineRes, err := linePhase(lineBase, n, part.u, partCfg, seed+1, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	_ = lineCfg
 	record("spanning-line", lineRes.Steps)
 
 	charge := newChargeModel(n, rng)
@@ -178,23 +173,26 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 		if memLen < 1 {
 			memLen = 1
 		}
-		charge.walk(n)     // counting pass
-		charge.walk(n - 1) // release walk back along the line
+		// The counting pass walks n hops along the line and the
+		// release walk n−1 back.
+		charge.waits(int64(2*n - 1))
 		useful = lineOrdered[:n-memLen]
 		tapeLen = memLen
-		record("count-and-release", 0) // charged below with the draw
+		record("count-and-release", charge.Steps())
 	}
 
 	// Phases 4–5: the Fig. 3 loop — draw a random graph on the useful
-	// space, decide membership, retry on rejection.
+	// space, decide membership, retry on rejection. Every attempt
+	// also scans the drawn graph as the decider's input (one more probe
+	// pass) and pays the decider's own tape work.
 	k := len(useful)
+	decide := probeWaits(k) + deciderWaits(lang, k, tapeLen)
 	before := charge.Steps()
 	var out *graph.Graph
 	for {
 		res.Attempts++
 		g := drawRandomGraph(charge, k)
-		scanInput(charge, k)
-		chargeDeciderWork(charge, lang, k, tapeLen)
+		charge.waits(decide)
 		if lang.Decide(g) {
 			out = g
 			break
@@ -208,9 +206,7 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 	// Release phase: deactivate each useful node's tether (one
 	// specific-pair interaction each).
 	before = charge.Steps()
-	for range useful {
-		charge.waitPair()
-	}
+	charge.waits(int64(len(useful)))
 	record("release", charge.Steps()-before)
 
 	res.Output = out
@@ -225,36 +221,20 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 // a bug, not bad luck.
 const maxAttempts = 100_000
 
-// chargeDeciderWork charges the decider's own tape work beyond the
-// input scan: one pass over its work tape per input bit, the canonical
-// cost shape of the space-bounded simulations in Theorems 14–16.
-func chargeDeciderWork(charge *chargeModel, lang tm.GraphLanguage, k, tapeLen int) {
-	passes := k * (k - 1) / 2
-	var cells int
-	switch lang.Space {
-	case tm.LogSpace:
+// deciderWaits is the decider's own tape work beyond the input scan,
+// in specific-pair waits: one pass over its work tape per input bit,
+// the canonical cost shape of the space-bounded simulations in
+// Theorems 14–16. Charging every pass at full tape width over-counts
+// most real deciders; a pass is capped at a log-factor of the tape
+// (the bits of its cell count) to keep test-scale runs tractable while
+// preserving the polynomial shape.
+func deciderWaits(lang tm.GraphLanguage, k, tapeLen int) int64 {
+	cells := tapeLen
+	if lang.Space == tm.LogSpace {
 		cells = bitsFor(tapeLen)
-	case tm.LinearSpace:
-		cells = tapeLen
-	case tm.QuadraticSpace:
-		cells = tapeLen
-	default:
-		cells = tapeLen
 	}
-	if cells < 1 {
-		cells = 1
-	}
-	// Charging every pass at full tape width over-counts most real
-	// deciders; we cap the charged work at one full sweep per pass of
-	// a log-factor of the tape to keep test-scale runs tractable while
-	// preserving the polynomial shape.
-	per := bitsFor(cells)
-	if per < 1 {
-		per = 1
-	}
-	for i := 0; i < passes; i++ {
-		charge.walk(per)
-	}
+	passes := int64(k) * int64(k-1) / 2
+	return passes * int64(bitsFor(max(cells, 1)))
 }
 
 func bitsFor(x int) int {

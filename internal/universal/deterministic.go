@@ -70,22 +70,12 @@ func DeterministicConstruct(build Builder, n int, seed uint64) (Result, error) {
 	// edge value (mark i, mark j, pair interaction, retract marks).
 	rng := core.NewRNG(seed ^ 0x2545f4914f6cdd1d)
 	charge := newChargeModel(n, rng)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			charge.walk(i + 1)
-			charge.walk(j + 1)
-			charge.waitPair()
-			charge.walk(i + 1)
-			charge.walk(j + 1)
-		}
-	}
+	charge.waits(probeWaits(k))
 	record("write-target", charge.Steps())
 
 	// Phase 4: release the useful space.
 	before := charge.Steps()
-	for range part.d {
-		charge.waitPair()
-	}
+	charge.waits(int64(len(part.d)))
 	record("release", charge.Steps()-before)
 
 	res.Output = target.Clone()

@@ -1,43 +1,84 @@
 package universal
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/protocols"
+	"repro/internal/stats"
 	"repro/internal/tm"
 )
 
-func TestChargeModelWaitPairMean(t *testing.T) {
-	t.Parallel()
-	const n = 20
-	charge := newChargeModel(n, core.NewRNG(1))
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		charge.waitPair()
+// inversionWait is the reference the one-draw samplers are tested
+// against: one wait of success probability p, landing step included,
+// drawn literally by inversion as ⌈ln U / ln(1−p)⌉.
+func inversionWait(rng *core.RNG, p float64) int64 {
+	if p >= 1 {
+		return 1
 	}
-	mean := float64(charge.Steps()) / draws
-	want := float64(n * (n - 1) / 2) // geometric mean 1/p
-	if math.Abs(mean-want)/want > 0.05 {
-		t.Fatalf("waitPair mean %f, want ≈ %f", mean, want)
+	u := rng.Float64()
+	for u == 0 {
+		u = rng.Float64()
+	}
+	return max(int64(math.Ceil(math.Log(u)/math.Log(1-p))), 1)
+}
+
+// chargeLawMatches compares, by a two-sample KS test at α = 0.001,
+// draws of one charge call on an n-node model against draws of ref.
+func chargeLawMatches(t *testing.T, name string, n int, call func(*chargeModel), ref func(rng *core.RNG) int64) {
+	t.Helper()
+	const draws = 20000
+	charge := newChargeModel(n, core.NewRNG(uint64(n)))
+	refRNG := core.NewRNG(uint64(n) + 1)
+	got := make([]float64, draws)
+	want := make([]float64, draws)
+	for i := range got {
+		before := charge.Steps()
+		call(charge)
+		got[i] = float64(charge.Steps() - before)
+		want[i] = float64(ref(refRNG))
+	}
+	d, crit := stats.KSStatistic(got, want), stats.KSThreshold(draws, draws, 0.001)
+	if d > crit {
+		t.Errorf("%s: KS D = %.4f > %.4f against literal inversion draws", name, d, crit)
 	}
 }
 
+// TestChargeModelWaitsLaw: waits(k) draws the law of k sequential
+// specific-pair waits, each drawn by inversion.
+func TestChargeModelWaitsLaw(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ n, k int }{{20, 1}, {20, 7}, {64, 300}, {256, 40}} {
+		p := 2 / (float64(c.n) * float64(c.n-1))
+		chargeLawMatches(t, fmt.Sprintf("waits(%d) at n=%d", c.k, c.n), c.n,
+			func(charge *chargeModel) { charge.waits(int64(c.k)) },
+			func(rng *core.RNG) int64 {
+				var sum int64
+				for i := 0; i < c.k; i++ {
+					sum += inversionWait(rng, p)
+				}
+				return sum
+			})
+	}
+	zero := newChargeModel(10, core.NewRNG(5))
+	zero.waits(0)
+	if zero.Steps() != 0 {
+		t.Fatalf("waits(0) charged %d", zero.Steps())
+	}
+}
+
+// TestChargeModelWaitAny: waitAny(m) draws the law of one wait for any
+// of m pairs; m ≤ 0 waits for a single pair.
 func TestChargeModelWaitAny(t *testing.T) {
 	t.Parallel()
-	const n = 20
-	charge := newChargeModel(n, core.NewRNG(2))
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		charge.waitAny(10)
-	}
-	mean := float64(charge.Steps()) / draws
-	want := float64(n*(n-1)/2) / 10
-	if math.Abs(mean-want)/want > 0.05 {
-		t.Fatalf("waitAny(10) mean %f, want ≈ %f", mean, want)
+	for _, c := range []struct{ n, m int }{{20, 10}, {20, 0}, {64, 1}, {256, 500}} {
+		p := float64(max(c.m, 1)) * 2 / (float64(c.n) * float64(c.n-1))
+		chargeLawMatches(t, fmt.Sprintf("waitAny(%d) at n=%d", c.m, c.n), c.n,
+			func(charge *chargeModel) { charge.waitAny(c.m) },
+			func(rng *core.RNG) int64 { return inversionWait(rng, p) })
 	}
 	// Saturated probability costs exactly one step per wait.
 	sat := newChargeModel(4, core.NewRNG(3))
@@ -53,12 +94,56 @@ func TestChargeModelWaitAny(t *testing.T) {
 	}
 }
 
-func TestChargeModelWalk(t *testing.T) {
+// TestProbeWaitsCountsThePass: the closed form equals the per-pair sum
+// of a probe pass, 2(i+1) + 2(j+1) + 1 waits for the pair (i, j).
+func TestProbeWaitsCountsThePass(t *testing.T) {
 	t.Parallel()
-	charge := newChargeModel(10, core.NewRNG(5))
-	charge.walk(7)
-	if charge.Steps() < 7 {
-		t.Fatalf("walk(7) charged %d < 7", charge.Steps())
+	for k := 0; k <= 40; k++ {
+		var want int64
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				want += int64(2*(i+1) + 2*(j+1) + 1)
+			}
+		}
+		if got := probeWaits(k); got != want {
+			t.Fatalf("probeWaits(%d) = %d, want %d", k, got, want)
+		}
+	}
+}
+
+// TestLogWastePhasesChargeTheirWaits: every wait costs at least one
+// step, so each charged phase of LogWaste is at least its wait count —
+// the count-and-release walks alone are 2n−1 waits — and the phases sum
+// to the total.
+func TestLogWastePhasesChargeTheirWaits(t *testing.T) {
+	t.Parallel()
+	const n = 24
+	lang := tm.HasEdge()
+	res, err := LogWaste(lang, n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(res.UsefulNodes)
+	want := map[string]int64{
+		"count-and-release": 2*n - 1,
+		"draw-and-decide":   int64(res.Attempts) * (2*probeWaits(k) + deciderWaits(lang, k, n-k)),
+		"release":           int64(k),
+	}
+	var sum int64
+	for _, ph := range res.PhaseSteps {
+		sum += ph.Steps
+		if least, ok := want[ph.Name]; ok {
+			if ph.Steps < least {
+				t.Errorf("phase %s charged %d steps for %d waits", ph.Name, ph.Steps, least)
+			}
+			delete(want, ph.Name)
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("phases %v not recorded", want)
+	}
+	if sum != res.Steps {
+		t.Errorf("phase steps sum %d ≠ total %d", sum, res.Steps)
 	}
 }
 
@@ -77,53 +162,6 @@ func TestDrawRandomGraphIsHalfDense(t *testing.T) {
 	}
 	if charge.Steps() == 0 {
 		t.Fatal("drawing charged nothing")
-	}
-}
-
-func TestLineTMRunsRealMachine(t *testing.T) {
-	t.Parallel()
-	charge := newChargeModel(16, core.NewRNG(7))
-	ltm := newLineTM(charge, 8)
-	accepted, err := ltm.run(tm.ParityMachine(), []byte{1, 0, 1}, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !accepted {
-		t.Fatal("parity of two 1s rejected")
-	}
-	if charge.Steps() == 0 {
-		t.Fatal("line TM charged no interactions")
-	}
-	rejected, err := ltm.run(tm.ParityMachine(), []byte{1}, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rejected {
-		t.Fatal("odd parity accepted")
-	}
-}
-
-func TestLineTMOutOfTape(t *testing.T) {
-	t.Parallel()
-	charge := newChargeModel(16, core.NewRNG(8))
-	ltm := newLineTM(charge, 3)
-	if _, err := ltm.run(tm.ParityMachine(), []byte{1, 0, 1, 1}, 1000); err == nil {
-		t.Fatal("oversized input accepted")
-	}
-	// A runaway machine must hit the right end of the line.
-	runner := &tm.Machine{
-		Name:   "right-runner",
-		States: 1,
-		Start:  0,
-		Delta: map[tm.Key]tm.Transition{
-			{State: 0, Symbol: tm.Blank}: {Next: 0, Write: 1, Move: tm.Right},
-			{State: 0, Symbol: 1}:        {Next: 0, Write: 1, Move: tm.Right},
-		},
-	}
-	var oot *outOfTapeError
-	_, err := ltm.run(runner, nil, 1000)
-	if !errors.As(err, &oot) {
-		t.Fatalf("got %v, want outOfTapeError", err)
 	}
 }
 

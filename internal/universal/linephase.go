@@ -33,35 +33,32 @@ func linePhase(base protocols.Constructor, n int, live []int, carry *core.Config
 	if err != nil {
 		return nil, nil, core.Result{}, err
 	}
-	isLive := make([]bool, n)
-	for _, u := range live {
-		isLive[u] = true
+	// vertex maps each population node to its index in live, −1 for
+	// the inert rest.
+	vertex := make([]int, n)
+	for u := range vertex {
+		vertex[u] = -1
+	}
+	for i, u := range live {
+		vertex[u] = i
 	}
 	initial := core.NewConfig(ext, n)
 	for u := 0; u < n; u++ {
-		if !isLive[u] {
+		if vertex[u] < 0 {
 			initial.SetNode(u, dead)
 		}
 	}
 	if carry != nil {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if carry.Edge(u, v) {
-					initial.SetEdge(u, v, true)
-				}
-			}
-		}
+		carry.ForEachActiveEdge(func(u, v int) { initial.SetEdge(u, v, true) })
 	}
 
 	lineOn := func(cfg *core.Config) (*graph.Graph, bool) {
 		sub := graph.New(len(live))
-		for i := range live {
-			for j := i + 1; j < len(live); j++ {
-				if cfg.Edge(live[i], live[j]) {
-					sub.AddEdge(i, j)
-				}
+		cfg.ForEachActiveEdge(func(u, v int) {
+			if vertex[u] >= 0 && vertex[v] >= 0 {
+				sub.AddEdgeUnchecked(vertex[u], vertex[v])
 			}
-		}
+		})
 		return sub, sub.IsSpanningLine()
 	}
 	gate, err := lineGate(ext)

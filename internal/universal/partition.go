@@ -1,23 +1,24 @@
 // Package universal implements the paper's Section 6 generic
 // constructors: the population partitions (U/D and U/D/M), the
-// TM-on-a-line execution model with l/r/t head marks and
-// counter-addressed edge access, the equiprobable random-graph drawing,
-// the accept/retry loop of Fig. 3, and the supernode organization of
-// Theorem 18.
+// equiprobable random-graph drawing over counter-addressed edges, the
+// accept/retry loop of Fig. 3, Remark 2's deterministic constructor,
+// and the supernode organization of Theorem 18.
 //
 // The partition and line-construction phases run as real network
 // constructors on the full population (inert nodes simply never match
 // a rule, so the uniform scheduler's wasted interactions are charged
-// naturally). TM control is executed by a charged-cost line machine:
-// every head move, counter walk and edge probe pays the
-// geometrically-distributed number of global interactions the uniform
+// naturally). The TM-controlled phases that follow are not interpreted
+// step by step: each is charged the interactions its operations
+// consume. Every head move, counter walk and edge probe pays the
+// geometrically distributed number of global interactions the uniform
 // random scheduler needs to deliver the one pair that makes progress.
 // The charge has the law of the real schedule while TM control is
 // sequential: exactly one pair of the n(n−1)/2 can advance the
 // machine, every other draw changes nothing the phase reads, and the
 // scheduler picks that pair with probability 2/(n(n−1)) independently
-// per step, so the wait for it is geometric — the variate chargeModel
-// draws.
+// per step, so the wait for it is geometric. A phase of k such waits
+// is charged their sum in one core.RNG negative-binomial draw, and a
+// wait for any of m pairs is one core.RNG geometric draw.
 package universal
 
 import (

@@ -122,29 +122,22 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 		if nextLines*nextLen > n {
 			break
 		}
-		// The phase starts when the leader extends its own line.
-		charge.waitAny(maxInt(isolated, 1))
-		isolated--
-		// Increment the other r−1 existing lines: visit (one
-		// interaction along the left-endpoint star), attach an
-		// isolated node, return.
-		for i := 0; i < lines-1; i++ {
-			charge.waitPair()
-			charge.waitAny(maxInt(isolated, 1))
+		// The phase starts when the leader extends its own line. It
+		// then increments the other r−1 existing lines, and creates r
+		// new lines of length nextLen node by node. Each of these
+		// nodes is attached by an interaction with any isolated node.
+		attached := 1 + (lines - 1) + lines*nextLen
+		for i := 0; i < attached; i++ {
+			charge.waitAny(isolated)
 			isolated--
-			charge.waitPair()
 		}
-		// Create r new lines of length nextLen node by node, moving a
-		// boundary mark along the leader's line to measure length, and
-		// write each new line's binary name into its cells.
-		for i := 0; i < lines; i++ {
-			for c := 0; c < nextLen; c++ {
-				charge.waitAny(maxInt(isolated, 1))
-				isolated--
-				charge.waitPair() // advance the length mark
-			}
-			charge.walk(nextLen) // naming pass
-		}
+		// The specific-pair waits between the attachments: a visit
+		// along the left-endpoint star and a return for each
+		// incremented line; for each created node, an advance of the
+		// boundary mark that measures the new line's length along the
+		// leader's line; and a naming pass over each new line that
+		// writes its binary name into its cells.
+		charge.waits(int64(2*(lines-1) + 2*lines*nextLen))
 		lines = nextLines
 		length = nextLen
 	}
@@ -177,12 +170,11 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 		switch {
 		case i%3 == 0 && i+2 < lines:
 			sg.AddEdge(i, i+2)
-			charge.waitPair()
 		case i%3 != 0:
 			sg.AddEdge(i, i-1)
-			charge.waitPair()
 		}
 	}
+	charge.waits(int64(sg.M()))
 	record("triangle-application", charge.Steps()-before)
 	res.SupernodeGraph = sg
 	for _, comp := range sg.Components() {
@@ -194,11 +186,4 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 		}
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

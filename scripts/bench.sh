@@ -2,7 +2,7 @@
 # Regenerates the tracked benchmark artifacts — BENCH_batch.json,
 # BENCH_engine.json, BENCH_campaign.json, BENCH_topology.json,
 # BENCH_observer.json, BENCH_detector.json, BENCH_stats.json,
-# BENCH_index.json — with the pinned -benchtime
+# BENCH_index.json, BENCH_universal.json — with the pinned -benchtime
 # (and, for the repeated-sample suites, -count) each suite is
 # calibrated for. CI runs this script per suite and uploads the files;
 # run it locally (optionally with a subset of suite names) to reproduce
@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 suites="$*"
 if [ -z "$suites" ]; then
-  suites="batch engine campaign topology observer detector stats index"
+  suites="batch engine campaign topology observer detector stats index universal"
 fi
 
 for suite in $suites; do
@@ -57,8 +57,14 @@ for suite in $suites; do
       # rows behind the 64-node cut. Each op resolves >= 10^5 landings.
       go test -run '^$' -bench BenchmarkIndex -benchtime 5x -count 5 -benchmem -json ./internal/core | tee BENCH_index.json
       ;;
+    universal)
+      # The Section 6 constructors, wall time and charged steps per
+      # run, five counts per row. One op is one whole pipeline, tens
+      # to hundreds of µs; 200 ops make a sample.
+      go test -run '^$' -bench BenchmarkUniversal -benchtime 200x -count 5 -benchmem -json . | tee BENCH_universal.json
+      ;;
     *)
-      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector, stats, index)" >&2
+      echo "unknown suite: $suite (want batch, engine, campaign, topology, observer, detector, stats, index, universal)" >&2
       exit 2
       ;;
   esac
