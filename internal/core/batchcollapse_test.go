@@ -120,7 +120,7 @@ func TestBatchCollapseWalkLaw(t *testing.T) {
 			cfg := walkerPathConfig(t, p, n, n/2)
 			rng := NewRNG(uint64(trial) + 1)
 			ix := newBatchIndex(cfg)
-			res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, rng, ix, true, nil, nil)
+			res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, rng, ix, new(gapLaw), true, nil, nil)
 			m := res.Metrics
 			if m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps {
 				t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d",
@@ -239,7 +239,7 @@ func TestBatchRunBreakerLaw(t *testing.T) {
 		literal[cellOf(cfg)]++
 
 		cfg = initial()
-		res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg), true, nil, nil)
+		res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg), new(gapLaw), true, nil, nil)
 		if m := res.Metrics; m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps {
 			t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d",
 				trial, m.Landings, m.SkippedSteps, m.CollapsedLandings, res.Steps)
@@ -314,7 +314,7 @@ func TestBatchCollapseRingBudgetLaw(t *testing.T) {
 		literal[cellOf(landings, cfg)]++
 
 		cfg = walkerRingConfig(t, p, n)
-		res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg), true, nil, nil)
+		res := indexedLoop(p, cfg, det, Options{}, maxSteps, 1, NewRNG(uint64(trial)+1), newBatchIndex(cfg), new(gapLaw), true, nil, nil)
 		m := res.Metrics
 		if m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps || res.Steps != maxSteps {
 			t.Fatalf("trial %d: Landings %d + SkippedSteps %d + CollapsedLandings %d != Steps %d (budget %d)",
@@ -346,7 +346,7 @@ func TestBatchCollapseRingPollsStop(t *testing.T) {
 	const polls = 4
 	calls := 0
 	opts := Options{Stop: func() bool { calls++; return calls > polls }}
-	res := indexedLoop(p, cfg, det, opts, 1<<36, 1, NewRNG(7), newBatchIndex(cfg), true, nil, nil)
+	res := indexedLoop(p, cfg, det, opts, 1<<36, 1, NewRNG(7), newBatchIndex(cfg), new(gapLaw), true, nil, nil)
 	if !res.Stopped {
 		t.Fatalf("run not stopped: Steps %d, Stop polled %d times", res.Steps, calls)
 	}

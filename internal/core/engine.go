@@ -433,7 +433,7 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 			// counts every landing as exact-stepped.
 			census, _ := ix.(*batchIndex)
 			runs := engine == EngineBatch && census != nil && opts.Events == nil && opts.Injector == nil && opts.Topology == nil && p.Batchable()
-			res = indexedLoop(p, cfg, det, opts, maxSteps, interval, rng, ix, runs, mut, ev)
+			res = indexedLoop(p, cfg, det, opts, maxSteps, interval, rng, ix, ws.gapTable(), runs, mut, ev)
 			if engine == EngineBatch && !runs {
 				res.Metrics.ExactFallbackLandings = res.Metrics.Landings
 			}

@@ -148,14 +148,50 @@ type enabledIndex interface {
 	edgeChanged(u, v int)
 }
 
+// gapSlots is the size of gapLaw's rate table: a power of two above
+// C(64, 2) = 2,016, so every enabled count a bit-row run can reach has
+// a slot of its own.
+const gapSlots = 2048
+
 // gapLaw is the scheduler-gap law: with m of the total pairs enabled,
 // the misses before the next landing are Geometric(m/total), one
-// GeometricExp draw at rate −1/ln(1 − m/total). m repeats heavily
-// between landings, so the rate is memoised for the last m.
+// GeometricExp draw at rate −1/ln(1 − m/total). The rate depends on
+// (m, total) alone, so it is memoised in a direct-mapped table keyed
+// by m (slot m mod gapSlots) that outlives the run: the Workspace owns
+// it, and runs of the same pair universe — the trials of one campaign
+// point — share every rate computed so far. At n ≤ 64 m changes on
+// almost every landing but never exceeds the table; above 64 nodes
+// counts share slots, but the last m always sits in its own, so a
+// repeated m still finds its rate.
 type gapLaw struct {
-	total float64 // the per-draw pair universe
-	m     int64   // the enabled count inv belongs to; −1 before any
-	inv   float64
+	total float64 // the pair universe the slots were filled for; 0 before any
+	slots [gapSlots]gapSlot
+}
+
+// gapSlot holds the rate inv of enabled count m; m = −1 marks an empty
+// slot.
+type gapSlot struct {
+	m   int64
+	inv float64
+}
+
+// reset binds the table to a run's pair universe. Rates filled for
+// another total are stale: since m ≤ total, only the first
+// min(total+1, gapSlots) slots can be reached, so only those are
+// emptied — slots beyond them are emptied by the reset that makes them
+// reachable.
+func (g *gapLaw) reset(total float64) {
+	if total == g.total {
+		return
+	}
+	g.total = total
+	reach := gapSlots
+	if total < gapSlots {
+		reach = int(total) + 1
+	}
+	for i := range g.slots[:reach] {
+		g.slots[i].m = -1
+	}
 }
 
 // skip draws the misses before the next landing among m enabled pairs:
@@ -165,11 +201,12 @@ func (g *gapLaw) skip(rng *RNG, m int64) int64 {
 	if fm >= g.total {
 		return 0
 	}
-	if m != g.m {
-		g.m = m
-		g.inv = -1 / math.Log1p(-fm/g.total)
+	s := &g.slots[m&(gapSlots-1)]
+	if s.m != m {
+		s.m = m
+		s.inv = -1 / math.Log1p(-fm/g.total)
 	}
-	return rng.GeometricExp(g.inv)
+	return rng.GeometricExp(s.inv)
 }
 
 // indexedLoop reproduces the law of the baseline loop under the
@@ -195,6 +232,10 @@ func (g *gapLaw) skip(rng *RNG, m int64) int64 {
 // includes the pre-loop already-stable check, so an indexed run never
 // pays an O(n²) scan at all.
 //
+// gaps is the caller's rate table (Workspace.gapTable), rebound to the
+// run's pair universe before the first draw: what it held before can
+// save a rate computation but never change a draw.
+//
 // The loop runs on either enabled-pair index; with runs off every
 // landing is one sample, one Config.apply and one update. With runs on
 // (Run decides once per run, and only for a census-served run) two
@@ -210,7 +251,7 @@ func (g *gapLaw) skip(rng *RNG, m int64) int64 {
 // Runs-on makes no bit-identity promise against runs-off, only the
 // exact law: every draw is an exact-distribution transformation of the
 // uniform-scheduler process.
-func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix enabledIndex, runs bool, mut *Mutator, ev *Event) Result {
+func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix enabledIndex, gaps *gapLaw, runs bool, mut *Mutator, ev *Event) Result {
 	n := cfg.n
 	// The swap-run tiers read the census directly; Run turns runs on
 	// only when the census index serves the run.
@@ -261,7 +302,7 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		nextFault = inj.NextEvent(0)
 	}
 
-	gaps := gapLaw{total: total, m: -1}
+	gaps.reset(total)
 
 	// Swap runs. While the census is frozen the landing cells are iid
 	// categorical(w/m), so the number of consecutive landings on one

@@ -71,9 +71,10 @@ const geometricClamp = int64(1) << 62
 // GeometricExp returns a Geometric(p) variate from one exponential
 // draw: with Λ = −ln(1−p), ⌊Exp(1)/Λ⌋ is Geometric(p) exactly
 // (P(⌊E/Λ⌋ = k) = e^(−kΛ) − e^(−(k+1)Λ) = (1−p)ᵏ·p). The caller
-// passes invLambda = 1/Λ, which the indexed loop memoizes keyed by the
-// enabled-pair count m (it repeats heavily between effective steps), so
-// the hot path is one ziggurat draw and one multiply. invLambda = +Inf
+// passes invLambda = 1/Λ, which the indexed loop keeps in the
+// workspace's gap table (gapLaw), one slot per enabled-pair count m and
+// shared by the runs of one pair universe, so the hot path is one
+// ziggurat draw and one multiply. invLambda = +Inf
 // (p = 0, a success that never happens) returns the clamp, like
 // Geometric's p ≤ 0. The indexed loop draws its scheduler gaps and its
 // swap-run lengths through this one sampler.

@@ -2,19 +2,23 @@ package core
 
 // Workspace owns the state every run executes on: the configuration
 // (node states plus adjacency rows), the enabled-pair index (bit rows
-// up to 64 nodes, the state-class census above), and the RNG. Run builds each piece on first use and rebuilds it in place
-// on every later run, so a campaign worker that keeps one workspace for
-// its whole job stream, passing it through Options.Workspace, runs
-// every trial after the first without per-trial allocation (a new
-// workspace would churn the adjacency rows plus the index's per-node
-// arrays through the allocator on every trial). A run with no
-// workspace gets a new one of its own.
+// up to 64 nodes, the state-class census above), the scheduler-gap
+// rate table, and the RNG. Run builds each piece on first use and
+// rebuilds it in place on every later run, so a campaign worker that
+// keeps one workspace for its whole job stream, passing it through
+// Options.Workspace, runs every trial after the first without
+// per-trial allocation (a new workspace would churn the adjacency rows
+// plus the index's per-node arrays through the allocator on every
+// trial). A run with no workspace gets a new one of its own.
 //
 // Reuse preserves determinism exactly: every in-place rebuild produces
 // the same bytes a first build would (same scan orders, same RNG
-// stream after Reseed), so a run on a reused workspace is bit-identical
-// to a run on a new one with the same (protocol, n, seed, scheduler,
-// engine) — pinned by TestWorkspaceBitIdentical.
+// stream after Reseed), and the gap table, the one piece whose
+// contents outlive a run, holds rates that are a function of (enabled
+// count, pair universe) alone and is emptied when the universe
+// changes. So a run on a reused workspace is bit-identical to a run on
+// a new one with the same (protocol, n, seed, scheduler, engine) —
+// pinned by TestWorkspaceBitIdentical and TestWorkspaceGapTableSwitches.
 //
 // Ownership: Result.Final returned from a run on a caller's workspace
 // points into the workspace and is valid only until the workspace's
@@ -28,6 +32,7 @@ type Workspace struct {
 	census *batchIndex
 	bits   *bitIndex
 	rng    *RNG
+	gaps   *gapLaw
 
 	// censusOnly serves every run from the census index, whatever its
 	// population: the seam through which this package's tests and
@@ -90,4 +95,14 @@ func (ws *Workspace) index(cfg *Config) enabledIndex {
 		ws.census.reset(cfg)
 	}
 	return ws.census
+}
+
+// gapTable returns the workspace's scheduler-gap rate table, built on
+// first use. It is not reset here: indexedLoop rebinds it to each run's
+// pair universe and keeps the rates when the universe is unchanged.
+func (ws *Workspace) gapTable() *gapLaw {
+	if ws.gaps == nil {
+		ws.gaps = new(gapLaw)
+	}
+	return ws.gaps
 }

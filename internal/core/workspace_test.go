@@ -154,6 +154,62 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWorkspaceGapTableSwitches pins the gap-rate table's invalidation:
+// the table outlives a run and keeps its rates while the pair universe
+// stays the same, so one workspace driven through a sequence of pair
+// universes — n = 12 complete (66 pairs), n = 12 under gnp@0.5 (same n,
+// fewer pairs), n = 24 (276 pairs), n = 12 complete again, and a
+// census-served n = 12 run — must reproduce every run's fresh-workspace
+// twin. A stale rate changes a gap draw, and the run with it.
+func TestWorkspaceGapTableSwitches(t *testing.T) {
+	t.Parallel()
+	p := MustProtocol("q", []string{"i", "o"}, 0, []State{1}, []Rule{
+		{A: 0, B: 0, Edge: false, OutA: 0, OutB: 1},
+		{A: 0, B: 1, Edge: false, OutA: 1, OutB: 1, OutEdge: true},
+	})
+	gnp, err := ParseTopologySpec("gnp@0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := []struct {
+		name   string
+		n      int
+		topo   *TopologySpec
+		census bool
+	}{
+		{"n=12/complete", 12, nil, false},
+		{"n=12/gnp@0.5", 12, gnp, false},
+		{"n=24/complete", 24, nil, false},
+		{"n=12/complete/again", 12, nil, false},
+		{"n=12/complete/census", 12, nil, true},
+	}
+	ws := NewWorkspace()
+	for _, st := range stages {
+		for seed := uint64(1); seed <= 4; seed++ {
+			topo, err := st.topo.Realize(st.n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Seed: seed, Engine: EngineSparse, Detector: QuiescenceDetector(), Topology: topo, MaxSteps: 1 << 16}
+			opts.Workspace = freshWorkspace(st.census)
+			fresh, err := Run(p, st.n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := keyOf(fresh)
+			ws.censusOnly = st.census
+			opts.Workspace = ws
+			got, err := Run(p, st.n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keyOf(got) != want {
+				t.Fatalf("%s seed=%d: shared-workspace run diverged from fresh run:\n got %+v\nwant %+v", st.name, seed, keyOf(got), want)
+			}
+		}
+	}
+}
+
 // TestWorkspaceFinalSurvivesAsNextInitial pins the documented edge of
 // the ownership contract: the borrowed Result.Final may be fed back as
 // the next run's Initial on the same workspace (the in-place copy is a
