@@ -137,8 +137,18 @@ func CCliques(c int) (Constructor, error) {
 	for j := 1; j <= c-2; j++ {
 		absorbed = append(absorbed, fi(j))
 	}
+	// The detector runs only after edge-changing steps. cliquesStable
+	// reads the absorbed-state counts and edge-derived data alone, and
+	// no rule moves a node into or out of an absorbed state without
+	// flipping the edge (TestCCliquesEdgeTriggerExact checks every
+	// outcome for c = 2…8), so the verdict can change only on an
+	// edge-changing step and the first step where it holds is the one
+	// an every-effective-step check finds. Out-of-band fault writes are
+	// checked at the next due landing under either trigger, so a fault
+	// plan paired with this detector may stop at a later landing than
+	// an effective-step check would.
 	det := core.Detector{
-		Trigger: core.TriggerEffective,
+		Trigger: core.TriggerEdge,
 		Stable:  func(cfg *core.Config) bool { return cliquesStable(cfg, c, absorbed) },
 	}
 	return Constructor{
@@ -154,8 +164,8 @@ func CCliques(c int) (Constructor, error) {
 // of K_c plus, when r = n mod c is non-zero, one leftover component on
 // the remaining r nodes — an isolated node or a star around its leader.
 //
-// It runs after every effective step, so it rejects on O(1) and O(n)
-// counters before it looks at the edges, and allocates only when a
+// It runs after every edge-changing step, so it rejects on O(1) and
+// O(n) counters before it looks at the edges, and allocates only when a
 // configuration of more than 64 nodes passes them:
 //
 //  1. every absorbed state's count is zero;

@@ -356,3 +356,92 @@ func TestCCliquesStableRejectsWithoutAllocating(t *testing.T) {
 		}
 	}
 }
+
+// TestCCliquesEdgeTriggerExact pins the c-Cliques detector's
+// TriggerEdge. Statically: for c = 2…8, no outcome of any interaction
+// moves a node into or out of an absorbed state (f1…f_{c−2}) without
+// flipping the edge, so cliquesStable — absorbed counts plus
+// edge-derived data — cannot change its verdict on a step that keeps
+// every edge. On runs: checking after every effective step or only
+// after edge-changing ones stops every run at the same step with the
+// same record and final configuration, on the sparse and the baseline
+// engine.
+func TestCCliquesEdgeTriggerExact(t *testing.T) {
+	t.Parallel()
+	t.Run("rules", func(t *testing.T) {
+		for c := 2; c <= 8; c++ {
+			cons, err := CCliques(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := cons.Proto
+			absorbed := make([]bool, p.Size())
+			for j := 1; j <= c-2; j++ {
+				s, ok := p.StateIndex(fmt.Sprintf("f%d", j))
+				if !ok {
+					t.Fatalf("c=%d: no state f%d", c, j)
+				}
+				absorbed[s] = true
+			}
+			outcomes := 0
+			for a := core.State(0); int(a) < p.Size(); a++ {
+				for b := core.State(0); int(b) < p.Size(); b++ {
+					for _, edge := range []bool{false, true} {
+						for _, o := range p.Outcomes(a, b, edge) {
+							outcomes++
+							if o.OutEdge == edge && (absorbed[a] != absorbed[o.OutA] || absorbed[b] != absorbed[o.OutB]) {
+								t.Errorf("c=%d: (%s, %s, %v) → (%s, %s) changes an absorbed state and keeps the edge",
+									c, p.StateName(a), p.StateName(b), edge, p.StateName(o.OutA), p.StateName(o.OutB))
+							}
+						}
+					}
+				}
+			}
+			if outcomes == 0 {
+				t.Fatalf("c=%d: no outcomes enumerated", c)
+			}
+		}
+	})
+	const seeds = 100
+	for _, c := range []int{3, 4} {
+		cons, err := CCliques(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cons.Detector.Trigger != core.TriggerEdge {
+			t.Fatalf("c=%d: detector trigger %d, want TriggerEdge", c, cons.Detector.Trigger)
+		}
+		effective := cons.Detector
+		effective.Trigger = core.TriggerEffective
+		for _, engine := range []core.Engine{core.EngineSparse, core.EngineBaseline} {
+			t.Run(fmt.Sprintf("c=%d/engine=%s", c, engine), func(t *testing.T) {
+				t.Parallel()
+				for n := 8; n <= 13; n++ {
+					for seed := uint64(1); seed <= seeds; seed++ {
+						run := func(det core.Detector) core.Result {
+							res, err := core.Run(cons.Proto, n, core.Options{Seed: seed, Engine: engine, Detector: det})
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res
+						}
+						want, got := run(effective), run(cons.Detector)
+						if !want.Converged {
+							t.Fatalf("n=%d seed=%d: effective-trigger run did not converge in %d steps", n, seed, want.Steps)
+						}
+						if got.Converged != want.Converged || got.Steps != want.Steps ||
+							got.ConvergenceTime != want.ConvergenceTime || got.EffectiveSteps != want.EffectiveSteps ||
+							got.EdgeChanges != want.EdgeChanges || got.Final.Fingerprint() != want.Final.Fingerprint() {
+							t.Fatalf("n=%d seed=%d: edge trigger diverged:\n got converged=%v steps=%d ct=%d eff=%d edges=%d\nwant converged=%v steps=%d ct=%d eff=%d edges=%d",
+								n, seed, got.Converged, got.Steps, got.ConvergenceTime, got.EffectiveSteps, got.EdgeChanges,
+								want.Converged, want.Steps, want.ConvergenceTime, want.EffectiveSteps, want.EdgeChanges)
+						}
+						if got.Metrics.DetectorChecks > want.Metrics.DetectorChecks {
+							t.Fatalf("n=%d seed=%d: edge trigger checked %d times, effective %d", n, seed, got.Metrics.DetectorChecks, want.Metrics.DetectorChecks)
+						}
+					}
+				}
+			})
+		}
+	}
+}
