@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -143,9 +144,25 @@ func ReplicationDetector(g1 *graph.Graph) core.Detector {
 }
 
 // replicationDetector is ReplicationDetector for an input graph that
-// depends on the population size; input is called only once the O(1)
-// count checks pass.
+// depends on the population size. The input is built once per size
+// and kept, immutable, behind an atomic pointer, so concurrent runs
+// sharing the detector read it without a lock; it is first built only
+// once the O(1) count checks pass.
 func replicationDetector(input func(n int) *graph.Graph) core.Detector {
+	type sized struct {
+		n, m int // population size, input edge count
+		g    *graph.Graph
+	}
+	var last atomic.Pointer[sized]
+	inputFor := func(n int) *sized {
+		if in := last.Load(); in != nil && in.n == n {
+			return in
+		}
+		g := input(n)
+		in := &sized{n: n, m: g.M(), g: g}
+		last.Store(in)
+		return in
+	}
 	return core.Detector{
 		Trigger: core.TriggerEffective,
 		Stable: func(cfg *core.Config) bool {
@@ -159,9 +176,20 @@ func replicationDetector(input func(n int) *graph.Graph) core.Detector {
 				cfg.Count(grpRa) != 0 || cfg.Count(grpRd) != 0 || cfg.Count(grpRp) != 0 {
 				return false
 			}
-			g1 := input(cfg.N())
-			n1 := g1.N()
+			in := inputFor(cfg.N())
+			n1 := in.g.N()
 			if cfg.Count(grpR) != n1 {
+				return false
+			}
+			// Isomorphic graphs have equal edge counts, so the replica's
+			// induced active-edge count rejects before g2 is built.
+			induced := 0
+			cfg.ForEachActiveEdge(func(u, v int) {
+				if cfg.Node(u) == grpR && cfg.Node(v) == grpR {
+					induced++
+				}
+			})
+			if induced != in.m {
 				return false
 			}
 			members := make([]int, 0, n1)
@@ -178,7 +206,7 @@ func replicationDetector(input func(n int) *graph.Graph) core.Detector {
 					}
 				}
 			}
-			return graph.Isomorphic(g1, g2)
+			return graph.Isomorphic(in.g, g2)
 		},
 	}
 }

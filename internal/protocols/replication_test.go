@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -96,6 +97,50 @@ func TestReplicationOfRandomGraphs(t *testing.T) {
 
 // TestReplicationSpareNodesUntouched: with |V2| > |V1| the surplus V2
 // nodes must stay in r0 forever (the protocol introduces no waste).
+// TestRingReplicationDetectorAcrossSizes: the registered row's detector
+// keeps one input ring per population size. Shared by concurrent runs
+// that alternate between two sizes, it must give every run the record
+// a detector of its own gives it.
+func TestRingReplicationDetectorAcrossSizes(t *testing.T) {
+	t.Parallel()
+	run := func(c Constructor, n int, seed uint64) core.Result {
+		initial, err := c.Initial(n)
+		if err != nil {
+			t.Error(err)
+			return core.Result{}
+		}
+		res, err := core.Run(c.Proto, n, core.Options{Seed: seed, Detector: c.Detector, Initial: initial})
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	sizes := []int{8, 12, 8, 12, 10, 8}
+	want := make([]core.Result, len(sizes))
+	for i, n := range sizes {
+		want[i] = run(ringReplication(), n, uint64(i+1))
+	}
+	shared := ringReplication()
+	got := make([]core.Result, len(sizes))
+	var wg sync.WaitGroup
+	for i, n := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(shared, n, uint64(i+1))
+		}()
+	}
+	wg.Wait()
+	for i, n := range sizes {
+		g, w := got[i], want[i]
+		if !w.Converged || g.Converged != w.Converged || g.Steps != w.Steps ||
+			g.Metrics.DetectorChecks != w.Metrics.DetectorChecks || g.Final.Fingerprint() != w.Final.Fingerprint() {
+			t.Errorf("n=%d seed=%d: shared detector gave converged=%v steps=%d checks=%d, own detector converged=%v steps=%d checks=%d",
+				n, i+1, g.Converged, g.Steps, g.Metrics.DetectorChecks, w.Converged, w.Steps, w.Metrics.DetectorChecks)
+		}
+	}
+}
+
 func TestReplicationSpareNodesUntouched(t *testing.T) {
 	t.Parallel()
 	c := GraphReplication()
