@@ -3,16 +3,15 @@ package graph
 import "math/rand/v2"
 
 // Gnp samples a graph from the Erdős–Rényi model G(n, p): every edge
-// present independently with probability p. The universal constructors
-// of Section 6 draw their candidate outputs from G(m, 1/2), which makes
-// every graph on m vertices equally likely.
+// present independently with probability p — the gnp@p interaction
+// topology (core.TopologySpec). Each pair is drawn once, so no edge can
+// repeat.
 func Gnp(n int, p float64, rng *rand.Rand) *Graph {
 	g := New(n)
-	eg := newEdgeGuard(g)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				eg.add(u, v)
+				g.AddEdgeUnchecked(u, v)
 			}
 		}
 	}

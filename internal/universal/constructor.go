@@ -145,7 +145,7 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 		// spanning-line constructor.
 		lineBase = protocols.FastGlobalLine()
 	}
-	_, lineOrdered, lineRes, err := linePhase(lineBase, n, part.u, partCfg, seed+1, 0)
+	lineOrdered, lineRes, err := linePhase(lineBase, n, part.u, partCfg, seed+1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -51,7 +51,7 @@ func DeterministicConstruct(build Builder, n int, seed uint64) (Result, error) {
 	if len(part.u) >= 16 {
 		lineBase = protocols.FastGlobalLine()
 	}
-	_, _, lineRes, err := linePhase(lineBase, n, part.u, r.Final, seed+1, 0)
+	_, lineRes, err := linePhase(lineBase, n, part.u, r.Final, seed+1)
 	if err != nil {
 		return Result{}, err
 	}

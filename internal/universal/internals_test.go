@@ -214,7 +214,7 @@ func TestWithDead(t *testing.T) {
 func TestLinePhaseBuildsOrderedLine(t *testing.T) {
 	t.Parallel()
 	live := []int{1, 3, 5, 7, 9, 11}
-	_, ordered, res, err := linePhase(protocols.SimpleGlobalLine(), 12, live, nil, 3, 0)
+	ordered, res, err := linePhase(protocols.SimpleGlobalLine(), 12, live, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,12 @@ func withDead(p *core.Protocol) (*core.Protocol, core.State, error) {
 // linePhase builds a spanning line over the live subset of the
 // population by running a real spanning-line constructor in which all
 // other nodes are inert, preserving any pre-existing active edges
-// (e.g. the U–D matching). It returns the final configuration, the
-// live nodes in line order, and the run result.
-func linePhase(base protocols.Constructor, n int, live []int, carry *core.Config, seed uint64, maxSteps int64) (*core.Config, []int, core.Result, error) {
+// (e.g. the U–D matching). It returns the live nodes in line order and
+// the run result; the run has the default step budget.
+func linePhase(base protocols.Constructor, n int, live []int, carry *core.Config, seed uint64) ([]int, core.Result, error) {
 	ext, dead, err := withDead(base.Proto)
 	if err != nil {
-		return nil, nil, core.Result{}, err
+		return nil, core.Result{}, err
 	}
 	// vertex maps each population node to its index in live, −1 for
 	// the inert rest.
@@ -63,7 +63,7 @@ func linePhase(base protocols.Constructor, n int, live []int, carry *core.Config
 	}
 	gate, err := lineGate(ext)
 	if err != nil {
-		return nil, nil, core.Result{}, err
+		return nil, core.Result{}, err
 	}
 	det := core.Detector{
 		Trigger: core.TriggerEffective,
@@ -79,25 +79,24 @@ func linePhase(base protocols.Constructor, n int, live []int, carry *core.Config
 		Seed:     seed,
 		Detector: det,
 		Initial:  initial,
-		MaxSteps: maxSteps,
 	})
 	if err != nil {
-		return nil, nil, core.Result{}, err
+		return nil, core.Result{}, err
 	}
 	if !res.Converged {
-		return nil, nil, res, fmt.Errorf("universal: line phase did not converge within %d steps", res.Steps)
+		return nil, res, fmt.Errorf("universal: line phase did not converge within %d steps", res.Steps)
 	}
 
 	sub, _ := lineOn(res.Final)
 	order, err := lineOrder(sub)
 	if err != nil {
-		return nil, nil, res, err
+		return nil, res, err
 	}
 	ordered := make([]int, len(order))
 	for i, idx := range order {
 		ordered[i] = live[idx]
 	}
-	return res.Final, ordered, res, nil
+	return ordered, res, nil
 }
 
 // lineGate returns the protocol-specific O(1) precondition under which
