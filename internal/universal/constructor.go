@@ -90,54 +90,46 @@ const (
 	pipelineLog
 )
 
-func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (Result, error) {
-	rng := core.NewRNG(seed ^ 0xd1b54a32d192ed03)
-	var res Result
-	record := func(name string, steps int64) {
-		res.PhaseSteps = append(res.PhaseSteps, PhaseStat{Name: name, Steps: steps})
-		res.Steps += steps
-	}
+// record appends one phase's step count and adds it to the total.
+func (res *Result) record(name string, steps int64) {
+	res.PhaseSteps = append(res.PhaseSteps, PhaseStat{Name: name, Steps: steps})
+	res.Steps += steps
+}
 
-	// Phase 1: partition (real protocol run). The log-waste pipeline
-	// has no partition: the line spans everyone.
+// spanU runs the front half every Section 6 pipeline shares, recording
+// both phases on res: the U/D (or, for Theorem 15, U/D/M) partition as
+// a real protocol run, then a spanning line over U as a real run with
+// the rest of the population inert. The log-waste pipeline has no
+// partition: its line spans everyone. It returns the partition and U
+// in line order.
+func spanU(res *Result, kind pipelineKind, n int, seed uint64) (partition, []int, error) {
 	var (
 		part    partition
 		partCfg *core.Config
 	)
-	switch kind {
-	case pipelineHalf:
-		p, det := PartitionUD()
-		r, err := core.Run(p, n, core.Options{Seed: seed, Detector: det})
-		if err != nil {
-			return Result{}, err
-		}
-		if !r.Converged {
-			return Result{}, fmt.Errorf("universal: U/D partition did not converge")
-		}
-		partCfg = r.Final
-		part = classify(r.Final)
-		record("partition-UD", r.Steps)
-	case pipelineThird:
-		p, det := PartitionUDM()
-		r, err := core.Run(p, n, core.Options{Seed: seed, Detector: det})
-		if err != nil {
-			return Result{}, err
-		}
-		if !r.Converged {
-			return Result{}, fmt.Errorf("universal: U/D/M partition did not converge")
-		}
-		partCfg = r.Final
-		part = classify(r.Final)
-		record("partition-UDM", r.Steps)
-	case pipelineLog:
+	if kind == pipelineLog {
 		part.u = make([]int, n)
 		for i := range part.u {
 			part.u[i] = i
 		}
+	} else {
+		partitionProto, phase, sets := PartitionUD, "partition-UD", "U/D"
+		if kind == pipelineThird {
+			partitionProto, phase, sets = PartitionUDM, "partition-UDM", "U/D/M"
+		}
+		p, det := partitionProto()
+		r, err := core.Run(p, n, core.Options{Seed: seed, Detector: det})
+		if err != nil {
+			return partition{}, nil, err
+		}
+		if !r.Converged {
+			return partition{}, nil, fmt.Errorf("universal: %s partition did not converge", sets)
+		}
+		partCfg = r.Final
+		part = classify(r.Final)
+		res.record(phase, r.Steps)
 	}
 
-	// Phase 2: spanning line over U (real protocol run with the rest
-	// of the population inert).
 	lineBase := protocols.SimpleGlobalLine()
 	if len(part.u) >= 16 || kind == pipelineLog {
 		// The O(n³) protocol keeps larger pipelines tractable; both
@@ -145,13 +137,21 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 		// spanning-line constructor.
 		lineBase = protocols.FastGlobalLine()
 	}
-	lineOrdered, lineRes, err := linePhase(lineBase, n, part.u, partCfg, seed+1)
+	line, lineRes, err := linePhase(lineBase, n, part.u, partCfg, seed+1)
+	if err != nil {
+		return partition{}, nil, err
+	}
+	res.record("spanning-line", lineRes.Steps)
+	return part, line, nil
+}
+
+func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (Result, error) {
+	var res Result
+	part, lineOrdered, err := spanU(&res, kind, n, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	record("spanning-line", lineRes.Steps)
-
-	charge := newChargeModel(n, rng)
+	charge := newChargeModel(n, core.NewRNG(seed^0xd1b54a32d192ed03))
 
 	// Phase 3 (log-waste only): count the population by walking the
 	// line, then release all but the rightmost ⌈log₂ n⌉ nodes.
@@ -178,7 +178,7 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 		charge.waits(int64(2*n - 1))
 		useful = lineOrdered[:n-memLen]
 		tapeLen = memLen
-		record("count-and-release", charge.Steps())
+		res.record("count-and-release", charge.Steps())
 	}
 
 	// Phases 4–5: the Fig. 3 loop — draw a random graph on the useful
@@ -201,13 +201,13 @@ func runPipeline(lang tm.GraphLanguage, n int, seed uint64, kind pipelineKind) (
 			return Result{}, fmt.Errorf("universal: decider %q rejected %d consecutive draws", lang.Name, res.Attempts)
 		}
 	}
-	record("draw-and-decide", charge.Steps()-before)
+	res.record("draw-and-decide", charge.Steps()-before)
 
 	// Release phase: deactivate each useful node's tether (one
 	// specific-pair interaction each).
 	before = charge.Steps()
 	charge.waits(int64(len(useful)))
-	record("release", charge.Steps()-before)
+	res.record("release", charge.Steps()-before)
 
 	res.Output = out
 	res.UsefulNodes = append([]int(nil), useful...)

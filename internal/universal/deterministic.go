@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/protocols"
 )
 
 // Builder produces the target graph for a given useful-space size —
@@ -29,33 +28,10 @@ func DeterministicConstruct(build Builder, n int, seed uint64) (Result, error) {
 		return Result{}, errPopulationTooSmall
 	}
 	var res Result
-	record := func(name string, steps int64) {
-		res.PhaseSteps = append(res.PhaseSteps, PhaseStat{Name: name, Steps: steps})
-		res.Steps += steps
-	}
-
-	// Phase 1: U/D partition (real run).
-	p, det := PartitionUD()
-	r, err := core.Run(p, n, core.Options{Seed: seed, Detector: det})
+	part, _, err := spanU(&res, pipelineHalf, n, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	if !r.Converged {
-		return Result{}, fmt.Errorf("universal: U/D partition did not converge")
-	}
-	part := classify(r.Final)
-	record("partition-UD", r.Steps)
-
-	// Phase 2: spanning line over U (real run).
-	lineBase := protocols.SimpleGlobalLine()
-	if len(part.u) >= 16 {
-		lineBase = protocols.FastGlobalLine()
-	}
-	_, lineRes, err := linePhase(lineBase, n, part.u, r.Final, seed+1)
-	if err != nil {
-		return Result{}, err
-	}
-	record("spanning-line", lineRes.Steps)
 
 	k := len(part.d)
 	target := build(k)
@@ -68,15 +44,14 @@ func DeterministicConstruct(build Builder, n int, seed uint64) (Result, error) {
 
 	// Phase 3: the TM walks every D pair once and writes the target
 	// edge value (mark i, mark j, pair interaction, retract marks).
-	rng := core.NewRNG(seed ^ 0x2545f4914f6cdd1d)
-	charge := newChargeModel(n, rng)
+	charge := newChargeModel(n, core.NewRNG(seed^0x2545f4914f6cdd1d))
 	charge.waits(probeWaits(k))
-	record("write-target", charge.Steps())
+	res.record("write-target", charge.Steps())
 
 	// Phase 4: release the useful space.
 	before := charge.Steps()
 	charge.waits(int64(len(part.d)))
-	record("release", charge.Steps()-before)
+	res.record("release", charge.Steps()-before)
 
 	res.Output = target.Clone()
 	res.UsefulNodes = append([]int(nil), part.d...)
