@@ -47,10 +47,11 @@ func run() error {
 	}
 
 	fmt.Printf("exploring %s on n=%d …\n", c.Proto.Name(), *n)
-	rep, err := check.Verify(c.Proto, *n, target, check.Options{MaxConfigs: *maxConfigs})
+	space, err := check.Explore(c.Proto, *n, check.Options{MaxConfigs: *maxConfigs})
 	if err != nil {
 		return err
 	}
+	rep := space.Verify(target)
 	fmt.Printf("reachable configurations: %d\n", rep.Reachable)
 	fmt.Printf("output-stable:            %d\n", rep.OutputStable)
 	fmt.Printf("target-stable:            %d\n", rep.TargetStable)
@@ -62,7 +63,7 @@ func run() error {
 	}
 	fmt.Println("verified: every fair execution stabilizes to the target ✓")
 
-	accepted, err := check.DetectorSound(c.Proto, *n, c.Detector, check.Options{MaxConfigs: *maxConfigs})
+	accepted, err := space.DetectorSound(c.Detector)
 	if err != nil {
 		return fmt.Errorf("detector soundness: %w", err)
 	}

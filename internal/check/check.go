@@ -53,15 +53,20 @@ type Report struct {
 	Counterexample string
 }
 
-// space is the fully explored reachable configuration space.
-type space struct {
+// Space is the fully explored reachable configuration space of one
+// protocol on one population size. Explore builds it once; Verify and
+// DetectorSound then read it as often as needed.
+type Space struct {
 	configs  []*core.Config
 	succs    [][]int32
 	preds    [][]int32
 	unstable []bool // true: forward closure changes the output graph
 }
 
-func explore(p *core.Protocol, n int, opts Options) (*space, error) {
+// Explore enumerates every configuration of p on n nodes reachable
+// from the initial configuration, with each one's successors and
+// whether its forward closure changes the output graph.
+func Explore(p *core.Protocol, n int, opts Options) (*Space, error) {
 	if n < 1 {
 		return nil, errors.New("check: population size must be ≥ 1")
 	}
@@ -78,7 +83,7 @@ func explore(p *core.Protocol, n int, opts Options) (*space, error) {
 	}
 
 	index := map[string]int32{initial.Fingerprint(): 0}
-	s := &space{configs: []*core.Config{initial}}
+	s := &Space{configs: []*core.Config{initial}}
 	var out []int32
 	for at := 0; at < len(s.configs); at++ {
 		// Each outcome is applied to a scratch copy in place, cloned
@@ -146,16 +151,10 @@ func explore(p *core.Protocol, n int, opts Options) (*space, error) {
 	return s, nil
 }
 
-// Verify explores the reachable configuration space of p on n nodes
-// and checks that every fair execution stabilizes to an output
-// satisfying target.
-func Verify(p *core.Protocol, n int, target func(cfg *core.Config) bool, opts Options) (Report, error) {
-	s, err := explore(p, n, opts)
-	if err != nil {
-		return Report{}, err
-	}
+// Verify checks, over the explored space, that every fair execution
+// stabilizes to an output satisfying target.
+func (s *Space) Verify(target func(cfg *core.Config) bool) Report {
 	rep := Report{Reachable: len(s.configs)}
-	goal := make([]bool, len(s.configs))
 	var queue []int32
 	for i, cfg := range s.configs {
 		if s.unstable[i] {
@@ -164,7 +163,6 @@ func Verify(p *core.Protocol, n int, target func(cfg *core.Config) bool, opts Op
 		rep.OutputStable++
 		if target(cfg) {
 			rep.TargetStable++
-			goal[i] = true
 			queue = append(queue, int32(i))
 		}
 	}
@@ -192,18 +190,14 @@ func Verify(p *core.Protocol, n int, target func(cfg *core.Config) bool, opts Op
 			break
 		}
 	}
-	return rep, nil
+	return rep
 }
 
-// DetectorSound checks that, within the reachable space, every
-// configuration accepted by the detector is genuinely output-stable
-// and that at least one accepted configuration exists. It returns the
-// number of accepted configurations.
-func DetectorSound(p *core.Protocol, n int, det core.Detector, opts Options) (int, error) {
-	s, err := explore(p, n, opts)
-	if err != nil {
-		return 0, err
-	}
+// DetectorSound checks that every configuration of s accepted by the
+// detector is genuinely output-stable and that at least one accepted
+// configuration exists. It returns the number of accepted
+// configurations.
+func (s *Space) DetectorSound(det core.Detector) (int, error) {
 	accepted := 0
 	for i, cfg := range s.configs {
 		if !det.Stable(cfg) {

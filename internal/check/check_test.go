@@ -16,10 +16,11 @@ import (
 
 func requireVerified(t *testing.T, name string, c protocols.Constructor, n int, target func(cfg *core.Config) bool) Report {
 	t.Helper()
-	rep, err := Verify(c.Proto, n, target, Options{})
+	s, err := Explore(c.Proto, n, Options{})
 	if err != nil {
 		t.Fatalf("%s n=%d: %v", name, n, err)
 	}
+	rep := s.Verify(target)
 	if rep.TargetStable == 0 {
 		t.Fatalf("%s n=%d: no target-stable configuration among %d reachable", name, n, rep.Reachable)
 	}
@@ -136,7 +137,11 @@ func TestDetectorsSound(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			accepted, err := DetectorSound(tc.c.Proto, tc.n, tc.c.Detector, Options{})
+			s, err := Explore(tc.c.Proto, tc.n, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted, err := s.DetectorSound(tc.c.Detector)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,12 +164,13 @@ func TestVerifyDetectsBrokenProtocol(t *testing.T) {
 		nil,
 		[]core.Rule{{A: 0, B: 0, Edge: false, OutA: 0, OutB: 0, OutEdge: true}},
 	)
-	rep, err := Verify(p, 4, func(cfg *core.Config) bool {
-		return protocols.ActiveGraph(cfg).IsSpanningStar()
-	}, Options{})
+	s, err := Explore(p, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := s.Verify(func(cfg *core.Config) bool {
+		return protocols.ActiveGraph(cfg).IsSpanningStar()
+	})
 	if rep.TargetStable != 0 {
 		t.Fatalf("broken protocol has %d target-stable configurations", rep.TargetStable)
 	}
@@ -180,7 +186,11 @@ func TestVerifyDetectsUnsoundDetector(t *testing.T) {
 		Trigger: core.TriggerEffective,
 		Stable:  func(cfg *core.Config) bool { return cfg.ActiveEdges() > 0 },
 	}
-	_, err := DetectorSound(c.Proto, 4, bogus, Options{})
+	s, err := Explore(c.Proto, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.DetectorSound(bogus)
 	if err == nil {
 		t.Fatal("unsound detector not rejected")
 	}

@@ -17,12 +17,13 @@ func TestKRC3Stabilizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 4; n <= 5; n++ {
-		rep, err := Verify(c.Proto, n, func(cfg *core.Config) bool {
-			return protocols.ActiveGraph(cfg).IsNearKRegularConnected(3)
-		}, Options{MaxConfigs: 8_000_000})
+		s, err := Explore(c.Proto, n, Options{MaxConfigs: 8_000_000})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		rep := s.Verify(func(cfg *core.Config) bool {
+			return protocols.ActiveGraph(cfg).IsNearKRegularConnected(3)
+		})
 		if rep.TargetStable == 0 {
 			t.Fatalf("n=%d: no target-stable configuration among %d reachable", n, rep.Reachable)
 		}
@@ -43,12 +44,13 @@ func TestCliquesPairsStabilize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 2; n <= 5; n++ {
-		rep, err := Verify(c.Proto, n, func(cfg *core.Config) bool {
-			return protocols.ActiveGraph(cfg).IsMaximumMatching()
-		}, Options{MaxConfigs: 8_000_000})
+		s, err := Explore(c.Proto, n, Options{MaxConfigs: 8_000_000})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		rep := s.Verify(func(cfg *core.Config) bool {
+			return protocols.ActiveGraph(cfg).IsMaximumMatching()
+		})
 		if rep.TargetStable == 0 {
 			t.Fatalf("n=%d: no target-stable configuration among %d reachable", n, rep.Reachable)
 		}
@@ -72,17 +74,18 @@ func TestDegreeDoublingStabilizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := c.Proto.StateIndex("q")
-	rep, err := Verify(c.Proto, 4, func(cfg *core.Config) bool {
+	s, err := Explore(c.Proto, 4, Options{Initial: initial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Verify(func(cfg *core.Config) bool {
 		for u := 0; u < cfg.N(); u++ {
 			if cfg.Node(u) == q {
 				return cfg.Degree(u) == 2
 			}
 		}
 		return false
-	}, Options{Initial: initial})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if rep.TargetStable == 0 || !rep.AllReachTarget {
 		t.Fatalf("degree doubling: %+v (counterexample %s)", rep, rep.Counterexample)
 	}

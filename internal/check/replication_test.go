@@ -38,10 +38,11 @@ func TestReplicationStabilizes(t *testing.T) {
 				// exactly the candidate replica.
 				return graph.Isomorphic(out, tc.g1)
 			}
-			rep, err := Verify(c.Proto, tc.n, target, Options{Initial: initial, MaxConfigs: 4_000_000})
+			s, err := Explore(c.Proto, tc.n, Options{Initial: initial, MaxConfigs: 4_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep := s.Verify(target)
 			if rep.TargetStable == 0 {
 				t.Fatalf("no replica-stable configuration among %d reachable", rep.Reachable)
 			}
@@ -64,10 +65,11 @@ func TestReplicationDetectorSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := DetectorSound(c.Proto, 4, protocols.ReplicationDetector(g1), Options{
-		Initial:    initial,
-		MaxConfigs: 4_000_000,
-	})
+	s, err := Explore(c.Proto, 4, Options{Initial: initial, MaxConfigs: 4_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := s.DetectorSound(protocols.ReplicationDetector(g1))
 	if err != nil {
 		t.Fatal(err)
 	}
