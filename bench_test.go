@@ -1,27 +1,23 @@
 package netcons_test
 
 // The benchmark harness (the paper's tables themselves come from
-// cmd/tables):
+// cmd/tables). Every root benchmark feeds one scripts/bench.sh suite
+// and its committed BENCH_*.json file, for example:
 //
 //   - BenchmarkUniversal/*    — the Section 6 generic constructors,
 //     Remark 2's deterministic constructor and Theorem 18's
-//     supernodes (the universal suite of scripts/bench.sh, tracked in
-//     BENCH_universal.json);
-//   - BenchmarkEngine/*       — raw simulator throughput
-//     (interactions/sec);
+//     supernodes (the universal suite, BENCH_universal.json);
 //   - BenchmarkSparseVsBaseline — sparse-engine vs baseline-loop wall
-//     clock on Simple-Global-Line (engine_bench_test.go).
+//     clock on Simple-Global-Line (engine_bench_test.go, the engine
+//     suite, BENCH_engine.json).
 //
 // Convergence times are reported via b.ReportMetric as "steps/op"
 // (model interactions, the unit the paper analyzes); wall-clock ns/op
 // is incidental.
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/processes"
 	"repro/internal/tm"
 	"repro/internal/universal"
 )
@@ -102,28 +98,4 @@ func BenchmarkUniversal(b *testing.B) {
 			return float64(res.Steps)
 		})
 	})
-}
-
-// BenchmarkEngine measures raw simulator throughput: interactions per
-// second on a protocol that never stabilizes within the budget
-// (edge cover on a large population), isolating engine overhead.
-func BenchmarkEngine(b *testing.B) {
-	proc := processes.EdgeCover()
-	for _, n := range []int{64, 256} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(proc.Proto, n, core.Options{
-					Seed:     uint64(i) + 1,
-					Detector: proc.Detector,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps += res.Steps
-			}
-			b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "interactions/s")
-		})
-	}
 }

@@ -1,68 +1,14 @@
 package netcons_test
 
-// BenchmarkCampaign measures the campaign runner's parallel speedup:
-// the same 64-run sweep (Cycle-Cover, the paper's time-optimal Θ(n²)
-// constructor, at n=96) executed at workers=1 — the old sequential
-// trial-loop semantics — and at workers=GOMAXPROCS. The aggregates are
-// asserted bit-identical across the two, so the comparison is purely
-// about wall clock:
-//
-//	go test -bench BenchmarkCampaign -benchtime 3x
-
 import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/protocols"
 )
-
-func campaignSweep() []campaign.Point {
-	cc := protocols.CycleCover()
-	return []campaign.Point{{
-		Protocol: "cycle-cover",
-		N:        96,
-		Trials:   64,
-		BaseSeed: 1,
-		Proto:    cc.Proto,
-		Detector: cc.Detector,
-		Metric:   campaign.MetricConvergenceTime,
-	}}
-}
-
-func BenchmarkCampaign(b *testing.B) {
-	var serial, parallel []campaign.Aggregate
-	for _, tc := range []struct {
-		name    string
-		workers int
-		sink    *[]campaign.Aggregate
-	}{
-		{"serial/workers=1", 1, &serial},
-		{fmt.Sprintf("parallel/workers=%d", runtime.GOMAXPROCS(0)), runtime.GOMAXPROCS(0), &parallel},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := campaign.Execute(context.Background(), campaignSweep(), campaign.Options{
-					Workers: tc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Aggregates[0].Failures > 0 {
-					b.Fatalf("failures: %+v", out.Aggregates[0])
-				}
-				*tc.sink = out.Aggregates
-			}
-		})
-	}
-	if serial != nil && parallel != nil && !reflect.DeepEqual(serial, parallel) {
-		b.Fatalf("worker count changed the aggregates:\n%+v\nvs\n%+v", serial, parallel)
-	}
-}
 
 // BenchmarkCampaignThroughput measures the zero-allocation trial
 // pipeline: the same trials run through core.Run with no workspace
