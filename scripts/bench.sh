@@ -3,10 +3,10 @@
 # BENCH_engine.json, BENCH_campaign.json, BENCH_topology.json,
 # BENCH_observer.json, BENCH_detector.json, BENCH_stats.json,
 # BENCH_index.json, BENCH_universal.json — with the pinned -benchtime
-# (and, for the repeated-sample suites, -count) each suite is
-# calibrated for. CI runs this script per suite and uploads the files;
-# run it locally (optionally with a subset of suite names) to reproduce
-# the numbers quoted in ARCHITECTURE.md and EXPERIMENTS.md. The pins
+# each suite is calibrated for and five samples per row (-count 5). CI
+# runs this script per suite and uploads the files; run it locally
+# (optionally with a subset of suite names) to reproduce the numbers
+# quoted in ARCHITECTURE.md and EXPERIMENTS.md. The pins
 # are part of the artifact contract: trend comparisons across commits
 # assume every row was measured with the same iteration count.
 set -euo pipefail
@@ -34,12 +34,15 @@ for suite in $suites; do
       go test -run '^$' -bench BenchmarkCampaignThroughput -benchtime 1000x -count 5 -benchmem -json . | tee BENCH_campaign.json
       ;;
     topology)
-      go test -run '^$' -bench BenchmarkTopologyOverhead -benchtime 1x -benchmem -json . | tee BENCH_topology.json
+      # Five samples per row; one op is one whole run, about a second
+      # per sample at n = 16384.
+      go test -run '^$' -bench BenchmarkTopologyOverhead -benchtime 1x -count 5 -benchmem -json . | tee BENCH_topology.json
       ;;
     observer)
-      # The same pin as the campaign suite: the events=off rows are
-      # compared with BENCH_campaign.json's alloc=workspace rows.
-      go test -run '^$' -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 1000x -benchmem -json . | tee BENCH_observer.json
+      # The same pin as the campaign suite, five samples per row: the
+      # events=off rows are compared with BENCH_campaign.json's
+      # alloc=workspace rows.
+      go test -run '^$' -bench 'BenchmarkObserverOff|BenchmarkEventStream' -benchtime 1000x -count 5 -benchmem -json . | tee BENCH_observer.json
       ;;
     detector)
       # Repeated samples: the per-call rows run from a few ns to tens of
