@@ -589,6 +589,37 @@ func TestIncludeUnconverged(t *testing.T) {
 	}
 }
 
+// TestSparseTopologySweepCompletes: at n = 12, gnp@0.05 realizes a
+// graph with no pair in about 3% of the trials (0.95⁶⁶). Those trials
+// converge at step 0 under the quiescence detector; none of them may
+// abort the sweep, on any engine.
+func TestSparseTopologySweepCompletes(t *testing.T) {
+	t.Parallel()
+	for _, engine := range []string{"baseline", "sparse", "batch"} {
+		spec := Spec{
+			Trials:             200,
+			Seed:               1,
+			Engine:             engine,
+			Detector:           "quiescence",
+			MaxSteps:           663552,
+			IncludeUnconverged: true,
+			Topology:           &core.TopologySpec{Kind: core.TopoGnp, Param: 0.05},
+			Items:              []Item{{Name: "simple-global-line", Sizes: []int{12}}},
+		}
+		points, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Execute(context.Background(), points, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if agg := out.Aggregates[0]; agg.Trials != 200 || agg.Min != 0 {
+			t.Fatalf("%s: aggregate %+v, want 200 trials with an empty realization among them", engine, agg)
+		}
+	}
+}
+
 func TestFormatFloatNonFinite(t *testing.T) {
 	t.Parallel()
 	if got := formatFloat(math.NaN()); got != "" {

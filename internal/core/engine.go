@@ -154,10 +154,12 @@ type Options struct {
 	// indexed engines count enabled pairs within the permitted set (the
 	// batch engine exact-steps, bit-identical to EngineSparse). Nil is
 	// the paper's complete interaction graph. The topology's population
-	// must equal n, it must permit at least one pair (when n > 1), rate-
-	// based schedulers (weighted, biased) reject it, and any Initial
-	// configuration's active edges must all be permitted pairs — the
-	// engines rely on active ⊆ permitted to stay consistent.
+	// must equal n; one that permits no pair ends the run at step 0,
+	// converged iff the detector accepts the initial configuration (the
+	// n = 1 case). Rate-based schedulers (weighted, biased) reject a
+	// topology, and any Initial configuration's active edges must all be
+	// permitted pairs — the engines rely on active ⊆ permitted to stay
+	// consistent.
 	Topology *Topology
 	// Initial, when non-nil, replaces the all-q0 initial configuration
 	// (e.g. Graph-Replication's input graph). It is cloned, not
@@ -314,19 +316,17 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 	if sched == nil {
 		sched = UniformScheduler{}
 	}
-	// The restricted-topology contract: matching population, at least
-	// one pair to schedule, a scheduler that knows how to restrict its
-	// draws, and no initial active edge outside the permitted set (the
-	// engines' indexes rely on active ⊆ permitted). cfg.topo is assigned
+	// The restricted-topology contract: matching population, a scheduler
+	// that knows how to restrict its draws, and no initial active edge
+	// outside the permitted set (the engines' indexes rely on active ⊆
+	// permitted). A topology with no pair is valid: the run ends below
+	// at step 0. cfg.topo is assigned
 	// unconditionally so a reused workspace configuration cannot carry a
 	// previous run's topology.
 	cfg.topo = opts.Topology
 	if t := opts.Topology; t != nil {
 		if t.N() != n {
 			return Result{}, fmt.Errorf("core: topology has %d nodes, want %d", t.N(), n)
-		}
-		if n > 1 && t.PairCount() == 0 {
-			return Result{}, errors.New("core: topology permits no pairs; no interaction can ever be scheduled")
 		}
 		if !SupportsTopology(sched) {
 			return Result{}, fmt.Errorf("core: the %s scheduler does not support a restricted topology", sched.Name())
@@ -400,8 +400,9 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 	}
 
 	var res Result
-	if n == 1 {
-		// No pairs exist to ever interact.
+	if n == 1 || (cfg.topo != nil && cfg.topo.PairCount() == 0) {
+		// No pair can ever interact: the run is its initial
+		// configuration, converged iff the detector accepts it.
 		res = Result{Final: cfg, Converged: det.Stable(cfg)}
 		res.Metrics.DetectorChecks = 1
 		emitDetect(opts.Events, ev, 0, res.Converged, cfg)

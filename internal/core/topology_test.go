@@ -285,6 +285,29 @@ func TestCompleteTopologyBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEmptyRealizationPinned pins a random realization with no pair:
+// gnp@0.1818 at n = 12 is empty with probability ≈ 1.8·10⁻⁶ per trial,
+// and trial seed 5,004,812,839 draws one. Such a trial must run like
+// any other (TestRunTopologyValidation) instead of failing its sweep.
+func TestEmptyRealizationPinned(t *testing.T) {
+	t.Parallel()
+	spec, err := ParseTopologySpec("gnp@0.1818")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := spec.Realize(12, 5_004_812_839)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.PairCount() != 0 {
+		t.Fatalf("realization has %d pairs, want 0", topo.PairCount())
+	}
+	res, err := Run(matchingProtocol(), 12, Options{Seed: 5_004_812_839, Detector: QuiescenceDetector(), Topology: topo})
+	if err != nil || !res.Converged || res.Steps != 0 {
+		t.Fatalf("run on the empty realization: %+v, %v", res, err)
+	}
+}
+
 func TestRunTopologyValidation(t *testing.T) {
 	t.Parallel()
 	p := matchingProtocol()
@@ -294,9 +317,27 @@ func TestRunTopologyValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "topology has 6 nodes") {
 		t.Fatalf("population mismatch: got %v", err)
 	}
-	if _, err := Run(p, 4, Options{Seed: 1, Detector: det, Topology: NewTopology(graph.New(4))}); err == nil ||
-		!strings.Contains(err.Error(), "permits no pairs") {
-		t.Fatalf("empty topology: got %v", err)
+	// A topology with no pair is a valid run that never schedules an
+	// interaction: like n = 1 it ends at step 0 after one detector
+	// check, converged iff the detector accepts the initial
+	// configuration.
+	for _, eng := range []Engine{EngineBaseline, EngineSparse, EngineBatch} {
+		for _, tc := range []struct {
+			det  Detector
+			want bool
+		}{
+			{det, true},
+			{Detector{Trigger: TriggerInterval, Stable: func(*Config) bool { return false }}, false},
+		} {
+			res, err := Run(p, 4, Options{Seed: 1, Engine: eng, Detector: tc.det, Topology: NewTopology(graph.New(4))})
+			if err != nil {
+				t.Fatalf("%s: empty topology: %v", eng, err)
+			}
+			if res.Converged != tc.want || res.Steps != 0 || res.EffectiveSteps != 0 || res.Metrics.DetectorChecks != 1 || res.Engine != eng {
+				t.Fatalf("%s: empty topology: converged %v (want %v), steps %d, effective %d, checks %d, engine %s",
+					eng, res.Converged, tc.want, res.Steps, res.EffectiveSteps, res.Metrics.DetectorChecks, res.Engine)
+			}
+		}
 	}
 	for _, sched := range []Scheduler{&WeightedScheduler{}, &BiasedScheduler{Cut: 2, Epsilon: 0.5}} {
 		if _, err := Run(p, 6, Options{Seed: 1, Detector: det, Scheduler: sched, Topology: pathTopology(6)}); err == nil ||
