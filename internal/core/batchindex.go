@@ -199,6 +199,7 @@ func (bi *batchIndex) reset(cfg *Config) {
 	}
 	q := cfg.proto.Size()
 	bi.cfg = cfg
+	cfg.store.keepRows()
 	if bi.q != q {
 		bi.q = q
 		bi.byState = make([][]int32, q)

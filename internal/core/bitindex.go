@@ -12,9 +12,10 @@ import (
 const bitRowNodes = 64
 
 // bitIndex is the enabled-pair index for populations of at most
-// bitRowNodes nodes. It keeps, as one uint64 bit row per node:
+// bitRowNodes nodes. It reads u's active edges as adj[u], the
+// configuration's own adjacency word (sparseStore.words), and keeps,
+// as one uint64 bit row per node:
 //
-//   - adj[u]: u's active edges;
 //   - perm[u]: u's permitted partners (every other node on the
 //     complete graph, the topology's row under a restricted one);
 //   - row[u]: u's enabled partners, the nodes x for which
@@ -59,12 +60,12 @@ type bitIndex struct {
 
 	mask, onEdge, offEdge []uint64
 
-	adj, perm, row [bitRowNodes]uint64
-	enabled        int64
+	perm, row [bitRowNodes]uint64
+	enabled   int64
 }
 
 // reset rebinds the index to cfg and rebuilds it in place in
-// O(n·|Q| + m), reusing the per-state arrays when the protocol is the
+// O(n·|Q| + permitted pairs), reusing the per-state arrays when the protocol is the
 // previous run's.
 func (bx *bitIndex) reset(cfg *Config) {
 	n := cfg.n
@@ -96,11 +97,6 @@ func (bx *bitIndex) reset(cfg *Config) {
 	}
 	all := ^uint64(0) >> (bitRowNodes - n)
 	for u := 0; u < n; u++ {
-		var a uint64
-		for _, x := range cfg.store.row(u) {
-			a |= 1 << x
-		}
-		bx.adj[u] = a
 		if t := cfg.topo; t != nil {
 			var p uint64
 			for _, x := range t.adj[u] {
@@ -167,7 +163,7 @@ func resizeLists(dst [][]State, q int) [][]State {
 // rowOf computes node u's enabled-partner row from the masks.
 func (bx *bitIndex) rowOf(u int) uint64 {
 	s := bx.cfg.nodes[u]
-	a := bx.adj[u]
+	a := bx.cfg.store.words[u]
 	return (bx.onEdge[s]&a | bx.offEdge[s]&^a) & bx.perm[u]
 }
 
@@ -215,6 +211,7 @@ func (bx *bitIndex) enabledPairs() int64 { return bx.enabled }
 // |edgeOff[a]|) word operations over the states present.
 func (bx *bitIndex) edgeEnabledPairs() int64 {
 	var twice int
+	adj := bx.cfg.store.words
 	for s, nodes := range bx.mask {
 		if nodes == 0 {
 			continue
@@ -228,7 +225,7 @@ func (bx *bitIndex) edgeEnabledPairs() int64 {
 		}
 		for ; nodes != 0; nodes &= nodes - 1 {
 			u := bits.TrailingZeros64(nodes)
-			a := bx.adj[u]
+			a := adj[u]
 			twice += bits.OnesCount64((on&a | off&^a) & bx.perm[u])
 		}
 	}
@@ -247,7 +244,7 @@ func (bx *bitIndex) sample(rng *RNG) (u, v int, edge bool) {
 		row = bx.row[u]
 	}
 	v = selectBit(row, r)
-	return u, v, bx.adj[u]>>v&1 == 1
+	return u, v, bx.cfg.store.words[u]>>v&1 == 1
 }
 
 // selectBit returns the position of the r-th set bit of w (from 0,
@@ -272,14 +269,10 @@ func selectBit(w uint64, r int) int {
 }
 
 // update refreshes the index after an effective interaction on the
-// pair {u, v}: the edge bit flips when edgeChanged, a node whose state
-// moved shifts its mask bits, and the rows of u and v are recomputed.
-// O(|Q| + popcount of the row changes).
-func (bx *bitIndex) update(u, v int, beforeU, beforeV State, _, edgeChanged bool) {
-	if edgeChanged {
-		bx.adj[u] ^= 1 << v
-		bx.adj[v] ^= 1 << u
-	}
+// pair {u, v}: a node whose state moved shifts its mask bits, and the
+// rows of u and v are recomputed (an edge change is already in the
+// configuration's words). O(|Q| + popcount of the row changes).
+func (bx *bitIndex) update(u, v int, beforeU, beforeV State, _, _ bool) {
 	nodes := bx.cfg.nodes
 	if s := nodes[u]; s != beforeU {
 		bx.move(u, beforeU, s)
@@ -306,13 +299,6 @@ func (bx *bitIndex) nodeChanged(u int, before State) {
 // edgeChanged refreshes the index after an out-of-band toggle of edge
 // {u, v}: only that pair's enabledness can change, and refreshing u's
 // row fixes v's column.
-func (bx *bitIndex) edgeChanged(u, v int) {
-	if bx.cfg.store.get(u, v) {
-		bx.adj[u] |= 1 << v
-		bx.adj[v] |= 1 << u
-	} else {
-		bx.adj[u] &^= 1 << v
-		bx.adj[v] &^= 1 << u
-	}
+func (bx *bitIndex) edgeChanged(u, _ int) {
 	bx.refresh(u)
 }

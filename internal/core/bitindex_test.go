@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -48,8 +49,9 @@ func randomTopology(n int, p float64, rng *RNG) *Topology {
 }
 
 // verifyBitRows checks the bit-row index pair by pair against the
-// protocol's effectiveness table, and its two counts against the
-// census index bound to the same configuration.
+// protocol's effectiveness table, its two counts against the census
+// index bound to the same configuration, and the rows the census reads
+// against the configuration's adjacency words.
 func verifyBitRows(t *testing.T, bx *bitIndex, ci *batchIndex, cfg *Config) {
 	t.Helper()
 	var enabled, edgeEnabled int64
@@ -61,8 +63,8 @@ func verifyBitRows(t *testing.T, bx *bitIndex, ci *batchIndex, cfg *Config) {
 			if got := bx.row[u]>>v&1 == 1; got != want {
 				t.Fatalf("row[%d] bit %d = %v, want %v (states %d,%d edge %v)", u, v, got, want, a, b, e)
 			}
-			if got := bx.adj[u]>>v&1 == 1; got != e {
-				t.Fatalf("adj[%d] bit %d = %v, edge store says %v", u, v, got, e)
+			if got := slices.Contains(cfg.store.row(u), int32(v)); got != e {
+				t.Fatalf("row %d lists %d: %v, adjacency word says %v", u, v, got, e)
 			}
 			if u < v && want {
 				enabled++
@@ -148,6 +150,57 @@ func TestBitRowIndexAgreesWithCensus(t *testing.T) {
 						t.Fatal("rebuilt rows differ from the incrementally maintained ones")
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestBitIndexFollowsMutatorEdgeWrites: with no census bound, the
+// configuration keeps adjacency words alone and the bit-row index
+// reads them directly. Out-of-band edge writes through a Mutator must
+// leave every row bit, both counts and every drawn pair's edge flag in
+// agreement with Config.Edge.
+func TestBitIndexFollowsMutatorEdgeWrites(t *testing.T) {
+	t.Parallel()
+	p := indexProtocols(t)["toggle"]
+	for _, n := range []int{3, 17, bitRowNodes} {
+		rng := NewRNG(uint64(n))
+		cfg := NewConfig(p, n)
+		for u := 0; u < n; u++ {
+			cfg.SetNode(u, State(rng.IntN(2)))
+		}
+		bx := new(bitIndex)
+		bx.reset(cfg)
+		mut := &Mutator{cfg: cfg, ix: bx}
+		for step := 0; step < 400; step++ {
+			u, v := rng.Pair(n)
+			mut.SetEdge(u, v, rng.Coin())
+			if cfg.store.rec != nil {
+				t.Fatalf("n=%d: a store no census reads keeps rows", n)
+			}
+			var enabled, edgeEnabled int64
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					a, b, e := cfg.nodes[u], cfg.nodes[v], cfg.Edge(u, v)
+					want := p.EffectiveOn(a, b, e)
+					if bx.row[u]>>v&1 == 1 != want || bx.row[v]>>u&1 == 1 != want {
+						t.Fatalf("n=%d step %d: pair {%d,%d} (edge %v) enabled %v in the rows, want %v", n, step, u, v, e, !want, want)
+					}
+					if want {
+						enabled++
+					}
+					if p.EdgeEffectiveOn(a, b, e) {
+						edgeEnabled++
+					}
+				}
+			}
+			if bx.enabledPairs() != enabled || bx.edgeEnabledPairs() != edgeEnabled {
+				t.Fatalf("n=%d step %d: counts %d/%d, want %d/%d", n, step, bx.enabledPairs(), bx.edgeEnabledPairs(), enabled, edgeEnabled)
+			}
+			if enabled > 0 {
+				if u, v, edge := bx.sample(rng); edge != cfg.Edge(u, v) {
+					t.Fatalf("n=%d step %d: pair (%d,%d) drawn with edge %v", n, step, u, v, edge)
+				}
 			}
 		}
 	}

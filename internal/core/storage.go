@@ -1,22 +1,35 @@
 package core
 
-// sparseStore is Config's edge set: per-node sorted adjacency rows,
-// each undirected edge stored once in both endpoints' rows. Memory is
+import "math/bits"
+
+// sparseStore is Config's edge set, each undirected edge recorded at
+// both endpoints, in one of two record formats chosen from n alone by
+// newSparseStore.
+//
+// Up to bitRowNodes nodes a node's record is its adjacency word: bit v
+// of words[u] is edge {u, v}. A write is an XOR on two words, a read a
+// bit test, and the bit-row index reads the same words as its
+// adjacency, so an edge change is written once.
+//
+// Above bitRowNodes a node's record is a sorted adjacency row: memory
 // O(n + m), membership O(log deg), updates and neighbor listing
 // O(deg) — the paper's constructors build O(n)-edge targets, and the
 // batch engine's swap surgery and swap-run collapse walk these rows in
-// place.
-//
-// Every node owns one 8-byte record. A row of degree ≤ 2 — every
-// interior node of a line or ring — lives inline in it, padded with
-// noNbr; a longer row spills to a side pool and the record holds
+// place. Every node owns one 8-byte record. A row of degree ≤ 2 —
+// every interior node of a line or ring — lives inline in it, padded
+// with noNbr; a longer row spills to a side pool and the record holds
 // {pool index, spilled}. An interior swap thus reads its two rows from
 // two records in one 8n-byte array instead of chasing a slice header
 // to a separately allocated row. Outside this file every row read goes
 // through row.
+//
+// The census index reads rows, so a census bound to a word store (a
+// census-only workspace below 65 nodes) asks for them through
+// keepRows; from then on the store keeps rows beside its words.
 type sparseStore struct {
-	rec  [][2]int32
-	pool spillPool[int32] // spilled rows, degree ≥ 3
+	words []uint64 // n ≤ bitRowNodes: the adjacency words; nil above
+	rec   [][2]int32
+	pool  spillPool[int32] // spilled rows, degree ≥ 3
 }
 
 const (
@@ -25,13 +38,47 @@ const (
 )
 
 func newSparseStore(n int) sparseStore {
+	if n <= bitRowNodes {
+		return sparseStore{words: make([]uint64, n)}
+	}
 	s := sparseStore{rec: make([][2]int32, n)}
-	s.reset()
+	s.clearRows()
 	return s
 }
 
-// row returns u's sorted adjacency row. An inline row aliases u's
-// record, so it is valid only until the next write to u's edges.
+// keepRows makes a word store keep sorted adjacency rows beside its
+// words, built from them on the first call. Row stores have them
+// already.
+func (s *sparseStore) keepRows() {
+	if s.rec != nil {
+		return
+	}
+	s.rec = make([][2]int32, len(s.words))
+	s.rowsFromWords()
+}
+
+// rowsFromWords rebuilds a word store's rows from its words.
+func (s *sparseStore) rowsFromWords() {
+	s.clearRows()
+	for u, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			s.setHalf(u, bits.TrailingZeros64(w), true)
+		}
+	}
+}
+
+// clearRows empties every row, retaining the pool rows' backing
+// memory.
+func (s *sparseStore) clearRows() {
+	for u := range s.rec {
+		s.rec[u] = [2]int32{noNbr, noNbr}
+	}
+	s.pool.releaseAll()
+}
+
+// row returns u's sorted adjacency row; a word store must keep rows
+// (keepRows). An inline row aliases u's record, so it is valid only
+// until the next write to u's edges.
 func (s *sparseStore) row(u int) []int32 {
 	r := &s.rec[u]
 	switch {
@@ -67,6 +114,9 @@ func (s *sparseStore) find(u, v int) (int, bool) {
 // get reports whether the edge {u, v} is active. An inline row
 // answers with two compares: v ≥ 0 never matches the noNbr padding.
 func (s *sparseStore) get(u, v int) bool {
+	if s.words != nil {
+		return s.words[u]>>uint(v)&1 != 0
+	}
 	if r := &s.rec[u]; r[1] != spilled {
 		return r[0] == int32(v) || r[1] == int32(v)
 	}
@@ -76,7 +126,17 @@ func (s *sparseStore) get(u, v int) bool {
 
 // set writes the edge state and reports whether it changed.
 func (s *sparseStore) set(u, v int, active bool) bool {
-	if !s.setHalf(u, v, active) {
+	if s.words != nil {
+		if (s.words[u]>>uint(v)&1 != 0) == active {
+			return false
+		}
+		s.words[u] ^= 1 << uint(v)
+		s.words[v] ^= 1 << uint(u)
+		if s.rec == nil {
+			return true
+		}
+		s.setHalf(u, v, active)
+	} else if !s.setHalf(u, v, active) {
 		return false
 	}
 	s.setHalf(v, u, active)
@@ -166,8 +226,22 @@ func (p *spillPool[T]) releaseAll() {
 // neighbors appends u's active neighbors to dst in ascending order and
 // returns it.
 func (s *sparseStore) neighbors(u int, dst []int) []int {
-	for _, v := range s.row(u) {
-		dst = append(dst, int(v))
+	if s.words != nil {
+		for w := s.words[u]; w != 0; w &= w - 1 {
+			dst = append(dst, bits.TrailingZeros64(w))
+		}
+	} else {
+		// row's switch would cost this body its inlining: a spilled
+		// row is the pool's, and an inline row lists its entries ≥ 0.
+		row := s.rec[u][:]
+		if row[1] == spilled {
+			row = s.pool.rows[row[0]]
+		}
+		for _, v := range row {
+			if v >= 0 {
+				dst = append(dst, int(v))
+			}
+		}
 	}
 	return dst
 }
@@ -175,6 +249,16 @@ func (s *sparseStore) neighbors(u int, dst []int) []int {
 // forEach visits every active edge once as (u, v) with u < v, in
 // lexicographic order.
 func (s *sparseStore) forEach(fn func(u, v int)) {
+	if s.words != nil {
+		for u, w := range s.words {
+			// Keep the bits above u: each edge is visited from its
+			// lower endpoint.
+			for w &^= 2<<uint(u) - 1; w != 0; w &= w - 1 {
+				fn(u, bits.TrailingZeros64(w))
+			}
+		}
+		return
+	}
 	for u := range s.rec {
 		for _, v := range s.row(u) {
 			if int(v) > u {
@@ -184,10 +268,15 @@ func (s *sparseStore) forEach(fn func(u, v int)) {
 	}
 }
 
-// clone returns a deep copy whose spilled rows share one backing
-// array, each capped at its own length so a later append reallocates
-// that row alone. The copy's pool holds exactly the spilled rows.
+// clone returns a deep copy. A word store copies its words (the copy
+// keeps no rows). A row store's spilled rows share one backing array
+// in the copy, each capped at its own length so a later append
+// reallocates that row alone; the copy's pool holds exactly the
+// spilled rows.
 func (s *sparseStore) clone() sparseStore {
+	if s.words != nil {
+		return sparseStore{words: append([]uint64(nil), s.words...)}
+	}
 	c := sparseStore{rec: make([][2]int32, len(s.rec))}
 	copy(c.rec, s.rec)
 	total, rows := 0, 0
@@ -216,16 +305,21 @@ func (s *sparseStore) clone() sparseStore {
 // reset deactivates every edge in place, retaining the pool rows'
 // backing memory — the workspace path's allocation-free NewConfig.
 func (s *sparseStore) reset() {
-	for u := range s.rec {
-		s.rec[u] = [2]int32{noNbr, noNbr}
-	}
-	s.pool.releaseAll()
+	clear(s.words)
+	s.clearRows()
 }
 
 // copyFrom replaces the edge set with src's, reusing the backing
 // memory. src has the receiver's population and may alias it.
 func (s *sparseStore) copyFrom(src *sparseStore) {
 	if src == s {
+		return
+	}
+	if s.words != nil {
+		copy(s.words, src.words)
+		if s.rec != nil {
+			s.rowsFromWords()
+		}
 		return
 	}
 	s.pool.releaseAll()

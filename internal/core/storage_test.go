@@ -265,117 +265,213 @@ func TestActiveEdgesCounter(t *testing.T) {
 	}
 }
 
-// FuzzSparseStore drives two stores on six nodes — where rows cross
-// the inline/pool boundary at degree 2↔3 constantly — through set,
+// fuzzStoreFormats are the three ways FuzzSparseStore holds the same
+// six-node edge set: adjacency words alone (n = 6), words with the
+// rows a census reads kept beside them (keepRows), and sorted rows in
+// a 70-node store, node i standing at place[i]. Six nodes make rows
+// cross the inline/pool boundary at degree 2↔3 constantly.
+var fuzzStoreFormats = []struct {
+	name  string
+	n     int
+	rows  bool // keepRows on a word store
+	place [6]int
+}{
+	{"words", 6, false, [6]int{0, 1, 2, 3, 4, 5}},
+	{"words+rows", 6, true, [6]int{0, 1, 2, 3, 4, 5}},
+	{"rows", 70, false, [6]int{0, 1, 31, 63, 64, 69}},
+}
+
+// FuzzSparseStore drives two stores of each format through set,
 // clone, copyFrom and reset, checking after every operation that both
 // match a reference adjacency set: get, row order, neighbors, forEach,
-// set's change report, and the pool bookkeeping (a row is spilled iff
-// its degree exceeds two, and the free list and the spilled rows
-// partition the pool). Two stores make clone and copyFrom checkable
-// for independence: a write to one must never show in the other.
+// set's change report, and, where the store keeps rows, the pool
+// bookkeeping (a row is spilled iff its degree exceeds two, and the
+// free list and the spilled rows partition the pool). Two stores make
+// clone and copyFrom checkable for independence: a write to one must
+// never show in the other.
 func FuzzSparseStore(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 2, 1, 2, 3, 4, 0, 0, 5, 6, 1, 1, 5, 8, 0, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 2, 0, 1, 2, 0, 3, 1, 0, 2, 6, 0, 0, 1, 0, 4})
 	f.Add([]byte{0, 5, 4, 0, 5, 3, 0, 5, 2, 0, 5, 1, 9, 0, 0, 3, 5, 1, 7, 0, 0, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const n = 6
-		stores := [2]sparseStore{newSparseStore(n), newSparseStore(n)}
-		var refs [2][n][n]bool
-		for len(ops) >= 3 {
-			op, u, v := ops[0], int(ops[1])%n, int(ops[2])%n
-			ops = ops[3:]
-			t0, t1 := int(op&1), 1-int(op&1)
-			s := &stores[t0]
-			switch (op >> 1) % 5 {
-			case 0, 1:
-				if u == v {
-					continue
-				}
-				active := (op>>1)%5 == 0
-				if got, want := s.set(u, v, active), refs[t0][u][v] != active; got != want {
-					t.Fatalf("set(%d, %d, %v) reported change %v, reference %v", u, v, active, got, want)
-				}
-				refs[t0][u][v], refs[t0][v][u] = active, active
-			case 2:
-				stores[t1] = s.clone()
-				refs[t1] = refs[t0]
-			case 3:
-				stores[t1].copyFrom(s)
-				refs[t1] = refs[t0]
-			case 4:
-				s.reset()
-				refs[t0] = [n][n]bool{}
-			}
-			for i := range stores {
-				checkSparseStore(t, &stores[i], &refs[i])
-			}
+		for _, ft := range fuzzStoreFormats {
+			fuzzStoreOps(t, ft.n, ft.rows, &ft.place, ops)
 		}
 	})
 }
 
-// checkSparseStore compares s with the reference adjacency matrix ref
-// and checks the pool bookkeeping.
-func checkSparseStore(t *testing.T, s *sparseStore, ref *[6][6]bool) {
+// fuzzStoreOps runs one op sequence on two stores of n nodes, op node
+// i standing at place[i]; rows makes word stores keep rows.
+func fuzzStoreOps(t *testing.T, n int, rows bool, place *[6]int, ops []byte) {
+	stores := [2]sparseStore{newSparseStore(n), newSparseStore(n)}
+	if rows {
+		stores[0].keepRows()
+		stores[1].keepRows()
+	}
+	var refs [2][6][6]bool
+	for len(ops) >= 3 {
+		op, u, v := ops[0], int(ops[1])%6, int(ops[2])%6
+		ops = ops[3:]
+		t0, t1 := int(op&1), 1-int(op&1)
+		s := &stores[t0]
+		switch (op >> 1) % 5 {
+		case 0, 1:
+			if u == v {
+				continue
+			}
+			active := (op>>1)%5 == 0
+			if got, want := s.set(place[u], place[v], active), refs[t0][u][v] != active; got != want {
+				t.Fatalf("n=%d: set(%d, %d, %v) reported change %v, reference %v", n, place[u], place[v], active, got, want)
+			}
+			refs[t0][u][v], refs[t0][v][u] = active, active
+		case 2:
+			stores[t1] = s.clone()
+			if rows {
+				stores[t1].keepRows()
+			}
+			refs[t1] = refs[t0]
+		case 3:
+			stores[t1].copyFrom(s)
+			refs[t1] = refs[t0]
+		case 4:
+			s.reset()
+			refs[t0] = [6][6]bool{}
+		}
+		for i := range stores {
+			checkSparseStore(t, &stores[i], &refs[i], place, rows)
+		}
+	}
+}
+
+// checkSparseStore compares s with the reference adjacency matrix ref,
+// whose node i stands at place[i] in s, and checks the record format:
+// words at n ≤ bitRowNodes, rows above or where rows says they are
+// kept, and the pool bookkeeping of the rows.
+func checkSparseStore(t *testing.T, s *sparseStore, ref *[6][6]bool, place *[6]int, rows bool) {
 	t.Helper()
+	n := max(len(s.words), len(s.rec))
+	if isWords := s.words != nil; isWords != (n <= bitRowNodes) {
+		t.Fatalf("n=%d: word format %v", n, isWords)
+	}
+	if hasRows := s.rec != nil; hasRows != (rows || n > bitRowNodes) {
+		t.Fatalf("n=%d: keeps rows %v", n, hasRows)
+	}
 	var want [][2]int
 	inUse := make([]bool, len(s.pool.rows))
 	for u := range ref {
 		var nbrs []int
 		for v := range ref[u] {
-			if s.get(u, v) != ref[u][v] {
-				t.Fatalf("get(%d, %d) = %v, reference %v", u, v, !ref[u][v], ref[u][v])
+			pu, pv := place[u], place[v]
+			if s.get(pu, pv) != ref[u][v] {
+				t.Fatalf("n=%d: get(%d, %d) = %v, reference %v", n, pu, pv, !ref[u][v], ref[u][v])
 			}
 			if ref[u][v] {
-				nbrs = append(nbrs, v)
+				nbrs = append(nbrs, pv)
 				if u < v {
-					want = append(want, [2]int{u, v})
+					want = append(want, [2]int{pu, pv})
 				}
 			}
 		}
-		if got := s.neighbors(u, nil); !slices.Equal(got, nbrs) {
-			t.Fatalf("neighbors(%d) = %v, reference %v", u, got, nbrs)
+		if got := s.neighbors(place[u], nil); !slices.Equal(got, nbrs) {
+			t.Fatalf("n=%d: neighbors(%d) = %v, reference %v", n, place[u], got, nbrs)
 		}
-		if isSpilled := s.rec[u][1] == spilled; isSpilled != (len(nbrs) > 2) {
-			t.Fatalf("node %d of degree %d: spilled = %v", u, len(nbrs), isSpilled)
+		if s.rec == nil {
+			continue
+		}
+		var row []int
+		for _, v := range s.row(place[u]) {
+			row = append(row, int(v))
+		}
+		if !slices.Equal(row, nbrs) {
+			t.Fatalf("n=%d: row(%d) = %v, reference %v", n, place[u], row, nbrs)
+		}
+		if isSpilled := s.rec[place[u]][1] == spilled; isSpilled != (len(nbrs) > 2) {
+			t.Fatalf("n=%d: node %d of degree %d: spilled = %v", n, place[u], len(nbrs), isSpilled)
 		} else if isSpilled {
-			p := s.rec[u][0]
+			p := s.rec[place[u]][0]
 			if inUse[p] {
-				t.Fatalf("pool row %d serves two nodes", p)
+				t.Fatalf("n=%d: pool row %d serves two nodes", n, p)
 			}
 			inUse[p] = true
 		}
 	}
 	for _, p := range s.pool.free {
 		if inUse[p] {
-			t.Fatalf("pool row %d is both free and in use", p)
+			t.Fatalf("n=%d: pool row %d is both free and in use", n, p)
 		}
 		inUse[p] = true
 	}
 	if !slices.Equal(inUse, slices.Repeat([]bool{true}, len(inUse))) {
-		t.Fatalf("pool rows %v neither free nor in use", inUse)
+		t.Fatalf("n=%d: pool rows %v neither free nor in use", n, inUse)
 	}
 	var got [][2]int
 	s.forEach(func(u, v int) { got = append(got, [2]int{u, v}) })
 	if !slices.Equal(got, want) {
-		t.Fatalf("forEach visits %v, reference %v", got, want)
+		t.Fatalf("n=%d: forEach visits %v, reference %v", n, got, want)
 	}
 }
 
-// TestSparseStoreInlineWritesAllocateNothing pins the inline path of
-// setHalf: building and tearing down a line, where every row stays at
-// degree ≤ 2, allocates nothing.
+// TestSparseStoreInlineWritesAllocateNothing pins the allocation-free
+// write path of both record formats: building and tearing down a line
+// allocates nothing, in a 65-node row store (every row stays at
+// degree ≤ 2, inline in its record) and in a 64-node word store.
 func TestSparseStoreInlineWritesAllocateNothing(t *testing.T) {
-	s := newSparseStore(64)
+	for _, n := range []int{bitRowNodes + 1, bitRowNodes} {
+		s := newSparseStore(n)
+		if (s.words != nil) != (n <= bitRowNodes) {
+			t.Fatalf("n=%d: word format %v", n, s.words != nil)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for u := 0; u+1 < n; u++ {
+				s.set(u, u+1, true)
+			}
+			for u := 0; u+1 < n; u += 2 {
+				s.set(u, u+1, false)
+			}
+			s.reset()
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: line writes allocated %.1f times per run, want 0", n, allocs)
+		}
+	}
+}
+
+// TestCensusRowsOnWordStoreAllocateNothing: a census bound to a word
+// store (a census-only workspace below 65 nodes) makes the store keep
+// rows once; after that, rebuilding the census, reading every row and
+// writing edges through a Mutator allocate nothing.
+func TestCensusRowsOnWordStoreAllocateNothing(t *testing.T) {
+	p := indexProtocols(t)["toggle"]
+	const n = bitRowNodes
+	cfg := NewConfig(p, n)
+	for u := 0; u+1 < n; u++ {
+		cfg.SetEdge(u, u+1, true)
+	}
+	for v := 3; v < n; v += 5 {
+		cfg.SetEdge(0, v, true) // node 0's row spills to the pool
+	}
+	bi := newBatchIndex(cfg)
+	mut := &Mutator{cfg: cfg, ix: bi}
+	var sum int
 	allocs := testing.AllocsPerRun(20, func() {
-		for u := 0; u+1 < 64; u++ {
-			s.set(u, u+1, true)
+		bi.reset(cfg)
+		for u := 0; u < n; u++ {
+			for _, v := range cfg.store.row(u) {
+				sum += int(v)
+			}
 		}
-		for u := 0; u+1 < 64; u += 2 {
-			s.set(u, u+1, false)
-		}
-		s.reset()
+		mut.SetEdge(2, 7, true)
+		mut.SetEdge(0, 3, false)
+		mut.SetEdge(2, 7, false)
+		mut.SetEdge(0, 3, true)
 	})
 	if allocs != 0 {
-		t.Fatalf("inline writes allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("census row reads and writes on a word store allocated %.1f times per run, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call before the 20 it counts.
+	want := 0
+	cfg.ForEachActiveEdge(func(u, v int) { want += u + v })
+	if sum != 21*want {
+		t.Fatalf("rows summed to %d over 21 runs, want %d", sum, 21*want)
 	}
 }
