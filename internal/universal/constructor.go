@@ -21,9 +21,16 @@ type Result struct {
 	// Attempts counts random-graph draws until the decider accepted
 	// (the Fig. 3 loop).
 	Attempts int
-	// Steps is the total number of global interactions consumed:
-	// real simulated steps for the partition and line phases plus
-	// charged waits for every TM-controlled operation.
+	// Phases counts the global interactions consumed: real simulated
+	// steps for the partition and line phases plus charged waits for
+	// every TM-controlled operation.
+	Phases
+}
+
+// Phases is a construction's step account, shared by Result and
+// SupernodeResult.
+type Phases struct {
+	// Steps is the total number of global interactions consumed.
 	Steps int64
 	// PhaseSteps breaks Steps down by phase name, in execution order.
 	PhaseSteps []PhaseStat
@@ -33,6 +40,12 @@ type Result struct {
 type PhaseStat struct {
 	Name  string
 	Steps int64
+}
+
+// record appends one phase's step count and adds it to the total.
+func (ph *Phases) record(name string, steps int64) {
+	ph.PhaseSteps = append(ph.PhaseSteps, PhaseStat{Name: name, Steps: steps})
+	ph.Steps += steps
 }
 
 // LinearWasteHalf instantiates Theorem 14: DGS(O(n)) ⊆ PREL(⌊n/2⌋).
@@ -89,12 +102,6 @@ const (
 	pipelineThird
 	pipelineLog
 )
-
-// record appends one phase's step count and adds it to the total.
-func (res *Result) record(name string, steps int64) {
-	res.PhaseSteps = append(res.PhaseSteps, PhaseStat{Name: name, Steps: steps})
-	res.Steps += steps
-}
 
 // spanU runs the front half every Section 6 pipeline shares, recording
 // both phases on res: the U/D (or, for Theorem 15, U/D/M) partition as

@@ -17,6 +17,9 @@ func TestSection6DrawsPinned(t *testing.T) {
 	half := func(s uint64) (Result, error) { return LinearWasteHalf(tm.Connected(), 16, s) }
 	third := func(s uint64) (Result, error) { return LinearWasteThird(tm.EvenEdges(), 18, s) }
 	logw := func(s uint64) (Result, error) { return LogWaste(tm.HasEdge(), 24, s) }
+	// Below 16 nodes only the log-waste pipeline's line is Fast-Global-
+	// Line; these rows pin that choice.
+	logSmall := func(s uint64) (Result, error) { return LogWaste(tm.HasEdge(), 12, s) }
 	det := func(s uint64) (Result, error) { return DeterministicConstruct(RingBuilder(), 16, s) }
 	type ph = PhaseStat
 	for _, tc := range []struct {
@@ -56,6 +59,15 @@ func TestSection6DrawsPinned(t *testing.T) {
 		{"log/has-edge/24", logw, 3, 4036129,
 			[]ph{{"spanning-line", 18225}, {"count-and-release", 11403}, {"draw-and-decide", 4001306}, {"release", 5195}},
 			1, []int{5, 23, 17, 19, 22, 2, 14, 12, 7, 16, 21, 10, 4, 13, 0, 9, 6, 18, 20}, 88},
+		{"log/has-edge/12", logSmall, 1, 76515,
+			[]ph{{"spanning-line", 1583}, {"count-and-release", 1349}, {"draw-and-decide", 72942}, {"release", 641}},
+			1, []int{4, 1, 7, 10, 11, 3, 0, 5}, 10},
+		{"log/has-edge/12", logSmall, 2, 74548,
+			[]ph{{"spanning-line", 903}, {"count-and-release", 1510}, {"draw-and-decide", 71669}, {"release", 466}},
+			1, []int{6, 5, 2, 4, 0, 1, 10, 11}, 16},
+		{"log/has-edge/12", logSmall, 3, 76998,
+			[]ph{{"spanning-line", 1160}, {"count-and-release", 1266}, {"draw-and-decide", 74135}, {"release", 437}},
+			1, []int{5, 1, 9, 4, 8, 2, 10, 6}, 12},
 		{"deterministic/ring/16", det, 1, 60049,
 			[]ph{{"partition-UD", 94}, {"spanning-line", 806}, {"write-target", 58516}, {"release", 633}},
 			1, []int{1, 3, 6, 7, 10, 13, 14, 15}, 8},

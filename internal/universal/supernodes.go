@@ -23,10 +23,9 @@ type SupernodeResult struct {
 	Lines [][]int
 	// Waste is n − K·LineLen.
 	Waste int
-	// Steps is the total charged interaction count.
-	Steps int64
-	// PhaseSteps breaks Steps down.
-	PhaseSteps []PhaseStat
+	// Phases counts the interactions: the real leader-election run
+	// plus the charged waits of every later phase.
+	Phases
 	// SupernodeGraph is the network built at the supernode abstraction
 	// layer by the triangle application (edges between supernode
 	// representatives).
@@ -81,10 +80,6 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 	}
 
 	res := &SupernodeResult{}
-	record := func(name string, steps int64) {
-		res.PhaseSteps = append(res.PhaseSteps, PhaseStat{Name: name, Steps: steps})
-		res.Steps += steps
-	}
 
 	// Phase 0: leader election (real run).
 	p, det := electionProtocol()
@@ -95,7 +90,7 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 	if !r.Converged {
 		return nil, fmt.Errorf("universal: supernode leader election did not converge")
 	}
-	record("leader-election", r.Steps)
+	res.record("leader-election", r.Steps)
 
 	rng := core.NewRNG(seed ^ 0x94d049bb133111eb)
 	charge := newChargeModel(n, rng)
@@ -110,7 +105,7 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 	}
 	lines := 4
 	length := 2
-	record("bootstrap", charge.Steps())
+	res.record("bootstrap", charge.Steps())
 
 	// Growth phases (Increment existing lines / Create new lines): a
 	// phase j takes 2^{j−1} lines of length j−1 to 2^j lines of length
@@ -141,7 +136,7 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 		lines = nextLines
 		length = nextLen
 	}
-	record("growth-phases", charge.Steps()-before)
+	res.record("growth-phases", charge.Steps()-before)
 
 	res.K = lines
 	res.LineLen = length
@@ -175,7 +170,7 @@ func Supernodes(n int, seed uint64) (*SupernodeResult, error) {
 		}
 	}
 	charge.waits(int64(sg.M()))
-	record("triangle-application", charge.Steps()-before)
+	res.record("triangle-application", charge.Steps()-before)
 	res.SupernodeGraph = sg
 	for _, comp := range sg.Components() {
 		if len(comp) == 3 {
