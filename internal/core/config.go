@@ -12,8 +12,10 @@ import (
 // population counts, and the active-edge count — that convergence
 // detectors use as O(1) gates.
 //
-// Edge states live in per-node sorted adjacency rows: O(n + m)
-// memory, O(log deg) edge reads, O(deg) edge writes.
+// Edge states live in one record per node (sparseStore): an adjacency
+// word up to 64 nodes, O(1) edge reads and writes; above, a sorted
+// adjacency row, O(n + m) memory, O(log deg) edge reads, O(deg) edge
+// writes.
 type Config struct {
 	proto       *Protocol
 	n           int

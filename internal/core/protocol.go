@@ -6,7 +6,7 @@
 //
 // A protocol is a 4-tuple (Q, q0, Qout, δ) where δ : Q×Q×{0,1} →
 // Q×Q×{0,1}. The package provides the protocol representation, the
-// configuration (node states plus sorted adjacency rows), fair and
+// configuration (node states plus adjacency words or rows), fair and
 // uniform-random schedulers, and an execution engine with convergence
 // detection and metrics.
 package core

@@ -111,8 +111,9 @@ func (s *sparseStore) find(u, v int) (int, bool) {
 	return lo, lo < len(row) && row[lo] == int32(v)
 }
 
-// get reports whether the edge {u, v} is active. An inline row
-// answers with two compares: v ≥ 0 never matches the noNbr padding.
+// get reports whether the edge {u, v} is active: a bit test on a word
+// store. An inline row answers with two compares: v ≥ 0 never matches
+// the noNbr padding.
 func (s *sparseStore) get(u, v int) bool {
 	if s.words != nil {
 		return s.words[u]>>uint(v)&1 != 0
