@@ -65,8 +65,8 @@ type bitIndex struct {
 }
 
 // reset rebinds the index to cfg and rebuilds it in place in
-// O(n·|Q| + permitted pairs), reusing the per-state arrays when the protocol is the
-// previous run's.
+// O(n·|Q| + permitted pairs), reusing the per-state arrays when the
+// protocol is the previous run's.
 func (bx *bitIndex) reset(cfg *Config) {
 	n := cfg.n
 	if n > bitRowNodes {
