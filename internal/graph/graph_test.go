@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestBasicOperations(t *testing.T) {
@@ -181,48 +180,6 @@ func TestGnHalfUsesCoin(t *testing.T) {
 	}
 	if g.M() != 7 { // every second of 15 flips
 		t.Fatalf("M=%d", g.M())
-	}
-}
-
-// TestEncodeDecodeRoundTrip is a property test: any graph survives the
-// adjacency-bit round trip.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	t.Parallel()
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed))
-		g := Gnp(3+int(seed%12), 0.4, rng)
-		bits := g.EncodeAdjacency()
-		back, err := DecodeAdjacency(g.N(), bits)
-		if err != nil {
-			return false
-		}
-		return g.Equal(back)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeAdjacencyErrors(t *testing.T) {
-	t.Parallel()
-	if _, err := DecodeAdjacency(4, []byte{1, 0}); err == nil {
-		t.Fatal("wrong-length encoding accepted")
-	}
-	if _, err := DecodeAdjacency(3, []byte{1, 0, 7}); err == nil {
-		t.Fatal("non-bit encoding accepted")
-	}
-}
-
-func TestOrderFromEncodingLength(t *testing.T) {
-	t.Parallel()
-	for n := 2; n <= 30; n++ {
-		got, err := OrderFromEncodingLength(n * (n - 1) / 2)
-		if err != nil || got != n {
-			t.Fatalf("l=%d: got %d, %v", n*(n-1)/2, got, err)
-		}
-	}
-	if _, err := OrderFromEncodingLength(2); err == nil {
-		t.Fatal("invalid length accepted")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used to compare
 // measured convergence times against the paper's analytic expectations:
-// summary statistics, harmonic numbers, and log-log regression for
-// fitting polynomial scaling exponents.
+// summary statistics and log-log regression for fitting polynomial
+// scaling exponents.
 package stats
 
 import (
@@ -53,15 +53,6 @@ func (s Summary) StdErr() float64 {
 		return 0
 	}
 	return s.StdDev / math.Sqrt(float64(s.N))
-}
-
-// Harmonic returns H_n = Σ_{i=1}^{n} 1/i.
-func Harmonic(n int) float64 {
-	total := 0.0
-	for i := 1; i <= n; i++ {
-		total += 1 / float64(i)
-	}
-	return total
 }
 
 // Fit is a least-squares linear fit y = Slope·x + Intercept.

@@ -33,20 +33,6 @@ func TestSummarizeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestHarmonic(t *testing.T) {
-	t.Parallel()
-	if Harmonic(0) != 0 || Harmonic(1) != 1 {
-		t.Fatal("H0/H1 wrong")
-	}
-	if math.Abs(Harmonic(4)-(1+0.5+1.0/3+0.25)) > 1e-12 {
-		t.Fatal("H4 wrong")
-	}
-	// H_n ≈ ln n + γ.
-	if math.Abs(Harmonic(100000)-(math.Log(100000)+0.5772156649)) > 1e-4 {
-		t.Fatal("asymptotic check failed")
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	t.Parallel()
 	xs := []float64{1, 2, 3, 4}

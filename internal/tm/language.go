@@ -1,3 +1,8 @@
+// Package tm holds the graph languages that the universality results
+// of Section 6 decide: each GraphLanguage pairs an isomorphism-invariant
+// Go decider with the DGS(·) space class the paper's simulated Turing
+// machine needs for it. internal/universal decides with the predicate
+// and charges the machine's work from the declared class.
 package tm
 
 import (
@@ -60,8 +65,7 @@ func Connected() GraphLanguage {
 	}
 }
 
-// EvenEdges is the language of graphs with an even number of edges;
-// cross-validated against ParityMachine on adjacency encodings.
+// EvenEdges is the language of graphs with an even number of edges.
 func EvenEdges() GraphLanguage {
 	return GraphLanguage{
 		Name:   "even-edges",
@@ -70,8 +74,7 @@ func EvenEdges() GraphLanguage {
 	}
 }
 
-// HasEdge is the language of graphs with at least one edge;
-// cross-validated against ContainsOneMachine.
+// HasEdge is the language of graphs with at least one edge.
 func HasEdge() GraphLanguage {
 	return GraphLanguage{
 		Name:   "has-edge",
@@ -80,8 +83,7 @@ func HasEdge() GraphLanguage {
 	}
 }
 
-// CompleteGraph is the language of complete graphs; cross-validated
-// against AllOnesMachine.
+// CompleteGraph is the language of complete graphs.
 func CompleteGraph() GraphLanguage {
 	return GraphLanguage{
 		Name:   "complete",
