@@ -61,7 +61,7 @@ func TestCompiledRegistryGolden(t *testing.T) {
 	if got.String() != compiledRegistryGolden {
 		t.Errorf("compiled points:\n%s\nwant:\n%s", got.String(), compiledRegistryGolden)
 	}
-	const wantHash = "97d8038a47936695edfb77af41782c029e84a139fc43f49560c9b6bb51a0b86f"
+	const wantHash = "ea66b5422999e6b64f9996b891be7462d295ec9461fe10c0ed5a93d419db06eb"
 	if h := SpecHash(points, 0); h != wantHash {
 		t.Errorf("SpecHash = %s, want %s", h, wantHash)
 	}
@@ -183,8 +183,8 @@ One-To-All-Elimination n=8 metric=steps init=false expected=13.13916601916602
 One-To-All-Elimination n=12 metric=steps init=false expected=22.18205865342088
 Meet-Everybody n=8 metric=steps init=true expected=72.60000000000001
 Meet-Everybody n=12 metric=steps init=true expected=199.31190476190474
-Node-Cover n=8 metric=steps init=false expected=13.13916601916602
-Node-Cover n=12 metric=steps init=false expected=22.18205865342088
+Node-Cover n=8 metric=steps init=false expected=10.39547267547268
+Node-Cover n=12 metric=steps init=false expected=18.059257873189765
 Edge-Cover n=8 metric=steps init=false expected=109.96078909105832
 Edge-Cover n=12 metric=steps init=false expected=315.11218425996526
 Graph-Replication n=8 metric=convergence-time init=true expected=0

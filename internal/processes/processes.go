@@ -149,6 +149,9 @@ func OneToAllElimination() Process {
 		Expected: func(n int) float64 {
 			// E[X] = n(n−1) Σ_{i=0}^{n−1} 1/(n(n−1) − i(i−1)), where i
 			// counts the bs.
+			if n < 2 {
+				return 0
+			}
 			total := 0.0
 			m := float64(n) * float64(n-1)
 			for i := 0; i <= n-1; i++ {
@@ -207,16 +210,22 @@ func NodeCover() Process {
 			Stable:  func(cfg *core.Config) bool { return cfg.Count(stA) == 0 },
 		},
 		Expected: func(n int) float64 {
-			// Success probability with i nodes covered is
-			// 1 − i(i−1)/(n(n−1)); summing expectations over the cover
-			// trajectory is bounded between the paper's Ω and O forms;
-			// we use the one-to-all form as the tight upper estimate.
-			total := 0.0
-			m := float64(n) * float64(n-1)
-			for i := 0; i <= n-1; i++ {
-				total += m / (m - float64(i)*float64(i-1))
+			// Exact first-passage mean on the uncovered count k: an
+			// a–a pair (probability p₂ = C(k,2)/C(n,2)) lowers k by 2,
+			// an a–b pair (p₁ = k(n−k)/C(n,2)) by 1, so
+			// E[k] = (1 + p₁·E[k−1] + p₂·E[k−2]) / (p₁ + p₂), E[0] = 0.
+			if n < 2 {
+				return 0
 			}
-			return total
+			pairs := float64(n) * float64(n-1) / 2
+			prev2, prev1 := 0.0, 0.0 // E[k−2], E[k−1]
+			for k := 1; k <= n; k++ {
+				fk := float64(k)
+				p2 := fk * (fk - 1) / 2 / pairs
+				p1 := fk * float64(n-k) / pairs
+				prev2, prev1 = prev1, (1+p1*prev1+p2*prev2)/(p1+p2)
+			}
+			return prev1
 		},
 		Theta: "Θ(n log n)",
 	}

@@ -1,6 +1,8 @@
 package processes
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/core"
@@ -88,6 +90,62 @@ func TestExpectedFormulaSanity(t *testing.T) {
 	// with 4 choose 2 = 6 pairs all a–a: p0 = 1, p1 = 1/6 → E = 7.
 	if got := MaximumMatching().Expected(4); got != 7 {
 		t.Fatalf("matching E[X] for n=4 = %f, want 7", got)
+	}
+}
+
+// TestNodeCoverExpectedExact pins Node-Cover's first-passage mean and
+// checks the recursion against a literal simulation of the uncovered
+// count: each step draws a uniform pair of distinct nodes, the first k
+// of which are uncovered.
+func TestNodeCoverExpectedExact(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		n    int
+		want float64
+	}{{16, 26.4231}, {32, 64.1551}, {64, 150.8592}, {1024, 3843.0697}} {
+		if got := NodeCover().Expected(tc.n); math.Abs(got-tc.want) > 5e-5 {
+			t.Fatalf("E[X] for n=%d = %.4f, want %.4f", tc.n, got, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	const trials = 20000
+	for _, n := range []int{4, 8} {
+		var sum, sumSq float64
+		for trial := 0; trial < trials; trial++ {
+			steps := 0
+			for k := n; k > 0; steps++ {
+				u := rng.IntN(n)
+				v := rng.IntN(n - 1)
+				if v >= u {
+					v++
+				}
+				if u < k && v < k {
+					k -= 2
+				} else if u < k || v < k {
+					k--
+				}
+			}
+			sum += float64(steps)
+			sumSq += float64(steps) * float64(steps)
+		}
+		mean := sum / trials
+		se := math.Sqrt((sumSq/trials - mean*mean) / trials)
+		if want := NodeCover().Expected(n); math.Abs(mean-want) > 5*se {
+			t.Fatalf("n=%d: simulated mean %.4f vs recursion %.4f (5 SE = %.4f)", n, mean, want, 5*se)
+		}
+	}
+}
+
+// TestExpectedFinite: every reference is a finite, non-negative number
+// from one node up; below n = 2 that number is 0 (no reference).
+func TestExpectedFinite(t *testing.T) {
+	t.Parallel()
+	for _, proc := range All() {
+		for n := 1; n <= 256; n++ {
+			if got := proc.Expected(n); math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
+				t.Fatalf("%s: E[X] for n=%d = %f", proc.Proto.Name(), n, got)
+			}
+		}
 	}
 }
 
