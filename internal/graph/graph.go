@@ -3,8 +3,7 @@
 // network predicates of Section 3.2 (spanning line/ring/star, cycle
 // cover, k-regular connected, clique partition), connectivity,
 // isomorphism for output checking, the G(n,p) random-graph model used
-// by the universal constructors, adjacency-matrix bit encodings (the TM
-// input format of Section 6), and DOT rendering for figures.
+// by the universal constructors, and DOT rendering for figures.
 package graph
 
 import (
