@@ -46,9 +46,20 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		report(err)
 		os.Exit(1)
 	}
+}
+
+// report prints err on stderr behind exactly one "campaign: " prefix:
+// errors from internal/campaign already carry it, the command's own
+// errors and those of other packages do not.
+func report(err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "campaign: ") {
+		msg = "campaign: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 }
 
 func run() error {
@@ -67,13 +78,10 @@ func run() error {
 		inclUnc  = flag.Bool("include-unconverged", false, "fold budget-exhausted runs' metric values into the aggregates (survivability sweeps)")
 		maxSteps = flag.Int64("max-steps", 0, "per-run step budget (0 = per-n default)")
 		workers  = flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 0, "per-run wall-clock cap (0 = none)")
 		shardTr  = flag.Int("shard-trials", 0, "trials per checkpoint shard (0 = 32); affects the reduction order, so resumed runs must use the value the checkpoint records")
 		ckPath   = flag.String("checkpoint", "", "persist completed work to this file (atomic NDJSON) so an interrupted campaign can continue with -resume")
 		ckEvery  = flag.Duration("checkpoint-every", 0, "checkpoint persistence interval (0 = 30s)")
 		resume   = flag.Bool("resume", false, "skip the shards already recorded in -checkpoint (a missing file is a fresh start); the resumed campaign's output is bit-identical to an uninterrupted run's")
-		retries  = flag.Int("retries", 0, "re-run a transiently failed trial (per-run timeout, first-time panic) up to this many extra times with exponential backoff")
-		retryBO  = flag.Duration("retry-backoff", 0, "delay before the first retry, doubling per retry (0 = 100ms)")
 		out      = flag.String("out", "", "aggregate output path (default stdout)")
 		runsOut  = flag.String("runs-out", "", "also write raw per-run records to this path")
 		format   = flag.String("format", "json", "output format: json or csv")
@@ -100,7 +108,7 @@ func run() error {
 	if *memProf != "" {
 		defer func() {
 			if err := writeHeapProfile(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign:", err)
+				report(err)
 			}
 		}()
 	}
@@ -137,7 +145,6 @@ func run() error {
 
 	opts := campaign.Options{
 		Workers:     *workers,
-		Timeout:     *timeout,
 		KeepRuns:    *runsOut != "",
 		ShardTrials: *shardTr,
 		Checkpoint:  *ckPath,
@@ -145,12 +152,6 @@ func run() error {
 	}
 	if *ckEvery > 0 {
 		opts.CheckpointEvery = *ckEvery
-	}
-	if *retries > 0 {
-		opts.Retry = campaign.RetryPolicy{
-			MaxAttempts: *retries + 1,
-			BaseBackoff: *retryBO,
-		}
 	}
 	if *resume {
 		// Execute re-validates the file exhaustively; this peek only
@@ -224,14 +225,14 @@ func run() error {
 		if runErr == nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		report(err)
 	}
 	if *runsOut != "" {
 		if err := writeOutput(*runsOut, *format, nil, result.Runs); err != nil {
 			if runErr == nil {
 				return err
 			}
-			fmt.Fprintln(os.Stderr, "campaign:", err)
+			report(err)
 		}
 	}
 	if runErr != nil {

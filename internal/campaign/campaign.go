@@ -13,9 +13,11 @@
 // at workers=1 and workers=N — the sequential semantics of the old
 // hand-rolled trial loops, at parallel speed.
 //
-// The engine supports cancellation through context.Context, a per-run
-// wall-clock timeout (plugged into the simulator via
-// core.Options.Stop), a progress callback invoked in deterministic
+// A trial is a function of its point and seed: the step budget is its
+// only cut, and cancellation through context.Context (plugged into the
+// simulator via core.Options.Stop) is the only thing that ends it
+// early, so every completed record is a function of the spec alone.
+// The engine also offers a progress callback invoked in deterministic
 // order, and JSON/CSV export of both raw runs and aggregated series
 // (see export.go). Declarative specs — the JSON format accepted by
 // cmd/campaign — compile to points in spec.go.
@@ -161,8 +163,10 @@ type Point struct {
 	// exhausted their step budget into the aggregate (they still count
 	// as Failures). Survivability campaigns measure the final
 	// configuration at a fixed budget, where "the run kept going" is
-	// data, not a measurement failure. Stopped (cancelled / timed-out)
-	// runs stay excluded — their cut point is nondeterministic.
+	// data, not a measurement failure. The budget is the deterministic
+	// cut of a run that never stabilizes; Stopped (cancelled) runs stay
+	// excluded — their cut point depends on when the campaign was
+	// cancelled, not on the spec.
 	IncludeUnconverged bool
 
 	// prepared caches the fault plan resolved against Proto (possibly
@@ -263,16 +267,11 @@ type RunRecord struct {
 	// field of a record.
 	DurationNS int64  `json:"duration_ns"`
 	Err        string `json:"err,omitempty"`
-	// Panicked marks a trial whose attempt panicked (the message is in
-	// Err). Unlike plain Err records — which abort the whole campaign —
-	// a panicked record only counts as a failure: the worker pool keeps
-	// running and the poisoned workspace is discarded (see retry.go).
+	// Panicked marks a trial that panicked (the message is in Err).
+	// Unlike plain Err records — which abort the whole campaign — a
+	// panicked record only counts as a failure: the worker pool keeps
+	// running and the poisoned workspace is discarded (see trial.go).
 	Panicked bool `json:"panicked,omitempty"`
-	// Attempts is the total attempt count behind this record; it is
-	// only set (> 1) when the retry policy re-ran the trial, so
-	// single-attempt records stay byte-identical with and without a
-	// policy.
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // Aggregate is the reduced series entry for one point: summary
@@ -326,9 +325,6 @@ type Options struct {
 	// Workers is the number of concurrent runs; ≤ 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Timeout, when positive, caps each run's wall-clock time; runs
-	// over it abort with Stopped=true and count as failures.
-	Timeout time.Duration
 	// KeepRuns retains every RunRecord (in deterministic global order)
 	// on the returned Outcome.
 	KeepRuns bool
@@ -366,16 +362,13 @@ type Options struct {
 	// replay from the file — through OnRun, KeepRuns and the progress
 	// counters — and their aggregates merge exactly as live shards
 	// would, so a resumed campaign's Outcome is bit-identical to an
-	// uninterrupted run's for seeded trials. (Stopped records cut by a
-	// wall-clock Timeout are the one nondeterministic outcome a
-	// checkpoint can pin that a rerun might not reproduce.) The file
-	// must match this campaign's spec hash, schema, shard partition and
-	// build version; mismatches are errors, reported before any trial
-	// runs and before the file could be overwritten.
+	// uninterrupted run's. Every checkpointed shard is a function of
+	// the spec alone: a shard holding a cancelled (Stopped) run is
+	// never checkpointed, so a resume re-runs it. The file must match
+	// this campaign's spec hash, schema, shard partition and build
+	// version; mismatches are errors, reported before any trial runs
+	// and before the file could be overwritten.
 	Resume bool
-	// Retry is the per-trial retry policy; the zero value runs every
-	// trial exactly once.
-	Retry RetryPolicy
 }
 
 // Progress is a point-in-time view of a running campaign, streamed to
@@ -441,7 +434,7 @@ type taggedRecord struct {
 // error when cancelled and with the first run error otherwise; both
 // cancel all in-flight runs via core.Options.Stop. Recovered trial
 // panics are not errors: they become failed records and the sweep
-// continues (see retry.go). Even on early return the partial Outcome
+// continues (see trial.go). Even on early return the partial Outcome
 // is populated with everything reduced so far, and a configured
 // checkpoint receives a final flush — crash-safe campaigns resume from
 // it via Options.Resume.
@@ -568,7 +561,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 				if p, t, err := locate(offsets, points, gid); err != nil {
 					rec = RunRecord{Point: -1, Err: err.Error()}
 				} else {
-					rec = runTrial(runCtx, &points[p], p, t, opts.Timeout, opts.Retry, &ws)
+					rec = runTrial(runCtx, &points[p], p, t, &ws)
 				}
 				tr := taggedRecord{gid: gid, rec: rec}
 				if progressOn {
@@ -630,10 +623,10 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 	curShard := 0         // shard containing the next expected gid
 	var open *ShardResult // in-flight accumulation of shards[curShard]
 	var openAcc stats.Online
-	// openCut marks an open shard holding a run the campaign's own
-	// cancellation may have stopped: such a shard is folded into the
-	// partial aggregates but never checkpointed, so a resume re-runs it
-	// instead of replaying a cut that an uninterrupted run never makes.
+	// openCut marks an open shard holding a run the campaign's
+	// cancellation stopped: such a shard is folded into the partial
+	// aggregates but never checkpointed, so a resume re-runs it instead
+	// of replaying a cut that an uninterrupted run never makes.
 	var openCut bool
 	next := 0
 	pending := make(map[int]RunRecord, workers)
@@ -670,14 +663,11 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			agg.Failures++
 			if rec.Stopped {
 				agg.Stopped++
-				// After cancellation a cut by the campaign's context and a
-				// per-run timeout look alike; either keeps the shard out
-				// of the checkpoint.
-				openCut = openCut || runCtx.Err() != nil
+				openCut = true
 			} else if points[rec.Point].IncludeUnconverged {
 				// Budget exhaustion is a deterministic cut point, so
 				// the value measured there is data (survivability
-				// campaigns); a nondeterministic Stopped cut is not.
+				// campaigns); a cancelled Stopped cut is not.
 				openAcc.Add(rec.Value)
 			}
 		}

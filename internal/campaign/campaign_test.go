@@ -143,34 +143,6 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-func TestPerRunTimeout(t *testing.T) {
-	t.Parallel()
-	// A protocol that keeps toggling and never stabilizes: its detector
-	// never fires, so only the timeout can end the run early.
-	p := core.MustProtocol("ping", []string{"a", "b"}, 0, nil, []core.Rule{
-		{A: 0, B: 0, Edge: false, OutA: 1, OutB: 1},
-		{A: 1, B: 1, Edge: false, OutA: 0, OutB: 0},
-		{A: 0, B: 1, Edge: false, OutA: 1, OutB: 0},
-	})
-	never := core.Detector{Trigger: core.TriggerInterval, Stable: func(*core.Config) bool { return false }}
-	out, err := Execute(context.Background(), []Point{{
-		Protocol: "ping", N: 64, Trials: 3, BaseSeed: 1,
-		Proto: p, Detector: never,
-	}}, Options{Workers: 2, Timeout: 20 * time.Millisecond, KeepRuns: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := out.Aggregates[0]
-	if agg.Failures != 3 || agg.Stopped != 3 || agg.Converged != 0 {
-		t.Fatalf("timeout aggregate %+v", agg)
-	}
-	for _, rec := range out.Runs {
-		if !rec.Stopped || rec.Converged {
-			t.Fatalf("run not stopped by timeout: %+v", rec)
-		}
-	}
-}
-
 func TestExecuteValidates(t *testing.T) {
 	t.Parallel()
 	cc := protocols.CycleCover()
@@ -576,7 +548,7 @@ func TestIncludeUnconverged(t *testing.T) {
 		Protocol: "cycle-cover", N: 12, Trials: 3, BaseSeed: 1,
 		Proto: cc.Proto, Detector: never, MaxSteps: 5000,
 		Metric: MetricSteps, IncludeUnconverged: true,
-	}}, Options{})
+	}}, Options{KeepRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,6 +558,16 @@ func TestIncludeUnconverged(t *testing.T) {
 	}
 	if agg.Mean != 5000 {
 		t.Fatalf("mean %f, want the budget cut 5000 folded in", agg.Mean)
+	}
+	// The budget is the deterministic end of a run that never
+	// stabilizes; Stopped is reserved for cancellation.
+	if agg.Stopped != 0 || len(out.Runs) != 3 {
+		t.Fatalf("budget cuts counted as stopped: %+v (%d runs)", agg, len(out.Runs))
+	}
+	for _, rec := range out.Runs {
+		if rec.Stopped || rec.Steps != 5000 {
+			t.Fatalf("budget-cut run recorded as %+v", rec)
+		}
 	}
 }
 

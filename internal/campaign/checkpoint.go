@@ -26,7 +26,7 @@ import (
 // checkpointSchema versions the checkpoint NDJSON format; bump it on
 // incompatible record-shape changes (the golden test in
 // checkpoint_test.go pins the current shape).
-const checkpointSchema = 1
+const checkpointSchema = 2
 
 // DefaultCheckpointEvery is the default persistence interval.
 const DefaultCheckpointEvery = 30 * time.Second

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -277,7 +278,7 @@ func TestResumeRejectsMalformed(t *testing.T) {
 		"empty file":       "",
 		"truncated shard":  lines[0] + "\n" + lines[1][:len(lines[1])/2] + "\n",
 		"duplicate shard":  lines[0] + "\n" + lines[1] + "\n" + lines[1] + "\n",
-		"foreign schema":   strings.Replace(lines[0], `"schema":1`, `"schema":99`, 1) + "\n",
+		"foreign schema":   strings.Replace(lines[0], fmt.Sprintf(`"schema":%d,`, checkpointSchema), `"schema":99,`, 1) + "\n",
 		"tampered trials":  lines[0] + "\n" + strings.Replace(lines[1], `"trials":3`, `"trials":2`, 1) + "\n",
 		"tampered seed":    lines[0] + "\n" + strings.Replace(lines[1], `"first_seed":1`, `"first_seed":9`, 1) + "\n",
 		"foreign campaign": strings.Replace(lines[0], `"spec_hash":"`, `"spec_hash":"ffff`, 1) + "\n",
@@ -382,7 +383,7 @@ func TestCheckpointGolden(t *testing.T) {
 				EffectiveSteps: 100, EdgeChanges: 40, Value: 512, DurationNS: 1000},
 			{Point: 0, Protocol: "cycle-cover", N: 16, Scheduler: "uniform", Trial: 3, Seed: 4,
 				Engine: "fast", Converged: true, Steps: 768, ConvergenceTime: 768,
-				EffectiveSteps: 150, EdgeChanges: 60, Value: 768, DurationNS: 2000, Attempts: 2},
+				EffectiveSteps: 150, EdgeChanges: 60, Value: 768, DurationNS: 2000},
 		},
 	}
 	sr.Agg = Aggregate{Protocol: "cycle-cover", N: 16, Scheduler: "uniform", Trials: 2, Converged: 2,

@@ -76,7 +76,7 @@ func WriteRunsCSV(w io.Writer, runs []RunRecord) error {
 		"exact_fallback_landings", "collapsed_landings",
 		"fast_forward_epochs", "fault_crashes",
 		"fault_edge_deletions", "fault_resets", "value", "duration_ns",
-		"attempts", "panicked", "err",
+		"panicked", "err",
 	}); err != nil {
 		return err
 	}
@@ -109,7 +109,6 @@ func WriteRunsCSV(w io.Writer, runs []RunRecord) error {
 			strconv.FormatInt(r.FaultResets, 10),
 			formatFloat(r.Value),
 			strconv.FormatInt(r.DurationNS, 10),
-			strconv.Itoa(r.Attempts),
 			strconv.FormatBool(r.Panicked),
 			r.Err,
 		}

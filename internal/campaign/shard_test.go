@@ -199,7 +199,7 @@ func TestSpecHashGolden(t *testing.T) {
 		},
 		{Protocol: "bare", N: 8, Trials: 2},
 	}
-	const want = "cb1bbd4b76ac58c17d276dd8bd5bdb00f1d6d1f1f7829fdef30573e25f18f727"
+	const want = "e4fcfae29089fabc774bae7b5fdbfc7e67e589628a2faa99f5687008dd2ac748"
 	if got := SpecHash(points, 16); got != want {
 		t.Fatalf("SpecHash = %s, want %s", got, want)
 	}

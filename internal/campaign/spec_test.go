@@ -61,7 +61,7 @@ func TestCompiledRegistryGolden(t *testing.T) {
 	if got.String() != compiledRegistryGolden {
 		t.Errorf("compiled points:\n%s\nwant:\n%s", got.String(), compiledRegistryGolden)
 	}
-	const wantHash = "ea66b5422999e6b64f9996b891be7462d295ec9461fe10c0ed5a93d419db06eb"
+	const wantHash = "176e4a882b7a578f5779dd12976d8b68eea0de4f75de22c0b804d9b470a80677"
 	if h := SpecHash(points, 0); h != wantHash {
 		t.Errorf("SpecHash = %s, want %s", h, wantHash)
 	}

@@ -261,8 +261,8 @@ func TestDefaultCheckIntervalClamped(t *testing.T) {
 	}
 	// The ceiling is the bugfix: an uncapped n² default at large n
 	// (2⁴⁰ steps at n = 2²⁰) meant the baseline engine effectively
-	// never polled Options.Stop, so campaign timeouts and context
-	// cancellation could not reach long baseline runs.
+	// never polled Options.Stop, so campaign cancellation could not
+	// reach long baseline runs.
 	if got := DefaultCheckInterval(1 << 20); got != 1<<22 {
 		t.Fatalf("large-n interval %d, want the 1<<22 ceiling", got)
 	}
