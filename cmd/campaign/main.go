@@ -1,7 +1,8 @@
 // Command campaign runs a declarative measurement campaign — a grid of
 // (protocol, population size, scheduler) points swept over a seed range
 // — on a worker pool and writes aggregated series (and optionally raw
-// runs) as JSON or CSV.
+// runs) as JSON or CSV. It runs any registry entry: a network
+// constructor, a Table 1 process or Graph-Replication.
 //
 // The grid comes either from a JSON spec file (see internal/campaign's
 // Spec, documented in EXPERIMENTS.md) or from flags describing a
@@ -12,9 +13,16 @@
 //	campaign -name One-Way-Epidemic -sizes 64,128
 //	campaign -name simple-global-line -sizes 24 -faults "crash@576,crash@1152" -metric largest-component
 //	campaign -name cycle-cover -sizes 256 -topology gnp@0.05 -detector quiescence
+//	campaign -name cycle-cover -sizes 64 -schedulers uniform,weighted
 //	campaign -name global-star -sizes 256 -trials 200 -progress 2s -progress-out progress.ndjson
 //	campaign -spec sweep.json -checkpoint sweep.ckpt -resume
+//	campaign -name simple-global-line -sizes 48 -trials 2 -trace run.ndjson -dot final.dot
 //	campaign -list
+//
+// On a campaign of one point, -trace and -dot replay one measured
+// trial — the last converged one, or the first if none converged —
+// and write its NDJSON event trace and its final network as Graphviz
+// DOT.
 //
 // Aggregates are bit-identical for a fixed spec regardless of -workers
 // — and, with -checkpoint/-resume, regardless of how many times the
@@ -26,6 +34,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +42,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -42,10 +52,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/protocols"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		report(err)
 		os.Exit(1)
 	}
@@ -62,37 +73,45 @@ func report(err error) {
 	fmt.Fprintln(os.Stderr, msg)
 }
 
-func run() error {
+// singleItemFlags describe a single-item spec. A spec file carries its
+// own fields, so -spec refuses them rather than ignore them.
+var singleItemFlags = []string{"name", "sizes", "trials", "seed", "schedulers", "metric", "engine",
+	"detector", "faults", "topology", "include-unconverged", "max-steps"}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	var (
-		specPath = flag.String("spec", "", "JSON campaign spec file (\"-\" for stdin); overrides the single-item flags")
-		name     = flag.String("name", "", "registry name for a single-item campaign (see -list)")
-		sizes    = flag.String("sizes", "16,32,64", "comma-separated population sizes")
-		trials   = flag.Int("trials", 10, "trials per grid point")
-		seed     = flag.Uint64("seed", 1, "base RNG seed")
-		sched    = flag.String("schedulers", "uniform", "comma-separated scheduler names")
-		metric   = flag.String("metric", "", "measured quantity (default: steps for the Table 1 processes, convergence-time otherwise)")
-		engine   = flag.String("engine", "auto", "execution path: auto, baseline, sparse, or batch")
-		detector = flag.String("detector", "", "stability predicate: target (default), quiescence, or edge-quiescence; fault and restricted-topology runs default to quiescence")
-		faults   = flag.String("faults", "", `fault plan for every item, e.g. "crash@500x2,edge@0.001" (spec files carry their own "faults" field)`)
-		topology = flag.String("topology", "", `interaction topology for every item, e.g. "gnp@0.05", "rgg@0.1", "cm@4" (spec files carry their own "topology" field)`)
-		inclUnc  = flag.Bool("include-unconverged", false, "fold budget-exhausted runs' metric values into the aggregates (survivability sweeps)")
-		maxSteps = flag.Int64("max-steps", 0, "per-run step budget (0 = per-n default)")
-		workers  = flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
-		shardTr  = flag.Int("shard-trials", 0, "trials per checkpoint shard (0 = 32); affects the reduction order, so resumed runs must use the value the checkpoint records")
-		ckPath   = flag.String("checkpoint", "", "persist completed work to this file (atomic NDJSON) so an interrupted campaign can continue with -resume")
-		ckEvery  = flag.Duration("checkpoint-every", 0, "checkpoint persistence interval (0 = 30s)")
-		resume   = flag.Bool("resume", false, "skip the shards already recorded in -checkpoint (a missing file is a fresh start); the resumed campaign's output is bit-identical to an uninterrupted run's")
-		out      = flag.String("out", "", "aggregate output path (default stdout)")
-		runsOut  = flag.String("runs-out", "", "also write raw per-run records to this path")
-		format   = flag.String("format", "json", "output format: json or csv")
-		progress = flag.Duration("progress", 0, "stream progress records (done/total, trials/s, utilization, ETA) to stderr at this interval, e.g. 2s (0 = off)")
-		progOut  = flag.String("progress-out", "", "also append progress records as NDJSON to this file (implies a 1s interval if -progress is unset)")
-		verbose  = flag.Bool("verbose", false, "log each completed run to stderr")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		list     = flag.Bool("list", false, "list the registry names, then exit")
+		specPath = fs.String("spec", "", "JSON campaign spec file (\"-\" for stdin); refuses the single-item flags")
+		name     = fs.String("name", "", "registry name for a single-item campaign (see -list)")
+		sizes    = fs.String("sizes", "16,32,64", "comma-separated population sizes")
+		trials   = fs.Int("trials", 10, "trials per grid point")
+		seed     = fs.Uint64("seed", 1, "base RNG seed")
+		sched    = fs.String("schedulers", "uniform", "comma-separated scheduler names")
+		metric   = fs.String("metric", "", "measured quantity (default: steps for the Table 1 processes, convergence-time otherwise)")
+		engine   = fs.String("engine", "auto", "execution path: auto, baseline, sparse, or batch")
+		detector = fs.String("detector", "", "stability predicate: target (default), quiescence, or edge-quiescence; fault and restricted-topology runs default to quiescence")
+		faults   = fs.String("faults", "", `fault plan for every item, e.g. "crash@500x2,edge@0.001" (spec files carry their own "faults" field)`)
+		topology = fs.String("topology", "", `interaction topology for every item, e.g. "gnp@0.05", "rgg@0.1", "cm@4" (spec files carry their own "topology" field)`)
+		inclUnc  = fs.Bool("include-unconverged", false, "fold budget-exhausted runs' metric values into the aggregates (survivability sweeps)")
+		maxSteps = fs.Int64("max-steps", 0, "per-run step budget (0 = per-n default)")
+		workers  = fs.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
+		shardTr  = fs.Int("shard-trials", 0, "trials per checkpoint shard (0 = 32); affects the reduction order, so resumed runs must use the value the checkpoint records")
+		ckPath   = fs.String("checkpoint", "", "persist completed work to this file (atomic NDJSON) so an interrupted campaign can continue with -resume")
+		ckEvery  = fs.Duration("checkpoint-every", 0, "checkpoint persistence interval (0 = 30s)")
+		resume   = fs.Bool("resume", false, "skip the shards already recorded in -checkpoint (a missing file is a fresh start); the resumed campaign's output is bit-identical to an uninterrupted run's")
+		out      = fs.String("out", "", "aggregate output path (default stdout)")
+		runsOut  = fs.String("runs-out", "", "also write raw per-run records to this path")
+		format   = fs.String("format", "json", "output format: json or csv")
+		progress = fs.Duration("progress", 0, "stream progress records (done/total, trials/s, utilization, ETA) to stderr at this interval, e.g. 2s (0 = off)")
+		progOut  = fs.String("progress-out", "", "also append progress records as NDJSON to this file (implies a 1s interval if -progress is unset)")
+		verbose  = fs.Bool("verbose", false, "log each completed run to stderr")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		tracePth = fs.String("trace", "", "one-point campaigns: write an NDJSON event trace of a replayed trial to this file")
+		dotPath  = fs.String("dot", "", "one-point campaigns: write the replayed trial's final network as Graphviz DOT to this file")
+		list     = fs.Bool("list", false, "list the registry names with their state counts and targets, tab-separated, then exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -114,8 +133,12 @@ func run() error {
 	}
 
 	if *list {
-		for _, n := range protocols.Names() {
-			fmt.Println(n)
+		for _, name := range protocols.Names() {
+			c, err := protocols.Lookup(name)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s\t%d\t%s\n", name, c.Proto.Size(), c.Target)
 		}
 		return nil
 	}
@@ -127,6 +150,17 @@ func run() error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 
+	if *specPath != "" {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(singleItemFlags, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("%s cannot be combined with -spec; set the spec file's fields instead", strings.Join(set, ", "))
+		}
+	}
 	spec, err := loadSpec(*specPath, *name, *sizes, *trials, *seed, *sched, *metric, *engine, *detector, *faults, *topology, *inclUnc, *maxSteps)
 	if err != nil {
 		return err
@@ -134,6 +168,10 @@ func run() error {
 	points, err := spec.Compile()
 	if err != nil {
 		return err
+	}
+	replay := *tracePth != "" || *dotPath != ""
+	if replay && len(points) != 1 {
+		return fmt.Errorf("-trace and -dot replay a trial of a one-point campaign; this one has %d points", len(points))
 	}
 
 	// SIGINT and SIGTERM cancel the campaign instead of killing the
@@ -145,7 +183,7 @@ func run() error {
 
 	opts := campaign.Options{
 		Workers:     *workers,
-		KeepRuns:    *runsOut != "",
+		KeepRuns:    *runsOut != "" || replay,
 		ShardTrials: *shardTr,
 		Checkpoint:  *ckPath,
 		Resume:      *resume,
@@ -237,42 +275,18 @@ func run() error {
 	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "campaign: interrupted — outputs hold partial aggregates")
+		return runErr
 	}
-	return runErr
+	if replay {
+		return replayTrial(&points[0], result.Runs, *tracePth, *dotPath)
+	}
+	return nil
 }
 
 // loadSpec reads the spec file or assembles a single-item spec from
-// flags. Spec files carry their own "engine", "detector" and "faults"
-// fields, so combining -spec with those flags is rejected rather than
-// silently ignored.
+// flags.
 func loadSpec(specPath, name, sizes string, trials int, seed uint64, sched, metric, engine, detector, faults, topology string, inclUnc bool, maxSteps int64) (campaign.Spec, error) {
-	if _, err := core.ParseEngine(engine); err != nil {
-		return campaign.Spec{}, err
-	}
-	plan, err := scenario.ParsePlan(faults)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	topoSpec, err := core.ParseTopologySpec(topology)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
 	if specPath != "" {
-		if engine != "" && engine != "auto" {
-			return campaign.Spec{}, fmt.Errorf("-engine cannot be combined with -spec; set the spec's \"engine\" field instead")
-		}
-		if detector != "" {
-			return campaign.Spec{}, fmt.Errorf("-detector cannot be combined with -spec; set the spec's \"detector\" field instead")
-		}
-		if plan != nil {
-			return campaign.Spec{}, fmt.Errorf("-faults cannot be combined with -spec; set the spec's \"faults\" field instead")
-		}
-		if topoSpec != nil {
-			return campaign.Spec{}, fmt.Errorf("-topology cannot be combined with -spec; set the spec's \"topology\" field instead")
-		}
-		if inclUnc {
-			return campaign.Spec{}, fmt.Errorf("-include-unconverged cannot be combined with -spec; set the spec's \"include_unconverged\" field instead")
-		}
 		var r io.Reader = os.Stdin
 		if specPath != "-" {
 			f, err := os.Open(specPath)
@@ -291,6 +305,14 @@ func loadSpec(specPath, name, sizes string, trials int, seed uint64, sched, metr
 	if err != nil {
 		return campaign.Spec{}, err
 	}
+	plan, err := scenario.ParsePlan(faults)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	topoSpec, err := core.ParseTopologySpec(topology)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
 	return campaign.Spec{
 		Items:              []campaign.Item{{Name: name, Sizes: ns}},
 		Trials:             trials,
@@ -304,6 +326,70 @@ func loadSpec(specPath, name, sizes string, trials int, seed uint64, sched, metr
 		IncludeUnconverged: inclUnc,
 		MaxSteps:           maxSteps,
 	}, nil
+}
+
+// replayTrial re-runs one measured trial of pt through Point.Trial,
+// which derives the run the campaign measured: the last converged
+// trial of runs, or the first when none converged (a trace of a
+// non-converging run is still worth inspecting). A non-empty
+// tracePath receives the replay's NDJSON event trace, a non-empty
+// dotPath its final network as Graphviz DOT with state labels.
+func replayTrial(pt *campaign.Point, runs []campaign.RunRecord, tracePath, dotPath string) error {
+	measured := runs[0]
+	for _, rec := range runs {
+		if rec.Converged {
+			measured = rec
+		}
+	}
+	proto, opts, err := pt.Trial(measured.Trial)
+	if err != nil {
+		return err
+	}
+	var traceFile *os.File
+	var sink *trace.NDJSON
+	if tracePath != "" {
+		if traceFile, err = os.Create(tracePath); err != nil {
+			return err
+		}
+		defer traceFile.Close()
+		sink = trace.NewNDJSON(traceFile)
+		opts.Events = sink
+	}
+	res, err := core.Run(proto, pt.N, opts)
+	if err != nil {
+		return err
+	}
+	if sink != nil {
+		if err := errors.Join(sink.Flush(), traceFile.Close()); err != nil {
+			return err
+		}
+	}
+	if dotPath != "" {
+		labels := make([]string, res.Final.N())
+		for u := range labels {
+			labels[u] = proto.StateName(res.Final.Node(u))
+		}
+		if err := os.WriteFile(dotPath, []byte(protocols.ActiveGraph(res.Final).DOT(proto.Name(), labels)), 0o644); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "campaign: replayed trial %d (seed %d) on the %s engine\n", measured.Trial, opts.Seed, res.Engine)
+	if note := replayNote(measured, res); note != "" {
+		fmt.Fprintln(os.Stderr, "campaign:", note)
+	}
+	return nil
+}
+
+// replayNote discloses a replay that diverged from the trial it
+// reproduces, which only a batch-engine trial on the pure batched path
+// does: the replay's event sink makes the engine exact-step. The note
+// names the engine the measured trial ran, from its record. It returns
+// "" when the replay matched.
+func replayNote(measured campaign.RunRecord, replay core.Result) string {
+	if replay.Steps == measured.Steps {
+		return ""
+	}
+	return fmt.Sprintf("note: the measured trial ran the %s engine's batched path; the replay exact-stepped (bit-identical to -engine sparse, equal in law to the measured trial)", measured.Engine)
 }
 
 // formatProgress renders one Progress record as a stderr status line.

@@ -31,7 +31,7 @@ func main() {
 
 func run() error {
 	var (
-		name       = flag.String("protocol", "global-star", "protocol name (see netsim -list)")
+		name       = flag.String("protocol", "global-star", "protocol name (see campaign -list)")
 		n          = flag.Int("n", 4, "population size (keep small: the space is exponential)")
 		maxConfigs = flag.Int("max", 2_000_000, "abort beyond this many reachable configurations")
 	)

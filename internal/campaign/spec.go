@@ -50,10 +50,9 @@ type Spec struct {
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	// Engine selects the core execution path: "auto" (default),
 	// "baseline", "sparse", or "batch" ("fast", a retired engine's
-	// name, still parses as "sparse"). Under the uniform scheduler auto
-	// runs the batch engine — or the sparse engine when an event sink
-	// or fault injector would force batch to exact-step anyway; other
-	// schedulers run the baseline loop.
+	// name, still parses as "sparse"). Auto runs the batch engine under
+	// the uniform scheduler up to 2²⁰ nodes and the baseline loop
+	// otherwise.
 	Engine string `json:"engine,omitempty"`
 	// Detector selects the stability predicate: "target" (default; the
 	// registry's per-protocol detector), "quiescence", or

@@ -385,8 +385,8 @@ func TestSparseEngineRuns(t *testing.T) {
 	}
 }
 
-// TestSparseEngineValidation pins the option errors and the
-// auto-selection boundaries of the sparse path.
+// TestSparseEngineValidation pins the sparse path's option errors and
+// auto's choice of batch, with and without a sink or injector.
 func TestSparseEngineValidation(t *testing.T) {
 	t.Parallel()
 	p := indexProtocols(t)["epidemic"]
@@ -409,14 +409,42 @@ func TestSparseEngineValidation(t *testing.T) {
 			t.Fatalf("epidemic did not converge at n=%d: %+v", n, res)
 		}
 	}
-	// …but keeps exact-stepping runs on the sparse engine they are
-	// bit-identical to: an attached event sink forces it.
-	res, err := Run(p, 5000, Options{Seed: 1, Events: &stepCounter{}})
-	if err != nil {
-		t.Fatal(err)
+	// …and keeps batch when an event sink or fault injector is
+	// attached: the run exact-steps, bit-identically to forced sparse.
+	m := indexProtocols(t)["matching"]
+	attachments := []struct {
+		name   string
+		attach func(*Options)
+	}{
+		{"sink", func(o *Options) { o.Events = &stepCounter{} }},
+		{"injector", func(o *Options) {
+			o.Injector = &scriptInjector{events: []int64{50, 400}, act: func(_ int64, mu *Mutator) { mu.SetNode(0, 0) }}
+		}},
 	}
-	if res.Engine != EngineSparse {
-		t.Fatalf("auto with an event sink ran on %v, want sparse", res.Engine)
+	for _, a := range attachments {
+		auto, sparse := Options{Seed: 1}, Options{Seed: 1, Engine: EngineSparse}
+		a.attach(&auto)
+		a.attach(&sparse)
+		got, err := Run(m, 200, auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(m, 200, sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Engine != EngineBatch || got.Metrics.Landings == 0 || got.Metrics.ExactFallbackLandings != got.Metrics.Landings {
+			t.Fatalf("auto with an attached %s ran on %v with %d of %d landings exact-stepped, want batch with all of them",
+				a.name, got.Engine, got.Metrics.ExactFallbackLandings, got.Metrics.Landings)
+		}
+		if got.Steps != want.Steps || got.ConvergenceTime != want.ConvergenceTime || got.EffectiveSteps != want.EffectiveSteps ||
+			got.EdgeChanges != want.EdgeChanges || got.Final.Fingerprint() != want.Final.Fingerprint() {
+			t.Fatalf("auto with an attached %s diverged from forced sparse: steps %d/%d, convergence %d/%d, effective %d/%d, edge changes %d/%d",
+				a.name, got.Steps, want.Steps, got.ConvergenceTime, want.ConvergenceTime, got.EffectiveSteps, want.EffectiveSteps, got.EdgeChanges, want.EdgeChanges)
+		}
+		if inj, ok := auto.Injector.(*scriptInjector); ok && len(inj.fired) != 2 {
+			t.Fatalf("injector fired at %v, want steps 50 and 400", inj.fired)
+		}
 	}
 }
 

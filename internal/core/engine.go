@@ -130,14 +130,11 @@ type Options struct {
 	Seed uint64
 	// Scheduler defaults to the uniform random scheduler.
 	Scheduler Scheduler
-	// Engine selects the execution path. The default EngineAuto uses,
-	// under the uniform scheduler and up to 2²⁰ nodes, the batch
-	// engine, or the sparse engine when an event sink or fault injector
-	// is attached (batch would exact-step, bit-identical to sparse,
-	// anyway). Non-uniform schedulers, and populations above 2²⁰, run
-	// the baseline loop.
-	// The other values force a path (forcing an indexed path under a
-	// non-uniform scheduler is an error).
+	// Engine selects the execution path. The default EngineAuto runs
+	// the batch engine under the uniform scheduler up to 2²⁰ nodes and
+	// the baseline loop otherwise. The other values force a path
+	// (forcing an indexed path under a non-uniform scheduler is an
+	// error).
 	Engine Engine
 	// Detector defaults to QuiescenceDetector.
 	Detector Detector
@@ -178,7 +175,7 @@ type Options struct {
 	// is after every landing, or after each collapse or run-kernel pass
 	// of at most kernelPass = 2¹⁶ landings. When it returns true the
 	// run aborts early with Converged=false and Stopped=true. It is how
-	// callers plug in context cancellation and per-run deadlines.
+	// callers plug in context cancellation.
 	Stop func() bool
 	// Injector, when non-nil, is the scenario layer's engine hook: an
 	// external event source (fault injection) whose events fire at
@@ -345,20 +342,9 @@ func Run(p *Protocol, n int, opts Options) (Result, error) {
 	engine := opts.Engine
 	switch engine {
 	case EngineAuto:
-		switch {
-		case !uniformSchedule(sched):
-			engine = EngineBaseline
-		case n <= maxSparseNodes:
-			// With a sink or injector attached the batch engine would
-			// exact-step anyway, so auto keeps those runs on the sparse
-			// engine they are bit-identical to.
-			if opts.Events == nil && opts.Injector == nil {
-				engine = EngineBatch
-			} else {
-				engine = EngineSparse
-			}
-		default:
-			engine = EngineBaseline
+		engine = EngineBaseline
+		if uniformSchedule(sched) && n <= maxSparseNodes {
+			engine = EngineBatch
 		}
 	case EngineBaseline:
 	case EngineSparse, EngineBatch:

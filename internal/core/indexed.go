@@ -8,18 +8,16 @@ import (
 // Engine selects the execution path of Run.
 type Engine int
 
-// Engine values. EngineAuto picks an index-backed path whenever the
-// schedule is the uniform random scheduler (the only schedule whose
-// law the skip-sampling argument covers) and the baseline loop
+// Engine values. EngineAuto picks the index-backed batch engine when
+// the schedule is the uniform random scheduler (the only schedule
+// whose law the skip-sampling argument covers) and the baseline loop
 // otherwise; the explicit values force one path, which is how the
 // equivalence suite and the speedup benchmarks pin their subjects
 // down.
 const (
-	// EngineAuto lets Run choose. Under the uniform scheduler, for
-	// n ≤ 2²⁰: batch, or sparse when an event sink or fault injector is
-	// attached, since batch would then exact-step, bit-identically to
-	// sparse, anyway. Baseline for non-uniform schedulers and for
-	// n > 2²⁰.
+	// EngineAuto lets Run choose: batch under the uniform scheduler for
+	// n ≤ 2²⁰, baseline otherwise. A batch run with an event sink or
+	// fault injector attached exact-steps (see EngineBatch).
 	EngineAuto Engine = iota
 	// EngineBaseline forces the step-by-step loop that simulates every
 	// scheduler draw individually.

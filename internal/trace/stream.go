@@ -15,7 +15,7 @@ import (
 const SchemaVersion = 1
 
 // NDJSON is a core.EventSink that writes one JSON record per line —
-// the stream format of `netsim -trace`. The records are deterministic
+// the stream format of `campaign -trace`. The records are deterministic
 // in the run parameters (no wall-clock content), so equal runs produce
 // byte-identical streams, which is what the golden schema test pins.
 //
