@@ -362,10 +362,10 @@ func TestBatchCollapseRingPollsStop(t *testing.T) {
 
 // TestBatchWalkPathSurvivesNearEndPass pins the walk-path cache across
 // the run kernel's near-end passes: with the walker two positions from
-// its segment's end, walkChunk offers fewer than collapseMin landings,
-// so indexedLoop steps at most collapseMin of them through the kernel.
+// its segment's end, walkStrip reports an end nearer than collapseMin,
+// so indexedLoop steps at most collapseMin landings through the kernel.
 // A pass that leaves gen unchanged must keep the cached path and
-// re-locate the walker on it — the next walkChunk answers from the
+// re-locate the walker on it — the next walkStrip answers from the
 // cache (same anchor, no rescan) with the walker's true distance to
 // the segment's end — and a pass that moves the census (the walker
 // stepping onto the degree-1 end) must drop it.
@@ -378,8 +378,9 @@ func TestBatchWalkPathSurvivesNearEndPass(t *testing.T) {
 		cfg := walkerPathConfig(t, p, n, n-4)
 		bi := newBatchIndex(cfg)
 		cell := int32(bi.classID(2, 1)<<1 | 1)
-		if chunk := bi.walkChunk(cell, kernelPass); chunk != 2 || !bi.wpath.valid {
-			t.Fatalf("seed %d: walkChunk = %d (valid %v); want 2 from a valid path", seed, chunk, bi.wpath.valid)
+		if a, b, ok := bi.walkStrip(cell, kernelPass); !ok || min(-a, b) != 2 || !bi.wpath.valid {
+			t.Fatalf("seed %d: walkStrip = (%d, %d, %v) (valid %v); want the nearer end 2 away on a valid path",
+				seed, a, b, ok, bi.wpath.valid)
 		}
 		anchor := bi.wpath.anchor
 		// One near-end kernel pass, as indexedLoop runs it.
@@ -412,9 +413,9 @@ func TestBatchWalkPathSurvivesNearEndPass(t *testing.T) {
 				seed, done, wp.valid, wp.node(wp.pos), w)
 		}
 		want := min(int64(w-1), int64(n-2-w))
-		if chunk := bi.walkChunk(cell, kernelPass); chunk != want || wp.anchor != anchor {
-			t.Fatalf("seed %d: walkChunk = %d from anchor %d; want %d from the cached anchor %d",
-				seed, chunk, wp.anchor, want, anchor)
+		if a, b, _ := bi.walkStrip(cell, kernelPass); min(-a, b) != want || wp.anchor != anchor {
+			t.Fatalf("seed %d: walkStrip = (%d, %d) from anchor %d; want the nearer end %d away from the cached anchor %d",
+				seed, a, b, wp.anchor, want, anchor)
 		}
 		kept++
 	}

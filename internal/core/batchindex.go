@@ -149,7 +149,7 @@ type batchIndex struct {
 	stamp      uint64
 
 	// wpath is the swap-run collapse's cached walker segment (see
-	// walkChunk); it lives here (rather than on indexedLoop's stack) so
+	// walkStrip); it lives here (rather than on indexedLoop's stack) so
 	// its scan buffers survive workspace reuse and steady-state
 	// campaign trials stay allocation-free.
 	wpath walkPath
@@ -1046,11 +1046,14 @@ func orient(u, v int, rng *RNG) (int, int) {
 // class moves the walker one position left or right with equal
 // probability. While the walker stays on a segment of nodes that all
 // have state bs and degree 2, no landing can change any class weight —
-// the census is frozen by construction, not just by observation — so k
-// consecutive landings form an unconstrained ±1 random walk and their
-// net displacement is one WalkDisplacement draw. walkPath caches that
-// segment so consecutive collapses against the same census pay one
-// adjacency scan, amortized O(1) per collapsed landing.
+// the census is frozen by construction, not just by observation — so
+// consecutive landings form a ±1 random walk on the strip of
+// occupiable positions [lo, hi], free until its first visit to lo or
+// hi. One collapse epoch is one exact strip-exit draw
+// (stats.StripExit): up to kernelPass landings, cut short only at that
+// first visit, wherever in the strip the walker starts. walkPath
+// caches the strip so consecutive epochs against the same census pay
+// one adjacency scan, amortized O(1) per collapsed landing.
 
 // walkPath is the cached safe segment around a single walker, in path
 // coordinates: position 0 is the anchor node the path was scanned
@@ -1201,53 +1204,47 @@ func (bi *batchIndex) buildWalkPath(id int, need int64) bool {
 	return true
 }
 
-// walkChunk reports how many consecutive landings on swap cell can be
-// collapsed into one displacement draw right now: the distance from
-// the walker to the nearest unsafe position along its cached path,
-// bounded by need. Zero means the class does not currently host a
-// single interior walker. The cache is rebuilt when the census
-// generation moved, the cell changed, or a cap-stopped scan is the
-// binding constraint.
-func (bi *batchIndex) walkChunk(cell int32, need int64) int64 {
+// walkStrip reports the strip a lone walker on swap cell may roam
+// while the census stays frozen, relative to its position: a ≤ 0 ≤ b,
+// with a and b the offsets of the occupiable range's ends lo and hi
+// along the cached path (a cap-stopped scan's end counts as an end).
+// Until the walker first stands on a or b, every landing on the cell
+// is a free ±1 step. On an all-safe cycle nothing stops it: the ends
+// come back one step beyond reach of need landings. ok is false when
+// the class does not currently host a single interior walker. The
+// cache is rebuilt when the census generation moved or the cell
+// changed, and rescanned around the walker when a cap-stopped end is
+// nearer than need/2 — far enough that a rescan is rare (the walker
+// must drift ~need/2, about need²/4 landings), near enough that the
+// cap seldom shortens a collapse.
+func (bi *batchIndex) walkStrip(cell int32, need int64) (a, b int64, ok bool) {
 	wp := &bi.wpath
 	id := int(cell >> 1)
-	if !wp.valid || wp.gen != bi.gen || wp.cell != cell {
+	if !wp.valid || wp.gen != bi.gen || wp.cell != cell ||
+		wp.openL && wp.pos-wp.lo < need/2 || wp.openR && wp.hi-wp.pos < need/2 {
 		if !bi.buildWalkPath(id, need) {
-			return 0
+			return 0, 0, false
 		}
 		wp.gen, wp.cell = bi.gen, cell
 	}
 	if wp.cyclic {
-		return need
+		return -need - 1, need + 1, true
 	}
-	avail := min(wp.pos-wp.lo, wp.hi-wp.pos)
-	if avail < need && (wp.openL || wp.openR) {
-		// The scan cap, not the topology, limits the chunk: rescan
-		// around the walker's current position with the bigger horizon.
-		if !bi.buildWalkPath(id, need) {
-			return 0
-		}
-		wp.gen, wp.cell = bi.gen, cell
-		if wp.cyclic {
-			return need
-		}
-		avail = min(wp.pos-wp.lo, wp.hi-wp.pos)
-	}
-	return min(avail, need)
+	return wp.lo - wp.pos, wp.hi - wp.pos, true
 }
 
 // relocateWalker keeps the cached path across a run-kernel pass of
 // `landings` landings on swap cell: the kernel moves the walker one
 // position per landing without telling the cache. When the pass left
 // gen unchanged and was short (≤ collapseMin landings — the near-end
-// pass indexedLoop takes when walkChunk reports fewer than collapseMin
-// collapsible landings), the segment itself is intact — the class
+// pass indexedLoop takes when walkStrip reports an end nearer than
+// collapseMin), the segment itself is intact — the class
 // still lists only the walker's two edges, and every swap moved the
 // walker's state onto a partner — so the walker is the one node of
 // state ws among the ≤ 2·collapseMin+1 cached positions around wp.pos
 // inside [lo, hi]. Anything else (a longer pass, another cell, a moved
 // census, or a walker that left the segment) drops the cache, and the
-// next walkChunk rescans.
+// next walkStrip rescans.
 func (bi *batchIndex) relocateWalker(cell int32, landings int64) {
 	wp := &bi.wpath
 	if !wp.valid || wp.cell != cell || wp.gen != bi.gen || landings > collapseMin {

@@ -110,8 +110,8 @@ const collapseMin = 8
 // kernelPass bounds the landings one collapse or run-kernel pass
 // consumes before indexedLoop returns to its head, where opts.Stop is
 // polled: a revealed run may span the whole remaining step budget. The
-// bound also keeps a collapse's displacement and budget-cut draws
-// O(kernelPass) on an all-safe cycle, where walkChunk imposes none.
+// bound is also every collapse epoch's horizon, so each hypergeometric
+// total a strip-exit or budget-cut draw sees stays within 2¹⁶.
 const kernelPass = 1 << 16
 
 // skipRange folds the geometrically skipped draws at positions
@@ -310,12 +310,15 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 	// deterministic-swap cell unlocks two tiers:
 	//
 	//   - the analytic collapse, when the cell hosts a single interior
-	//     walker (two listed edges sharing a degree-2 endpoint): each
-	//     chunk of up to kernelPass landings resolves into one
-	//     displacement draw (the run is an unconstrained ±1 walk while
-	//     it stays on the safe segment — batchIndex.walkChunk), one
-	//     negative-binomial draw for the scheduler gaps between its
-	//     landings, and one teleport;
+	//     walker (two listed edges sharing a degree-2 endpoint) at
+	//     least collapseMin positions from both ends of its strip (the
+	//     run is a ±1 walk, free until its first visit to an end —
+	//     batchIndex.walkStrip): each epoch of up to kernelPass landings,
+	//     cut short only at that first visit, resolves into one
+	//     strip-exit draw (stats.StripExit: a displacement, an exact
+	//     no-visit test, and a bisection for the first visit when there
+	//     is one), one negative-binomial draw for the scheduler gaps
+	//     between its landings, and one teleport;
 	//   - the run kernel, otherwise (many walkers sharing the cell):
 	//     the run's landings are simulated individually — same draws,
 	//     same law — but in a tight loop with the cell fixed, skipping
@@ -390,48 +393,59 @@ func indexedLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps,
 		if runLeft > 0 {
 			limit := min(runLeft, kernelPass)
 			if limit >= collapseMin {
-				chunk := ci.walkChunk(runCell, limit)
-				if chunk >= collapseMin {
-					// The chunk's landings interleave with iid
-					// Geometric(m/total) scheduler misses, independent
-					// of the cell sequence: their total is one
-					// negative-binomial draw.
-					span := chunk
-					if fm := float64(ci.enabled); fm < total {
-						span += rng.NegBinomial(chunk, fm/total)
+				if a, b, ok := ci.walkStrip(runCell, limit); ok {
+					if d := min(-a, b); d >= collapseMin {
+						// One epoch: the walk runs limit landings or up
+						// to its first visit to an end of the strip, a
+						// stopping time of the landing sequence, so the
+						// rest of the run draws afresh from there. The
+						// horizon does not shrink near an end: on
+						// Simple-Global-Line's last merge a run visits an
+						// end a handful of times, and cuts to c·d² (c from
+						// 1 to 64, d the distance to the nearer end)
+						// measured no faster than none.
+						t, y := rng.StripExit(limit, a, b)
+						// The epoch's landings interleave with iid
+						// Geometric(m/total) scheduler misses,
+						// independent of the cell sequence: their total
+						// is one negative-binomial draw.
+						span := t
+						if fm := float64(ci.enabled); fm < total {
+							span += rng.NegBinomial(t, fm/total)
+						}
+						landed := t
+						if rem := maxSteps - step; span > rem {
+							// The step budget ends inside the epoch. The
+							// span's draw sequence ends with its t-th
+							// landing; conditioned on (t, span) the other
+							// t−1 landings are uniform among the first
+							// span−1 draws, so the landings that fit the
+							// budget are hypergeometric, and the walker
+							// stands where the exit's path was after
+							// that many. The loop then ends at the
+							// budget.
+							landed = rng.Hypergeometric(rem, t-1, span-1)
+							y = rng.StripExitAt(t, y, landed, a, b)
+							span = rem
+						}
+						ci.collapseMove(y)
+						step += span
+						res.EffectiveSteps += landed
+						res.Metrics.CollapsedLandings += landed
+						res.Metrics.SkippedSteps += span - landed
+						if span > landed {
+							res.Metrics.SkipBatches++
+						}
+						res.Metrics.FastForwardEpochs++
+						runLeft -= landed
+						breakerPending = runLeft == 0 && breakerAfter
+						continue
 					}
-					landed := chunk
-					if rem := maxSteps - step; span > rem {
-						// The step budget ends inside the run. The
-						// span's draw sequence ends with its chunk-th
-						// landing; conditioned on (chunk, span) the
-						// other chunk−1 landings are uniform among the
-						// first span−1 draws, so the landings that fit
-						// the budget are hypergeometric. Displace by
-						// exactly those; the loop then ends at the
-						// budget.
-						landed = rng.Hypergeometric(rem, chunk-1, span-1)
-						span = rem
-					}
-					ci.collapseMove(rng.WalkDisplacement(landed))
-					step += span
-					res.EffectiveSteps += landed
-					res.Metrics.CollapsedLandings += landed
-					res.Metrics.SkippedSteps += span - landed
-					if span > landed {
-						res.Metrics.SkipBatches++
-					}
-					res.Metrics.FastForwardEpochs++
-					runLeft -= landed
-					breakerPending = runLeft == 0 && breakerAfter
-					continue
-				}
-				if chunk > 0 {
-					// A single walker near its segment's end: step it a
-					// few landings and try the collapse again, rather
-					// than kernel-stepping the rest of a possibly
-					// unbounded run. The pass keeps the cached walk
-					// path (relocateWalker below).
+					// A lone walker near its strip's end: step it a few
+					// landings and try the collapse again, rather than
+					// kernel-stepping the rest of a possibly unbounded
+					// run. The pass keeps the cached walk path
+					// (relocateWalker below).
 					limit = collapseMin
 				}
 			}

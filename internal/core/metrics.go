@@ -47,7 +47,7 @@ type Metrics struct {
 	// BucketDraws). On every engine
 	// Landings + SkippedSteps + CollapsedLandings = Steps.
 	// FastForwardEpochs counts the analytic jumps those landings
-	// arrived in: one per collapsed chunk, including the final
+	// arrived in: one per collapse epoch, including the final
 	// hypergeometric jump when the step budget ends inside a run.
 	CollapsedLandings int64 `json:"collapsed_landings,omitempty"`
 	FastForwardEpochs int64 `json:"fast_forward_epochs,omitempty"`

@@ -110,6 +110,21 @@ func (r *RNG) WalkDisplacement(steps int64) int64 {
 	return stats.WalkDisplacement(r.src, steps)
 }
 
+// StripExit walks at most h landings of a ±1 walk from 0, stopped at
+// its first visit to a or b (a < 0 < b), and returns the landings
+// taken and the final offset — the swap-run collapse's epoch draw.
+// See stats.StripExit.
+func (r *RNG) StripExit(h, a, b int64) (t, y int64) {
+	return stats.StripExit(r.src, h, a, b)
+}
+
+// StripExitAt returns the offset after `at` < t landings of a walk
+// whose StripExit was (t, y) — where a budget cut inside the epoch
+// leaves the walker. See stats.StripExitAt.
+func (r *RNG) StripExitAt(t, y, at, a, b int64) int64 {
+	return stats.StripExitAt(r.src, t, y, at, a, b)
+}
+
 // Pair returns a uniform unordered pair {u, v}, u ≠ v, over n nodes —
 // the uniform random scheduler's single draw.
 func (r *RNG) Pair(n int) (u, v int) {
