@@ -254,9 +254,9 @@ func TestBatchRunBreakerLaw(t *testing.T) {
 }
 
 // walkerRingConfig closes walkerPathConfig's path into a cycle: every
-// node has degree 2, so the walker's safe segment never ends and
-// batchIndex.walkChunk bounds a collapse only by the landings asked
-// for. The walker's two edges are the only enabled pairs, so its swap
+// node has degree 2, so the walker's strip never ends and a collapse
+// epoch is bounded only by the landings asked for (batchIndex.walkStrip
+// puts the ends one step beyond reach). The walker's two edges are the only enabled pairs, so its swap
 // cell holds all of them (w = m) and every revealed run is unbounded.
 func walkerRingConfig(t *testing.T, p *Protocol, n int) *Config {
 	t.Helper()
@@ -268,8 +268,8 @@ func walkerRingConfig(t *testing.T, p *Protocol, n int) *Config {
 // TestBatchCollapseRingBudgetLaw pins the collapse on an all-safe cycle,
 // where one revealed run spans the whole step budget. The ring is a
 // triangle, so a landing takes 2 of the 3 pairs and a kernelPass-sized
-// chunk spans about 1.5·kernelPass steps, some 18 standard deviations
-// inside the budget below: each trial collapses one full chunk and
+// epoch spans about 1.5·kernelPass steps, some 18 standard deviations
+// inside the budget below: each trial collapses one full epoch and
 // then ends inside the next, at the hypergeometric budget cut. The literal arm draws one uniform pair per step and
 // applies and counts the steps that land on the walker's edges (every
 // other pair is a no-op); every landing is a swap, so the batch arm's
@@ -328,7 +328,7 @@ func TestBatchCollapseRingBudgetLaw(t *testing.T) {
 		batch[cellOf(res.EffectiveSteps, cfg)]++
 	}
 	if epochs < 2*int64(trials) {
-		t.Fatalf("batch arm collapsed %d chunks over %d trials; want at least two per trial", epochs, trials)
+		t.Fatalf("batch arm collapsed %d epochs over %d trials; want at least two per trial", epochs, trials)
 	}
 	chiSquareCompare(t, "ring landings × walker node", literal, batch)
 }

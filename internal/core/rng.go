@@ -103,13 +103,6 @@ func (r *RNG) NegBinomial(n int64, p float64) int64 {
 	return stats.NegBinomial(r.src, n, p)
 }
 
-// WalkDisplacement returns the exact net displacement of a
-// `steps`-step simple random walk in one draw — the swap-run
-// collapse's single displacement sample. See stats.WalkDisplacement.
-func (r *RNG) WalkDisplacement(steps int64) int64 {
-	return stats.WalkDisplacement(r.src, steps)
-}
-
 // StripExit walks at most h landings of a ±1 walk from 0, stopped at
 // its first visit to a or b (a < 0 < b), and returns the landings
 // taken and the final offset — the swap-run collapse's epoch draw.

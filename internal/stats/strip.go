@@ -68,21 +68,21 @@ func StripExit(src Source, h, a, b int64) (t, y int64) {
 
 // StripExitAt returns the position after `at` steps (0 ≤ at < t) of
 // a walk whose StripExit was (t, y): given the exit, the path is
-// uniform among those it allows, so this is StripBridge over the
+// uniform among those it allows, so this is stripBridge over the
 // whole horizon when the walk stayed inside (y strictly between a and
 // b), and over the t−1 steps before the visit otherwise, which end
 // next to the end visited.
 func StripExitAt(src Source, t, y, at, a, b int64) int64 {
 	switch y {
 	case a:
-		return StripBridge(src, t-1, a+1, at, a, b)
+		return stripBridge(src, t-1, a+1, at, a, b)
 	case b:
-		return StripBridge(src, t-1, b-1, at, a, b)
+		return stripBridge(src, t-1, b-1, at, a, b)
 	}
-	return StripBridge(src, t, y, at, a, b)
+	return stripBridge(src, t, y, at, a, b)
 }
 
-// StripBridge returns the position after `at` steps of a uniformly
+// stripBridge returns the position after `at` steps of a uniformly
 // random `steps`-step ±1 path from 0 to end whose positions after steps
 // 1…steps all lie strictly inside (a, b) (a < 0 < b, a < end < b, end
 // reachable). Rejection from the free bridge: a bridgePoint proposal,
@@ -90,7 +90,7 @@ func StripExitAt(src Source, t, y, at, a, b int64) int64 {
 // number of proposals is the inverse of the whole bridge's avoidance
 // probability: O(1) averaged over the visit-free exits of StripExit,
 // O(√t) over those that visit an end at step t.
-func StripBridge(src Source, steps, end, at, a, b int64) int64 {
+func stripBridge(src Source, steps, end, at, a, b int64) int64 {
 	if at <= 0 {
 		return 0
 	}
@@ -133,10 +133,13 @@ const bridgeModeMin = 64
 // by inversion in the order mode, then outward one term at a time on
 // whichever side has the larger next term — exact for any fixed order
 // of the support, and O(sd) expected terms. pmf(mode) comes from the
-// Stirling-difference log-binomials (lnHalfBinom), so it is accurate
-// to a few ulps at any total. The rare uniform that the rounded terms
-// do not reach (the summed mass falls short of 1 by rounding) is
-// redrawn, which conditions on the mass actually inverted.
+// Stirling-difference log-binomials (lnHalfBinom), whose error in the
+// log grows with the total: below 10⁻¹¹ at the bisection's totals
+// (≤ 2¹⁶), but up to ~10⁻³ at the budget cut's 2⁴⁰, which therefore
+// keeps Hypergeometric's walk from lnHyperZero. The rare uniform that
+// the rounded terms do not reach (the summed mass falls short of 1 by
+// rounding) is redrawn, which conditions on the mass actually
+// inverted.
 func hyperFromMode(src Source, draws, marked, total int64) int64 {
 	lo, hi := max(0, draws+marked-total), min(draws, marked)
 	mode := min(max((draws+1)*(marked+1)/(total+2), lo), hi)

@@ -150,11 +150,11 @@ func TestStripExitLaw(t *testing.T) {
 	}
 }
 
-// TestStripBridgeLaw pins StripBridge against literal walks kept only
+// TestStripBridgeLaw pins stripBridge against literal walks kept only
 // if they stay strictly inside the strip. With a free endpoint, each
 // kept literal walk gives a pair (end, position at step `at`); the
 // sampler arm takes the end of an independent kept walk and draws the
-// position from StripBridge. With the end fixed next to a — the shape
+// position from stripBridge. With the end fixed next to a — the shape
 // the collapse's budget cut meets inside an epoch that reached an end
 // — only the literal walks ending there are kept. Both compare by
 // two-sample chi-square at α = 0.001 on the joint (end, position)
@@ -201,14 +201,14 @@ func TestStripBridgeLaw(t *testing.T) {
 			if !ok || tc.fixed && end != tc.a+1 {
 				continue
 			}
-			mid := StripBridge(srcS, tc.steps, end, tc.at, tc.a, tc.b)
+			mid := stripBridge(srcS, tc.steps, end, tc.at, tc.a, tc.b)
 			if mid <= tc.a || mid >= tc.b {
-				t.Fatalf("StripBridge returned %d outside (%d, %d)", mid, tc.a, tc.b)
+				t.Fatalf("stripBridge returned %d outside (%d, %d)", mid, tc.a, tc.b)
 			}
 			samp[(end-tc.a)*w+mid-tc.a]++
 			kept++
 		}
-		samplerChiSquare(t, fmt.Sprintf("StripBridge(steps=%d, at=%d, a=%d, b=%d, fixed end %v)",
+		samplerChiSquare(t, fmt.Sprintf("stripBridge(steps=%d, at=%d, a=%d, b=%d, fixed end %v)",
 			tc.steps, tc.at, tc.a, tc.b, tc.fixed), samp, lit)
 	}
 }
