@@ -18,8 +18,9 @@ package netcons_test
 //     -benchmem for the allocator's view;
 //   - the Simple-Global-Line-merge rows (batch only) start from the
 //     configuration just before the last merge, two n/2-node lines
-//     (twoLinesConfig), and run to quiescence: one walker crosses the
-//     merged line, the regime of the analytic swap-run collapse. They
+//     (protocols.TwoLinesInitial), and run to quiescence: one walker
+//     crosses the merged line, the regime of the analytic swap-run
+//     collapse. They
 //     report the collapse's work as counts — epochs/op
 //     (FastForwardEpochs) and collapsed/op (CollapsedLandings).
 //
@@ -113,7 +114,10 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 	}
 	sgl := protocols.SimpleGlobalLine()
 	for _, n := range []int{8192, 16384} {
-		initial := twoLinesConfig(b, sgl.Proto, n)
+		initial, err := protocols.TwoLinesInitial(sgl.Proto, n)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("Simple-Global-Line-merge/n=%d/engine=batch", n), func(b *testing.B) {
 			var epochs, collapsed int64
 			for i := 0; i < b.N; i++ {
@@ -134,36 +138,4 @@ func BenchmarkBatchVsSparse(b *testing.B) {
 			b.ReportMetric(float64(collapsed)/float64(b.N), "collapsed/op")
 		})
 	}
-}
-
-// twoLinesConfig builds Simple-Global-Line's configuration just before
-// its last merge: nodes 0…n/2−1 and n/2…n−1 form two lines with q1 at
-// the outer ends and the two leaders (l) facing each other across the
-// one missing edge {n/2−1, n/2}.
-func twoLinesConfig(b *testing.B, p *core.Protocol, n int) *core.Config {
-	b.Helper()
-	state := func(name string) core.State {
-		s, ok := p.StateIndex(name)
-		if !ok {
-			b.Fatalf("%s has no state %s", p.Name(), name)
-		}
-		return s
-	}
-	q1, q2, l := state("q1"), state("q2"), state("l")
-	cfg := core.NewConfig(p, n)
-	half := n / 2
-	for u := 0; u < n; u++ {
-		switch u {
-		case 0, n - 1:
-			cfg.SetNode(u, q1)
-		case half - 1, half:
-			cfg.SetNode(u, l)
-		default:
-			cfg.SetNode(u, q2)
-		}
-		if u+1 < n && u != half-1 {
-			cfg.SetEdge(u, u+1, true)
-		}
-	}
-	return cfg
 }

@@ -133,7 +133,7 @@ func TestBatchBitRowsBitIdentical(t *testing.T) {
 	}
 	sgl := protocols.SimpleGlobalLine()
 	subjects = append(subjects, subject{name: "simple-global-line/two-lines", c: sgl, n: 64,
-		initial: func() (*core.Config, error) { return twoLinesInitial(sgl.Proto, 64) }})
+		initial: func() (*core.Config, error) { return protocols.TwoLinesInitial(sgl.Proto, 64) }})
 	for _, sub := range subjects {
 		sub := sub
 		t.Run(fmt.Sprintf("%s/n=%d", sub.name, sub.n), func(t *testing.T) {

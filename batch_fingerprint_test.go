@@ -101,7 +101,7 @@ func batchCases(t *testing.T) []batchCase {
 				cases = append(cases, batchCase{
 					name:  fmt.Sprintf("sgl/two-lines/n=%d/seed=%d/budget=%d", n, seed, budget),
 					proto: sgl.Proto, det: quiet, n: n, seed: seed, maxSteps: budget,
-					initial: func() (*core.Config, error) { return twoLinesInitial(sgl.Proto, n) },
+					initial: func() (*core.Config, error) { return protocols.TwoLinesInitial(sgl.Proto, n) },
 				})
 			}
 		}
@@ -137,38 +137,6 @@ func batchCases(t *testing.T) []batchCase {
 // bitRowCut is the largest population core's bit-row index serves; the
 // batch engine steps every landing exactly up to it.
 const bitRowCut = 64
-
-// twoLinesInitial is Simple-Global-Line's configuration just before its
-// last merge, as perfbench's sgl-merge workload builds it: nodes
-// 0…n/2−1 and n/2…n−1 form two lines with q1 at the outer ends and the
-// two leaders (l) facing each other across the one missing edge
-// {n/2−1, n/2}.
-func twoLinesInitial(p *core.Protocol, n int) (*core.Config, error) {
-	states := make(map[string]core.State)
-	for _, name := range []string{"q1", "q2", "l"} {
-		s, ok := p.StateIndex(name)
-		if !ok {
-			return nil, fmt.Errorf("%s has no state %s", p.Name(), name)
-		}
-		states[name] = s
-	}
-	cfg := core.NewConfig(p, n)
-	half := n / 2
-	for u := 0; u < n; u++ {
-		switch u {
-		case 0, n - 1:
-			cfg.SetNode(u, states["q1"])
-		case half - 1, half:
-			cfg.SetNode(u, states["l"])
-		default:
-			cfg.SetNode(u, states["q2"])
-		}
-		if u+1 < n && u != half-1 {
-			cfg.SetEdge(u, u+1, true)
-		}
-	}
-	return cfg, nil
-}
 
 func batchRun(t *testing.T, c batchCase, ws *core.Workspace) core.Result {
 	t.Helper()

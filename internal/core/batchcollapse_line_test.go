@@ -208,34 +208,12 @@ func TestBatchCollapseEpochWork(t *testing.T) {
 	}
 }
 
-// twoLines builds Simple-Global-Line's configuration just before its
-// last merge: nodes 0…n/2−1 and n/2…n−1 form two lines with q1 at
-// the outer ends and the two leaders (l) facing each other across the
-// one missing edge {n/2−1, n/2}.
+// twoLines is protocols.TwoLinesInitial for a test.
 func twoLines(t *testing.T, p *core.Protocol, n int) *core.Config {
 	t.Helper()
-	state := func(name string) core.State {
-		s, ok := p.StateIndex(name)
-		if !ok {
-			t.Fatalf("%s has no state %s", p.Name(), name)
-		}
-		return s
-	}
-	q1, q2, l := state("q1"), state("q2"), state("l")
-	cfg := core.NewConfig(p, n)
-	half := n / 2
-	for u := 0; u < n; u++ {
-		switch u {
-		case 0, n - 1:
-			cfg.SetNode(u, q1)
-		case half - 1, half:
-			cfg.SetNode(u, l)
-		default:
-			cfg.SetNode(u, q2)
-		}
-		if u+1 < n && u != half-1 {
-			cfg.SetEdge(u, u+1, true)
-		}
+	cfg, err := protocols.TwoLinesInitial(p, n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return cfg
 }

@@ -1,6 +1,10 @@
 package protocols
 
-import "repro/internal/core"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Simple-Global-Line state indices (Protocol 1).
 const (
@@ -47,6 +51,41 @@ func SimpleGlobalLine() Constructor {
 		},
 	}
 	return Constructor{Proto: p, Detector: det, Target: "spanning line", Theta: "Ω(n⁴), O(n⁵)"}
+}
+
+// TwoLinesInitial builds Simple-Global-Line's configuration just
+// before its last merge: nodes 0…n/2−1 and n/2…n−1 form two lines,
+// each with q1 at its outer end, q2 inside and its leader l at the
+// inner end, and the two leaders (n/2−1 and n/2) are not yet
+// connected. From here one merge makes a w-leader that walks the whole
+// line, the regime of the Ω(n⁴) bound. perfbench's sgl-merge workload,
+// a module of its own, builds the same configuration (its twoLines);
+// the two must stay identical.
+func TwoLinesInitial(p *core.Protocol, n int) (*core.Config, error) {
+	var st [3]core.State
+	for i, name := range []string{"q1", "q2", "l"} {
+		var ok bool
+		if st[i], ok = p.StateIndex(name); !ok {
+			return nil, fmt.Errorf("protocols: %q has no state %s", p.Name(), name)
+		}
+	}
+	q1, q2, l := st[0], st[1], st[2]
+	cfg := core.NewConfig(p, n)
+	half := n / 2
+	for u := 0; u < n; u++ {
+		switch u {
+		case 0, n - 1:
+			cfg.SetNode(u, q1)
+		case half - 1, half:
+			cfg.SetNode(u, l)
+		default:
+			cfg.SetNode(u, q2)
+		}
+		if u+1 < n && u != half-1 {
+			cfg.SetEdge(u, u+1, true)
+		}
+	}
+	return cfg, nil
 }
 
 // Fast-Global-Line state indices (Protocol 2).
