@@ -113,21 +113,15 @@ func stripBridge(src Source, steps, end, at, a, b int64) int64 {
 // bridgePoint returns the position after m steps of a uniformly
 // random n-step ±1 path from 0 to x (0 ≤ m ≤ n, x ≡ n mod 2,
 // |x| ≤ n): 2j − m, where the up-steps j among the first m are
-// hypergeometric — m draws from n steps of which (n+x)/2 go up. Short
-// bridges take Hypergeometric, whose inversion walk from j = 0 costs
-// O(mean); from bridgeModeMin steps up the inversion runs outward from
-// the mode (hyperFromMode) and costs O(sd) = O(√n) terms instead.
+// hypergeometric — m draws from n steps of which (n+x)/2 go up —
+// drawn by hyperFromMode in O(sd) = O(√n) terms. (Hypergeometric's
+// walk from j = 0 costs O(mean), about 2¹⁴ terms at a kernelPass
+// bridge's midpoint; the n = 8192 merge draws 0.7 midpoints per
+// StripExit, and sgl-merge loses 40% of its throughput with that walk,
+// EXPERIMENTS.md.)
 func bridgePoint(src Source, n, m, x int64) int64 {
-	up := (n + x) / 2
-	if n < bridgeModeMin {
-		return 2*Hypergeometric(src, m, up, n) - m
-	}
-	return 2*hyperFromMode(src, m, up, n) - m
+	return 2*hyperFromMode(src, m, (n+x)/2, n) - m
 }
-
-// bridgeModeMin is the bridge length from which bridgePoint inverts
-// from the mode: below it the walk from zero is at most 16 terms.
-const bridgeModeMin = 64
 
 // hyperFromMode returns a Hypergeometric(draws, marked, total) variate
 // by inversion in the order mode, then outward one term at a time on
