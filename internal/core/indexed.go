@@ -110,8 +110,11 @@ const collapseMin = 8
 // kernelPass bounds the landings one collapse or run-kernel pass
 // consumes before indexedLoop returns to its head, where opts.Stop is
 // polled: a revealed run may span the whole remaining step budget. The
-// bound is also every collapse epoch's horizon, so each hypergeometric
-// total a strip-exit or budget-cut draw sees stays within 2¹⁶.
+// bound is also every collapse epoch's horizon, so a strip-exit
+// bisection's hypergeometric totals stay within 2¹⁶. A budget cut's
+// total is the epoch's span − 1, its landings plus the negative-binomial
+// misses (about 2⁴⁰ at n = 8192); the cap bounds its marked count
+// t − 1, and with it the inversion's O(sd) terms.
 const kernelPass = 1 << 16
 
 // skipRange folds the geometrically skipped draws at positions

@@ -13,8 +13,9 @@ import (
 // simple random walk. The displacement and the gap total cost O(1)
 // expected uniforms at any chunk length — the displacement's fair
 // binomial goes through BTRS once popcounting stops paying — while the
-// hypergeometric budget cut, drawn once where the step budget ends,
-// walks O(result) terms (BenchmarkSamplers prices each draw). They
+// hypergeometric draw, the budget cut where the step budget ends and
+// every strip-exit bridge point (strip.go), inverts O(sd) terms from
+// its mode on one uniform (BenchmarkSamplers prices each draw). They
 // live in internal/stats rather than on core.RNG so their laws can be
 // pinned against literal urn and coin simulations and exact pmfs
 // without importing the engine, and so non-engine consumers can draw
@@ -121,94 +122,111 @@ func binomialBTRS(src Source, n int64, p float64) int64 {
 
 // Hypergeometric returns how many of `draws` draws without
 // replacement, from a population of `total` items of which `marked`
-// are marked, hit marked items. CDF inversion on one uniform: the
-// walk starts from pmf(0), computed without cancellation by
-// lnHyperZero. A pmf(0) below e⁻⁷⁰⁰ is carried in scaled form up to
-// the first term above 2⁻⁹⁰⁰ (hyperHead); the terms skipped sum to
-// less than any positive Float64 uniform. The walk ends where the next
-// term no longer moves the rounded cdf, so a u above the rounded total
-// mass stops in the tail rather than at min(draws, marked). It must
-// hold 0 ≤ marked ≤ total and 0 ≤ draws ≤ total.
+// are marked, hit marked items. CDF inversion on one uniform, taken
+// on every call (a one-point support included), in the order mode,
+// then outward one term at a time on whichever side has the larger
+// next term (the upper side on a tie): exact for any fixed order of
+// the support, and O(sd) expected terms at any total. pmf(mode) comes
+// from lnHyperPMF without cancellation, the other terms from the pmf
+// ratio. The walk ends where the next term no longer moves the rounded
+// cdf, so a u above the rounded total mass stops at the tail point
+// reached rather than at an end of the support. It must hold
+// 0 ≤ marked ≤ total and 0 ≤ draws ≤ total.
 func Hypergeometric(src Source, draws, marked, total int64) int64 {
 	if draws < 0 || marked < 0 || marked > total || draws > total {
 		panic("stats: Hypergeometric requires 0 ≤ draws, marked ≤ total")
 	}
-	if draws == 0 || marked == 0 {
-		return 0
-	}
-	if draws == total {
-		return marked
-	}
-	if marked == total {
-		return draws
-	}
-	// Symmetries keep the inversion walk short: complementing the
-	// marks, and swapping the roles of the drawn and marked subsets
-	// (both exact identities of the distribution).
-	if marked > total-marked {
-		return draws - Hypergeometric(src, draws, total-marked, total)
-	}
-	if draws > marked {
-		return Hypergeometric(src, marked, draws, total)
-	}
-	// Here draws ≤ marked ≤ total − marked, so the support is
-	// [0, draws].
 	u := src.Float64()
-	var k int64
-	lp := lnHyperZero(draws, marked, total)
-	pmf := math.Exp(lp)
-	if lp < -700 {
-		k, pmf = hyperHead(lp, draws, marked, total)
+	lo, hi := max(0, draws+marked-total), min(draws, marked)
+	if lo == hi {
+		return lo
 	}
-	cdf := pmf
-	for u > cdf && k < draws {
-		pmf *= float64(marked-k) * float64(draws-k) /
-			(float64(k+1) * float64(total-marked-draws+k+1))
-		k++
-		// Before the mode every term exceeds cdf/(k+1), so only the
-		// upper tail can fail to move the sum.
-		next := cdf + pmf
-		if next == cdf {
-			break
+	// mode = ⌊(draws+1)(marked+1)/(total+2)⌋, whose product overflows
+	// int64 at the budget cut's sizes; the quotient is below total+1.
+	ph, pl := bits.Mul64(uint64(draws+1), uint64(marked+1))
+	q, _ := bits.Div64(ph, pl, uint64(total+2))
+	mode := min(max(int64(q), lo), hi)
+	pMode := math.Exp(lnHyperPMF(draws, marked, total, mode))
+	// ratio(k) = pmf(k+1)/pmf(k).
+	ratio := func(k int64) float64 {
+		return float64(marked-k) * float64(draws-k) / (float64(k+1) * float64(total-marked-draws+k+1))
+	}
+	cdf := pMode
+	if u < cdf {
+		return mode
+	}
+	up, down := mode, mode
+	pUp, pDown := pMode, pMode
+	for {
+		nextUp, nextDown := 0.0, 0.0
+		if up < hi {
+			nextUp = pUp * ratio(up)
 		}
-		cdf = next
+		if down > lo {
+			nextDown = pDown / ratio(down-1)
+		}
+		// Every later term is smaller than the larger next one, so
+		// the walk ends where that one no longer moves the cdf.
+		if nextUp >= nextDown {
+			next := cdf + nextUp
+			if next == cdf {
+				return up
+			}
+			up, pUp, cdf = up+1, nextUp, next
+			if u < cdf {
+				return up
+			}
+		} else {
+			next := cdf + nextDown
+			if next == cdf {
+				return down
+			}
+			down, pDown, cdf = down-1, nextDown, next
+			if u < cdf {
+				return down
+			}
+		}
 	}
-	return k
 }
 
-// hyperHead walks Hypergeometric's pmf recursion from k = 0, where
-// ln pmf(0) = lp < −700, carrying each term as s·2^e so that nothing
-// underflows, and returns the first k whose term reaches 2⁻⁹⁰⁰ with
-// that term. The pmf rises up to the mode, where it is at least
-// 1/(draws+1), so such a k exists, and each skipped term is below
-// 2⁻⁸³⁶.
-func hyperHead(lp float64, draws, marked, total int64) (int64, float64) {
-	e := math.Floor(lp / math.Ln2)
-	s := math.Exp(lp - e*math.Ln2)
-	var k int64
-	for e < -900 && k < draws {
-		s *= float64(marked-k) * float64(draws-k) /
-			(float64(k+1) * float64(total-marked-draws+k+1))
-		k++
-		if s >= 0x1p64 {
-			s *= 0x1p-64
-			e += 64
-		}
+// lnHyperPMF returns ln pmf(k) of the hypergeometric law of n draws
+// from N items of which K are marked, for k in the support. The law's
+// symmetries (complementing the marks or the draws, and swapping the
+// drawn and marked subsets) carry it to n ≤ K ≤ N − K, where
+// pmf(k) = pmf(0)·[C(K, k)/C(K, 0)]·[C(N−K, n−k)/C(N−K, n)]:
+// lnHyperZero and two lnChooseRatio terms, none a difference of
+// log-factorials near N.
+func lnHyperPMF(n, K, N, k int64) float64 {
+	if K > N-K {
+		K, k = N-K, n-k
 	}
-	return k, math.Ldexp(s, int(e))
+	if n > N-n {
+		n, k = N-n, K-k
+	}
+	if n > K {
+		n, K = K, n
+	}
+	return lnHyperZero(n, K, N) + lnChooseRatio(K, 0, k) + lnChooseRatio(N-K, n, n-k)
 }
 
 // lnHyperZero returns ln pmf(0) = ln C(N−K, n) − ln C(N, n) for n draws
 // from N items of which K are marked, n ≤ K ≤ N − K. It is
 // ln Γ(a₁+n) − ln Γ(a₁) − [ln Γ(a₂+n) − ln Γ(a₂)] with a₁ = N−K−n+1 and
 // a₂ = N−n+1; writing each difference as n·ln a + lnGammaRest(a, n)
-// folds the two n·ln a terms into n·log1p(−K/a₂). Four lgammas of
-// arguments near N would cancel to an absolute error of about N·2⁻⁴⁸
-// (0.004 at the budget cut's N ≈ 2⁴⁰); this form keeps it near n·2⁻⁵².
+// folds the two n·ln a terms into n·ln(a₁/a₂), taken as log1p(−K/a₂)
+// while K/a₂ ≤ ½ and from the ratio itself above, where a rounded
+// K/a₂ would lose the small a₁/a₂ (a₁ = 1 at a balanced bisection
+// midpoint). Four lgammas of arguments near N would cancel to an
+// absolute error of about N·2⁻⁴⁸ (0.004 at the budget cut's N ≈ 2⁴⁰);
+// this form keeps it near n·2⁻⁵².
 func lnHyperZero(n, K, N int64) float64 {
 	fn := float64(n)
 	a1, a2 := float64(N-K-n+1), float64(N-n+1)
-	return fn*math.Log1p(-float64(K)/a2) + lnGammaRest(a1, fn) - lnGammaRest(a2, fn)
+	l := math.Log(a1 / a2)
+	if x := float64(K) / a2; x <= 0.5 {
+		l = math.Log1p(-x)
+	}
+	return fn*l + lnGammaRest(a1, fn) - lnGammaRest(a2, fn)
 }
 
 // lnGammaRest returns ln Γ(a+n) − ln Γ(a) − n·ln a: by Stirling's
@@ -337,12 +355,4 @@ func WalkDisplacement(src Source, steps int64) int64 {
 		return 0
 	}
 	return 2*fairBinomial(src, steps) - steps
-}
-
-// LnChoose returns ln C(n, k) via lgamma.
-func LnChoose(n, k int64) float64 {
-	a, _ := math.Lgamma(float64(n + 1))
-	b, _ := math.Lgamma(float64(k + 1))
-	c, _ := math.Lgamma(float64(n - k + 1))
-	return a - b - c
 }

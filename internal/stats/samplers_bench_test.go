@@ -16,8 +16,8 @@ var samplerDraw int64
 // the two fair-coin paths on either side of popcountMax, the
 // measurement that places the crossover, and the strip exit of a
 // kernelPass epoch (h = 2¹⁶) in a 4096-wide strip — ends far, at 4 and
-// at 1 sd — with the two hypergeometric inversions at its bisection's
-// first midpoint. Run it through `scripts/bench.sh stats`.
+// at 1 sd — with the hypergeometric draw at its bisection's first
+// midpoint. Run it through `scripts/bench.sh stats`.
 func BenchmarkSamplers(b *testing.B) {
 	for _, steps := range []int64{17, 512, 4096, 1 << 16} {
 		b.Run(fmt.Sprintf("WalkDisplacement/steps=%d", steps), func(b *testing.B) {
@@ -53,12 +53,6 @@ func BenchmarkSamplers(b *testing.B) {
 		src := newSource(7)
 		for i := 0; i < b.N; i++ {
 			samplerDraw = Hypergeometric(src, 1<<15, 1<<15, 1<<16)
-		}
-	})
-	b.Run("hyperFromMode/draws=2^15/marked=2^15/total=2^16", func(b *testing.B) {
-		src := newSource(7)
-		for i := 0; i < b.N; i++ {
-			samplerDraw = hyperFromMode(src, 1<<15, 1<<15, 1<<16)
 		}
 	})
 	for _, n := range []int64{512, 768, 1024} {

@@ -75,7 +75,7 @@ const exactLawTrials = 400_000
 
 // binomialPMFChiSquare draws exactLawTrials variates and compares
 // their histogram with the exact Binomial(n, p) pmf, built from
-// LnChoose, by a one-sample chi-square at α = 0.001. Bins cover the
+// lnChoose, by a one-sample chi-square at α = 0.001. Bins cover the
 // mean ± 8 standard deviations (plus a margin for tiny means), the
 // draws beyond them are clamped into the edge bins, and sparse bins
 // are pooled to expected counts ≥ 5.
@@ -96,7 +96,7 @@ func binomialPMFChiSquare(t *testing.T, label string, n int64, p float64, draw f
 	exp := make([]float64, len(obs))
 	lp, lq := math.Log(p), math.Log1p(-p)
 	for k := lo; k <= hi; k++ {
-		exp[k-lo] = math.Exp(LnChoose(n, k)+float64(k)*lp+float64(n-k)*lq) * exactLawTrials
+		exp[k-lo] = math.Exp(lnChoose(n, k)+float64(k)*lp+float64(n-k)*lq) * exactLawTrials
 	}
 	pooledObs, pooledExp := poolBins(obs, exp, 5)
 	df := len(pooledObs) - 1
@@ -106,6 +106,14 @@ func binomialPMFChiSquare(t *testing.T, label string, n int64, p float64, draw f
 	if stat, crit := ChiSquareStat(pooledObs, pooledExp), ChiSquareCritical(df, 0.001); stat > crit {
 		t.Errorf("%s: chi-square stat %.2f > critical %.2f (df %d)", label, stat, crit, df)
 	}
+}
+
+// lnChoose returns ln C(n, k) via lgamma.
+func lnChoose(n, k int64) float64 {
+	a, _ := math.Lgamma(float64(n + 1))
+	b, _ := math.Lgamma(float64(k + 1))
+	c, _ := math.Lgamma(float64(n - k + 1))
+	return a - b - c
 }
 
 // TestBinomialExactPMF pins fairBinomial against its exact pmf at
@@ -480,13 +488,15 @@ func TestWalkDisplacementDrawCost(t *testing.T) {
 	}
 }
 
-// TestHypergeometricInversionTopUniform pins the two faults a top
-// uniform u = 1 − 2⁻⁵³ exposed in the inversion walk. At mean 4 the
-// walk must end in the tail, not walk every term to
-// min(draws, marked) = 4,096. At mean 2,047.5 (sd ≈ 32), where pmf(0)
-// underflows, one uniform must give one quantile — about 8 sd from the
-// mean — rather than a sum of rounds that each land at their own
-// extreme (780, 40 sd off, when the draw was split into rounds).
+// TestHypergeometricInversionTopUniform pins the faults a top uniform
+// u = 1 − 2⁻⁵³ exposed in the inversion walk. At mean 4 the walk must
+// end in the tail, not walk every term to min(draws, marked) = 4,096.
+// At mean 2,047.5 (sd ≈ 32), where pmf(0) underflows, one uniform must
+// give one quantile — about 8 sd from the mean — rather than a sum of
+// rounds that each land at their own extreme (780, 40 sd off, when the
+// draw was split into rounds). At the strip-exit bisection's first
+// midpoint (mean 2¹⁴, sd 64) the walk must return from the tail rather
+// than redraw a uniform that never changes.
 func TestHypergeometricInversionTopUniform(t *testing.T) {
 	t.Parallel()
 	src := &topSource{Rand: newSource(12)}
@@ -496,15 +506,27 @@ func TestHypergeometricInversionTopUniform(t *testing.T) {
 	if k := Hypergeometric(src, 1<<23, 4095, 1<<24-1); math.Abs(float64(k)-2047.5) > 10*32 {
 		t.Fatalf("Hypergeometric(2^23, 4095, 2^24-1) at the top uniform = %d; want within 10 sd of 2047.5", k)
 	}
+	if k := Hypergeometric(src, 1<<15, 1<<15, 1<<16); math.Abs(float64(k)-1<<14) > 10*64 {
+		t.Fatalf("Hypergeometric(2^15, 2^15, 2^16) at the top uniform = %d; want within 10 sd of 2^14", k)
+	}
 }
 
-// TestLnHyperZeroPrecision pins the starting mass ln pmf(0) against
-// the direct sum Σ_{i<n} log1p(−K/(N−i)), at the budget cut's sizes
-// (N up to 2⁴⁰, where differences of lgammas lose about 0.004) and at
-// small urns on the lgamma branch.
+// TestLnHyperZeroPrecision pins the inversion's anchor against direct
+// sums (lnHyperDirect). ln pmf(0) on the canonical form n ≤ K ≤ N − K
+// is checked at the budget cut's sizes (N up to 2⁴¹, where differences
+// of lgammas lose about 0.004) and at small urns on the lgamma branch.
+// ln pmf(mode) in the caller's coordinates, carried there by the law's
+// symmetries, is checked at the bisection's totals (9, 64, 2¹⁶) and
+// the budget cut's (2³⁰ to 2⁶⁰).
 func TestLnHyperZeroPrecision(t *testing.T) {
 	t.Parallel()
-	cases := [][3]int64{ // n, K, N
+	check := func(label string, got, want float64) {
+		t.Helper()
+		if tol := 1e-9 * max(1, math.Abs(want)); math.Abs(got-want) > tol {
+			t.Errorf("%s = %.12g, direct sum %.12g", label, got, want)
+		}
+	}
+	zeros := [][3]int64{ // n, K, N
 		{5, 6, 14},
 		{1, 1, 2},
 		{4095, 1<<23 - 1, 1<<24 - 1},
@@ -513,31 +535,84 @@ func TestLnHyperZeroPrecision(t *testing.T) {
 		{1 << 12, 1 << 38, 1 << 40},
 		{1 << 16, 1<<40 - 1<<16, 1 << 41},
 	}
-	for _, c := range cases {
+	for _, c := range zeros {
 		n, K, N := c[0], c[1], c[2]
-		var want float64
-		for i := int64(0); i < n; i++ {
-			want += math.Log1p(-float64(K) / float64(N-i))
-		}
-		got := lnHyperZero(n, K, N)
-		if tol := 1e-9 * max(1, math.Abs(want)); math.Abs(got-want) > tol {
-			t.Errorf("lnHyperZero(%d, %d, %d) = %.12g, direct sum %.12g", n, K, N, got, want)
-		}
+		check(fmt.Sprintf("lnHyperZero(%d, %d, %d)", n, K, N), lnHyperZero(n, K, N), lnHyperDirect(n, K, N, 0))
+	}
+	modes := [][3]int64{ // draws, marked, total
+		{4, 6, 9},
+		{32, 30, 64},
+		{40, 16, 64},
+		{1 << 15, 1 << 15, 1 << 16},
+		{1 << 15, 1<<15 + 300, 1 << 16},
+		{1000, 40000, 1 << 16},
+		{50000, 40000, 1 << 16},
+		{1 << 23, 4095, 1<<24 - 1},
+		{1 << 20, 1 << 12, 1 << 30},
+		{1 << 38, 1<<12 - 1, 1 << 40},
+		{1<<16 - 1, 1<<47 + 5, 1 << 48},
+		{1 << 59, 4095, 1 << 60},
+		{1<<60 - 1<<20, 1 << 12, 1 << 60},
+	}
+	for _, c := range modes {
+		n, K, N := c[0], c[1], c[2]
+		fn, fK, fN := float64(n), float64(K), float64(N)
+		mode := min(max(int64((fn+1)*(fK+1)/(fN+2)), n+K-N, 0), n, K)
+		check(fmt.Sprintf("lnHyperPMF(%d, %d, %d, mode %d)", n, K, N, mode),
+			lnHyperPMF(n, K, N, mode), lnHyperDirect(n, K, N, mode))
 	}
 }
 
+// lnHyperDirect returns ln pmf(k) of n draws from N items of which K
+// are marked as a compensated sum over the support from its low end:
+// after complementing the marks when n + K > N, so that the support
+// starts at 0, ln pmf(0) = Σ_{i<a} ln(1 − b/(N−i)) with a, b the
+// smaller and larger of n and K, then ln r(j) for each j < k.
+func lnHyperDirect(n, K, N, k int64) float64 {
+	if n+K > N {
+		K, k = N-K, n-k
+	}
+	var sum, comp float64 // Kahan summation
+	add := func(x float64) {
+		y := x - comp
+		next := sum + y
+		comp = (next - sum) - y
+		sum = next
+	}
+	a, b := min(n, K), max(n, K)
+	for i := int64(0); i < a; i++ {
+		if d := N - i; 2*b < d {
+			add(math.Log1p(-float64(b) / float64(d)))
+		} else {
+			add(math.Log(float64(d-b) / float64(d))) // d − b exact
+		}
+	}
+	for j := int64(0); j < k; j++ {
+		add(math.Log(float64(K-j) * float64(n-j) / (float64(j+1) * float64(N-K-n+j+1))))
+	}
+	return sum
+}
+
 // TestHypergeometricExactPMF pins Hypergeometric against its exact pmf
-// at totals no literal urn reaches: the budget cut's shape (a few
-// thousand marked among 2³⁰–2⁴⁰, so the draw/mark swap runs first),
-// a starting mass below e⁻⁷⁰⁰ on the scaled head walk, and the
-// complement branch in front of it.
+// at both callers' shapes, at totals no literal urn reaches. The budget
+// cut's: a few thousand marked among 2³⁰–2⁴⁰, mean 4 to 2,047.5, with
+// pmf(0) down to e⁻²⁸³⁸. The strip-exit bisection's: a balanced
+// kernelPass bridge's midpoint, a skewed endpoint and a split far from
+// the middle, plus short bridges, where lnGammaRest takes its lgamma
+// branch.
 func TestHypergeometricExactPMF(t *testing.T) {
 	t.Parallel()
 	cases := [][3]int64{ // draws, marked, total
 		{1 << 30, 1 << 12, 1 << 40},   // mean 4
 		{1 << 36, 1 << 12, 1 << 40},   // mean 256
 		{1 << 38, 1<<12 - 1, 1 << 40}, // mean ≈ 1024, pmf(0) ≈ e⁻¹¹⁷⁸
-		{1 << 23, 4095, 1<<24 - 1},    // complement, pmf(0) ≈ e⁻²⁸³⁸
+		{1 << 23, 4095, 1<<24 - 1},    // pmf(0) ≈ e⁻²⁸³⁸
+		{1 << 15, 1 << 15, 1 << 16},
+		{1 << 15, 1<<15 + 300, 1 << 16},
+		{1000, 40000, 1 << 16},
+		{32, 30, 64},
+		{4, 6, 9},
+		{1, 1, 2},
 	}
 	for i, c := range cases {
 		src := newSource(uint64(1500 + i))

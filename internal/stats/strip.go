@@ -114,68 +114,9 @@ func stripBridge(src Source, steps, end, at, a, b int64) int64 {
 // random n-step ±1 path from 0 to x (0 ≤ m ≤ n, x ≡ n mod 2,
 // |x| ≤ n): 2j − m, where the up-steps j among the first m are
 // hypergeometric — m draws from n steps of which (n+x)/2 go up —
-// drawn by hyperFromMode in O(sd) = O(√n) terms. (Hypergeometric's
-// walk from j = 0 costs O(mean), about 2¹⁴ terms at a kernelPass
-// bridge's midpoint; the n = 8192 merge draws 0.7 midpoints per
-// StripExit, and sgl-merge loses 40% of its throughput with that walk,
-// EXPERIMENTS.md.)
+// inverted from the mode in O(sd) = O(√n) terms.
 func bridgePoint(src Source, n, m, x int64) int64 {
-	return 2*hyperFromMode(src, m, (n+x)/2, n) - m
-}
-
-// hyperFromMode returns a Hypergeometric(draws, marked, total) variate
-// by inversion in the order mode, then outward one term at a time on
-// whichever side has the larger next term — exact for any fixed order
-// of the support, and O(sd) expected terms. pmf(mode) comes from the
-// Stirling-difference log-binomials (lnHalfBinom), whose error in the
-// log grows with the total: below 10⁻¹¹ at the bisection's totals
-// (≤ 2¹⁶), but up to ~10⁻³ at the budget cut's 2⁴⁰, which therefore
-// keeps Hypergeometric's walk from lnHyperZero. The rare uniform that
-// the rounded terms do not reach (the summed mass falls short of 1 by
-// rounding) is redrawn, which conditions on the mass actually
-// inverted.
-func hyperFromMode(src Source, draws, marked, total int64) int64 {
-	lo, hi := max(0, draws+marked-total), min(draws, marked)
-	mode := min(max((draws+1)*(marked+1)/(total+2), lo), hi)
-	pMode := math.Exp(lnHalfBinom(draws, mode) + lnHalfBinom(total-draws, marked-mode) - lnHalfBinom(total, marked))
-	// ratio(k) = pmf(k+1)/pmf(k).
-	ratio := func(k int64) float64 {
-		return float64(marked-k) * float64(draws-k) / (float64(k+1) * float64(total-marked-draws+k+1))
-	}
-	for {
-		u := src.Float64() - pMode
-		if u < 0 {
-			return mode
-		}
-		up, down := mode, mode
-		pUp, pDown := pMode, pMode
-		for {
-			nextUp, nextDown := 0.0, 0.0
-			if up < hi {
-				nextUp = pUp * ratio(up)
-			}
-			if down > lo {
-				nextDown = pDown / ratio(down-1)
-			}
-			if nextUp >= nextDown {
-				if nextUp == 0 || u-nextUp == u {
-					break // every later term is smaller still
-				}
-				up, pUp = up+1, nextUp
-				if u -= nextUp; u < 0 {
-					return up
-				}
-			} else {
-				if u-nextDown == u {
-					break
-				}
-				down, pDown = down-1, nextDown
-				if u -= nextDown; u < 0 {
-					return down
-				}
-			}
-		}
-	}
+	return 2*Hypergeometric(src, m, (n+x)/2, n) - m
 }
 
 // stripHitBound returns an upper bound on the visit probability of an
