@@ -395,8 +395,8 @@ func FuzzHypergeometric(f *testing.F) {
 		if total < 0 {
 			total = -(total + 1)
 		}
-		// CDF inversion is O(result): cap the population so a fuzz
-		// case stays sub-second.
+		// The inversion takes O(sd) terms: cap the population so a
+		// fuzz case stays sub-second.
 		total %= 1 << 20
 		if marked < 0 {
 			marked = -(marked + 1)
@@ -522,7 +522,7 @@ func TestLnHyperZeroPrecision(t *testing.T) {
 	t.Parallel()
 	check := func(label string, got, want float64) {
 		t.Helper()
-		if tol := 1e-9 * max(1, math.Abs(want)); math.Abs(got-want) > tol {
+		if tol := 1e-9 * max(1, math.Abs(want)); !(math.Abs(got-want) <= tol) { // NaN fails too
 			t.Errorf("%s = %.12g, direct sum %.12g", label, got, want)
 		}
 	}
@@ -544,6 +544,7 @@ func TestLnHyperZeroPrecision(t *testing.T) {
 		{32, 30, 64},
 		{40, 16, 64},
 		{1 << 15, 1 << 15, 1 << 16},
+		{1<<15 - 2, 1 << 15, 1 << 16}, // a₁/a₂ = 3/32771, lost by log1p(−K/a₂)
 		{1 << 15, 1<<15 + 300, 1 << 16},
 		{1000, 40000, 1 << 16},
 		{50000, 40000, 1 << 16},
@@ -565,11 +566,16 @@ func TestLnHyperZeroPrecision(t *testing.T) {
 
 // lnHyperDirect returns ln pmf(k) of n draws from N items of which K
 // are marked as a compensated sum over the support from its low end:
-// after complementing the marks when n + K > N, so that the support
-// starts at 0, ln pmf(0) = Σ_{i<a} ln(1 − b/(N−i)) with a, b the
-// smaller and larger of n and K, then ln r(j) for each j < k.
+// after complementing the larger of the draws and the marks when
+// n + K > N, so that the support starts at 0,
+// ln pmf(0) = Σ_{i<a} ln(1 − b/(N−i)) with a, b the smaller and larger
+// of n and K, then ln r(j) for each j < k.
 func lnHyperDirect(n, K, N, k int64) float64 {
-	if n+K > N {
+	switch {
+	case n+K <= N:
+	case n >= K:
+		n, k = N-n, K-k
+	default:
 		K, k = N-K, n-k
 	}
 	var sum, comp float64 // Kahan summation
@@ -595,7 +601,7 @@ func lnHyperDirect(n, K, N, k int64) float64 {
 
 // TestHypergeometricExactPMF pins Hypergeometric against its exact pmf
 // at both callers' shapes, at totals no literal urn reaches. The budget
-// cut's: a few thousand marked among 2³⁰–2⁴⁰, mean 4 to 2,047.5, with
+// cut's: a few thousand marked among 2²⁴–2⁶⁰, mean 4 to 2,047.5, with
 // pmf(0) down to e⁻²⁸³⁸. The strip-exit bisection's: a balanced
 // kernelPass bridge's midpoint, a skewed endpoint and a split far from
 // the middle, plus short bridges, where lnGammaRest takes its lgamma
@@ -607,6 +613,7 @@ func TestHypergeometricExactPMF(t *testing.T) {
 		{1 << 36, 1 << 12, 1 << 40},   // mean 256
 		{1 << 38, 1<<12 - 1, 1 << 40}, // mean ≈ 1024, pmf(0) ≈ e⁻¹¹⁷⁸
 		{1 << 23, 4095, 1<<24 - 1},    // pmf(0) ≈ e⁻²⁸³⁸
+		{1 << 59, 4095, 1 << 60},      // (draws+1)(marked+1) overflows int64
 		{1 << 15, 1 << 15, 1 << 16},
 		{1 << 15, 1<<15 + 300, 1 << 16},
 		{1000, 40000, 1 << 16},
