@@ -271,3 +271,25 @@ func TestStripExitAtLaw(t *testing.T) {
 		samplerChiSquare(t, fmt.Sprintf("StripExitAt(h=%d, at=%d, a=%d, b=%d)", tc.h, tc.at, tc.a, tc.b), samp, lit)
 	}
 }
+
+// TestHyperFromModeExactPMF pins the mode-outward inversion behind
+// bridgePoint (Hypergeometric) against the exact hypergeometric pmf at
+// the bisection's shapes: a balanced kernelPass bridge's midpoint, a
+// skewed endpoint, and a split far from the middle, plus short
+// bridges, where lnGammaRest takes its lgamma branch.
+func TestHyperFromModeExactPMF(t *testing.T) {
+	t.Parallel()
+	cases := [][3]int64{ // draws, marked, total
+		{1 << 15, 1 << 15, 1 << 16},
+		{1 << 15, 1<<15 + 300, 1 << 16},
+		{1000, 40000, 1 << 16},
+		{32, 30, 64},
+		{4, 6, 9},
+		{1, 1, 2},
+	}
+	for i, c := range cases {
+		src := newSource(uint64(1200 + i))
+		label := fmt.Sprintf("Hypergeometric(%d, %d, %d)", c[0], c[1], c[2])
+		hyperPMFChiSquare(t, label, c[0], c[1], c[2], func() int64 { return Hypergeometric(src, c[0], c[1], c[2]) })
+	}
+}
